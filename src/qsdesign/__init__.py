@@ -23,6 +23,7 @@ from .metrics import (
     angular_error,
     false_peak_fraction,
     find_peaks,
+    find_peaks_batch,
     integrated_squared_error,
     peak_angle_degrees,
 )

@@ -7,6 +7,7 @@ times one against the other. All jitted kernels are serial or use disjoint
 writes only, so results are bitwise deterministic run to run.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -26,13 +27,49 @@ def basis_dimension(max_degree: int) -> int:
 # numpy implementations
 
 
+@functools.lru_cache(maxsize=None)
+def _sh_tables(max_degree: int):
+    """Per-degree recurrence constants and output index arrays, built once.
+
+    Every constant is computed with the same scalar expression as the
+    textbook loop, so the vectorised recurrence below reproduces it bit for
+    bit. The arrays are shared between callers, hence read-only.
+    """
+    L = max_degree
+    diag = np.zeros(L + 1)
+    sub = np.zeros(L + 1)
+    a = np.zeros((L + 1, L + 1))
+    b = np.zeros((L + 1, L + 1))
+    for m in range(1, L + 1):
+        diag[m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+    for m in range(L):
+        sub[m] = np.sqrt(2.0 * m + 3.0)
+    for m in range(max(L - 1, 0)):
+        for l in range(m + 2, L + 1):
+            a[l, m] = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b[l, m] = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+    rows = np.concatenate([np.full(2 * l + 1, l) for l in range(0, L + 1, 2)])
+    orders = np.concatenate([np.arange(-l, l + 1) for l in range(0, L + 1, 2)])
+    cols = np.abs(orders)
+    # the zonal harmonic (m = 0) is pbar itself; the others carry sqrt(2)
+    scale = np.where(orders == 0, 1.0, np.sqrt(2.0))[:, None]
+    trig_rows = np.where(orders < 0, L + cols, cols)
+    tables = (diag, sub[:L, None], a[:, :, None], b[:, :, None], scale, rows, cols, trig_rows)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def sh_matrix_numpy(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     """Real symmetric (even-degree) orthonormal SH values, shape (n, J).
 
     Fully normalized associated Legendre values come from the standard
-    stable three-term upward recurrence in degree.
+    stable three-term upward recurrence in degree, vectorised over order.
+    Each output row depends on its own point only, so rows do not change
+    with the batch they are evaluated in. The result is C-contiguous.
     """
     L = max_degree
+    diag, sub, a, b, scale, rows, cols, trig_rows = _sh_tables(L)
     n = xyz.shape[0]
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     s = np.hypot(x, y)
@@ -41,28 +78,18 @@ def sh_matrix_numpy(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     pbar = np.zeros((L + 1, L + 1, n))
     pbar[0, 0] = INV_SQRT_4PI
     for m in range(1, L + 1):
-        pbar[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pbar[m - 1, m - 1]
-    for m in range(L):
-        pbar[m + 1, m] = np.sqrt(2.0 * m + 3.0) * z * pbar[m, m]
-    for m in range(max(L - 1, 0)):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            pbar[l, m] = a * (z * pbar[l - 1, m] - b * pbar[l - 2, m])
+        pbar[m, m] = diag[m] * s * pbar[m - 1, m - 1]
+    below = np.arange(L)
+    pbar[below + 1, below] = sub * z * pbar[below, below]
+    for l in range(2, L + 1):
+        m = slice(0, l - 1)
+        pbar[l, m] = a[l, m] * (z * pbar[l - 1, m] - b[l, m] * pbar[l - 2, m])
 
-    out = np.empty((n, basis_dimension(L)))
-    root2 = np.sqrt(2.0)
-    j = 0
-    for l in range(0, L + 1, 2):
-        for m in range(-l, l + 1):
-            if m < 0:
-                out[:, j] = root2 * pbar[l, -m] * np.sin(-m * phi)
-            elif m == 0:
-                out[:, j] = pbar[l, 0]
-            else:
-                out[:, j] = root2 * pbar[l, m] * np.cos(m * phi)
-            j += 1
-    return out
+    # trig rows: 1 for m = 0, then cos(m phi) for m = 1..L, then sin(m phi)
+    mphi = np.multiply.outer(np.arange(1.0, L + 1.0), phi)
+    trig = np.concatenate([np.ones((1, n)), np.cos(mphi), np.sin(mphi)])
+    values = pbar[rows, cols] * scale * trig[trig_rows]
+    return np.ascontiguousarray(values.T)
 
 
 def greedy_gains_numpy(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np.ndarray:

@@ -16,6 +16,11 @@ from .sim import GenerativeConfig
 DEFAULT_BUDGETS = (5, 10, 15, 20, 30, 45, 60, 90)
 
 
+def _require_finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class SimConfig:
     """Full description of one simulation experiment."""
@@ -48,10 +53,13 @@ class SimConfig:
             raise ValidationError("need at least one test subject")
         if self.dense_design_size < 2:
             raise ValidationError("dense design size must be >= 2")
+        _require_finite("noise sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be non-negative")
         if self.noise_kind not in ("gaussian", "chi"):
             raise ValidationError("noise kind must be 'gaussian' or 'chi'")
+        if np.ndim(self.budgets) != 1:
+            raise ValidationError(f"budgets must be a list of positive integers, got {self.budgets!r}")
         budgets = tuple(int(b) for b in self.budgets)
         if not budgets or any(b < 1 for b in budgets):
             raise ValidationError("budgets must be positive integers")
@@ -62,10 +70,16 @@ class SimConfig:
         self.budgets = budgets
         if budgets[-1] > self.candidate_count:
             raise ValidationError("largest budget exceeds the candidate count")
+        if np.ndim(self.gcv_grid) != 1 or len(self.gcv_grid) != 3:
+            raise ValidationError(f"gcv_grid must be (min, max, count), got {self.gcv_grid!r}")
         lo, hi, count = self.gcv_grid
+        _require_finite("gcv_grid min", lo)
+        _require_finite("gcv_grid max", hi)
+        _require_finite("gcv_grid count", count)
         if not (0 < lo < hi and int(count) >= 1):
             raise ValidationError("gcv_grid must be (min, max, count) with 0 < min < max")
         self.gcv_grid = (float(lo), float(hi), int(count))
+        _require_finite("peak threshold", self.peak_threshold)
         if not 0.0 <= self.peak_threshold <= 1.0:
             raise ValidationError("peak threshold must lie in [0, 1]")
         if self.peak_grid_size < 16:
@@ -125,7 +139,7 @@ def sim_config_from_dict(data: dict) -> SimConfig:
     if "generative" in data:
         kwargs["generative"] = _generative_from(data.pop("generative"))
     if "budgets" in data:
-        kwargs["budgets"] = tuple(data.pop("budgets"))
+        kwargs["budgets"] = data.pop("budgets")
     if "gcv_grid" in data:
         g = data.pop("gcv_grid")
         if isinstance(g, dict):
@@ -134,7 +148,7 @@ def sim_config_from_dict(data: dict) -> SimConfig:
             except KeyError as exc:
                 raise ValidationError(f"gcv_grid needs min/max/count, missing {exc}") from exc
         else:
-            kwargs["gcv_grid"] = tuple(g)
+            kwargs["gcv_grid"] = g
     simple = {
         "seed",
         "degree",

@@ -89,34 +89,129 @@ def _cross3(a, b):
     )
 
 
-def _refine_peak(coeffs, basis: ShBasis, start, value, step_degrees: float, steps: int):
-    point = np.asarray(start, dtype=float).copy()
-    step = np.radians(step_degrees)
+def _ascend(coeff_rows, owners, points, values, basis: ShBasis, step_degrees: float, steps: int):
+    """Tangent-plane ascent of every seed at once, in lockstep.
+
+    Seed i climbs the expansion `coeff_rows[owners[i]]` from `points[i]`,
+    whose value is `values[i]`. Each step evaluates the basis once at the
+    four finite-difference probes of every live seed and once at every
+    candidate, so the basis call count depends on `steps`, not on the seed
+    count. The per-seed arithmetic is the serial ascent's, operation for
+    operation: basis rows do not depend on the batch they are evaluated in,
+    and each probe value is a 4-row product and each candidate value a 1-D
+    dot product, as when seeds were refined one at a time.
+    """
+    points = [np.array(p, dtype=float) for p in points]
+    values = [float(v) for v in values]
+    step = [np.radians(step_degrees)] * len(points)
+    live = list(range(len(points)))
     fd = 1e-5
     for _ in range(steps):
-        helper = np.array([1.0, 0.0, 0.0]) if abs(point[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = _cross3(point, helper)
-        e1 /= np.linalg.norm(e1)
-        e2 = _cross3(point, e1)
-        probes = np.vstack(
-            [point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2]
-        )
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        vals = basis.evaluate(probes) @ coeffs
-        grad = (vals[0] - vals[1]) / (2 * fd) * e1 + (vals[2] - vals[3]) / (2 * fd) * e2
-        norm = np.linalg.norm(grad)
-        if norm < 1e-14:
+        if not live:
             break
-        candidate = point + step * (grad / norm)
-        candidate /= np.linalg.norm(candidate)
-        cand_value = float(basis.evaluate(candidate) @ coeffs)
-        if cand_value > value:
-            point, value = candidate, cand_value
+        frames = []
+        probes = np.empty((4 * len(live), 3))
+        for k, i in enumerate(live):
+            point = points[i]
+            helper = np.array([1.0, 0.0, 0.0]) if abs(point[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+            e1 = _cross3(point, helper)
+            e1 /= np.linalg.norm(e1)
+            e2 = _cross3(point, e1)
+            probes[4 * k : 4 * k + 4] = [
+                point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2
+            ]
+            frames.append((e1, e2))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        probe_basis = basis.evaluate(probes)
+        moving, candidates = [], []
+        for k, i in enumerate(live):
+            vals = probe_basis[4 * k : 4 * k + 4] @ coeff_rows[owners[i]]
+            e1, e2 = frames[k]
+            grad = (vals[0] - vals[1]) / (2 * fd) * e1 + (vals[2] - vals[3]) / (2 * fd) * e2
+            norm = np.linalg.norm(grad)
+            if norm < 1e-14:
+                continue
+            candidate = points[i] + step[i] * (grad / norm)
+            candidate /= np.linalg.norm(candidate)
+            moving.append(i)
+            candidates.append(candidate)
+        live = moving
+        if not live:
+            break
+        cand_basis = basis.evaluate(np.asarray(candidates))
+        for k, i in enumerate(live):
+            cand_value = float(cand_basis[k] @ coeff_rows[owners[i]])
+            if cand_value > values[i]:
+                points[i], values[i] = candidates[k], cand_value
+            else:
+                step[i] *= 0.5
+    for point in points:
+        if point[2] < 0.0 or (point[2] == 0.0 and point[0] < 0.0):
+            point *= -1.0
+    return points, values
+
+
+def find_peaks_batch(
+    coeff_rows,
+    basis: ShBasis,
+    grid_size: int = DEFAULT_PEAK_GRID_SIZE,
+    relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
+    merge_degrees: float = PEAK_MERGE_DEGREES,
+    refine_steps: int = REFINE_STEPS,
+    refine_step_degrees: float = REFINE_STEP_DEGREES,
+) -> list[PeakSet]:
+    """Peaks of many harmonic expansions, one :class:`PeakSet` per row.
+
+    Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
+    (a sequence of coefficient vectors, or an (N, J) array): the grid
+    maxima of every row are found first, then all their seeds are refined
+    together, so a batch costs as many basis evaluations as one row.
+    """
+    if grid_size < 1:
+        raise ValidationError("detection grid must be non-empty")
+    if not 0.0 <= relative_threshold <= 1.0:
+        raise ValidationError("relative_threshold must lie in [0, 1]")
+    rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
+    dirs, neighbors = _detection_grid(grid_size)
+    grid_basis = _detection_basis_matrix(grid_size, basis)
+    cutoffs, owners, seeds, seed_values = [], [], [], []
+    for r, coeffs in enumerate(rows):
+        values = grid_basis @ coeffs
+        mask = _kernels.local_maxima(values, neighbors)
+        order = np.argsort(values[mask])[::-1]
+        cutoff = relative_threshold * float(values.max())
+        cutoffs.append(cutoff)
+        for seed, seed_value in zip(dirs[mask][order], values[mask][order]):
+            # grid maxima sit within ~2 degrees of the refined peak, so ascent
+            # gains only a few percent; seeds far below threshold cannot recover
+            if seed_value <= 0.0 or (cutoff > 0.0 and seed_value < 0.5 * cutoff):
+                continue
+            owners.append(r)
+            seeds.append(seed)
+            seed_values.append(seed_value)
+    peaks, peak_values = _ascend(
+        rows, owners, seeds, seed_values, basis, refine_step_degrees, refine_steps
+    )
+    cos_merge = np.cos(np.radians(merge_degrees))
+    kept = [([], []) for _ in rows]
+    # seeds of a row are visited in descending grid value, as the merge rule needs
+    for r, direction, value in zip(owners, peaks, peak_values):
+        if value <= 0.0 or value < cutoffs[r]:
+            continue
+        kept_dirs, kept_vals = kept[r]
+        if any(abs(direction @ d) > cos_merge for d in kept_dirs):
+            continue
+        kept_dirs.append(direction)
+        kept_vals.append(value)
+    out = []
+    for kept_dirs, kept_vals in kept:
+        if kept_dirs:
+            vals = np.asarray(kept_vals)
+            order = np.argsort(vals)[::-1]
+            out.append(PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size))
         else:
-            step *= 0.5
-    if point[2] < 0.0 or (point[2] == 0.0 and point[0] < 0.0):
-        point = -point
-    return point, value
+            out.append(PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size))
+    return out
 
 
 def find_peaks(
@@ -134,42 +229,17 @@ def find_peaks(
     (antipodal proximity) seed tangent-ascent refinement; peaks below
     `relative_threshold` times the global maximum or with non-positive
     values are discarded, and refined peaks closer than `merge_degrees`
-    keep only the higher one.
+    keep only the higher one. One row of :func:`find_peaks_batch`.
     """
-    if grid_size < 1:
-        raise ValidationError("detection grid must be non-empty")
-    if not 0.0 <= relative_threshold <= 1.0:
-        raise ValidationError("relative_threshold must lie in [0, 1]")
-    coeffs = basis.check_coefficients(coeffs)
-    dirs, neighbors = _detection_grid(grid_size)
-    values = _detection_basis_matrix(grid_size, basis) @ coeffs
-    mask = _kernels.local_maxima(values, neighbors)
-    order = np.argsort(values[mask])[::-1]
-    seeds = dirs[mask][order]
-    seed_values = values[mask][order]
-    top = float(values.max())
-    cutoff = relative_threshold * top
-    kept_dirs, kept_vals = [], []
-    cos_merge = np.cos(np.radians(merge_degrees))
-    for seed, seed_value in zip(seeds, seed_values):
-        # grid maxima sit within ~2 degrees of the refined peak, so ascent
-        # gains only a few percent; seeds far below threshold cannot recover
-        if seed_value <= 0.0 or (cutoff > 0.0 and seed_value < 0.5 * cutoff):
-            continue
-        direction, value = _refine_peak(
-            coeffs, basis, seed, float(seed_value), refine_step_degrees, refine_steps
-        )
-        if value <= 0.0 or value < cutoff:
-            continue
-        if any(abs(direction @ d) > cos_merge for d in kept_dirs):
-            continue
-        kept_dirs.append(direction)
-        kept_vals.append(value)
-    if kept_dirs:
-        vals = np.asarray(kept_vals)
-        order = np.argsort(vals)[::-1]
-        return PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size)
-    return PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size)
+    return find_peaks_batch(
+        [coeffs],
+        basis,
+        grid_size,
+        relative_threshold,
+        merge_degrees,
+        refine_steps,
+        refine_step_degrees,
+    )[0]
 
 
 def peak_angle_degrees(peaks: PeakSet) -> float:

@@ -11,6 +11,7 @@ swelling), and the eigen-truncation is recomputed afterwards.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ class RankRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "fraction"):
             raise ValidationError(f"rank rule kind must be 'fixed' or 'fraction', got {self.kind!r}")
+        if not np.isfinite(self.value):
+            raise ValidationError(f"rank rule value must be finite, got {self.value!r}")
         if self.kind == "fixed":
             if int(self.value) != self.value or self.value < 1:
                 raise ValidationError("fixed rank must be a positive integer")
@@ -359,6 +362,20 @@ def save_prior_field(field_: PriorField, path):
         fh.write("\n")
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    """Read exactly `n` bytes, or raise ValidationError naming the file.
+
+    The size is checked against what is left of the file before reading, so
+    a corrupt header cannot ask for more memory than the file holds.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValidationError(
+            f"{path} is truncated: needs {n} more bytes at offset {fh.tell()}, has {left}"
+        )
+    return fh.read(n)
+
+
 def load_prior_field(path) -> PriorField:
     """Read a field written by :func:`save_prior_field`."""
     path = str(path)
@@ -371,16 +388,16 @@ def load_prior_field(path) -> PriorField:
         if magic != _MAGIC:
             raise ValidationError(f"{path} is not a prior-field file (bad magic {magic!r})")
         j, max_degree, rank_kind_code, rank_value, sx, sy, sz, count = struct.unpack(
-            "<IIId3II", fh.read(struct.calcsize("<IIId3II"))
+            "<IIId3II", _read_exact(fh, struct.calcsize("<IIId3II"), path)
         )
         rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
         field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
         ntri = j * (j + 1) // 2
         for _ in range(count):
-            index = struct.unpack("<3i", fh.read(12))
-            (sigma2,) = struct.unpack("<d", fh.read(8))
-            mean = np.frombuffer(fh.read(8 * j), dtype="<f8").copy()
-            tril = np.frombuffer(fh.read(8 * ntri), dtype="<f8")
+            index = struct.unpack("<3i", _read_exact(fh, 12, path))
+            (sigma2,) = struct.unpack("<d", _read_exact(fh, 8, path))
+            mean = np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy()
+            tril = np.frombuffer(_read_exact(fh, 8 * ntri, path), dtype="<f8")
             cov = np.zeros((j, j))
             cov[np.tril_indices(j)] = tril
             cov = cov + np.tril(cov, -1).T

@@ -22,7 +22,7 @@ from .config import SimConfig, sim_config_to_dict
 from .design import default_candidates, esr_design, gradient_table, greedy_design
 from .errors import ValidationError
 from .estimator import conditional_fit, gcv_select
-from .metrics import angular_error, false_peak_fraction, find_peaks, integrated_squared_error
+from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe
 from .sphere import ShBasis, funk_radon
@@ -80,21 +80,15 @@ def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str)
 
 
 def _evaluate_subject(args):
-    (truth, points, cfg, basis, prior, true_peaks, rng, use_conditional) = args
+    """Observe and fit one test subject: its ISE and Funk-Radon coefficients."""
+    (truth, points, cfg, basis, prior, rng, use_conditional) = args
     values = observe(truth, points, cfg.noise_sigma, rng, basis, cfg.noise_kind)
     if use_conditional:
         fit = conditional_fit(points, values, prior, basis)
     else:
         _, fit = gcv_select(points, values, basis, cfg.gcv_lambdas)
     ise = integrated_squared_error(fit.coefficients, truth.signal)
-    est_peaks = find_peaks(
-        funk_radon(fit.coefficients, basis),
-        basis,
-        grid_size=cfg.peak_grid_size,
-        relative_threshold=cfg.peak_threshold,
-    )
-    ea = angular_error(est_peaks, true_peaks)
-    return ise, est_peaks, ea
+    return ise, funk_radon(fit.coefficients, basis)
 
 
 def run_simulation(cfg: SimConfig) -> ExperimentResult:
@@ -119,9 +113,9 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     prior = build_prior_from_cohort(train, dense_points, cfg, "train-noise")
     candidates = default_candidates(cfg.candidate_count)
 
-    true_peaks = [
-        find_peaks(t.fodf, basis, cfg.peak_grid_size, cfg.peak_threshold) for t in test
-    ]
+    true_peaks = find_peaks_batch(
+        [t.fodf for t in test], basis, cfg.peak_grid_size, cfg.peak_threshold
+    )
 
     rows = []
     designs = {}
@@ -142,7 +136,6 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
                     cfg,
                     basis,
                     prior,
-                    true_peaks[i],
                     _derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i),
                     method == METHOD_CONDITIONAL,
                 )
@@ -154,8 +147,11 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
             else:
                 outcomes = [_evaluate_subject(t) for t in tasks]
             ises = [o[0] for o in outcomes]
-            est_peaks = [o[1] for o in outcomes]
-            eas = [o[2] for o in outcomes]
+            # peak detection runs on the pooled fits, outside the thread pool
+            est_peaks = find_peaks_batch(
+                [o[1] for o in outcomes], basis, cfg.peak_grid_size, cfg.peak_threshold
+            )
+            eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
             pfp = false_peak_fraction(est_peaks, true_peaks)
             rows.append(
                 {

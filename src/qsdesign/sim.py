@@ -52,6 +52,9 @@ class GenerativeConfig:
     peak_merge_degrees: float = 15.0
 
     def __post_init__(self):
+        floats = (self.lobe_concentration, self.direction_concentration, self.peak_merge_degrees)
+        if not np.isfinite([*floats, *self.weights]).all():
+            raise ValidationError("generative parameters must be finite")
         if self.lobe_concentration <= 0 or self.direction_concentration <= 0:
             raise ValidationError("concentrations must be positive")
         if len(self.weights) != 2 or any(w < 0 for w in self.weights) or sum(self.weights) <= 0:

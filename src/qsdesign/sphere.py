@@ -33,9 +33,10 @@ def as_unit_vectors(points, name: str = "points"):
         raise ValidationError(f"{name} must have shape (3,) or (n, 3), got {arr.shape}")
     sq = np.einsum("ij,ij->i", arr, arr)
     worst = float(np.max(np.abs(sq - 1.0))) if arr.size else 0.0
-    if worst > UNIT_NORM_TOL:
+    # written so that a NaN deviation (a non-finite row) fails the check too
+    if not worst <= UNIT_NORM_TOL:
         raise ValidationError(
-            f"{name} must be unit vectors (worst squared-norm deviation {worst:.3e})"
+            f"{name} must be finite unit vectors (worst squared-norm deviation {worst:.3e})"
         )
     return np.ascontiguousarray(arr), single
 
@@ -127,6 +128,8 @@ class ShBasis:
             raise ValidationError(
                 f"{name} must have shape ({self.dimension},), got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite")
         return arr
 
 

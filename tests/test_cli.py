@@ -339,3 +339,54 @@ class TestThreading:
         assert metrics_csv_text(run_simulation(cfg1).rows) == metrics_csv_text(
             run_simulation(cfg2).rows
         )
+
+
+def _write_config(tmp_path, **changes):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({**TINY_SIM, **changes}))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+
+
+def _truncated_field(tmp_path, size):
+    from qsdesign.prior import PriorField, RankRule, save_prior_field
+    from qsdesign.sphere import ShBasis
+
+    from conftest import random_prior
+
+    field = PriorField((1, 1, 1), {}, 2, RankRule("fraction", 0.9))
+    field.add((0, 0, 0), random_prior(ShBasis(2), np.random.default_rng(0)))
+    path = tmp_path / "field.qpf"
+    save_prior_field(field, path)
+    data = path.read_bytes()
+    assert len(data) == 8 + 36 + 12 + 8 + 8 * 6 + 8 * 21  # header, then one J = 6 voxel
+    path.write_bytes(data[:size])
+    return ["prior-interp", "--prior", str(path), "--query", "0,0,0", "--out", str(tmp_path / "o")]
+
+
+# (case, argv builder, first line of stderr; {path} is the .qpf path)
+MALFORMED_INPUTS = [
+    ("scalar budgets", lambda t: _write_config(t, budgets=5),
+     "error: budgets must be a list of positive integers, got 5"),
+    ("scalar gcv_grid", lambda t: _write_config(t, gcv_grid=3),
+     "error: gcv_grid must be (min, max, count), got 3"),
+    ("nan noise_sigma", lambda t: _write_config(t, noise_sigma=float("nan")),
+     "error: noise sigma must be finite, got nan"),
+    ("nan direction", lambda t: _write_config(
+        t, generative={"mean_directions": [[float("nan"), 0.0, 1.0], [1.0, 0.0, 0.0]]}),
+     "error: mean direction must be finite unit vectors (worst squared-norm deviation nan)"),
+    ("qpf cut in header", lambda t: _truncated_field(t, 10),
+     "error: {path} is truncated: needs 36 more bytes at offset 8, has 2"),
+    ("qpf cut at 40 bytes", lambda t: _truncated_field(t, 40),
+     "error: {path} is truncated: needs 36 more bytes at offset 8, has 32"),
+    ("qpf cut in body", lambda t: _truncated_field(t, 8 + 36 + 12 + 8 + 8 * 6 + 100),
+     "error: {path} is truncated: needs 168 more bytes at offset 112, has 100"),
+]
+
+
+@pytest.mark.parametrize("case,argv_for,first_line", MALFORMED_INPUTS, ids=[c[0] for c in MALFORMED_INPUTS])
+def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
+    argv = argv_for(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == first_line.format(path=tmp_path / "field.qpf")
+    assert not (tmp_path / "o" / "metrics.csv").exists()

@@ -1,4 +1,5 @@
-"""Cross-checks between the numba kernels and their numpy fallbacks."""
+"""Kernel checks: the numpy kernels against loop references, and the numba
+kernels against the numpy ones."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,71 @@ import pytest
 from qsdesign import _kernels
 
 from conftest import random_unit_vectors
+
+
+def reference_sh_matrix(xyz, max_degree):
+    """The textbook loop form of the SH recurrence, one (l, m) at a time."""
+    L = max_degree
+    n = xyz.shape[0]
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    s = np.hypot(x, y)
+    phi = np.arctan2(y, x)
+
+    pbar = np.zeros((L + 1, L + 1, n))
+    pbar[0, 0] = _kernels.INV_SQRT_4PI
+    for m in range(1, L + 1):
+        pbar[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pbar[m - 1, m - 1]
+    for m in range(L):
+        pbar[m + 1, m] = np.sqrt(2.0 * m + 3.0) * z * pbar[m, m]
+    for m in range(max(L - 1, 0)):
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            pbar[l, m] = a * (z * pbar[l - 1, m] - b * pbar[l - 2, m])
+
+    out = np.empty((n, _kernels.basis_dimension(L)))
+    root2 = np.sqrt(2.0)
+    j = 0
+    for l in range(0, L + 1, 2):
+        for m in range(-l, l + 1):
+            if m < 0:
+                out[:, j] = root2 * pbar[l, -m] * np.sin(-m * phi)
+            elif m == 0:
+                out[:, j] = pbar[l, 0]
+            else:
+                out[:, j] = root2 * pbar[l, m] * np.cos(m * phi)
+            j += 1
+    return out
+
+
+SPECIAL_POINTS = np.array(
+    [
+        [0.0, 0.0, 1.0],  # poles: s = 0 and phi = 0
+        [0.0, 0.0, -1.0],
+        [1.0, 0.0, 0.0],  # equator: z = 0, phi = 0, pi/2, pi, -pi/2
+        [0.0, 1.0, 0.0],
+        [-1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0],
+        [np.sqrt(0.5), np.sqrt(0.5), 0.0],
+    ]
+)
+
+
+@pytest.mark.parametrize("max_degree", [0, 2, 4, 8, 12])
+@pytest.mark.parametrize("n", [1, 4, 333])
+def test_sh_matrix_numpy_equals_loop_reference(max_degree, n, rng):
+    xyz = random_unit_vectors(rng, n)
+    xyz[: min(n, len(SPECIAL_POINTS))] = SPECIAL_POINTS[:n]
+    out = _kernels.sh_matrix_numpy(xyz, max_degree)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, reference_sh_matrix(xyz, max_degree))
+
+
+def test_sh_matrix_numpy_rows_do_not_depend_on_batch(rng):
+    xyz = random_unit_vectors(rng, 333)
+    full = _kernels.sh_matrix_numpy(xyz, 8)
+    for start, stop in [(0, 1), (17, 21), (200, 333)]:
+        assert np.array_equal(_kernels.sh_matrix_numpy(xyz[start:stop], 8), full[start:stop])
 
 needs_numba = pytest.mark.skipif(
     not _kernels.USING_NUMBA, reason="numba disabled or unavailable"

@@ -7,14 +7,87 @@ from qsdesign.metrics import (
     angular_error,
     false_peak_fraction,
     find_peaks,
+    find_peaks_batch,
     integrated_squared_error,
     peak_angle_degrees,
 )
-from qsdesign.sim import GenerativeConfig, generate_fodf
+from qsdesign import metrics
+from qsdesign.sim import GenerativeConfig, generate_cohort, generate_fodf
 from qsdesign.sphere import make_grid, project_to_basis
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+Y = np.array([0.0, 1.0, 0.0])
+
+
+def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE,
+                         relative_threshold=metrics.DEFAULT_RELATIVE_THRESHOLD):
+    """Serial peak detection: each seed refined on its own, one basis call per probe set."""
+    dirs, neighbors = metrics._detection_grid(grid_size)
+    values = basis.evaluate(dirs) @ coeffs
+    mask = values > values[neighbors].max(axis=1)
+    order = np.argsort(values[mask])[::-1]
+    cutoff = relative_threshold * float(values.max())
+    cos_merge = np.cos(np.radians(metrics.PEAK_MERGE_DEGREES))
+    fd = 1e-5
+    kept_dirs, kept_vals = [], []
+    for seed, value in zip(dirs[mask][order], values[mask][order]):
+        if value <= 0.0 or (cutoff > 0.0 and value < 0.5 * cutoff):
+            continue
+        point, value = seed.copy(), float(value)
+        step = np.radians(metrics.REFINE_STEP_DEGREES)
+        for _ in range(metrics.REFINE_STEPS):
+            helper = np.array([1.0, 0.0, 0.0]) if abs(point[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+            e1 = metrics._cross3(point, helper)
+            e1 /= np.linalg.norm(e1)
+            e2 = metrics._cross3(point, e1)
+            probes = np.vstack([point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2])
+            probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+            vals = basis.evaluate(probes) @ coeffs
+            grad = (vals[0] - vals[1]) / (2 * fd) * e1 + (vals[2] - vals[3]) / (2 * fd) * e2
+            norm = np.linalg.norm(grad)
+            if norm < 1e-14:
+                break
+            candidate = point + step * (grad / norm)
+            candidate /= np.linalg.norm(candidate)
+            cand_value = float(basis.evaluate(candidate) @ coeffs)
+            if cand_value > value:
+                point, value = candidate, cand_value
+            else:
+                step *= 0.5
+        if point[2] < 0.0 or (point[2] == 0.0 and point[0] < 0.0):
+            point = -point
+        if value <= 0.0 or value < cutoff:
+            continue
+        if any(abs(point @ d) > cos_merge for d in kept_dirs):
+            continue
+        kept_dirs.append(point)
+        kept_vals.append(value)
+    if not kept_dirs:
+        return PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size)
+    vals = np.asarray(kept_vals)
+    order = np.argsort(vals)[::-1]
+    return PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size)
+
+
+def mixed_cohort(basis, rng):
+    """Two- and three-fibre subjects, noisy copies, a zero row and a row
+    whose grid maxima are all non-positive."""
+    rows = [t.fodf for t in generate_cohort(basis, GenerativeConfig(), 6, 11)]
+    for first, second, third in [(Z, X, Y), (X, Y, Y), (Z, Y, X)]:
+        pair = generate_fodf(basis, GenerativeConfig(), rng, fixed_directions=(first, second))
+        lone = generate_fodf(basis, GenerativeConfig(), rng, fixed_directions=(third, third))
+        rows.append(pair.fodf + 0.8 * lone.fodf)
+    rows += [r + 0.05 * np.abs(r).max() * rng.standard_normal(basis.dimension) for r in rows[:6]]
+    rows.append(np.zeros(basis.dimension))
+    rows.append(-rows[0])
+    return rows
+
+
+def assert_same_peaks(got, want):
+    assert np.array_equal(got.directions, want.directions)
+    assert np.array_equal(got.values, want.values)
+    assert got.grid_size == want.grid_size
 
 
 def peak_set(*dirs_vals):
@@ -121,6 +194,36 @@ class TestFindPeaks:
     def test_empty_grid_rejected(self, basis8):
         with pytest.raises(ValidationError):
             find_peaks(np.zeros(basis8.dimension), basis8, grid_size=0)
+
+    def test_non_finite_coefficients_rejected(self, basis8):
+        with pytest.raises(ValidationError):
+            find_peaks(np.full(basis8.dimension, np.nan), basis8)
+        bad = np.zeros(basis8.dimension)
+        bad[3] = np.inf
+        with pytest.raises(ValidationError):
+            find_peaks_batch([np.zeros(basis8.dimension), bad], basis8)
+
+
+class TestFindPeaksBatch:
+    def test_batch_equals_one_row_at_a_time(self, basis8, rng):
+        rows = mixed_cohort(basis8, rng)
+        counts = [len(p) for p in find_peaks_batch(rows, basis8)]
+        assert {0, 1, 2, 3} <= set(counts)  # the cohort covers every case
+        for got, want in zip(find_peaks_batch(rows, basis8), [find_peaks(r, basis8) for r in rows]):
+            assert_same_peaks(got, want)
+
+    def test_batch_equals_serial_reference(self, basis8, rng):
+        rows = mixed_cohort(basis8, rng)
+        batch = find_peaks_batch(np.asarray(rows), basis8, grid_size=1024)
+        for got, row in zip(batch, rows):
+            assert_same_peaks(got, reference_find_peaks(row, basis8, grid_size=1024))
+
+    def test_empty_batch(self, basis8):
+        assert find_peaks_batch([], basis8) == []
+
+    def test_row_shape_checked(self, basis8):
+        with pytest.raises(ValidationError):
+            find_peaks_batch([np.zeros(basis8.dimension), np.zeros(15)], basis8)
 
 
 class TestFalsePeakFraction:
