@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the kernels of qsdesign._kernels at pipeline-realistic sizes.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 Problem sizes mirror the hot paths of the experiment pipeline: basis
 evaluation over detection/projection grids, the greedy candidate scan, the
-pairwise repulsion energy, and the local-maxima sweep.
+pairwise repulsion energy (one configuration, and the stack of three
+restarts that `esr_design` evaluates per step), and the local-maxima sweep.
+Each line gives the best and the median of REPEATS calls.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -19,26 +22,18 @@ from qsdesign import _kernels
 REPEATS = 30
 
 
-def status():
-    if _kernels.USING_NUMBA:
-        return "numba available (set QSPACE_NO_NUMBA=1 to force the numpy path)"
-    return "numba path disabled or unavailable; timing numpy only"
-
-
-def timeit(fn, *args):
-    fn(*args)  # warmup / JIT
-    best = np.inf
+def timings(fn, *args):
+    fn(*args)  # warm-up
+    times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return min(times), statistics.median(times)
 
 
 def main():
     rng = np.random.default_rng(0)
-    print(status())
-
     xyz = rng.standard_normal((16384, 3))
     xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
     psi = rng.standard_normal((321, 20))
@@ -46,26 +41,25 @@ def main():
     dmat = half @ half.T / 20
     pts = rng.standard_normal((90, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    stack = rng.standard_normal((3, 30, 3))
+    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
     values = rng.standard_normal(4096)
     neighbors = rng.integers(0, 4096, size=(4096, 8))
 
     cases = [
-        ("sh_matrix (16384 pts, L=8)", _kernels.sh_matrix_numba, _kernels.sh_matrix_numpy, (xyz, 8)),
-        ("greedy_gains (321 x K=20)", _kernels.greedy_gains_numba, _kernels.greedy_gains_numpy, (psi, dmat, 1e-4)),
-        ("coulomb_energy_grad (n=90)", _kernels.coulomb_energy_grad_numba, _kernels.coulomb_energy_grad_numpy, (pts,)),
-        ("local_maxima (4096 x 8)", _kernels.local_maxima_numba, _kernels.local_maxima_numpy, (values, neighbors)),
+        ("sh_matrix (16384 pts, L=8)", _kernels.sh_matrix, (xyz, 8)),
+        ("greedy_gains (321 x K=20)", _kernels.greedy_gains, (psi, dmat, 1e-4)),
+        ("coulomb_energy_grad (n=90)", _kernels.coulomb_energy_grad, (pts,)),
+        ("coulomb_energy_grad (3 x n=30)", _kernels.coulomb_energy_grad, (stack,)),
+        ("local_maxima (4096 x 8)", _kernels.local_maxima, (values, neighbors)),
     ]
 
-    header = f"{'kernel':32s} {'numba':>12s} {'numpy':>12s} {'speedup':>9s}"
+    header = f"{'kernel':32s} {'best':>12s} {'median':>12s}"
     print(header)
     print("-" * len(header))
-    for name, fn_nb, fn_np, args in cases:
-        t_np = timeit(fn_np, *args)
-        if _kernels.USING_NUMBA and fn_nb is not None:
-            t_nb = timeit(fn_nb, *args)
-            print(f"{name:32s} {t_nb * 1e3:10.3f} ms {t_np * 1e3:10.3f} ms {t_np / t_nb:8.1f}x")
-        else:
-            print(f"{name:32s} {'-':>12s} {t_np * 1e3:10.3f} ms {'-':>9s}")
+    for name, fn, args in cases:
+        best, median = timings(fn, *args)
+        print(f"{name:32s} {best * 1e3:9.3f} ms {median * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,14 @@ from .design import (
     greedy_design_region,
 )
 from .errors import DegeneracyError, QsdesignError, ValidationError
-from .estimator import FitResult, conditional_fit, conditional_scores, gcv_select, shls_fit
+from .estimator import (
+    FitResult,
+    conditional_fit,
+    conditional_scores,
+    gcv_select,
+    gcv_select_batch,
+    shls_fit,
+)
 from .metrics import (
     PeakSet,
     angular_error,

@@ -1,30 +1,21 @@
-"""Hot numeric inner loops, numba-compiled with pure-numpy fallbacks.
+"""Hot numeric inner loops, one numpy implementation each.
 
-The numba path is used whenever numba imports cleanly; set QSPACE_NO_NUMBA=1
-to force the numpy implementations. Both paths compute the same quantities
-(cross-checked in tests/test_kernels.py) and benchmarks/bench_kernels.py
-times one against the other. All jitted kernels are serial or use disjoint
-writes only, so results are bitwise deterministic run to run.
+The pipeline calls these four kernels by name: `sh_matrix`, `greedy_gains`,
+`coulomb_energy_grad` and `local_maxima`. tests/test_kernels.py checks them
+against loop references, and benchmarks/bench_kernels.py times them. Every
+kernel is a pure function of its inputs, so results are bitwise
+deterministic run to run.
 """
 
 import functools
-import os
 
 import numpy as np
 
 INV_SQRT_4PI = 0.28209479177387814
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("QSPACE_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def basis_dimension(max_degree: int) -> int:
     return (max_degree + 1) * (max_degree + 2) // 2
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,7 +51,7 @@ def _sh_tables(max_degree: int):
     return tables
 
 
-def sh_matrix_numpy(xyz: np.ndarray, max_degree: int) -> np.ndarray:
+def sh_matrix(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     """Real symmetric (even-degree) orthonormal SH values, shape (n, J).
 
     Fully normalized associated Legendre values come from the standard
@@ -92,7 +83,7 @@ def sh_matrix_numpy(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     return np.ascontiguousarray(values.T)
 
 
-def greedy_gains_numpy(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np.ndarray:
+def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np.ndarray:
     """Objective increase for appending each candidate row of `psi`.
 
     `dmat` is the current posterior score covariance Lambda - G; the gain of
@@ -104,145 +95,47 @@ def greedy_gains_numpy(psi: np.ndarray, dmat: np.ndarray, noise_variance: float)
     return num / den
 
 
-def coulomb_energy_grad_numpy(points: np.ndarray):
-    """Antipodally symmetric Coulomb energy and its Euclidean gradient."""
-    diff = points[:, None, :] - points[None, :, :]
-    ssum = points[:, None, :] + points[None, :, :]
-    dm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    dp = np.sqrt(np.einsum("ijk,ijk->ij", ssum, ssum))
-    np.fill_diagonal(dm, np.inf)
-    np.fill_diagonal(dp, np.inf)
-    energy = 0.5 * float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
-    grad = -np.einsum("ij,ijk->ik", dm**-3, diff) - np.einsum("ij,ijk->ik", dp**-3, ssum)
+# Stacks are evaluated in blocks of at most this many point pairs, so the
+# (block, n, n, 3) temporaries stay near 200 kB. Larger blocks were slower
+# at n = 90: their temporaries went back to the operating system after
+# every call and page-faulted in again on the next.
+_COULOMB_BLOCK_PAIRS = 8192
+
+
+def coulomb_energy_grad(points: np.ndarray):
+    """Antipodally symmetric Coulomb energy and its Euclidean gradient.
+
+    `points` is one configuration (n, 3), giving (float, (n, 3)), or a
+    stack (R, n, 3), giving energies (R,) and gradients (R, n, 3). Each
+    configuration of a stack gets the same bits as on its own.
+    """
+    if points.ndim == 2:
+        energy, grad = _coulomb_block(points[None])
+        return float(energy[0]), grad[0]
+    step = max(1, _COULOMB_BLOCK_PAIRS // points.shape[1] ** 2)
+    blocks = [_coulomb_block(points[s : s + step]) for s in range(0, points.shape[0], step)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate([e for e, _ in blocks]), np.concatenate([g for _, g in blocks])
+
+
+def _coulomb_block(stack: np.ndarray):
+    count, n = stack.shape[0], stack.shape[1]
+    diff = stack[:, :, None, :] - stack[:, None, :, :]
+    ssum = stack[:, :, None, :] + stack[:, None, :, :]
+    dm = np.sqrt(np.einsum("rijk,rijk->rij", diff, diff))
+    dp = np.sqrt(np.einsum("rijk,rijk->rij", ssum, ssum))
+    diag = np.arange(n)
+    dm[:, diag, diag] = np.inf
+    dp[:, diag, diag] = np.inf
+    # each energy sums its flattened n x n block, as np.sum does for one
+    inv_m = (1.0 / dm).reshape(count, -1).sum(axis=1)
+    inv_p = (1.0 / dp).reshape(count, -1).sum(axis=1)
+    energy = 0.5 * (inv_m + inv_p)
+    grad = -np.einsum("rij,rijk->rik", dm**-3, diff) - np.einsum("rij,rijk->rik", dp**-3, ssum)
     return energy, grad
 
 
-def local_maxima_numpy(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Mask of entries strictly greater than all their listed neighbors."""
     return values > values[neighbors].max(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same math, explicit loops)
-
-USING_NUMBA = False
-sh_matrix_numba = None
-greedy_gains_numba = None
-coulomb_energy_grad_numba = None
-local_maxima_numba = None
-
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        # Serial kernels throughout: call overhead stays in the microseconds
-        # (the refinement path evaluates many tiny batches) and results are
-        # bitwise reproducible.
-
-        @njit(cache=True, nogil=True)
-        def sh_matrix_numba(xyz, max_degree):  # pragma: no cover - timed via tests
-            L = max_degree
-            n = xyz.shape[0]
-            J = (L + 1) * (L + 2) // 2
-            out = np.empty((n, J))
-            root2 = np.sqrt(2.0)
-            for i in range(n):
-                x = xyz[i, 0]
-                y = xyz[i, 1]
-                z = xyz[i, 2]
-                s = np.hypot(x, y)
-                phi = np.arctan2(y, x)
-                pbar = np.zeros((L + 1, L + 1))
-                pbar[0, 0] = INV_SQRT_4PI
-                for m in range(1, L + 1):
-                    pbar[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pbar[m - 1, m - 1]
-                for m in range(L):
-                    pbar[m + 1, m] = np.sqrt(2.0 * m + 3.0) * z * pbar[m, m]
-                for m in range(max(L - 1, 0)):
-                    for l in range(m + 2, L + 1):
-                        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                        pbar[l, m] = a * (z * pbar[l - 1, m] - b * pbar[l - 2, m])
-                j = 0
-                for l in range(0, L + 1, 2):
-                    for m in range(-l, l + 1):
-                        if m < 0:
-                            out[i, j] = root2 * pbar[l, -m] * np.sin(-m * phi)
-                        elif m == 0:
-                            out[i, j] = pbar[l, 0]
-                        else:
-                            out[i, j] = root2 * pbar[l, m] * np.cos(m * phi)
-                        j += 1
-            return out
-
-        @njit(cache=True, nogil=True)
-        def greedy_gains_numba(psi, dmat, noise_variance):  # pragma: no cover
-            n, k = psi.shape
-            gains = np.empty(n)
-            for i in range(n):
-                num = 0.0
-                den = noise_variance
-                for a in range(k):
-                    va = 0.0
-                    for b in range(k):
-                        va += psi[i, b] * dmat[b, a]
-                    num += va * va
-                    den += psi[i, a] * va
-                gains[i] = num / den
-            return gains
-
-        @njit(cache=True, nogil=True)
-        def coulomb_energy_grad_numba(points):  # pragma: no cover
-            n = points.shape[0]
-            energy = 0.0
-            grad = np.zeros((n, 3))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    dx = points[i, 0] - points[j, 0]
-                    dy = points[i, 1] - points[j, 1]
-                    dz = points[i, 2] - points[j, 2]
-                    sx = points[i, 0] + points[j, 0]
-                    sy = points[i, 1] + points[j, 1]
-                    sz = points[i, 2] + points[j, 2]
-                    dm = np.sqrt(dx * dx + dy * dy + dz * dz)
-                    dp = np.sqrt(sx * sx + sy * sy + sz * sz)
-                    energy += 1.0 / dm + 1.0 / dp
-                    cm = dm ** -3
-                    cp = dp ** -3
-                    grad[i, 0] -= dx * cm + sx * cp
-                    grad[i, 1] -= dy * cm + sy * cp
-                    grad[i, 2] -= dz * cm + sz * cp
-                    grad[j, 0] += dx * cm - sx * cp
-                    grad[j, 1] += dy * cm - sy * cp
-                    grad[j, 2] += dz * cm - sz * cp
-            return energy, grad
-
-        @njit(cache=True, nogil=True)
-        def local_maxima_numba(values, neighbors):  # pragma: no cover
-            n = values.shape[0]
-            mask = np.empty(n, np.bool_)
-            for i in range(n):
-                vi = values[i]
-                ok = True
-                for k in range(neighbors.shape[1]):
-                    if values[neighbors[i, k]] >= vi:
-                        ok = False
-                        break
-                mask[i] = ok
-            return mask
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via QSPACE_NO_NUMBA
-        pass
-
-
-if USING_NUMBA:
-    sh_matrix = sh_matrix_numba
-    greedy_gains = greedy_gains_numba
-    coulomb_energy_grad = coulomb_energy_grad_numba
-    local_maxima = local_maxima_numba
-else:
-    sh_matrix = sh_matrix_numpy
-    greedy_gains = greedy_gains_numpy
-    coulomb_energy_grad = coulomb_energy_grad_numpy
-    local_maxima = local_maxima_numpy

@@ -8,7 +8,8 @@ Subcommands:
   prior-interp interpolate a prior field at a continuous coordinate
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
-The QSPACE_THREADS environment variable overrides --threads.
+--threads (and the QSPACE_THREADS environment variable, which overrides it)
+is validated but has no effect: the pipeline runs on one thread.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .sphere import ShBasis
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; no effect")
 
 
 def _build_parser() -> argparse.ArgumentParser:

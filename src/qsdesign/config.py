@@ -39,7 +39,7 @@ class SimConfig:
     candidate_count: int = 321
     peak_threshold: float = 0.3
     peak_grid_size: int = 4096
-    threads: int = 1
+    threads: int = 1  # accepted and validated; no effect (the pipeline runs on one thread)
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -60,7 +60,10 @@ class SimConfig:
             raise ValidationError("noise kind must be 'gaussian' or 'chi'")
         if np.ndim(self.budgets) != 1:
             raise ValidationError(f"budgets must be a list of positive integers, got {self.budgets!r}")
-        budgets = tuple(int(b) for b in self.budgets)
+        try:
+            budgets = tuple(int(b) for b in self.budgets)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"budgets must be a list of positive integers, got {self.budgets!r}") from exc
         if not budgets or any(b < 1 for b in budgets):
             raise ValidationError("budgets must be positive integers")
         if list(budgets) != sorted(budgets):
@@ -98,9 +101,14 @@ def _rank_rule_from(obj) -> RankRule:
         return obj
     if isinstance(obj, dict):
         try:
-            return RankRule(str(obj["kind"]), float(obj["value"]))
+            kind, value = str(obj["kind"]), obj["value"]
         except KeyError as exc:
             raise ValidationError(f"rank_rule needs 'kind' and 'value' keys, missing {exc}") from exc
+        try:
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"rank_rule value must be a number, got {value!r}") from exc
+        return RankRule(kind, value)
     raise ValidationError("rank_rule must be a mapping with 'kind' and 'value'")
 
 

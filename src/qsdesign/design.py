@@ -307,7 +307,12 @@ def esr_design(
     multiplicative backtracking step schedule; only energy-decreasing moves
     are accepted, so the final energy never exceeds the initial one.
     Deterministic for a fixed seed; the best of `restarts` seeded starts is
-    returned.
+    returned (the first one on a tie).
+
+    The restarts descend in lockstep, one stacked energy evaluation per
+    step. Each keeps its own step size and accept/reject decisions and
+    leaves the live set once its step size falls below 1e-14, so every
+    restart follows the same path as it would alone.
     """
     if count < 2:
         raise ValidationError("need at least two directions")
@@ -315,25 +320,24 @@ def esr_design(
         raise ValidationError("need at least one iteration")
     rng = np.random.default_rng(seed)
     base = hemisphere_spiral(count)
-    best_points, best_energy = None, np.inf
-    for _ in range(max(1, restarts)):
-        points = normalized(base + 0.05 * rng.standard_normal((count, 3)))
-        energy, grad = _kernels.coulomb_energy_grad(points)
-        alpha = step if step is not None else 0.01 / count
-        for _ in range(iterations):
-            tangent = grad - np.einsum("ij,ij->i", grad, points)[:, None] * points
-            trial = normalized(points - alpha * tangent)
-            trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial)
-            if trial_energy < energy:
-                points, energy, grad = trial, trial_energy, trial_grad
-                alpha *= 1.2
-            else:
-                alpha *= 0.5
-                if alpha < 1e-14:
-                    break
-        if energy < best_energy:
-            best_points, best_energy = points, energy
-    return best_points
+    starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(max(1, restarts))]
+    points = normalized(np.stack(starts))
+    energy, grad = _kernels.coulomb_energy_grad(points)
+    alpha = np.full(len(starts), step if step is not None else 0.01 / count)
+    live = np.arange(len(starts))
+    for _ in range(iterations):
+        pts, grd = points[live], grad[live]
+        tangent = grd - np.einsum("rij,rij->ri", grd, pts)[:, :, None] * pts
+        trial = normalized(pts - alpha[live, None, None] * tangent)
+        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial)
+        better = trial_energy < energy[live]
+        moved = live[better]
+        points[moved], energy[moved], grad[moved] = trial[better], trial_energy[better], trial_grad[better]
+        alpha[live] *= np.where(better, 1.2, 0.5)
+        live = live[better | ~(alpha[live] < 1e-14)]
+        if live.size == 0:
+            break
+    return points[int(np.argmin(energy))]
 
 
 def gradient_table(points) -> str:

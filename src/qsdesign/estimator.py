@@ -31,15 +31,28 @@ class FitResult:
     lambda_used: float | None = None  # smoothing level (penalized fits only)
 
 
-def _check_observations(points, values):
+def _check_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, 3)
     pts, _ = as_unit_vectors(np.atleast_2d(pts), "observation points")
-    vals = np.asarray(values, dtype=float).ravel()
-    if vals.shape[0] != pts.shape[0]:
+    return pts
+
+
+def _check_value_rows(value_rows, count: int) -> np.ndarray:
+    """Observation rows as an (N, count) array: lengths first, then one finiteness check."""
+    flat = [np.asarray(v, dtype=float).ravel() for v in value_rows]
+    if any(v.shape[0] != count for v in flat):
         raise ValidationError("number of values must match number of points")
-    return pts, vals
+    vals = np.asarray(flat).reshape(len(flat), count)
+    if not np.isfinite(vals).all():
+        raise ValidationError("observation values must be finite")
+    return vals
+
+
+def _check_observations(points, values):
+    pts = _check_points(points)
+    return pts, _check_value_rows([values], pts.shape[0])[0]
 
 
 def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> FitResult:
@@ -80,34 +93,53 @@ def gcv_select(points, values, basis: ShBasis, grid=None):
     -------
     (lambda_star, FitResult)
     """
-    pts, vals = _check_observations(points, values)
+    return gcv_select_batch(points, [values], basis, grid)[0]
+
+
+def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
+    """`gcv_select` for several value rows observed at the same points.
+
+    The rows share the design, so each grid value's Cholesky factor and
+    hat-matrix trace are computed once for all of them; each row then costs
+    one triangular solve and one residual per grid value. Every row gets
+    the same bits as a `gcv_select` call of its own.
+
+    Returns
+    -------
+    list of (lambda_star, FitResult), one per row
+    """
+    pts = _check_points(points)
+    m = pts.shape[0]
+    rows = _check_value_rows(value_rows, m)
     lambdas = np.sort(np.asarray(DEFAULT_GCV_GRID if grid is None else grid, dtype=float))
     if lambdas.size < 1 or np.any(lambdas <= 0.0):
         raise ValidationError("GCV grid must be non-empty with positive entries")
-    m = pts.shape[0]
     phi = basis.evaluate(pts)
     gram = phi.T @ phi
     penalty = laplace_beltrami_penalty(basis)
-    best = None
+    # one matrix-vector product per row: a stacked right-hand side would
+    # go through a matrix product and can round differently
+    rhs = [phi.T @ vals for vals in rows]
+    best = [None] * len(rows)
     for lam in lambdas:
         normal = gram + lam * penalty
         try:
             factor = linalg.cho_factor(normal, check_finite=False)
         except linalg.LinAlgError:
             continue
-        coeffs = linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
-        rss = float(np.sum((vals - phi @ coeffs) ** 2))
         trace_h = float(np.trace(linalg.cho_solve(factor, gram, check_finite=False)))
         dof_gap = m - trace_h
         if dof_gap <= 1e-9 * m:
             continue
-        score = m * rss / dof_gap**2
-        if best is None or score <= best[0]:
-            best = (score, float(lam), coeffs)
-    if best is None:
+        for i, (vals, b) in enumerate(zip(rows, rhs)):
+            coeffs = linalg.cho_solve(factor, b, check_finite=False)
+            rss = float(np.sum((vals - phi @ coeffs) ** 2))
+            score = m * rss / dof_gap**2
+            if best[i] is None or score <= best[i][0]:
+                best[i] = (score, float(lam), coeffs)
+    if None in best:
         raise DegeneracyError("GCV degenerate: every grid value exhausts the degrees of freedom")
-    _, lam_star, coeffs = best
-    return lam_star, FitResult(coefficients=coeffs, lambda_used=lam_star)
+    return [(lam, FitResult(coefficients=coeffs, lambda_used=lam)) for _, lam, coeffs in best]
 
 
 def conditional_scores(points, values, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:

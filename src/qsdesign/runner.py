@@ -12,7 +12,6 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from .config import SimConfig, sim_config_to_dict
 from .design import default_candidates, esr_design, gradient_table, greedy_design
 from .errors import ValidationError
-from .estimator import conditional_fit, gcv_select
+from .estimator import conditional_fit, gcv_select_batch
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe
@@ -51,7 +50,11 @@ def _derived_rng(seed: int, *key) -> np.random.Generator:
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count: QSPACE_THREADS env overrides the requested value."""
+    """Validated worker count: QSPACE_THREADS env overrides the requested value.
+
+    Accepted for compatibility only: the pipeline runs on the calling thread
+    whatever the count, and its outputs never depend on it.
+    """
     env = os.environ.get("QSPACE_THREADS", "").strip()
     if env:
         try:
@@ -65,30 +68,17 @@ def thread_count(requested: int | None = None) -> int:
 
 
 def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str) -> VoxelPrior:
-    """Dense-observe each subject, fit with GCV smoothing, take moments."""
+    """Dense-observe each subject, fit all with GCV smoothing in one batch, take moments."""
     basis = ShBasis(cfg.degree)
-    lambdas = cfg.gcv_lambdas
-    rows = np.empty((len(truths), basis.dimension))
+    values = []
     for i, truth in enumerate(truths):
         rng = _derived_rng(cfg.seed, seed_tag, i)
-        values = observe(truth, dense_points, cfg.noise_sigma, rng, basis, cfg.noise_kind)
-        _, fit = gcv_select(dense_points, values, basis, lambdas)
-        rows[i] = fit.coefficients
+        values.append(observe(truth, dense_points, cfg.noise_sigma, rng, basis, cfg.noise_kind))
+    fits = gcv_select_batch(dense_points, values, basis, cfg.gcv_lambdas)
+    rows = np.array([fit.coefficients for _, fit in fits])
     mean, cov = empirical_moments(rows)
     noise_var = cfg.noise_sigma**2 if cfg.noise_sigma > 0 else 1e-8
     return VoxelPrior.from_moments(mean, cov, noise_var, cfg.rank_rule)
-
-
-def _evaluate_subject(args):
-    """Observe and fit one test subject: its ISE and Funk-Radon coefficients."""
-    (truth, points, cfg, basis, prior, rng, use_conditional) = args
-    values = observe(truth, points, cfg.noise_sigma, rng, basis, cfg.noise_kind)
-    if use_conditional:
-        fit = conditional_fit(points, values, prior, basis)
-    else:
-        _, fit = gcv_select(points, values, basis, cfg.gcv_lambdas)
-    ise = integrated_squared_error(fit.coefficients, truth.signal)
-    return ise, funk_radon(fit.coefficients, basis)
 
 
 def run_simulation(cfg: SimConfig) -> ExperimentResult:
@@ -104,7 +94,7 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     """
     start = time.time()
     basis = ShBasis(cfg.degree)
-    workers = thread_count(cfg.threads)
+    thread_count(cfg.threads)  # validated; no effect on the run
 
     train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
     test = generate_cohort(basis, cfg.generative, cfg.test_subjects, np.random.SeedSequence((cfg.seed, 2)))
@@ -129,27 +119,28 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
         }
         for m_idx, (method, points) in enumerate(method_points.items()):
             designs[(budget, method)] = points
-            tasks = [
-                (
-                    test[i],
+            values = [
+                observe(
+                    truth,
                     points,
-                    cfg,
-                    basis,
-                    prior,
+                    cfg.noise_sigma,
                     _derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i),
-                    method == METHOD_CONDITIONAL,
+                    basis,
+                    cfg.noise_kind,
                 )
-                for i in range(len(test))
+                for i, truth in enumerate(test)
             ]
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(_evaluate_subject, tasks))
+            if method == METHOD_CONDITIONAL:
+                fits = [conditional_fit(points, v, prior, basis) for v in values]
             else:
-                outcomes = [_evaluate_subject(t) for t in tasks]
-            ises = [o[0] for o in outcomes]
-            # peak detection runs on the pooled fits, outside the thread pool
+                # every test subject shares this design: one GCV batch
+                fits = [fit for _, fit in gcv_select_batch(points, values, basis, cfg.gcv_lambdas)]
+            ises = [integrated_squared_error(f.coefficients, t.signal) for f, t in zip(fits, test)]
             est_peaks = find_peaks_batch(
-                [o[1] for o in outcomes], basis, cfg.peak_grid_size, cfg.peak_threshold
+                [funk_radon(f.coefficients, basis) for f in fits],
+                basis,
+                cfg.peak_grid_size,
+                cfg.peak_threshold,
             )
             eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
             pfp = false_peak_fraction(est_peaks, true_peaks)

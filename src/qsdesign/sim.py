@@ -248,12 +248,35 @@ def cohort_to_csv(truths, path):
 
 
 def cohort_from_csv(path) -> np.ndarray:
-    """Read a coefficient matrix written by :func:`cohort_to_csv`."""
-    with open(path) as fh:
+    """Read a coefficient matrix written by :func:`cohort_to_csv`.
+
+    Every row must have one finite number per header column; a violation
+    raises ValidationError naming the file and line.
+    """
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read cohort CSV {path}: {exc}") from exc
+    with fh:
         header = fh.readline()
         if not header.startswith("c0"):
             raise ValidationError(f"{path} does not look like a cohort CSV")
-        rows = [np.array([float(x) for x in line.split(",")]) for line in fh if line.strip()]
+        width = len(header.split(","))
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValidationError(f"{path} line {lineno}: {len(cells)} cells, header has {width}")
+            try:
+                row = np.array([float(x) for x in cells])
+            except ValueError as exc:
+                raise ValidationError(f"{path} line {lineno}: {exc}") from exc
+            if not np.isfinite(row).all():
+                raise ValidationError(f"{path} line {lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ValidationError(f"{path} contains no subjects")
     return np.vstack(rows)

@@ -42,9 +42,9 @@ def as_unit_vectors(points, name: str = "points"):
 
 
 def normalized(points) -> np.ndarray:
-    """Project vectors onto the unit sphere (rescale rows to unit norm)."""
+    """Project vectors onto the unit sphere (rescale the last axis to unit norm)."""
     arr = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValidationError("cannot normalize a zero vector")
     out = arr / norms

@@ -363,7 +363,21 @@ def _truncated_field(tmp_path, size):
     return ["prior-interp", "--prior", str(path), "--query", "0,0,0", "--out", str(tmp_path / "o")]
 
 
-# (case, argv builder, first line of stderr; {path} is the .qpf path)
+def _bad_cohort_csv(tmp_path, line):
+    """prior-build on a degree-4 cohort CSV (15 columns) whose second row is
+    `line`; with `line` None the CSV is not written at all."""
+    csv_path = tmp_path / "cohort.csv"
+    header = ",".join(f"c{i}" for i in range(15))
+    good = ",".join(["0.5"] * 15)
+    if line is not None:
+        csv_path.write_text(f"{header}\n{good}\n{line}\n{good}\n")
+    cfg_path = tmp_path / "build.yaml"
+    cfg_path.write_text(yaml.safe_dump({"degree": 4, "cohort_csv": str(csv_path)}))
+    return ["prior-build", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+
+
+# (case, argv builder, first line of stderr; {path} is the .qpf path, {csv}
+# the cohort CSV path)
 MALFORMED_INPUTS = [
     ("scalar budgets", lambda t: _write_config(t, budgets=5),
      "error: budgets must be a list of positive integers, got 5"),
@@ -380,6 +394,18 @@ MALFORMED_INPUTS = [
      "error: {path} is truncated: needs 36 more bytes at offset 8, has 32"),
     ("qpf cut in body", lambda t: _truncated_field(t, 8 + 36 + 12 + 8 + 8 * 6 + 100),
      "error: {path} is truncated: needs 168 more bytes at offset 112, has 100"),
+    ("rank_rule value not a number", lambda t: _write_config(t, rank_rule={"kind": "fixed", "value": "abc"}),
+     "error: rank_rule value must be a number, got 'abc'"),
+    ("budget not an integer", lambda t: _write_config(t, budgets=["a", 5]),
+     "error: budgets must be a list of positive integers, got ['a', 5]"),
+    ("ragged cohort csv", lambda t: _bad_cohort_csv(t, ",".join(["0.5"] * 14)),
+     "error: {csv} line 3: 14 cells, header has 15"),
+    ("nan in cohort csv", lambda t: _bad_cohort_csv(t, ",".join(["0.5"] * 14 + ["nan"])),
+     "error: {csv} line 3: non-finite value"),
+    ("text in cohort csv", lambda t: _bad_cohort_csv(t, ",".join(["0.5"] * 14 + ["x"])),
+     "error: {csv} line 3: could not convert string to float: 'x'"),
+    ("missing cohort csv", lambda t: _bad_cohort_csv(t, None),
+     "error: cannot read cohort CSV {csv}: [Errno 2] No such file or directory: '{csv}'"),
 ]
 
 
@@ -388,5 +414,5 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     argv = argv_for(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == first_line.format(path=tmp_path / "field.qpf")
+    assert err.splitlines()[0] == first_line.format(path=tmp_path / "field.qpf", csv=tmp_path / "cohort.csv")
     assert not (tmp_path / "o" / "metrics.csv").exists()

@@ -17,10 +17,11 @@ from qsdesign.design import (
     hemisphere_spiral,
 )
 from qsdesign.errors import DegeneracyError, ValidationError
-from qsdesign.sphere import make_grid
+from qsdesign.sphere import make_grid, normalized
 
 from conftest import random_prior, random_unit_vectors
 from test_estimator import prior_with_eigenfunction_value
+from test_kernels import reference_coulomb_energy_grad
 
 
 def exhaustive_optimum(candidates, prior, basis, budget):
@@ -300,7 +301,51 @@ class TestGreedyBound:
             greedy_bound(prior, pool, basis4, 4, 3)
 
 
+def reference_esr_design(count, iterations=2000, step=None, seed=0, restarts=3):
+    """ESR one restart after the other, on the one-configuration kernel."""
+    rng = np.random.default_rng(seed)
+    base = hemisphere_spiral(count)
+    best_points, best_energy = None, np.inf
+    for _ in range(max(1, restarts)):
+        points = normalized(base + 0.05 * rng.standard_normal((count, 3)))
+        energy, grad = reference_coulomb_energy_grad(points)
+        alpha = step if step is not None else 0.01 / count
+        for _ in range(iterations):
+            tangent = grad - np.einsum("ij,ij->i", grad, points)[:, None] * points
+            trial = normalized(points - alpha * tangent)
+            trial_energy, trial_grad = reference_coulomb_energy_grad(trial)
+            if trial_energy < energy:
+                points, energy, grad = trial, trial_energy, trial_grad
+                alpha *= 1.2
+            else:
+                alpha *= 0.5
+                if alpha < 1e-14:
+                    break
+        if energy < best_energy:
+            best_points, best_energy = points, energy
+    return best_points
+
+
 class TestEsrDesign:
+    # Counts 2, 3 and 5 stop every restart early, at different iterations
+    # (count 3 ends in a three-way energy tie); 30 stops some early; 45 runs
+    # into the iteration cap.
+    @pytest.mark.parametrize("seed", [0, 7, 101])
+    @pytest.mark.parametrize("count", [2, 3, 5, 30, 45])
+    def test_lockstep_restarts_equal_sequential_reference(self, count, seed):
+        assert np.array_equal(esr_design(count, seed=seed), reference_esr_design(count, seed=seed))
+
+    @pytest.mark.parametrize("count", [2, 5, 30, 45])
+    def test_one_restart_at_iteration_cap_equals_reference(self, count):
+        kwargs = dict(iterations=50, seed=3, restarts=1)
+        assert np.array_equal(esr_design(count, **kwargs), reference_esr_design(count, **kwargs))
+
+    @pytest.mark.parametrize("step", [5e-15, 1e-3])
+    def test_explicit_step_equals_reference(self, step):
+        # a step below the 1e-14 floor leaves a restart only on a rejection
+        kwargs = dict(iterations=60, seed=9, step=step, restarts=4)
+        assert np.array_equal(esr_design(12, **kwargs), reference_esr_design(12, **kwargs))
+
     def test_two_points_orthogonal(self):
         pts = esr_design(2, seed=3)
         assert abs(float(pts[0] @ pts[1])) < 1e-3

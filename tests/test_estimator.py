@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.estimator import (
@@ -7,10 +8,12 @@ from qsdesign.estimator import (
     conditional_fit,
     conditional_scores,
     gcv_select,
+    gcv_select_batch,
     shls_fit,
 )
-from qsdesign.design import hemisphere_spiral
+from qsdesign.design import esr_design, hemisphere_spiral
 from qsdesign.prior import VoxelPrior
+from qsdesign.sim import GenerativeConfig, generate_cohort, observe
 from qsdesign.sphere import ShBasis, laplace_beltrami_penalty, make_grid
 
 from conftest import random_prior, random_unit_vectors
@@ -24,6 +27,34 @@ def gcv_score_oracle(points, values, basis, lam):
     hat = phi @ np.linalg.solve(a, phi.T)
     rss = float(np.sum((values - hat @ values) ** 2))
     return m * rss / (m - np.trace(hat)) ** 2
+
+
+def reference_gcv_select(points, values, basis, grid):
+    """GCV one value row at a time: factor, solve and trace for every grid value."""
+    vals = np.asarray(values, dtype=float).ravel()
+    lambdas = np.sort(np.asarray(grid, dtype=float))
+    m = points.shape[0]
+    phi = basis.evaluate(points)
+    gram = phi.T @ phi
+    penalty = laplace_beltrami_penalty(basis)
+    best = None
+    for lam in lambdas:
+        try:
+            factor = linalg.cho_factor(gram + lam * penalty, check_finite=False)
+        except linalg.LinAlgError:
+            continue
+        coeffs = linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
+        rss = float(np.sum((vals - phi @ coeffs) ** 2))
+        trace_h = float(np.trace(linalg.cho_solve(factor, gram, check_finite=False)))
+        dof_gap = m - trace_h
+        if dof_gap <= 1e-9 * m:
+            continue
+        score = m * rss / dof_gap**2
+        if best is None or score <= best[0]:
+            best = (score, float(lam), coeffs)
+    if best is None:
+        raise DegeneracyError("every grid value exhausts the degrees of freedom")
+    return best[1], best[2]
 
 
 def prior_with_eigenfunction_value(basis, point, target, rho, noise_variance):
@@ -143,6 +174,64 @@ class TestGcvSelect:
         lam_rev, fit_rev = gcv_select(points, values, basis4, grid[::-1])
         assert lam_fwd == lam_rev
         assert np.array_equal(fit_fwd.coefficients, fit_rev.coefficients)
+
+
+class TestGcvSelectBatch:
+    # degree 8 (J = 45): 30 ESR points leave the fit underdetermined, 60 do
+    # not. At 30 points the two smallest grid values exhaust the degrees of
+    # freedom and are skipped.
+    GRID = np.array([1e-18, 1e-16, 1e-7, 1e-5, 1e-3, 1e-1])
+
+    def cohort_values(self, basis, points, subjects=12, sigma=0.01):
+        truths = generate_cohort(basis, GenerativeConfig(), subjects, seed=4)
+        rng = np.random.default_rng(5)
+        return [observe(t, points, sigma, rng, basis) for t in truths]
+
+    @pytest.mark.parametrize("count", [30, 60])
+    def test_rows_equal_per_row_reference(self, basis8, count):
+        points = esr_design(count, seed=2)
+        # a zero row scores exactly 0 at every usable grid value: the tie
+        # rule picks the largest
+        rows = self.cohort_values(basis8, points) + [np.zeros(count)]
+        batch = gcv_select_batch(points, rows, basis8, self.GRID)
+        assert batch[-1][0] == self.GRID[-1]
+        assert len(batch) == len(rows)
+        lambdas = set()
+        for values, (lam, fit) in zip(rows, batch):
+            ref_lam, ref_coeffs = reference_gcv_select(points, values, basis8, self.GRID)
+            assert lam == ref_lam == fit.lambda_used
+            assert np.array_equal(fit.coefficients, ref_coeffs)
+            one_lam, one_fit = gcv_select(points, values, basis8, self.GRID)
+            assert one_lam == lam and np.array_equal(one_fit.coefficients, fit.coefficients)
+            lambdas.add(lam)
+        assert lambdas.isdisjoint({1e-18, 1e-16})
+
+    def test_small_lambdas_degenerate_at_30_points(self, basis8):
+        points = esr_design(30, seed=2)
+        rows = self.cohort_values(basis8, points, subjects=2)
+        with pytest.raises(DegeneracyError):
+            gcv_select_batch(points, rows, basis8, self.GRID[:2])
+        with pytest.raises(DegeneracyError):
+            gcv_select(points, rows[0], basis8, self.GRID[:2])
+
+    def test_row_length_checked(self, basis4, rng):
+        points = random_unit_vectors(rng, 10)
+        with pytest.raises(ValidationError, match="number of values"):
+            gcv_select_batch(points, [np.zeros(10), np.zeros(9)], basis4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, basis4, rng, bad):
+        points = random_unit_vectors(rng, 20)
+        values = rng.standard_normal(20)
+        values[7] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            gcv_select(points, values, basis4)
+        with pytest.raises(ValidationError, match="finite"):
+            gcv_select_batch(points, [np.zeros(20), values], basis4)
+        with pytest.raises(ValidationError, match="finite"):
+            shls_fit(points, values, basis4, smoothing=1e-3)
+        with pytest.raises(ValidationError, match="finite"):
+            conditional_fit(points, values, random_prior(basis4, rng), basis4)
 
 
 class TestConditionalScores:

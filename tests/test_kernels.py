@@ -1,5 +1,4 @@
-"""Kernel checks: the numpy kernels against loop references, and the numba
-kernels against the numpy ones."""
+"""Kernel checks: each kernel against a loop or single-configuration reference."""
 
 import numpy as np
 import pytest
@@ -62,74 +61,62 @@ SPECIAL_POINTS = np.array(
 def test_sh_matrix_numpy_equals_loop_reference(max_degree, n, rng):
     xyz = random_unit_vectors(rng, n)
     xyz[: min(n, len(SPECIAL_POINTS))] = SPECIAL_POINTS[:n]
-    out = _kernels.sh_matrix_numpy(xyz, max_degree)
+    out = _kernels.sh_matrix(xyz, max_degree)
     assert out.flags.c_contiguous
     assert np.array_equal(out, reference_sh_matrix(xyz, max_degree))
 
 
 def test_sh_matrix_numpy_rows_do_not_depend_on_batch(rng):
     xyz = random_unit_vectors(rng, 333)
-    full = _kernels.sh_matrix_numpy(xyz, 8)
+    full = _kernels.sh_matrix(xyz, 8)
     for start, stop in [(0, 1), (17, 21), (200, 333)]:
-        assert np.array_equal(_kernels.sh_matrix_numpy(xyz[start:stop], 8), full[start:stop])
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.USING_NUMBA, reason="numba disabled or unavailable"
-)
+        assert np.array_equal(_kernels.sh_matrix(xyz[start:stop], 8), full[start:stop])
 
 
-@needs_numba
-@pytest.mark.parametrize("max_degree", [0, 2, 4, 8, 12])
-def test_sh_matrix_paths_agree(max_degree, rng):
-    xyz = random_unit_vectors(rng, 500)
-    a = _kernels.sh_matrix_numba(xyz, max_degree)
-    b = _kernels.sh_matrix_numpy(xyz, max_degree)
-    assert np.abs(a - b).max() < 1e-13
+def reference_coulomb_energy_grad(points):
+    """The one-configuration Coulomb kernel: (n, 3) in, (float, (n, 3)) out."""
+    diff = points[:, None, :] - points[None, :, :]
+    ssum = points[:, None, :] + points[None, :, :]
+    dm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dp = np.sqrt(np.einsum("ijk,ijk->ij", ssum, ssum))
+    np.fill_diagonal(dm, np.inf)
+    np.fill_diagonal(dp, np.inf)
+    energy = 0.5 * float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
+    grad = -np.einsum("ij,ijk->ik", dm**-3, diff) - np.einsum("ij,ijk->ik", dp**-3, ssum)
+    return energy, grad
 
 
-@needs_numba
-def test_greedy_gains_paths_agree(rng):
-    psi = rng.standard_normal((321, 15))
-    half = rng.standard_normal((15, 15))
-    dmat = half @ half.T / 15
-    for sigma2 in (1e-4, 0.01, 1.0):
-        a = _kernels.greedy_gains_numba(psi, dmat, sigma2)
-        b = _kernels.greedy_gains_numpy(psi, dmat, sigma2)
-        assert np.abs(a - b).max() < 1e-9 * max(1.0, np.abs(b).max())
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 30, 45, 64, 90])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_coulomb_stack_equals_per_configuration_reference(count, n, rng):
+    stack = np.stack([random_unit_vectors(rng, n) for _ in range(count)])
+    energy, grad = _kernels.coulomb_energy_grad(stack)
+    assert energy.shape == (count,) and grad.shape == (count, n, 3)
+    for r in range(count):
+        ref_energy, ref_grad = reference_coulomb_energy_grad(stack[r])
+        assert energy[r] == ref_energy
+        assert np.array_equal(grad[r], ref_grad)
 
 
-@needs_numba
-def test_coulomb_paths_agree(rng):
-    pts = random_unit_vectors(rng, 64)
-    ea, ga = _kernels.coulomb_energy_grad_numba(pts)
-    eb, gb = _kernels.coulomb_energy_grad_numpy(pts)
-    assert ea == pytest.approx(eb, rel=1e-12)
-    assert np.abs(ga - gb).max() < 1e-9
-
-
-@needs_numba
-def test_local_maxima_paths_agree(rng):
-    values = rng.standard_normal(2048)
-    neighbors = rng.integers(0, 2048, size=(2048, 8))
-    a = _kernels.local_maxima_numba(values, neighbors)
-    b = _kernels.local_maxima_numpy(values, neighbors)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("n", [2, 30, 90])
+def test_coulomb_single_configuration_returns_float(n, rng):
+    pts = random_unit_vectors(rng, n)
+    energy, grad = _kernels.coulomb_energy_grad(pts)
+    ref_energy, ref_grad = reference_coulomb_energy_grad(pts)
+    assert type(energy) is float and energy == ref_energy
+    assert grad.shape == (n, 3) and np.array_equal(grad, ref_grad)
 
 
 def test_coulomb_gradient_matches_finite_differences(rng):
     pts = random_unit_vectors(rng, 8)
-    energy, grad = _kernels.coulomb_energy_grad_numpy(pts)
+    energy, grad = _kernels.coulomb_energy_grad(pts)
     h = 1e-6
     for i in range(3):
         for k in range(3):
             bumped = pts.copy()
             bumped[i, k] += h
-            e_plus, _ = _kernels.coulomb_energy_grad_numpy(bumped)
+            e_plus, _ = _kernels.coulomb_energy_grad(bumped)
             bumped[i, k] -= 2 * h
-            e_minus, _ = _kernels.coulomb_energy_grad_numpy(bumped)
+            e_minus, _ = _kernels.coulomb_energy_grad(bumped)
             fd = (e_plus - e_minus) / (2 * h)
             assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_env_flag_spelling():
-    assert not _kernels.numba_disabled_by_env() or _kernels.sh_matrix is _kernels.sh_matrix_numpy
