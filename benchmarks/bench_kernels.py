@@ -6,7 +6,8 @@ Run from the repository root:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 Problem sizes mirror the hot paths of the experiment pipeline: basis
-evaluation over detection/projection grids, the greedy candidate scan, the
+evaluation over detection/projection grids, the greedy candidate scan (one
+voxel, and the 216-voxel stack a region design scores per step), the
 pairwise repulsion energy (one configuration, and the stack of three
 restarts that `esr_design` evaluates per step), and the local-maxima sweep.
 Each line gives the best and the median of REPEATS calls.
@@ -45,10 +46,15 @@ def main():
     stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
     values = rng.standard_normal(4096)
     neighbors = rng.integers(0, 4096, size=(4096, 8))
+    psi_stack = rng.standard_normal((216, 321, 8))
+    half_stack = rng.standard_normal((216, 8, 8))
+    dmat_stack = half_stack @ half_stack.transpose(0, 2, 1) / 8
+    noise_stack = np.full((216, 1), 1e-4)
 
     cases = [
         ("sh_matrix (16384 pts, L=8)", _kernels.sh_matrix, (xyz, 8)),
         ("greedy_gains (321 x K=20)", _kernels.greedy_gains, (psi, dmat, 1e-4)),
+        ("greedy_gains (216 x 321 x K=8)", _kernels.greedy_gains, (psi_stack, dmat_stack, noise_stack)),
         ("coulomb_energy_grad (n=90)", _kernels.coulomb_energy_grad, (pts,)),
         ("coulomb_energy_grad (3 x n=30)", _kernels.coulomb_energy_grad, (stack,)),
         ("local_maxima (4096 x 8)", _kernels.local_maxima, (values, neighbors)),

@@ -88,10 +88,12 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np
 
     `dmat` is the current posterior score covariance Lambda - G; the gain of
     a candidate with eigenfunction row v is ||dmat v||^2 / (sigma^2 + v' dmat v).
+    Leading axes stack voxels: `psi` (..., N, K) and `dmat` (..., K, K) give
+    gains (..., N), with `noise_variance` broadcast against them.
     """
     v = psi @ dmat
-    num = np.einsum("ij,ij->i", v, v)
-    den = noise_variance + np.einsum("ij,ij->i", psi, v)
+    num = np.einsum("...ij,...ij->...i", v, v)
+    den = noise_variance + np.einsum("...ij,...ij->...i", psi, v)
     return num / den
 
 

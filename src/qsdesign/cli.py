@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import load_sim_config, sim_config_from_dict
+from .config import load_sim_config, numbers_from, sim_config_from_dict
 from .design import (
     coulomb_energy,
     default_candidates,
@@ -181,10 +181,10 @@ def _cmd_prior_build(args) -> int:
         raise ValidationError(f"{args.config} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("build configuration must be a mapping")
-    grid_shape = tuple(int(s) for s in raw.pop("grid_shape", (1, 1, 1)))
-    rotation_step = float(raw.pop("rotation_per_voxel_degrees", 10.0))
+    grid_shape = tuple(int(s) for s in numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1))
+    rotation_step = numbers_from("rotation_per_voxel_degrees", raw.pop("rotation_per_voxel_degrees", 10.0))
     cohort_csv = raw.pop("cohort_csv", None)
-    noise_variance = float(raw.pop("noise_variance", 1e-4))
+    noise_variance = numbers_from("noise_variance", raw.pop("noise_variance", 1e-4))
     cfg = sim_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

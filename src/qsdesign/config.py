@@ -21,6 +21,24 @@ def _require_finite(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def numbers_from(name: str, value, depth: int = 0):
+    """`value` as a float (depth 0), a tuple of floats (1) or a tuple of
+    float tuples (2); anything else is a ValidationError naming `name`."""
+
+    def convert(v, d):
+        if d == 0:
+            return float(v)
+        if isinstance(v, str):
+            raise TypeError("a string is not a list")
+        return tuple(convert(x, d - 1) for x in v)
+
+    try:
+        return convert(value, depth)
+    except (TypeError, ValueError) as exc:
+        what = ("a number", "a list of numbers", "a list of number lists")[depth]
+        raise ValidationError(f"{name} must be {what}, got {value!r}") from exc
+
+
 @dataclass
 class SimConfig:
     """Full description of one simulation experiment."""
@@ -104,11 +122,7 @@ def _rank_rule_from(obj) -> RankRule:
             kind, value = str(obj["kind"]), obj["value"]
         except KeyError as exc:
             raise ValidationError(f"rank_rule needs 'kind' and 'value' keys, missing {exc}") from exc
-        try:
-            value = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"rank_rule value must be a number, got {value!r}") from exc
-        return RankRule(kind, value)
+        return RankRule(kind, numbers_from("rank_rule value", value))
     raise ValidationError("rank_rule must be a mapping with 'kind' and 'value'")
 
 
@@ -127,13 +141,8 @@ def _generative_from(obj) -> GenerativeConfig:
     unknown = set(obj) - known
     if unknown:
         raise ValidationError(f"unknown generative keys: {sorted(unknown)}")
-    kwargs = dict(obj)
-    if "weights" in kwargs:
-        kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
-    if "mean_directions" in kwargs:
-        kwargs["mean_directions"] = tuple(
-            tuple(float(x) for x in d) for d in kwargs["mean_directions"]
-        )
+    depths = {"weights": 1, "mean_directions": 2}
+    kwargs = {key: numbers_from(key, value, depths.get(key, 0)) for key, value in obj.items()}
     return GenerativeConfig(**kwargs)
 
 

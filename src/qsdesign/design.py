@@ -7,11 +7,11 @@ trace objective
 
 the expected reduction in integrated squared error of the conditional-mean
 reconstruction. The exact global maximizer is an NP-hard integer program;
-the greedy approximation maintains the observation-Gram inverse through
-block rank-one updates and comes with a computable suboptimality bound
-(`greedy_bound`). `esr_design` is the classical electrostatic-repulsion
-baseline: antipodally symmetric Coulomb energy minimized by projected
-gradient descent.
+the greedy approximation keeps the K x K posterior score covariance D,
+downdates it by one rank-one term per pick, and comes with a computable
+suboptimality bound (`greedy_bound`). `esr_design` is the classical
+electrostatic-repulsion baseline: antipodally symmetric Coulomb energy
+minimized by projected gradient descent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .sphere import GOLDEN_ANGLE, ShBasis, as_unit_vectors, normalized
 
 DUPLICATE_ANGLE_TOL = 1e-6  # radians
 DEFAULT_CANDIDATE_COUNT = 321
-REFRESH_EVERY = 25  # recompute the maintained inverse from scratch this often
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,18 @@ def default_candidates(count: int = DEFAULT_CANDIDATE_COUNT) -> CandidateSet:
 
 @dataclass
 class Design:
-    """Greedy selection result with its running state.
+    """Greedy selection result.
 
-    `inv_gram` and `psi_rows` are the maintained observation-Gram inverse
-    and eigenfunction rows of the selected points (None for region designs,
-    which keep one state per voxel internally).
+    `posterior_covariance` is the K x K posterior score covariance
+    diag(Lam) - W' G^-1 W after the last pick, with W the eigenfunction rows
+    of the selected points scaled by Lam and G their observation Gram
+    (None for region designs).
     """
 
     selected: list
     objective: float
     objective_history: np.ndarray
-    inv_gram: np.ndarray | None = None
-    psi_rows: np.ndarray | None = None
+    posterior_covariance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -161,61 +160,44 @@ def block_inverse_update(inv_prev: np.ndarray, h: np.ndarray, q: float) -> np.nd
     return out
 
 
-class _VoxelState:
-    """Per-voxel greedy bookkeeping: selected eigenfunction rows and Gram inverse."""
+def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budget: int):
+    """Greedy picks for a weighted stack of voxels; returns the design and
+    the final (V, K_max, K_max) posterior covariances.
 
-    def __init__(self, candidates: CandidateSet, prior: VoxelPrior, basis: ShBasis):
-        self.psi_all = basis.evaluate(candidates.points) @ prior.eigenvectors
-        self.lam = prior.eigenvalues
-        self.noise_variance = prior.noise_variance
-        self.inv_gram = np.zeros((0, 0))
-        self.psi_rows = np.zeros((0, prior.rank))
-
-    def gains(self) -> np.ndarray:
-        w = self.psi_rows * self.lam
-        if self.psi_rows.shape[0]:
-            gmat = w.T @ self.inv_gram @ w
-            dmat = np.diag(self.lam) - gmat
-        else:
-            dmat = np.diag(self.lam)
-        return _kernels.greedy_gains(self.psi_all, np.ascontiguousarray(dmat), self.noise_variance)
-
-    def append(self, index: int):
-        psi_new = self.psi_all[index]
-        h = (self.psi_rows * self.lam) @ psi_new
-        q = float(psi_new @ (self.lam * psi_new) + self.noise_variance)
-        self.inv_gram = block_inverse_update(self.inv_gram, h, q)
-        self.psi_rows = np.vstack([self.psi_rows, psi_new])
-        m = self.psi_rows.shape[0]
-        if m % REFRESH_EVERY == 0:
-            gram = (self.psi_rows * self.lam) @ self.psi_rows.T + self.noise_variance * np.eye(m)
-            self.inv_gram = np.linalg.inv(gram)
-
-
-def _run_greedy(candidates: CandidateSet, states, weights, budget: int) -> Design:
+    Every voxel is zero-padded to the largest rank, so its padded columns of
+    `psi` and rows and columns of `dmat` stay exactly 0.
+    """
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > candidates.active_count:
         raise ValidationError(
             f"budget {budget} exceeds the {candidates.active_count} active candidates"
         )
+    kmax = max(p.rank for p in priors)
+    evecs = np.zeros((len(priors), basis.dimension, kmax))
+    dmat = np.zeros((len(priors), kmax, kmax))
+    for v, prior in enumerate(priors):
+        evecs[v, :, : prior.rank] = prior.eigenvectors
+        dmat[v, : prior.rank, : prior.rank] = np.diag(prior.eigenvalues)
+    psi = basis.evaluate(candidates.points) @ evecs  # (V, N, K_max)
+    noise = np.array([[p.noise_variance] for p in priors])
     active = candidates.active.copy()
     selected: list[int] = []
     history = np.empty(budget)
     objective = 0.0
     for step in range(budget):
-        gains = np.zeros(len(candidates))
-        for w, state in zip(weights, states):
-            gains += w * state.gains()
+        gains = weights @ _kernels.greedy_gains(psi, dmat, noise)
         gains[~active] = -np.inf
         index = int(np.argmax(gains))  # ties resolve to the lowest index
-        for state in states:
-            state.append(index)
+        v = psi[:, index]
+        dv = np.einsum("vij,vj->vi", dmat, v)
+        den = noise + np.einsum("vi,vi->v", v, dv)[:, None]
+        dmat -= dv[:, :, None] * dv[:, None, :] / den[:, :, None]
         active[index] = False
         selected.append(index)
         objective += float(gains[index])
         history[step] = objective
-    return Design(selected=selected, objective=objective, objective_history=history)
+    return Design(selected=selected, objective=objective, objective_history=history), dmat
 
 
 def greedy_design(
@@ -223,17 +205,16 @@ def greedy_design(
 ) -> Design:
     """Select `budget` directions by greedy maximization of the trace objective.
 
-    Each step scans all remaining candidates (ties break to the lowest
-    index) and appends the winner, updating the maintained Gram inverse by
-    the block rank-one formula; the inverse is rebuilt from scratch every
-    25 steps to cap floating-point drift. Greedy prefixes are stable: the
-    design of budget b1 < b2 equals the first b1 picks of the b2 design.
+    Each step scores all remaining candidates by their gain
+    ||D v||^2 / (sigma^2 + v' D v), with v the candidate's eigenfunction row
+    and D the posterior score covariance (ties break to the lowest index),
+    appends the winner and downdates D <- D - (D v)(D v)' / (sigma^2 + v' D v).
+    Greedy prefixes are stable: the design of budget b1 < b2 equals the
+    first b1 picks of the b2 design.
     """
-    state = _VoxelState(candidates, prior, basis)
-    result = _run_greedy(candidates, [state], [1.0], budget)
-    result.inv_gram = state.inv_gram
-    result.psi_rows = state.psi_rows
-    return result
+    design, dmat = _run_greedy(candidates, [prior], np.ones(1), basis, budget)
+    design.posterior_covariance = dmat[0]
+    return design
 
 
 def greedy_design_region(
@@ -241,8 +222,10 @@ def greedy_design_region(
 ) -> Design:
     """Greedy selection for a weighted collection of voxels.
 
-    Maximizes the weighted sum of per-voxel trace objectives while keeping
-    one Gram-inverse state per voxel; weights must be positive and sum to 1.
+    Maximizes the weighted sum of per-voxel trace objectives; weights must be
+    positive and sum to 1. The voxels' posterior covariances are stacked,
+    zero-padded to the largest rank, so each step scores every voxel in one
+    stacked gains evaluation and downdates them all at once.
     """
     priors = list(priors)
     w = np.asarray(weights, dtype=float)
@@ -250,8 +233,7 @@ def greedy_design_region(
         raise ValidationError("need one weight per prior and at least one prior")
     if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
         raise ValidationError("weights must be positive and sum to 1")
-    states = [_VoxelState(candidates, p, basis) for p in priors]
-    return _run_greedy(candidates, states, w, budget)
+    return _run_greedy(candidates, priors, w, basis, budget)[0]
 
 
 def greedy_bound(

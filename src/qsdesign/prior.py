@@ -139,8 +139,8 @@ class VoxelPrior:
         gram = evecs.T @ evecs
         if np.abs(gram - np.eye(evals.size)).max() > ORTHO_TOL:
             raise ValidationError("eigenvector columns must be orthonormal")
-        if not self.noise_variance > 0.0:
-            raise ValidationError("noise variance must be positive")
+        if not (np.isfinite(self.noise_variance) and self.noise_variance > 0.0):
+            raise ValidationError(f"noise variance must be finite and positive, got {self.noise_variance!r}")
         object.__setattr__(self, "mean", mean)
         # exact symmetrization (idempotent) so the lower triangle determines
         # the matrix bitwise, which serialization relies on

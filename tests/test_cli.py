@@ -363,7 +363,14 @@ def _truncated_field(tmp_path, size):
     return ["prior-interp", "--prior", str(path), "--query", "0,0,0", "--out", str(tmp_path / "o")]
 
 
-def _bad_cohort_csv(tmp_path, line):
+def _prior_build_config(tmp_path, **changes):
+    """prior-build on a degree-4 build configuration with `changes`."""
+    cfg_path = tmp_path / "build.yaml"
+    cfg_path.write_text(yaml.safe_dump({"degree": 4, **changes}))
+    return ["prior-build", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+
+
+def _bad_cohort_csv(tmp_path, line, **changes):
     """prior-build on a degree-4 cohort CSV (15 columns) whose second row is
     `line`; with `line` None the CSV is not written at all."""
     csv_path = tmp_path / "cohort.csv"
@@ -371,9 +378,7 @@ def _bad_cohort_csv(tmp_path, line):
     good = ",".join(["0.5"] * 15)
     if line is not None:
         csv_path.write_text(f"{header}\n{good}\n{line}\n{good}\n")
-    cfg_path = tmp_path / "build.yaml"
-    cfg_path.write_text(yaml.safe_dump({"degree": 4, "cohort_csv": str(csv_path)}))
-    return ["prior-build", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    return _prior_build_config(tmp_path, cohort_csv=str(csv_path), **changes)
 
 
 # (case, argv builder, first line of stderr; {path} is the .qpf path, {csv}
@@ -406,6 +411,24 @@ MALFORMED_INPUTS = [
      "error: {csv} line 3: could not convert string to float: 'x'"),
     ("missing cohort csv", lambda t: _bad_cohort_csv(t, None),
      "error: cannot read cohort CSV {csv}: [Errno 2] No such file or directory: '{csv}'"),
+    ("infinite noise_variance", lambda t: _bad_cohort_csv(t, ",".join(["0.25"] * 15), noise_variance=float("inf")),
+     "error: noise variance must be finite and positive, got inf"),
+    ("text grid_shape", lambda t: _prior_build_config(t, grid_shape="abc"),
+     "error: grid_shape must be a list of numbers, got 'abc'"),
+    ("scalar grid_shape", lambda t: _prior_build_config(t, grid_shape=5),
+     "error: grid_shape must be a list of numbers, got 5"),
+    ("text rotation_per_voxel_degrees", lambda t: _prior_build_config(t, rotation_per_voxel_degrees="abc"),
+     "error: rotation_per_voxel_degrees must be a number, got 'abc'"),
+    ("text noise_variance", lambda t: _prior_build_config(t, noise_variance="abc"),
+     "error: noise_variance must be a number, got 'abc'"),
+    ("text weights", lambda t: _write_config(t, generative={"weights": ["a", "b"]}),
+     "error: weights must be a list of numbers, got ['a', 'b']"),
+    ("scalar weights", lambda t: _write_config(t, generative={"weights": 0.5}),
+     "error: weights must be a list of numbers, got 0.5"),
+    ("scalar mean_directions", lambda t: _write_config(t, generative={"mean_directions": 5}),
+     "error: mean_directions must be a list of number lists, got 5"),
+    ("text lobe_concentration", lambda t: _write_config(t, generative={"lobe_concentration": "abc"}),
+     "error: lobe_concentration must be a number, got 'abc'"),
 ]
 
 

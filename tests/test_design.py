@@ -154,13 +154,15 @@ class TestGreedyDesign:
         diffs = np.diff(np.concatenate([[0.0], result.objective_history]))
         assert np.all(diffs >= -1e-12)
 
-    def test_inverse_gram_state(self, basis4, rng):
+    def test_posterior_covariance_state(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=4)
         pool = default_candidates(60)
         result = greedy_design(pool, prior, basis4, 18)
-        w = result.psi_rows * prior.eigenvalues
-        gram = w @ result.psi_rows.T + prior.noise_variance * np.eye(18)
-        assert np.abs(result.inv_gram @ gram - np.eye(18)).max() < 1e-8
+        psi = basis4.evaluate(pool.points[result.selected]) @ prior.eigenvectors
+        w = psi * prior.eigenvalues
+        gram = w @ psi.T + prior.noise_variance * np.eye(18)
+        expected = np.diag(prior.eigenvalues) - w.T @ np.linalg.solve(gram, w)
+        assert np.abs(result.posterior_covariance - expected).max() < 1e-8
 
     def test_prefix_stability(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=4)
@@ -196,6 +198,93 @@ class TestGreedyDesign:
         pool = default_candidates(12)
         result = greedy_design(pool, prior, basis4, 12)
         assert sorted(result.selected) == list(range(12))
+
+
+class ReferenceVoxelState:
+    """Per-voxel greedy bookkeeping by a growing observation-Gram inverse.
+
+    The inverse grows by `block_inverse_update` at each pick and is rebuilt
+    from scratch every 25 picks to cap drift; D = diag(Lam) - W' G^-1 W is
+    formed anew for every scan.
+    """
+
+    REFRESH_EVERY = 25
+
+    def __init__(self, candidates, prior, basis):
+        self.psi_all = basis.evaluate(candidates.points) @ prior.eigenvectors
+        self.lam = prior.eigenvalues
+        self.noise_variance = prior.noise_variance
+        self.inv_gram = np.zeros((0, 0))
+        self.psi_rows = np.zeros((0, prior.rank))
+
+    def gains(self):
+        w = self.psi_rows * self.lam
+        dmat = np.diag(self.lam)
+        if self.psi_rows.shape[0]:
+            dmat = dmat - w.T @ self.inv_gram @ w
+        v = self.psi_all @ dmat
+        return np.einsum("ij,ij->i", v, v) / (self.noise_variance + np.einsum("ij,ij->i", self.psi_all, v))
+
+    def append(self, index):
+        psi_new = self.psi_all[index]
+        h = (self.psi_rows * self.lam) @ psi_new
+        q = float(psi_new @ (self.lam * psi_new) + self.noise_variance)
+        self.inv_gram = block_inverse_update(self.inv_gram, h, q)
+        self.psi_rows = np.vstack([self.psi_rows, psi_new])
+        m = self.psi_rows.shape[0]
+        if m % self.REFRESH_EVERY == 0:
+            gram = (self.psi_rows * self.lam) @ self.psi_rows.T + self.noise_variance * np.eye(m)
+            self.inv_gram = np.linalg.inv(gram)
+
+
+def reference_greedy(candidates, priors, weights, basis, budget):
+    """Greedy picks voxel by voxel on Gram-inverse states: (selected, history)."""
+    states = [ReferenceVoxelState(candidates, p, basis) for p in priors]
+    active = candidates.active.copy()
+    selected, history, objective = [], [], 0.0
+    for _ in range(budget):
+        gains = np.zeros(len(candidates))
+        for w, state in zip(weights, states):
+            gains += w * state.gains()
+        gains[~active] = -np.inf
+        index = int(np.argmax(gains))
+        for state in states:
+            state.append(index)
+        active[index] = False
+        selected.append(index)
+        objective += float(gains[index])
+        history.append(objective)
+    return selected, np.array(history)
+
+
+class TestGreedyMatchesGramInverseReference:
+    # 40 picks from 80 candidates cross the reference's refresh at pick 25
+    # and run past every rank, so late gains are tiny and close together.
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_single_voxel(self, basis4, rng, rank):
+        prior = random_prior(basis4, rng, rank=rank)
+        pool = default_candidates(80)
+        selected, history = reference_greedy(pool, [prior], [1.0], basis4, 40)
+        for result in (
+            greedy_design(pool, prior, basis4, 40),
+            greedy_design_region(pool, [prior], [1.0], basis4, 40),
+        ):
+            assert result.selected == selected
+            np.testing.assert_allclose(result.objective_history, history, rtol=1e-10, atol=0)
+
+    def test_mixed_rank_region(self, basis4):
+        # ranks 3, 5 and 8 pad to K_max = 8; two noise levels
+        priors = [
+            random_prior(basis4, np.random.default_rng(seed), rank=rank, noise_variance=noise)
+            for seed, rank, noise in ((0, 3, 0.005), (1, 5, 0.2), (2, 8, 0.005))
+        ]
+        weights = [0.2, 0.3, 0.5]
+        pool = default_candidates(80)
+        selected, history = reference_greedy(pool, priors, weights, basis4, 40)
+        region = greedy_design_region(pool, priors, weights, basis4, 40)
+        assert region.selected == selected
+        np.testing.assert_allclose(region.objective_history, history, rtol=1e-10, atol=0)
+        assert region.posterior_covariance is None
 
 
 class TestGreedyRegion:

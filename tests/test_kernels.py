@@ -73,6 +73,35 @@ def test_sh_matrix_numpy_rows_do_not_depend_on_batch(rng):
         assert np.array_equal(_kernels.sh_matrix(xyz[start:stop], 8), full[start:stop])
 
 
+def reference_greedy_gains(psi, dmat, noise_variance):
+    """One candidate at a time: ||D v||^2 / (sigma^2 + v' D v)."""
+    out = np.empty(psi.shape[0])
+    for i, v in enumerate(psi):
+        dv = dmat @ v
+        out[i] = (dv @ dv) / (noise_variance + v @ dv)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_greedy_gains_stack_equals_per_voxel_reference(k, rng):
+    # the last voxel is padded: its final column and row are exactly zero
+    psi = rng.standard_normal((3, 40, k))
+    half = rng.standard_normal((3, k, k))
+    dmat = half @ half.transpose(0, 2, 1) / k
+    psi[-1, :, -1] = 0.0
+    dmat[-1, -1, :] = dmat[-1, :, -1] = 0.0
+    noise = np.array([[1e-4], [0.01], [0.2]])
+    gains = _kernels.greedy_gains(psi, dmat, noise)
+    assert gains.shape == (3, 40)
+    for v in range(3):
+        single = _kernels.greedy_gains(psi[v], dmat[v], float(noise[v, 0]))
+        assert np.array_equal(gains[v], single)
+        np.testing.assert_allclose(single, reference_greedy_gains(psi[v], dmat[v], noise[v, 0]), rtol=1e-12)
+    if k > 1:
+        unpadded = _kernels.greedy_gains(psi[-1, :, :-1], dmat[-1, :-1, :-1], 0.2)
+        np.testing.assert_allclose(gains[-1], unpadded, rtol=1e-12)
+
+
 def reference_coulomb_energy_grad(points):
     """The one-configuration Coulomb kernel: (n, 3) in, (float, (n, 3)) out."""
     diff = points[:, None, :] - points[None, :, :]
