@@ -7,9 +7,8 @@ Subcommands:
   prior-build  build a synthetic prior field (or one voxel from a cohort CSV)
   prior-interp interpolate a prior field at a continuous coordinate
 
+Common flags: --seed (overrides the config seed) and --out (output directory).
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
---threads (and the QSPACE_THREADS environment variable, which overrides it)
-is validated but has no effect: the pipeline runs on one thread.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import load_sim_config, numbers_from, sim_config_from_dict
+from .config import integer_from, load_sim_config, numbers_from, sim_config_from_dict
 from .design import (
+    DEFAULT_CANDIDATE_COUNT,
     coulomb_energy,
     default_candidates,
     esr_design,
@@ -50,7 +50,6 @@ from .sphere import ShBasis
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; no effect")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--mode", choices=("single", "region"), default="single")
     p.add_argument("--voxel", default=None, help="voxel index i,j,k (single mode)")
-    p.add_argument("--candidates", type=int, default=321, help="candidate pool size")
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATE_COUNT, help="candidate pool size")
     _add_common(p)
 
     p = sub.add_parser("esr", help="electrostatic-repulsion design")
@@ -88,10 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_triplet(text, kind=float):
-    parts = [p for p in text.replace(",", " ").split() if p]
+    parts = text.replace(",", " ").split()
     if len(parts) != 3:
         raise ValidationError(f"expected three comma-separated values, got {text!r}")
-    return tuple(kind(p) for p in parts)
+    try:
+        return tuple(kind(p) for p in parts)
+    except ValueError as exc:
+        what = "integers" if kind is int else "numbers"
+        raise ValidationError(f"expected three comma-separated {what}, got {text!r}") from exc
 
 
 def _out_dir(args, default="results") -> Path:
@@ -107,8 +110,6 @@ def _cmd_simulate(args) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     result = run_simulation(cfg)
@@ -181,7 +182,8 @@ def _cmd_prior_build(args) -> int:
         raise ValidationError(f"{args.config} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("build configuration must be a mapping")
-    grid_shape = tuple(int(s) for s in numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1))
+    grid_shape = numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1)
+    grid_shape = tuple(integer_from("grid_shape entry", s) for s in grid_shape)
     rotation_step = numbers_from("rotation_per_voxel_degrees", raw.pop("rotation_per_voxel_degrees", 10.0))
     cohort_csv = raw.pop("cohort_csv", None)
     noise_variance = numbers_from("noise_variance", raw.pop("noise_variance", 1e-4))
@@ -257,8 +259,6 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        raise ValidationError("--threads must be >= 1")
     return _COMMANDS[args.command](args)
 
 

@@ -4,12 +4,14 @@ validated dataclass out. Every violation is reported before any work runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
+from .design import DEFAULT_CANDIDATE_COUNT
 from .errors import ValidationError
+from .metrics import DEFAULT_PEAK_GRID_SIZE, DEFAULT_RELATIVE_THRESHOLD
 from .prior import DEFAULT_RANK_RULE, RankRule
 from .sim import GenerativeConfig
 
@@ -19,6 +21,18 @@ DEFAULT_BUDGETS = (5, 10, 15, 20, 30, 45, 60, 90)
 def _require_finite(name: str, value) -> None:
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def integer_from(name: str, value) -> int:
+    """`value` as an int if it is a whole number (not a string), else a
+    ValidationError naming `name`; nothing is truncated."""
+    try:
+        whole = not isinstance(value, str) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def numbers_from(name: str, value, depth: int = 0):
@@ -54,13 +68,21 @@ class SimConfig:
     rank_rule: RankRule = DEFAULT_RANK_RULE
     generative: GenerativeConfig = field(default_factory=GenerativeConfig)
     gcv_grid: tuple = (1e-7, 1e-1, 20)  # (min, max, count), log-spaced
-    candidate_count: int = 321
-    peak_threshold: float = 0.3
-    peak_grid_size: int = 4096
+    candidate_count: int = DEFAULT_CANDIDATE_COUNT
+    peak_threshold: float = DEFAULT_RELATIVE_THRESHOLD
+    peak_grid_size: int = DEFAULT_PEAK_GRID_SIZE
     threads: int = 1  # accepted and validated; no effect (the pipeline runs on one thread)
     out_dir: str = "results"
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings under `from __future__ import annotations`
+            value = getattr(self, f.name)
+            if f.type == "int":
+                setattr(self, f.name, integer_from(f.name, value))
+            elif f.type == "float":
+                setattr(self, f.name, numbers_from(f.name, value))
+            elif f.type == "str" and not isinstance(value, str):
+                raise ValidationError(f"{f.name} must be a string, got {value!r}")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
         if self.degree < 0 or self.degree % 2:
@@ -76,11 +98,9 @@ class SimConfig:
             raise ValidationError("noise sigma must be non-negative")
         if self.noise_kind not in ("gaussian", "chi"):
             raise ValidationError("noise kind must be 'gaussian' or 'chi'")
-        if np.ndim(self.budgets) != 1:
-            raise ValidationError(f"budgets must be a list of positive integers, got {self.budgets!r}")
         try:
-            budgets = tuple(int(b) for b in self.budgets)
-        except (TypeError, ValueError) as exc:
+            budgets = tuple(integer_from("budget", b) for b in self.budgets)
+        except (TypeError, ValidationError) as exc:
             raise ValidationError(f"budgets must be a list of positive integers, got {self.budgets!r}") from exc
         if not budgets or any(b < 1 for b in budgets):
             raise ValidationError("budgets must be positive integers")
@@ -91,15 +111,17 @@ class SimConfig:
         self.budgets = budgets
         if budgets[-1] > self.candidate_count:
             raise ValidationError("largest budget exceeds the candidate count")
-        if np.ndim(self.gcv_grid) != 1 or len(self.gcv_grid) != 3:
-            raise ValidationError(f"gcv_grid must be (min, max, count), got {self.gcv_grid!r}")
-        lo, hi, count = self.gcv_grid
+        try:
+            lo, hi, count = self.gcv_grid
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"gcv_grid must be (min, max, count), got {self.gcv_grid!r}") from exc
+        lo, hi = numbers_from("gcv_grid min", lo), numbers_from("gcv_grid max", hi)
         _require_finite("gcv_grid min", lo)
         _require_finite("gcv_grid max", hi)
-        _require_finite("gcv_grid count", count)
-        if not (0 < lo < hi and int(count) >= 1):
+        count = integer_from("gcv_grid count", count)
+        if not (0 < lo < hi and count >= 1):
             raise ValidationError("gcv_grid must be (min, max, count) with 0 < min < max")
-        self.gcv_grid = (float(lo), float(hi), int(count))
+        self.gcv_grid = (lo, hi, count)
         _require_finite("peak threshold", self.peak_threshold)
         if not 0.0 <= self.peak_threshold <= 1.0:
             raise ValidationError("peak threshold must lie in [0, 1]")
@@ -131,14 +153,7 @@ def _generative_from(obj) -> GenerativeConfig:
         return obj
     if not isinstance(obj, dict):
         raise ValidationError("generative section must be a mapping")
-    known = {
-        "lobe_concentration",
-        "direction_concentration",
-        "weights",
-        "mean_directions",
-        "peak_merge_degrees",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(GenerativeConfig)}
     if unknown:
         raise ValidationError(f"unknown generative keys: {sorted(unknown)}")
     depths = {"weights": 1, "mean_directions": 2}
@@ -149,41 +164,20 @@ def _generative_from(obj) -> GenerativeConfig:
 def sim_config_from_dict(data: dict) -> SimConfig:
     if not isinstance(data, dict):
         raise ValidationError("configuration root must be a mapping")
-    data = dict(data)
-    kwargs = {}
-    if "rank_rule" in data:
-        kwargs["rank_rule"] = _rank_rule_from(data.pop("rank_rule"))
-    if "generative" in data:
-        kwargs["generative"] = _generative_from(data.pop("generative"))
-    if "budgets" in data:
-        kwargs["budgets"] = data.pop("budgets")
-    if "gcv_grid" in data:
-        g = data.pop("gcv_grid")
-        if isinstance(g, dict):
-            try:
-                kwargs["gcv_grid"] = (g["min"], g["max"], g["count"])
-            except KeyError as exc:
-                raise ValidationError(f"gcv_grid needs min/max/count, missing {exc}") from exc
-        else:
-            kwargs["gcv_grid"] = g
-    simple = {
-        "seed",
-        "degree",
-        "train_subjects",
-        "test_subjects",
-        "dense_design_size",
-        "noise_sigma",
-        "noise_kind",
-        "candidate_count",
-        "peak_threshold",
-        "peak_grid_size",
-        "threads",
-        "out_dir",
-    }
-    unknown = set(data) - simple
+    unknown = set(data) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs.update(data)
+    kwargs = dict(data)
+    if "rank_rule" in kwargs:
+        kwargs["rank_rule"] = _rank_rule_from(kwargs["rank_rule"])
+    if "generative" in kwargs:
+        kwargs["generative"] = _generative_from(kwargs["generative"])
+    g = kwargs.get("gcv_grid")
+    if isinstance(g, dict):
+        try:
+            kwargs["gcv_grid"] = (g["min"], g["max"], g["count"])
+        except KeyError as exc:
+            raise ValidationError(f"gcv_grid needs min/max/count, missing {exc}") from exc
     try:
         return SimConfig(**kwargs)
     except TypeError as exc:
@@ -200,19 +194,3 @@ def load_sim_config(path) -> SimConfig:
     except yaml.YAMLError as exc:
         raise ValidationError(f"configuration {path} is not valid YAML: {exc}") from exc
     return sim_config_from_dict(data or {})
-
-
-def sim_config_to_dict(cfg: SimConfig) -> dict:
-    """Plain-dict echo of a configuration (for reports)."""
-    out = asdict(cfg)
-    out["rank_rule"] = {"kind": cfg.rank_rule.kind, "value": cfg.rank_rule.value}
-    out["generative"] = {
-        "lobe_concentration": cfg.generative.lobe_concentration,
-        "direction_concentration": cfg.generative.direction_concentration,
-        "weights": list(cfg.generative.weights),
-        "mean_directions": [list(d) for d in cfg.generative.mean_directions],
-        "peak_merge_degrees": cfg.generative.peak_merge_degrees,
-    }
-    out["budgets"] = list(cfg.budgets)
-    out["gcv_grid"] = list(cfg.gcv_grid)
-    return out

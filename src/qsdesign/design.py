@@ -197,6 +197,8 @@ def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budge
         selected.append(index)
         objective += float(gains[index])
         history[step] = objective
+    if not np.isfinite(history).all():
+        raise DegeneracyError("greedy objective overflowed: prior eigenvalues are too large for float64")
     return Design(selected=selected, objective=objective, objective_history=history), dmat
 
 

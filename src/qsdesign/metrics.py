@@ -9,6 +9,7 @@ refined by a few tangent-plane ascent steps on the harmonic expansion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,6 @@ NEIGHBOR_COUNT = 8
 REFINE_STEPS = 10
 REFINE_STEP_DEGREES = 0.5
 PEAK_MERGE_DEGREES = 5.0
-
-_DETECTION_CACHE: dict = {}
 
 
 def integrated_squared_error(coeffs_a, coeffs_b) -> float:
@@ -49,38 +48,34 @@ class PeakSet:
         return self.directions.shape[0]
 
 
-def _detection_grid(size: int):
-    # Hemisphere spiral with antipodally folded adjacency: even expansions
-    # are fully determined by one hemisphere, and keeping exact antipodal
-    # twins out of the grid lets strict local maxima survive.
-    if size not in _DETECTION_CACHE:
-        i = np.arange(size)
-        z = 1.0 - (i + 0.5) / size
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-        neighbors = np.empty((size, NEIGHBOR_COUNT), dtype=np.int64)
-        chunk = 512
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            prox = np.abs(dirs[start:stop] @ dirs.T)  # folded angular proximity
-            prox[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-            neighbors[start:stop] = np.argpartition(prox, -NEIGHBOR_COUNT, axis=1)[
-                :, -NEIGHBOR_COUNT:
-            ]
-        _DETECTION_CACHE[size] = (dirs, neighbors)
-    return _DETECTION_CACHE[size]
+@functools.lru_cache(maxsize=None)
+def _detection_setup(size: int, basis: ShBasis):
+    """Detection directions (size, 3), their folded neighbour table
+    (size, NEIGHBOR_COUNT) and the basis matrix at them (size, J).
 
-
-_BASIS_MATRIX_CACHE: dict = {}
-
-
-def _detection_basis_matrix(size: int, basis: ShBasis) -> np.ndarray:
-    key = (size, basis.max_degree)
-    if key not in _BASIS_MATRIX_CACHE:
-        dirs, _ = _detection_grid(size)
-        _BASIS_MATRIX_CACHE[key] = basis.evaluate(dirs)
-    return _BASIS_MATRIX_CACHE[key]
+    Hemisphere spiral with antipodally folded adjacency: even expansions
+    are fully determined by one hemisphere, and keeping exact antipodal
+    twins out of the grid lets strict local maxima survive. The arrays are
+    shared between callers, hence read-only.
+    """
+    i = np.arange(size)
+    z = 1.0 - (i + 0.5) / size
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    neighbors = np.empty((size, NEIGHBOR_COUNT), dtype=np.int64)
+    chunk = 512
+    for start in range(0, size, chunk):
+        stop = min(start + chunk, size)
+        prox = np.abs(dirs[start:stop] @ dirs.T)  # folded angular proximity
+        prox[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        neighbors[start:stop] = np.argpartition(prox, -NEIGHBOR_COUNT, axis=1)[
+            :, -NEIGHBOR_COUNT:
+        ]
+    tables = (dirs, neighbors, basis.evaluate(dirs))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _cross3(a, b):
@@ -89,13 +84,13 @@ def _cross3(a, b):
     )
 
 
-def _ascend(coeff_rows, owners, points, values, basis: ShBasis, step_degrees: float, steps: int):
+def _ascend(coeff_rows, owners, points, values, basis: ShBasis):
     """Tangent-plane ascent of every seed at once, in lockstep.
 
     Seed i climbs the expansion `coeff_rows[owners[i]]` from `points[i]`,
     whose value is `values[i]`. Each step evaluates the basis once at the
     four finite-difference probes of every live seed and once at every
-    candidate, so the basis call count depends on `steps`, not on the seed
+    candidate, so the basis call count depends on `REFINE_STEPS`, not on the seed
     count. The per-seed arithmetic is the serial ascent's, operation for
     operation: basis rows do not depend on the batch they are evaluated in,
     and each probe value is a 4-row product and each candidate value a 1-D
@@ -103,10 +98,10 @@ def _ascend(coeff_rows, owners, points, values, basis: ShBasis, step_degrees: fl
     """
     points = [np.array(p, dtype=float) for p in points]
     values = [float(v) for v in values]
-    step = [np.radians(step_degrees)] * len(points)
+    step = [np.radians(REFINE_STEP_DEGREES)] * len(points)
     live = list(range(len(points)))
     fd = 1e-5
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         if not live:
             break
         frames = []
@@ -156,24 +151,22 @@ def find_peaks_batch(
     basis: ShBasis,
     grid_size: int = DEFAULT_PEAK_GRID_SIZE,
     relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
-    merge_degrees: float = PEAK_MERGE_DEGREES,
-    refine_steps: int = REFINE_STEPS,
-    refine_step_degrees: float = REFINE_STEP_DEGREES,
 ) -> list[PeakSet]:
     """Peaks of many harmonic expansions, one :class:`PeakSet` per row.
 
     Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
     (a sequence of coefficient vectors, or an (N, J) array): the grid
     maxima of every row are found first, then all their seeds are refined
-    together, so a batch costs as many basis evaluations as one row.
+    together (`REFINE_STEPS` ascent steps from `REFINE_STEP_DEGREES`), so a
+    batch costs as many basis evaluations as one row. Peaks of a row closer
+    than `PEAK_MERGE_DEGREES` keep only the higher one.
     """
     if grid_size < 1:
         raise ValidationError("detection grid must be non-empty")
     if not 0.0 <= relative_threshold <= 1.0:
         raise ValidationError("relative_threshold must lie in [0, 1]")
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
-    dirs, neighbors = _detection_grid(grid_size)
-    grid_basis = _detection_basis_matrix(grid_size, basis)
+    dirs, neighbors, grid_basis = _detection_setup(grid_size, basis)
     cutoffs, owners, seeds, seed_values = [], [], [], []
     for r, coeffs in enumerate(rows):
         values = grid_basis @ coeffs
@@ -189,10 +182,8 @@ def find_peaks_batch(
             owners.append(r)
             seeds.append(seed)
             seed_values.append(seed_value)
-    peaks, peak_values = _ascend(
-        rows, owners, seeds, seed_values, basis, refine_step_degrees, refine_steps
-    )
-    cos_merge = np.cos(np.radians(merge_degrees))
+    peaks, peak_values = _ascend(rows, owners, seeds, seed_values, basis)
+    cos_merge = np.cos(np.radians(PEAK_MERGE_DEGREES))
     kept = [([], []) for _ in rows]
     # seeds of a row are visited in descending grid value, as the merge rule needs
     for r, direction, value in zip(owners, peaks, peak_values):
@@ -219,27 +210,18 @@ def find_peaks(
     basis: ShBasis,
     grid_size: int = DEFAULT_PEAK_GRID_SIZE,
     relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
-    merge_degrees: float = PEAK_MERGE_DEGREES,
-    refine_steps: int = REFINE_STEPS,
-    refine_step_degrees: float = REFINE_STEP_DEGREES,
 ) -> PeakSet:
     """Local maxima of a harmonic expansion, folded over antipodes.
 
     Grid points strictly greater than their 8 angularly-nearest neighbors
-    (antipodal proximity) seed tangent-ascent refinement; peaks below
-    `relative_threshold` times the global maximum or with non-positive
-    values are discarded, and refined peaks closer than `merge_degrees`
-    keep only the higher one. One row of :func:`find_peaks_batch`.
+    (antipodal proximity) seed tangent-ascent refinement (`REFINE_STEPS`
+    steps, the first `REFINE_STEP_DEGREES` long, halved after each
+    rejected step); peaks below `relative_threshold` times the global
+    maximum or with non-positive values are discarded, and refined peaks
+    closer than `PEAK_MERGE_DEGREES` keep only the higher one. One row of
+    :func:`find_peaks_batch`.
     """
-    return find_peaks_batch(
-        [coeffs],
-        basis,
-        grid_size,
-        relative_threshold,
-        merge_degrees,
-        refine_steps,
-        refine_step_degrees,
-    )[0]
+    return find_peaks_batch([coeffs], basis, grid_size, relative_threshold)[0]
 
 
 def peak_angle_degrees(peaks: PeakSet) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import basis_dimension
 from .errors import DegeneracyError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -86,11 +87,16 @@ def truncate_rank(covariance, rank: int | None = None, fraction: float | None = 
     sigma = np.asarray(covariance, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValidationError("covariance must be a square matrix")
+    if not np.isfinite(sigma).all():
+        raise ValidationError("covariance must be finite")
     if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL * max(1.0, np.abs(sigma).max()):
         raise ValidationError("covariance must be symmetric")
     if (rank is None) == (fraction is None):
         raise ValidationError("give exactly one of rank= or fraction=")
-    evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    try:
+        evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    except np.linalg.LinAlgError as exc:  # e.g. entries spanning hundreds of decades
+        raise DegeneracyError(f"covariance eigendecomposition failed: {exc}") from exc
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     if evals[0] <= 0.0:
@@ -128,6 +134,8 @@ class VoxelPrior:
         j = mean.shape[0]
         if cov.shape != (j, j):
             raise ValidationError("covariance shape does not match the mean length")
+        if not all(np.isfinite(a).all() for a in (mean, cov, evals, evecs)):
+            raise ValidationError("prior mean, covariance and eigenpairs must be finite")
         if np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
             raise ValidationError("covariance must be symmetric")
         if evals.ndim != 1 or evals.size < 1 or np.any(evals <= 0.0):
@@ -254,6 +262,8 @@ def _trilinear_weights(query, shape):
     q = np.asarray(query, dtype=float)
     if q.shape != (3,):
         raise ValidationError("query must be a 3-vector of continuous voxel coordinates")
+    if not np.isfinite(q).all():
+        raise ValidationError(f"query {q.tolist()} is not finite")
     hi = np.asarray(shape, dtype=float) - 1.0
     if np.any(q < -1e-12) or np.any(q > hi + 1e-12):
         raise ValidationError(f"query {tuple(q)} outside field bounding box {tuple(int(h) for h in hi)}")
@@ -275,15 +285,15 @@ def _trilinear_weights(query, shape):
     return [(idx, w / total) for idx, w in out]
 
 
-def interpolate_prior(field: PriorField, query, rank_rule: RankRule | None = None) -> VoxelPrior:
+def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     """Prior at a continuous coordinate inside the field's bounding box.
 
     Means interpolate trilinearly; covariances combine as a log-Euclidean
     Karcher mean with the same trilinear weights (zero-weight corners are
-    dropped); the eigen-truncation is recomputed on the blended covariance.
-    A query exactly on a grid point returns that voxel's stored prior.
+    dropped); the eigen-truncation is recomputed on the blended covariance
+    with the field's rank rule. A query exactly on a grid point returns that
+    voxel's stored prior.
     """
-    rule = rank_rule or field.rank_rule
     contributions = _trilinear_weights(query, field.shape)
     missing = [idx for idx, _ in contributions if tuple(int(i) for i in idx) not in field.priors]
     if missing:
@@ -295,7 +305,7 @@ def interpolate_prior(field: PriorField, query, rank_rule: RankRule | None = Non
     mean = sum(w * p.mean for p, w in items)
     cov = log_euclidean_mean([regularize_spd(p.covariance) for p, _ in items], weights)
     sigma2 = float(sum(w * p.noise_variance for p, w in items))
-    return VoxelPrior.from_moments(mean, cov, sigma2, rule)
+    return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
 
 
 def estimate_noise_variance(repeat_images) -> float:
@@ -390,11 +400,17 @@ def load_prior_field(path) -> PriorField:
         j, max_degree, rank_kind_code, rank_value, sx, sy, sz, count = struct.unpack(
             "<IIId3II", _read_exact(fh, struct.calcsize("<IIId3II"), path)
         )
+        if rank_kind_code not in (0, 1):
+            raise ValidationError(f"{path} has unknown rank-rule kind code {rank_kind_code}")
+        if max_degree % 2 or (count and j != basis_dimension(max_degree)):
+            raise ValidationError(f"{path} header is inconsistent: dimension {j}, basis degree {max_degree}")
         rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
         field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
         ntri = j * (j + 1) // 2
         for _ in range(count):
             index = struct.unpack("<3i", _read_exact(fh, 12, path))
+            if index in field_.priors:
+                raise ValidationError(f"{path} repeats voxel {index}")
             (sigma2,) = struct.unpack("<d", _read_exact(fh, 8, path))
             mean = np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy()
             tril = np.frombuffer(_read_exact(fh, 8 * ntri, path), dtype="<f8")

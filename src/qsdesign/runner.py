@@ -9,17 +9,15 @@ seed-sequence tree, so repeated runs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, sim_config_to_dict
+from .config import SimConfig
 from .design import default_candidates, esr_design, gradient_table, greedy_design
-from .errors import ValidationError
 from .estimator import conditional_fit, gcv_select_batch
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
@@ -49,24 +47,6 @@ def _derived_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), 0xD35, *parts)))
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Validated worker count: QSPACE_THREADS env overrides the requested value.
-
-    Accepted for compatibility only: the pipeline runs on the calling thread
-    whatever the count, and its outputs never depend on it.
-    """
-    env = os.environ.get("QSPACE_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"QSPACE_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValidationError("QSPACE_THREADS must be >= 1")
-        return value
-    return max(1, int(requested or 1))
-
-
 def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str) -> VoxelPrior:
     """Dense-observe each subject, fit all with GCV smoothing in one batch, take moments."""
     basis = ShBasis(cfg.degree)
@@ -94,7 +74,6 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     """
     start = time.time()
     basis = ShBasis(cfg.degree)
-    thread_count(cfg.threads)  # validated; no effect on the run
 
     train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
     test = generate_cohort(basis, cfg.generative, cfg.test_subjects, np.random.SeedSequence((cfg.seed, 2)))
@@ -161,7 +140,7 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
         designs=designs,
         objective_histories=histories,
         elapsed_seconds=time.time() - start,
-        config=sim_config_to_dict(cfg),
+        config=asdict(cfg),
     )
 
 

@@ -11,6 +11,7 @@ per-subject seeds by seed-sequence spawning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .errors import ValidationError
 from .sphere import ShBasis, as_unit_vectors, convolve, inverse_funk_radon, make_grid, normalized
 
 PROJECTION_GRID_SIZE = 128
-_PROJECTION_CACHE: dict = {}
 
 NU_1 = (1.0, 0.0, 0.0)
 NU_2 = (1.0 / np.sqrt(3.0), -(3.0 - np.sqrt(3.0)) / 6.0, (3.0 + np.sqrt(3.0)) / 6.0)
@@ -135,13 +135,15 @@ def mixture_density(points, components) -> np.ndarray:
     return total[0] if single else total
 
 
+@functools.lru_cache(maxsize=None)
 def _projection_setup(basis: ShBasis):
-    key = (basis.max_degree, PROJECTION_GRID_SIZE)
-    if key not in _PROJECTION_CACHE:
-        grid = make_grid("equiangular", PROJECTION_GRID_SIZE)
-        phi = basis.evaluate(grid.directions)
-        _PROJECTION_CACHE[key] = (grid, phi)
-    return _PROJECTION_CACHE[key]
+    """Quadrature grid and basis matrix for projecting densities, read-only
+    because every caller shares them."""
+    grid = make_grid("equiangular", PROJECTION_GRID_SIZE)
+    phi = basis.evaluate(grid.directions)
+    for table in (grid.directions, grid.weights, phi):
+        table.setflags(write=False)
+    return grid, phi
 
 
 def generate_fodf(
@@ -254,29 +256,28 @@ def cohort_from_csv(path) -> np.ndarray:
     raises ValidationError naming the file and line.
     """
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            header, *lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read cohort CSV {path}: {exc}") from exc
-    with fh:
-        header = fh.readline()
-        if not header.startswith("c0"):
-            raise ValidationError(f"{path} does not look like a cohort CSV")
-        width = len(header.split(","))
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ValidationError(f"{path} line {lineno}: {len(cells)} cells, header has {width}")
-            try:
-                row = np.array([float(x) for x in cells])
-            except ValueError as exc:
-                raise ValidationError(f"{path} line {lineno}: {exc}") from exc
-            if not np.isfinite(row).all():
-                raise ValidationError(f"{path} line {lineno}: non-finite value")
-            rows.append(row)
+    if not header.startswith("c0"):
+        raise ValidationError(f"{path} does not look like a cohort CSV")
+    width = len(header.split(","))
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValidationError(f"{path} line {lineno}: {len(cells)} cells, header has {width}")
+        try:
+            row = np.array([float(x) for x in cells])
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise ValidationError(f"{path} line {lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path} contains no subjects")
     return np.vstack(rows)

@@ -1,4 +1,6 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
 from qsdesign.errors import ValidationError
 from qsdesign.prior import load_prior_field
-from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, thread_count, write_outputs
+from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, write_outputs
 
 TINY_SIM = {
     "seed": 7,
@@ -71,14 +73,9 @@ class TestConfig:
         with pytest.raises(ValidationError):
             sim_config_from_dict({**TINY_SIM, "budgets": [100]})
 
-    def test_threads_env_override(self, monkeypatch):
-        monkeypatch.setenv("QSPACE_THREADS", "5")
-        assert thread_count(2) == 5
-        monkeypatch.setenv("QSPACE_THREADS", "bogus")
-        with pytest.raises(ValidationError):
-            thread_count(2)
-        monkeypatch.delenv("QSPACE_THREADS")
-        assert thread_count(2) == 2
+    def test_shipped_protocol_config_is_the_default(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "protocol.yaml"
+        assert load_sim_config(path) == SimConfig()
 
 
 class TestRunner:
@@ -347,7 +344,11 @@ def _write_config(tmp_path, **changes):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
 
 
-def _truncated_field(tmp_path, size):
+def _field_file(tmp_path):
+    """A valid one-voxel degree-2 field at tmp_path / "field.qpf". Byte layout:
+    magic 0-8, header 8-44 (J at 8, degree at 12, rank kind code at 16), then
+    the voxel: index 44-56, noise variance 56-64, mean 64-112, covariance
+    lower triangle 112-280."""
     from qsdesign.prior import PriorField, RankRule, save_prior_field
     from qsdesign.sphere import ShBasis
 
@@ -357,10 +358,33 @@ def _truncated_field(tmp_path, size):
     field.add((0, 0, 0), random_prior(ShBasis(2), np.random.default_rng(0)))
     path = tmp_path / "field.qpf"
     save_prior_field(field, path)
-    data = path.read_bytes()
-    assert len(data) == 8 + 36 + 12 + 8 + 8 * 6 + 8 * 21  # header, then one J = 6 voxel
-    path.write_bytes(data[:size])
-    return ["prior-interp", "--prior", str(path), "--query", "0,0,0", "--out", str(tmp_path / "o")]
+    assert len(path.read_bytes()) == 8 + 36 + 12 + 8 + 8 * 6 + 8 * 21
+    return path
+
+
+def _interp(path, query="0,0,0"):
+    return ["prior-interp", "--prior", str(path), "--query", query, "--out", str(path.parent / "o")]
+
+
+def _truncated_field(tmp_path, size):
+    path = _field_file(tmp_path)
+    path.write_bytes(path.read_bytes()[:size])
+    return _interp(path)
+
+
+def _patched_field(tmp_path, offset, fmt, value):
+    """prior-interp on the one-voxel field with `value` packed at `offset`."""
+    path = _field_file(tmp_path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    return _interp(path)
+
+
+def _design_voxel(tmp_path, voxel):
+    path = _field_file(tmp_path)
+    return ["design", "--prior", str(path), "--budget", "2", "--candidates", "40",
+            "--voxel", voxel, "--out", str(tmp_path / "o")]
 
 
 def _prior_build_config(tmp_path, **changes):
@@ -429,6 +453,49 @@ MALFORMED_INPUTS = [
      "error: mean_directions must be a list of number lists, got 5"),
     ("text lobe_concentration", lambda t: _write_config(t, generative={"lobe_concentration": "abc"}),
      "error: lobe_concentration must be a number, got 'abc'"),
+    ("fractional train_subjects", lambda t: _write_config(t, train_subjects=6.5),
+     "error: train_subjects must be an integer, got 6.5"),
+    ("fractional test_subjects", lambda t: _write_config(t, test_subjects=3.5),
+     "error: test_subjects must be an integer, got 3.5"),
+    ("fractional dense_design_size", lambda t: _write_config(t, dense_design_size=20.5),
+     "error: dense_design_size must be an integer, got 20.5"),
+    ("fractional peak_grid_size", lambda t: _write_config(t, peak_grid_size=256.5),
+     "error: peak_grid_size must be an integer, got 256.5"),
+    ("fractional seed", lambda t: _write_config(t, seed=3.5),
+     "error: seed must be an integer, got 3.5"),
+    ("ragged budgets", lambda t: _write_config(t, budgets=[[1], [2, 3]]),
+     "error: budgets must be a list of positive integers, got [[1], [2, 3]]"),
+    ("fractional candidate_count", lambda t: _write_config(t, candidate_count=41.5),
+     "error: candidate_count must be an integer, got 41.5"),
+    ("fractional gcv count", lambda t: _write_config(t, gcv_grid={"min": 1e-7, "max": 0.1, "count": 2.5}),
+     "error: gcv_grid count must be an integer, got 2.5"),
+    ("ragged gcv_grid", lambda t: _write_config(t, gcv_grid=[[1e-7], [0.1, 1.0], 3]),
+     "error: gcv_grid min must be a number, got [1e-07]"),
+    ("fractional grid_shape", lambda t: _prior_build_config(
+        t, grid_shape=[1.7, 1, 1], train_subjects=8, dense_design_size=20),
+     "error: grid_shape entry must be an integer, got 1.7"),
+    ("text noise_sigma", lambda t: _write_config(t, noise_sigma="abc"),
+     "error: noise_sigma must be a number, got 'abc'"),
+    ("numeric out_dir", lambda t: _write_config(t, out_dir=5)[:-2],  # no --out, so out_dir is used
+     "error: out_dir must be a string, got 5"),
+    ("text query", lambda t: _interp(_field_file(t), "a,b,c"),
+     "error: expected three comma-separated numbers, got 'a,b,c'"),
+    ("nan query", lambda t: _interp(_field_file(t), "nan,0,0"),
+     "error: query [nan, 0.0, 0.0] is not finite"),
+    ("text voxel", lambda t: _design_voxel(t, "a,b,c"),
+     "error: expected three comma-separated integers, got 'a,b,c'"),
+    ("fractional voxel", lambda t: _design_voxel(t, "0.5,0,0"),
+     "error: expected three comma-separated integers, got '0.5,0,0'"),
+    ("qpf nan mean", lambda t: _patched_field(t, 64, "<d", float("nan")),
+     "error: prior mean, covariance and eigenpairs must be finite"),
+    ("qpf inf mean", lambda t: _patched_field(t, 72, "<d", float("inf")),
+     "error: prior mean, covariance and eigenpairs must be finite"),
+    ("qpf nan covariance", lambda t: _patched_field(t, 120, "<d", float("nan")),
+     "error: covariance must be finite"),
+    ("qpf dimension not the degree's", lambda t: _patched_field(t, 12, "<I", 4),
+     "error: {path} header is inconsistent: dimension 6, basis degree 4"),
+    ("qpf unknown rank kind", lambda t: _patched_field(t, 16, "<I", 2),
+     "error: {path} has unknown rank-rule kind code 2"),
 ]
 
 

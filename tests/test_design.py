@@ -185,6 +185,13 @@ class TestGreedyDesign:
         with pytest.raises(ValidationError):
             greedy_design(pool, prior, basis4, 6)
 
+    def test_overflowing_prior_is_degenerate(self, basis4, rng):
+        # a prior that loads cleanly but whose gains overflow float64 must not
+        # yield an inf/NaN objective history
+        prior = random_prior(basis4, rng, rank=3, scale=1e80)  # eigenvalues near 1e160
+        with pytest.raises(DegeneracyError):
+            greedy_design(default_candidates(30), prior, basis4, 4)
+
     def test_zero_budget_design(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=2)
         pool = default_candidates(30)

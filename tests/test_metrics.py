@@ -23,7 +23,7 @@ Y = np.array([0.0, 1.0, 0.0])
 def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE,
                          relative_threshold=metrics.DEFAULT_RELATIVE_THRESHOLD):
     """Serial peak detection: each seed refined on its own, one basis call per probe set."""
-    dirs, neighbors = metrics._detection_grid(grid_size)
+    dirs, neighbors, _ = metrics._detection_setup(grid_size, basis)
     values = basis.evaluate(dirs) @ coeffs
     mask = values > values[neighbors].max(axis=1)
     order = np.argsort(values[mask])[::-1]
