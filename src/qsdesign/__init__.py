@@ -39,7 +39,6 @@ from .prior import (
     RankRule,
     VoxelPrior,
     empirical_moments,
-    estimate_noise_variance,
     interpolate_prior,
     load_prior_field,
     log_euclidean_mean,
@@ -61,10 +60,7 @@ from .sim import (
 from .sphere import (
     ShBasis,
     SphericalGrid,
-    convolve,
-    deconvolve,
     funk_radon,
-    gaussian_response,
     inverse_funk_radon,
     laplace_beltrami_penalty,
     legendre_at_zero,

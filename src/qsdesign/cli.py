@@ -7,7 +7,9 @@ Subcommands:
   prior-build  build a synthetic prior field (or one voxel from a cohort CSV)
   prior-interp interpolate a prior field at a continuous coordinate
 
-Common flags: --seed (overrides the config seed) and --out (output directory).
+Every subcommand takes --out (output directory); simulate, esr and
+prior-build also take --seed (for simulate and prior-build it overrides the
+config seed).
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
 """
 
@@ -20,9 +22,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .config import integer_from, load_sim_config, numbers_from, sim_config_from_dict
+from .config import integer_from, load_sim_config, numbers_from, read_config_mapping, sim_config_from_dict
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
     coulomb_energy,
@@ -47,8 +48,7 @@ from .sim import cohort_from_csv, generate_cohort
 from .sphere import ShBasis
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _add_out(parser):
     parser.add_argument("--out", default=None, help="output directory")
 
 
@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the comparison experiment")
     p.add_argument("--config", required=True, help="YAML experiment configuration")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    _add_out(p)
 
     p = sub.add_parser("design", help="greedy design for a stored prior field")
     p.add_argument("--prior", required=True, help="prior field file (.qpf)")
@@ -69,20 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("single", "region"), default="single")
     p.add_argument("--voxel", default=None, help="voxel index i,j,k (single mode)")
     p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATE_COUNT, help="candidate pool size")
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("esr", help="electrostatic-repulsion design")
     p.add_argument("--count", type=int, required=True, help="number of directions")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the jittered starts")
+    _add_out(p)
 
     p = sub.add_parser("prior-build", help="build a prior field")
     p.add_argument("--config", required=True, help="YAML build configuration")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    _add_out(p)
 
     p = sub.add_parser("prior-interp", help="interpolate a prior field")
     p.add_argument("--prior", required=True, help="prior field file (.qpf)")
     p.add_argument("--query", required=True, help="continuous coordinate x,y,z")
-    _add_common(p)
+    _add_out(p)
     return parser
 
 
@@ -124,8 +127,6 @@ def _cmd_design(args) -> int:
         raise ValidationError(f"{args.prior} contains no voxel priors")
     basis = ShBasis(field.max_degree)
     candidates = default_candidates(args.candidates)
-    if args.budget > len(candidates):
-        raise ValidationError("budget exceeds the candidate pool")
     if args.mode == "single":
         if args.voxel is not None:
             index = _parse_triplet(args.voxel, int)
@@ -141,11 +142,10 @@ def _cmd_design(args) -> int:
         weights = np.full(len(priors), 1.0 / len(priors))
         result = greedy_design_region(candidates, priors, weights, basis, args.budget)
         # conservative certificate: worst-case spectrum constants across voxels
-        worst = min(
+        bound = min(
             (greedy_bound(p, candidates, basis, args.budget, args.budget) for p in priors),
             key=lambda cert: cert.factor,
         )
-        bound = worst
     out = _out_dir(args)
     table_path = out / f"design_{args.mode}_{args.budget:03d}.txt"
     table_path.write_text(gradient_table(candidates.points[result.selected]))
@@ -163,8 +163,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_esr(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    points = esr_design(args.count, seed=seed)
+    points = esr_design(args.count, seed=args.seed)
     out = _out_dir(args)
     path = out / f"esr_{args.count:03d}.txt"
     path.write_text(gradient_table(points))
@@ -173,15 +172,7 @@ def _cmd_esr(args) -> int:
 
 
 def _cmd_prior_build(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.config}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{args.config} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("build configuration must be a mapping")
+    raw = read_config_mapping(args.config)
     grid_shape = numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1)
     grid_shape = tuple(integer_from("grid_shape entry", s) for s in grid_shape)
     rotation_step = numbers_from("rotation_per_voxel_degrees", raw.pop("rotation_per_voxel_degrees", 10.0))

@@ -184,13 +184,42 @@ def sim_config_from_dict(data: dict) -> SimConfig:
         raise ValidationError(f"bad configuration value types: {exc}") from exc
 
 
-def load_sim_config(path) -> SimConfig:
-    """Parse and validate a YAML/JSON experiment configuration file."""
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping, which
+    plain YAML loading resolves silently in favour of the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # only scalar keys are hashable: SafeLoader itself rejects the
+            # others, and "<<" merge keys may legitimately repeat
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ValidationError(f"configuration {mark.name} line {mark.line + 1}: repeated key {key!r}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def read_config_mapping(path) -> dict:
+    """The top-level mapping of a YAML/JSON configuration file; an empty
+    file reads as an empty mapping."""
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, "rb") as fh:  # bytes, so undecodable text is a YAMLError
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ValidationError(f"cannot read configuration {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValidationError(f"configuration {path} is not valid YAML: {exc}") from exc
-    return sim_config_from_dict(data or {})
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ValidationError(f"configuration {path} must be a mapping, got {type(data).__name__}")
+    return data
+
+
+def load_sim_config(path) -> SimConfig:
+    """Parse and validate a YAML/JSON experiment configuration file."""
+    return sim_config_from_dict(read_config_mapping(path))

@@ -31,21 +31,13 @@ DEFAULT_CANDIDATE_COUNT = 321
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite pool of admissible sampling directions with an active mask."""
+    """Finite pool of admissible sampling directions."""
 
     points: np.ndarray
-    active: np.ndarray = None
 
     def __post_init__(self):
         pts, _ = as_unit_vectors(self.points, "candidate points")
         object.__setattr__(self, "points", pts)
-        if self.active is None:
-            object.__setattr__(self, "active", np.ones(pts.shape[0], dtype=bool))
-        else:
-            mask = np.asarray(self.active, dtype=bool)
-            if mask.shape != (pts.shape[0],):
-                raise ValidationError("active mask must have one entry per candidate")
-            object.__setattr__(self, "active", mask)
         dots = np.clip(pts @ pts.T, -1.0, 1.0)
         np.fill_diagonal(dots, 0.0)
         if pts.shape[0] > 1 and np.arccos(np.max(dots)) < DUPLICATE_ANGLE_TOL:
@@ -53,10 +45,6 @@ class CandidateSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.active))
 
 
 def hemisphere_spiral(n: int) -> np.ndarray:
@@ -169,10 +157,8 @@ def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budge
     """
     if budget < 0:
         raise ValidationError("budget must be non-negative")
-    if budget > candidates.active_count:
-        raise ValidationError(
-            f"budget {budget} exceeds the {candidates.active_count} active candidates"
-        )
+    if budget > len(candidates):
+        raise ValidationError(f"budget {budget} exceeds the {len(candidates)} candidates")
     kmax = max(p.rank for p in priors)
     evecs = np.zeros((len(priors), basis.dimension, kmax))
     dmat = np.zeros((len(priors), kmax, kmax))
@@ -181,7 +167,7 @@ def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budge
         dmat[v, : prior.rank, : prior.rank] = np.diag(prior.eigenvalues)
     psi = basis.evaluate(candidates.points) @ evecs  # (V, N, K_max)
     noise = np.array([[p.noise_variance] for p in priors])
-    active = candidates.active.copy()
+    active = np.ones(len(candidates), dtype=bool)
     selected: list[int] = []
     history = np.empty(budget)
     objective = 0.0
@@ -248,11 +234,11 @@ def greedy_bound(
                      / (1/rho_min + (steps/sigma^2) * lambda_psi_star))
 
     where lambda_psi_star is the largest squared eigenfunction row norm
-    over the active candidates.
+    over the candidates.
     """
     if not 1 <= steps <= budget:
         raise ValidationError("need 1 <= steps <= budget")
-    psi = basis.evaluate(candidates.points[candidates.active]) @ prior.eigenvectors
+    psi = basis.evaluate(candidates.points) @ prior.eigenvectors
     lambda_psi_star = float(np.max(np.einsum("ij,ij->i", psi, psi)))
     rho_max = float(prior.eigenvalues[0])
     rho_min = float(prior.eigenvalues[-1])
@@ -302,6 +288,8 @@ def esr_design(
         raise ValidationError("need at least two directions")
     if iterations < 1:
         raise ValidationError("need at least one iteration")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     base = hemisphere_spiral(count)
     starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(max(1, restarts))]

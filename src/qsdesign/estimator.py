@@ -24,10 +24,9 @@ DEFAULT_GCV_GRID = np.logspace(-7.0, -1.0, 20)
 
 @dataclass
 class FitResult:
-    """Fitted coefficient vector plus estimator-specific extras."""
+    """Fitted coefficient vector and, for penalized fits, the smoothing level."""
 
     coefficients: np.ndarray
-    scores: np.ndarray | None = None  # conditional mean of the latent coefficients
     lambda_used: float | None = None  # smoothing level (penalized fits only)
 
 
@@ -175,5 +174,4 @@ def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> FitRes
     leading eigenvectors around its mean.
     """
     scores = conditional_scores(points, values, prior, basis)
-    coeffs = prior.mean + prior.eigenvectors @ scores
-    return FitResult(coefficients=coeffs, scores=scores)
+    return FitResult(coefficients=prior.mean + prior.eigenvectors @ scores)

@@ -308,26 +308,6 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
 
 
-def estimate_noise_variance(repeat_images) -> float:
-    """Noise variance on the attenuation scale from repeated baseline images.
-
-    Parameters
-    ----------
-    repeat_images : array_like, shape (n, V)
-        n >= 3 repeated measurements over the same V voxels. Each voxel is
-        normalized by its own mean across repeats before pooling the
-        per-voxel sample variances.
-    """
-    arr = np.asarray(repeat_images, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 3:
-        raise ValidationError("need at least three repeated measurement vectors")
-    means = arr.mean(axis=0)
-    if np.any(means <= 0.0):
-        raise ValidationError("every voxel mean must be positive to normalize")
-    normalized = arr / means
-    return float(normalized.var(axis=0, ddof=1).mean())
-
-
 # ---------------------------------------------------------------------------
 # serialization: binary payload + JSON sidecar, bit-exact round trip
 

@@ -4,9 +4,8 @@ Orientation densities are symmetrized two-component von Mises-Fisher
 mixtures with randomly drawn component directions, projected onto the
 even-degree harmonic basis and normalized to integrate to one. The
 matching diffusion signal is the inverse great-circle transform of the
-density representation (optionally through a non-identity per-degree
-kernel). All generators are pure functions of their seeds; cohorts derive
-per-subject seeds by seed-sequence spawning.
+density representation. All generators are pure functions of their seeds;
+cohorts derive per-subject seeds by seed-sequence spawning.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sphere import ShBasis, as_unit_vectors, convolve, inverse_funk_radon, make_grid, normalized
+from .sphere import ShBasis, as_unit_vectors, inverse_funk_radon, make_grid, normalized
 
 PROJECTION_GRID_SIZE = 128
 
@@ -150,7 +149,6 @@ def generate_fodf(
     basis: ShBasis,
     config: GenerativeConfig,
     rng,
-    response=None,
     fixed_directions=None,
 ) -> GroundTruth:
     """Draw one ground truth from the generative model.
@@ -159,9 +157,8 @@ def generate_fodf(
     directions (or `fixed_directions` when given). The symmetrized mixture
     density is projected onto the basis by quadrature and rescaled to unit
     integral; the signal is the inverse great-circle transform of the
-    density representation, convolved with `response` first when one is
-    supplied. Analytic peak axes merge into a single bisector axis whenever
-    the two lobe axes fall within the configured merge angle.
+    density representation. Analytic peak axes merge into a single bisector
+    axis whenever the two lobe axes fall within the configured merge angle.
     """
     gen = _rng(rng)
     if fixed_directions is None:
@@ -188,9 +185,7 @@ def generate_fodf(
         peaks = np.vstack([m1, m2_folded])
     peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)  # hemisphere representatives
 
-    odf = coeffs if response is None else convolve(coeffs, basis, response)
-    signal = inverse_funk_radon(odf, basis)
-    return GroundTruth(fodf=coeffs, signal=signal, peaks=peaks)
+    return GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks)
 
 
 def generate_cohort(basis: ShBasis, config: GenerativeConfig, count: int, seed) -> list:

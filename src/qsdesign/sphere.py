@@ -1,10 +1,9 @@
 """Real symmetric spherical-harmonic machinery on the unit 2-sphere.
 
 Provides the even-degree real orthonormal basis, the great-circle
-(Funk-Radon) transform and its inverse, per-degree spherical
-convolution/deconvolution, the Laplace-Beltrami roughness penalty, and
-quadrature grids. A signal expanded in this basis is automatically
-antipodally symmetric, which is why odd degrees never appear.
+(Funk-Radon) transform and its inverse, the Laplace-Beltrami roughness
+penalty, and quadrature grids. A signal expanded in this basis is
+automatically antipodally symmetric, which is why odd degrees never appear.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegeneracyError, ValidationError
+from .errors import ValidationError
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 UNIT_NORM_TOL = 1e-10
@@ -82,7 +81,6 @@ class ShBasis:
                 orders.append(m)
         self.degrees = np.asarray(degrees, dtype=int)
         self.orders = np.asarray(orders, dtype=int)
-        self.even_degrees = np.arange(0, self.max_degree + 1, 2)
         self._frt = 2.0 * np.pi * np.array([legendre_at_zero(l) for l in self.degrees])
 
     def __repr__(self):
@@ -143,51 +141,6 @@ def inverse_funk_radon(coeffs, basis: ShBasis) -> np.ndarray:
     return basis.check_coefficients(coeffs) / basis.funk_radon_multipliers
 
 
-def _response_per_index(response, basis: ShBasis) -> np.ndarray:
-    resp = np.asarray(response, dtype=float)
-    if resp.shape != (basis.even_degrees.size,):
-        raise ValidationError(
-            f"response must hold one value per even degree <= {basis.max_degree}, "
-            f"expected shape ({basis.even_degrees.size},), got {resp.shape}"
-        )
-    return resp[basis.degrees // 2]
-
-
-def convolve(coeffs, basis: ShBasis, response) -> np.ndarray:
-    """Multiply each degree-l coefficient block by the degree-l response value."""
-    return basis.check_coefficients(coeffs) * _response_per_index(response, basis)
-
-
-def deconvolve(coeffs, basis: ShBasis, response) -> np.ndarray:
-    """Divide each degree-l block by the response value (sharpening step).
-
-    A zero response entry makes the kernel singular and raises DegeneracyError.
-    """
-    per_index = _response_per_index(response, basis)
-    if np.any(per_index == 0.0):
-        raise DegeneracyError("deconvolution response has a zero entry (singular kernel)")
-    return basis.check_coefficients(coeffs) / per_index
-
-
-def gaussian_response(basis: ShBasis, concentration: float = 10.0) -> np.ndarray:
-    """Per-degree response of an axially symmetric exp(-c*(1-t^2)) kernel.
-
-    Computed by Gauss-Legendre quadrature of the kernel against Legendre
-    polynomials and normalized so the degree-0 entry equals 1. All entries
-    are strictly positive for any finite concentration.
-    """
-    if concentration <= 0:
-        raise ValidationError("concentration must be positive")
-    t, w = np.polynomial.legendre.leggauss(128)
-    kern = np.exp(-concentration * (1.0 - t * t))
-    out = np.empty(basis.even_degrees.size)
-    for i, l in enumerate(basis.even_degrees):
-        e = np.zeros(l + 1)
-        e[l] = 1.0
-        out[i] = np.sum(w * kern * np.polynomial.legendre.legval(t, e))
-    return out / out[0]
-
-
 def laplace_beltrami_penalty(basis: ShBasis) -> np.ndarray:
     """Diagonal roughness penalty with entries (l*(l+1))^2 per index."""
     l = basis.degrees.astype(float)
@@ -200,8 +153,6 @@ class SphericalGrid:
 
     directions: np.ndarray
     weights: np.ndarray
-    antipodal: bool = False
-    kind: str = "custom"
 
     def __post_init__(self):
         dirs, _ = as_unit_vectors(self.directions, "grid directions")
@@ -261,7 +212,7 @@ def make_grid(kind: str, n: int) -> SphericalGrid:
     if kind == "spiral":
         dirs = _spiral_points(n)
         weights = np.full(n, 4.0 * np.pi / n)
-        return SphericalGrid(dirs, weights, antipodal=False, kind=kind)
+        return SphericalGrid(dirs, weights)
     if kind == "equiangular":
         wtheta, theta = _band_weights(n)
         phi = 2.0 * np.pi * np.arange(n) / n
@@ -274,7 +225,7 @@ def make_grid(kind: str, n: int) -> SphericalGrid:
             dirs[rows, 1] = st[j] * np.sin(phi)
             dirs[rows, 2] = ct[j]
             weights[rows] = wtheta[j] * (2.0 * np.pi / n)
-        return SphericalGrid(dirs, weights, antipodal=(n % 2 == 0), kind=kind)
+        return SphericalGrid(dirs, weights)
     raise ValidationError(f"unknown grid kind {kind!r}")
 
 

@@ -338,10 +338,16 @@ class TestThreading:
         )
 
 
-def _write_config(tmp_path, **changes):
+def _raw_config(tmp_path, command, text):
+    """`command` on a configuration written as raw text (or bytes), which
+    can hold what `yaml.safe_dump` cannot write, such as a repeated key."""
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump({**TINY_SIM, **changes}))
-    return ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return [command, "--config", str(path), "--out", str(tmp_path / "o")]
+
+
+def _write_config(tmp_path, **changes):
+    return _raw_config(tmp_path, "simulate", yaml.safe_dump({**TINY_SIM, **changes}))
 
 
 def _field_file(tmp_path):
@@ -406,7 +412,7 @@ def _bad_cohort_csv(tmp_path, line, **changes):
 
 
 # (case, argv builder, first line of stderr; {path} is the .qpf path, {csv}
-# the cohort CSV path)
+# the cohort CSV path, {cfg} the raw configuration path)
 MALFORMED_INPUTS = [
     ("scalar budgets", lambda t: _write_config(t, budgets=5),
      "error: budgets must be a list of positive integers, got 5"),
@@ -496,6 +502,23 @@ MALFORMED_INPUTS = [
      "error: {path} header is inconsistent: dimension 6, basis degree 4"),
     ("qpf unknown rank kind", lambda t: _patched_field(t, 16, "<I", 2),
      "error: {path} has unknown rank-rule kind code 2"),
+    ("repeated simulate key", lambda t: _raw_config(
+        t, "simulate", "seed: 7\nseed: 8\n" + yaml.safe_dump({k: v for k, v in TINY_SIM.items() if k != "seed"})),
+     "error: configuration {cfg} line 2: repeated key 'seed'"),
+    ("repeated prior-build key", lambda t: _raw_config(
+        t, "prior-build", "degree: 4\ntrain_subjects: 8\ndense_design_size: 20\ndegree: 2\n"),
+     "error: configuration {cfg} line 4: repeated key 'degree'"),
+    ("repeated nested key", lambda t: _raw_config(
+        t, "simulate", "generative:\n  weights: [0.5, 0.5]\n  weights: [0.2, 0.8]\n" + yaml.safe_dump(TINY_SIM)),
+     "error: configuration {cfg} line 3: repeated key 'weights'"),
+    ("non-scalar key", lambda t: _raw_config(t, "simulate", "? [1, 2]\n: 3\n"),
+     "error: configuration {cfg} is not valid YAML: while constructing a mapping"),
+    ("undecodable configuration", lambda t: _raw_config(t, "simulate", b"seed: 7\n\xff\n"),
+     "error: configuration {cfg} is not valid YAML: unacceptable character #x00ff: invalid start byte"),
+    ("list configuration", lambda t: _raw_config(t, "prior-build", "[]\n"),
+     "error: configuration {cfg} must be a mapping, got list"),
+    ("negative esr seed", lambda t: ["esr", "--count", "6", "--seed", "-1", "--out", str(t / "o")],
+     "error: seed must be non-negative, got -1"),
 ]
 
 
@@ -504,5 +527,15 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     argv = argv_for(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == first_line.format(path=tmp_path / "field.qpf", csv=tmp_path / "cohort.csv")
+    expected = first_line.format(path=tmp_path / "field.qpf", csv=tmp_path / "cohort.csv", cfg=tmp_path / "bad.yaml")
+    assert err.splitlines()[0] == expected
     assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("argv_for", [lambda t: _design_voxel(t, "0,0,0"), lambda t: _interp(_field_file(t))],
+                         ids=["design", "prior-interp"])
+def test_seed_flag_rejected(argv_for, tmp_path):
+    # both subcommands are deterministic, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv_for(tmp_path), "--seed", "3"])
+    assert exc.value.code == 2

@@ -37,7 +37,6 @@ class TestCandidateSet:
     def test_default_pool(self):
         pool = default_candidates()
         assert len(pool) == 321
-        assert pool.active_count == 321
         assert np.all(pool.points[:, 2] > 0)
 
     def test_duplicate_rejected(self):
@@ -247,7 +246,7 @@ class ReferenceVoxelState:
 def reference_greedy(candidates, priors, weights, basis, budget):
     """Greedy picks voxel by voxel on Gram-inverse states: (selected, history)."""
     states = [ReferenceVoxelState(candidates, p, basis) for p in priors]
-    active = candidates.active.copy()
+    active = np.ones(len(candidates), dtype=bool)
     selected, history, objective = [], [], 0.0
     for _ in range(budget):
         gains = np.zeros(len(candidates))

@@ -7,7 +7,6 @@ from qsdesign.prior import (
     RankRule,
     VoxelPrior,
     empirical_moments,
-    estimate_noise_variance,
     interpolate_prior,
     load_prior_field,
     log_euclidean_mean,
@@ -212,32 +211,6 @@ class TestInterpolatePrior:
         field = self.full_field(rng)
         out = interpolate_prior(field, np.array([0.25, 0.75, 0.5]))
         assert out.noise_variance == pytest.approx(0.01, rel=1e-12)
-
-
-class TestNoiseVariance:
-    def test_identical_repeats_zero(self):
-        assert estimate_noise_variance(np.ones((3, 10))) == 0.0
-
-    def test_hand_computed_triple(self):
-        reps = np.tile(np.array([[0.99], [1.00], [1.01]]), (1, 7))
-        assert estimate_noise_variance(reps) == pytest.approx(1e-4, rel=1e-10)
-
-    def test_monte_carlo_recovery(self, rng):
-        sigma, voxels, n = 0.01, 10_000, 18
-        base = rng.uniform(0.5, 1.5, size=voxels)
-        reps = base + sigma * rng.standard_normal((n, voxels)) * base
-        est = np.sqrt(estimate_noise_variance(reps))
-        assert est == pytest.approx(sigma, rel=0.05)
-
-    def test_too_few_repeats(self):
-        with pytest.raises(ValidationError):
-            estimate_noise_variance(np.ones((2, 5)))
-
-    def test_degenerate_voxel_mean(self):
-        reps = np.ones((3, 4))
-        reps[:, 2] = 0.0
-        with pytest.raises(ValidationError):
-            estimate_noise_variance(reps)
 
 
 class TestVoxelPriorInvariants:

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from qsdesign.errors import DegeneracyError, ValidationError
+from qsdesign.errors import ValidationError
 from qsdesign.sphere import (
     ShBasis,
-    convolve,
-    deconvolve,
     funk_radon,
-    gaussian_response,
     inverse_funk_radon,
     laplace_beltrami_penalty,
     legendre_at_zero,
@@ -126,39 +123,6 @@ class TestFunkRadon:
         assert inverse_funk_radon(c, basis8)[j] == pytest.approx(1.0, rel=1e-14)
 
 
-class TestDeconvolution:
-    def test_identity_response(self, basis8, rng):
-        c = rng.standard_normal(basis8.dimension)
-        ones = np.ones(basis8.even_degrees.size)
-        assert np.array_equal(deconvolve(c, basis8, ones), c)
-
-    def test_scalar_division(self, basis8):
-        j = basis8.index_of(2, -2)
-        c = np.zeros(basis8.dimension)
-        c[j] = 0.6
-        resp = np.ones(basis8.even_degrees.size)
-        resp[1] = 0.3
-        assert deconvolve(c, basis8, resp)[j] == pytest.approx(2.0, rel=1e-14)
-
-    def test_convolve_then_deconvolve_round_trip(self, basis8, rng):
-        c = rng.standard_normal(basis8.dimension)
-        resp = gaussian_response(basis8)
-        back = deconvolve(convolve(c, basis8, resp), basis8, resp)
-        assert np.abs(back - c).max() < 1e-10
-
-    def test_zero_response_raises(self, basis8, rng):
-        resp = np.ones(basis8.even_degrees.size)
-        resp[2] = 0.0
-        with pytest.raises(DegeneracyError):
-            deconvolve(rng.standard_normal(basis8.dimension), basis8, resp)
-
-    def test_gaussian_response_positive_decreasing(self, basis8):
-        resp = gaussian_response(basis8)
-        assert resp[0] == 1.0
-        assert np.all(resp > 0)
-        assert np.all(np.diff(resp) < 0)
-
-
 class TestPenalty:
     def test_known_entries(self, basis8):
         penalty = laplace_beltrami_penalty(basis8)
@@ -196,10 +160,6 @@ class TestGrids:
             make_grid("cube", 10)
         with pytest.raises(ValidationError):
             make_grid("spiral", 0)
-
-    def test_equiangular_antipodal_flag(self):
-        assert make_grid("equiangular", 16).antipodal
-        assert not make_grid("spiral", 16).antipodal
 
     def test_projection_recovers_band_limited(self, basis4, rng):
         grid = make_grid("equiangular", 32)
