@@ -26,6 +26,7 @@ import numpy as np
 from .config import integer_from, load_sim_config, numbers_from, read_config_mapping, sim_config_from_dict
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
+    _greedy_bound,
     coulomb_energy,
     default_candidates,
     esr_design,
@@ -122,6 +123,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    if args.budget < 1:
+        raise ValidationError(f"--budget must be >= 1, got {args.budget}")
+    if args.voxel is not None and args.mode != "single":
+        raise ValidationError(f"--voxel applies to --mode single only, not --mode {args.mode}")
     field = load_prior_field(args.prior)
     if not field.priors:
         raise ValidationError(f"{args.prior} contains no voxel priors")
@@ -142,8 +147,9 @@ def _cmd_design(args) -> int:
         weights = np.full(len(priors), 1.0 / len(priors))
         result = greedy_design_region(candidates, priors, weights, basis, args.budget)
         # conservative certificate: worst-case spectrum constants across voxels
+        phi = basis.evaluate(candidates.points)
         bound = min(
-            (greedy_bound(p, candidates, basis, args.budget, args.budget) for p in priors),
+            (_greedy_bound(p, phi, args.budget, args.budget) for p in priors),
             key=lambda cert: cert.factor,
         )
     out = _out_dir(args)

@@ -236,9 +236,15 @@ def greedy_bound(
     where lambda_psi_star is the largest squared eigenfunction row norm
     over the candidates.
     """
+    return _greedy_bound(prior, basis.evaluate(candidates.points), steps, budget)
+
+
+def _greedy_bound(prior: VoxelPrior, phi: np.ndarray, steps: int, budget: int) -> BoundCertificate:
+    """`greedy_bound` given the candidate basis matrix `phi`, so a region
+    evaluates the basis once for all its voxels."""
     if not 1 <= steps <= budget:
         raise ValidationError("need 1 <= steps <= budget")
-    psi = basis.evaluate(candidates.points) @ prior.eigenvectors
+    psi = phi @ prior.eigenvectors
     lambda_psi_star = float(np.max(np.einsum("ij,ij->i", psi, psi)))
     rho_max = float(prior.eigenvalues[0])
     rho_min = float(prior.eigenvalues[-1])

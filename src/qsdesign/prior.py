@@ -10,6 +10,7 @@ swelling), and the eigen-truncation is recomputed afterwards.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -164,6 +165,15 @@ class VoxelPrior:
     def rank(self) -> int:
         return self.eigenvalues.size
 
+    @functools.cached_property
+    def log_covariance(self) -> np.ndarray:
+        """Matrix log of the (regularized) covariance, computed on first use
+        and kept, read-only, because every interpolation query touching this
+        voxel blends the same log."""
+        out = spd_log(regularize_spd(self.covariance))
+        out.setflags(write=False)
+        return out
+
     @classmethod
     def from_moments(cls, mean, covariance, noise_variance, rank_rule: RankRule = DEFAULT_RANK_RULE):
         if rank_rule.kind == "fixed":
@@ -223,9 +233,14 @@ def log_euclidean_mean(matrices, weights) -> np.ndarray:
         raise ValidationError("weights must be strictly positive")
     if abs(float(w.sum()) - 1.0) > 1e-10:
         raise ValidationError("weights must sum to 1")
-    acc = np.zeros_like(mats[0])
-    for wi, m in zip(w, mats):
-        acc += wi * spd_log(m)
+    return _blend_logs([spd_log(m) for m in mats], w)
+
+
+def _blend_logs(logs, weights) -> np.ndarray:
+    """exp(sum_i w_i L_i) of symmetric matrix logs L_i, accumulated in order."""
+    acc = np.zeros_like(logs[0])
+    for wi, log in zip(weights, logs):
+        acc += wi * log
     return spd_exp(acc)
 
 
@@ -289,10 +304,10 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     """Prior at a continuous coordinate inside the field's bounding box.
 
     Means interpolate trilinearly; covariances combine as a log-Euclidean
-    Karcher mean with the same trilinear weights (zero-weight corners are
-    dropped); the eigen-truncation is recomputed on the blended covariance
-    with the field's rank rule. A query exactly on a grid point returns that
-    voxel's stored prior.
+    Karcher mean of each corner's cached `log_covariance` with the same
+    trilinear weights (zero-weight corners are dropped); the eigen-truncation
+    is recomputed on the blended covariance with the field's rank rule. A
+    query exactly on a grid point returns that voxel's stored prior.
     """
     contributions = _trilinear_weights(query, field.shape)
     missing = [idx for idx, _ in contributions if tuple(int(i) for i in idx) not in field.priors]
@@ -303,7 +318,7 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
         return items[0][0]
     weights = np.array([w for _, w in items])
     mean = sum(w * p.mean for p, w in items)
-    cov = log_euclidean_mean([regularize_spd(p.covariance) for p, _ in items], weights)
+    cov = _blend_logs([p.log_covariance for p, _ in items], weights)
     sigma2 = float(sum(w * p.noise_variance for p, w in items))
     return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
 

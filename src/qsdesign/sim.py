@@ -114,24 +114,35 @@ def vmf_density(points, mean, concentration: float) -> np.ndarray:
     """von Mises-Fisher density values on the 2-sphere."""
     pts, single = as_unit_vectors(points, "points")
     mu, _ = as_unit_vectors(np.asarray(mean, dtype=float), "mean")
-    t = pts @ mu[0]
-    # kappa / (4 pi sinh kappa) * exp(kappa t), written overflow-safely
-    norm = concentration / (2.0 * np.pi * (1.0 - np.exp(-2.0 * concentration)))
-    vals = norm * np.exp(concentration * (t - 1.0))
+    vals = _vmf(pts, mu[0], concentration)
     return vals[0] if single else vals
 
 
 def mixture_density(points, components) -> np.ndarray:
     """Weighted symmetrized mixture of von Mises-Fisher lobes."""
     pts, single = as_unit_vectors(points, "points")
+    total = _mixture(pts, components)
+    return total[0] if single else total
+
+
+def _vmf(pts, mu, concentration: float) -> np.ndarray:
+    """vMF density at checked unit vectors `pts` (n, 3) about the unit axis `mu`."""
+    t = pts @ mu
+    # kappa / (4 pi sinh kappa) * exp(kappa t), written overflow-safely
+    norm = concentration / (2.0 * np.pi * (1.0 - np.exp(-2.0 * concentration)))
+    return norm * np.exp(concentration * (t - 1.0))
+
+
+def _mixture(pts, components) -> np.ndarray:
+    """Symmetrized mixture at checked unit vectors; `VmfComponent` checked its axis."""
     total = np.zeros(pts.shape[0])
     for comp in components:
         mu = np.asarray(comp.mean, dtype=float)
         total += comp.weight * (
-            vmf_density(pts, mu, comp.concentration)
-            + vmf_density(pts, -mu, comp.concentration)
+            _vmf(pts, mu, comp.concentration)
+            + _vmf(pts, -mu, comp.concentration)
         )
-    return total[0] if single else total
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,7 +184,7 @@ def generate_fodf(
         VmfComponent(tuple(m2), config.lobe_concentration, w2),
     )
     grid, phi = _projection_setup(basis)
-    values = mixture_density(grid.directions, comps)
+    values = _mixture(grid.directions, comps)  # SphericalGrid checked these unit vectors
     coeffs = phi.T @ (grid.weights * values)
     coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)  # unit integral over the sphere
 

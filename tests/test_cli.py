@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -246,6 +247,30 @@ class TestCliCommands:
         region = (tmp_path / "region" / "design_region_005.txt").read_text()
         assert single == region
 
+    def test_region_certificate_is_min_over_voxels(self, tmp_path):
+        from qsdesign.design import default_candidates, greedy_bound
+        from qsdesign.prior import PriorField, RankRule, save_prior_field
+        from qsdesign.sphere import ShBasis
+
+        from conftest import random_prior
+
+        basis, rng = ShBasis(4), np.random.default_rng(11)
+        field = PriorField((2, 2, 1), {}, 4, RankRule("fraction", 0.9))
+        for index in np.ndindex(2, 2, 1):
+            field.add(index, random_prior(basis, rng, noise_variance=rng.uniform(0.005, 0.05)))
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        argv = ["design", "--prior", str(path), "--budget", "6", "--candidates", "40", "--mode", "region"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "design_region_006.json").read_text())
+
+        loaded, pool = load_prior_field(path), default_candidates(40)
+        want = min(
+            (greedy_bound(loaded.priors[k], pool, basis, 6, 6) for k in sorted(loaded.priors)),
+            key=lambda cert: cert.factor,
+        )
+        assert report["bound_certificate"] == dataclasses.asdict(want)
+
     def test_design_missing_prior_exit_2(self, tmp_path):
         assert main(["design", "--prior", str(tmp_path / "no.qpf"), "--budget", "3"]) == 2
 
@@ -387,10 +412,14 @@ def _patched_field(tmp_path, offset, fmt, value):
     return _interp(path)
 
 
-def _design_voxel(tmp_path, voxel):
+def _design(tmp_path, *extra, budget="2"):
     path = _field_file(tmp_path)
-    return ["design", "--prior", str(path), "--budget", "2", "--candidates", "40",
-            "--voxel", voxel, "--out", str(tmp_path / "o")]
+    return ["design", "--prior", str(path), "--budget", budget, "--candidates", "40",
+            *extra, "--out", str(tmp_path / "o")]
+
+
+def _design_voxel(tmp_path, voxel):
+    return _design(tmp_path, "--voxel", voxel)
 
 
 def _prior_build_config(tmp_path, **changes):
@@ -492,6 +521,12 @@ MALFORMED_INPUTS = [
      "error: expected three comma-separated integers, got 'a,b,c'"),
     ("fractional voxel", lambda t: _design_voxel(t, "0.5,0,0"),
      "error: expected three comma-separated integers, got '0.5,0,0'"),
+    ("voxel in region mode", lambda t: _design(t, "--mode", "region", "--voxel", "5,5,5"),
+     "error: --voxel applies to --mode single only, not --mode region"),
+    ("zero budget", lambda t: _design(t, budget="0"),
+     "error: --budget must be >= 1, got 0"),
+    ("negative budget", lambda t: _design(t, budget="-1"),
+     "error: --budget must be >= 1, got -1"),
     ("qpf nan mean", lambda t: _patched_field(t, 64, "<d", float("nan")),
      "error: prior mean, covariance and eigenpairs must be finite"),
     ("qpf inf mean", lambda t: _patched_field(t, 72, "<d", float("inf")),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsdesign import prior as prior_module
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.prior import (
     PriorField,
@@ -10,6 +11,7 @@ from qsdesign.prior import (
     interpolate_prior,
     load_prior_field,
     log_euclidean_mean,
+    regularize_spd,
     save_prior_field,
     spd_exp,
     spd_log,
@@ -211,6 +213,76 @@ class TestInterpolatePrior:
         field = self.full_field(rng)
         out = interpolate_prior(field, np.array([0.25, 0.75, 0.5]))
         assert out.noise_variance == pytest.approx(0.01, rel=1e-12)
+
+
+def reference_log_euclidean_mean(matrices, weights):
+    """The blend as one loop, each log taken where it is added."""
+    acc = np.zeros_like(np.asarray(matrices[0], dtype=float))
+    for wi, m in zip(weights, matrices):
+        acc += wi * spd_log(m)
+    return spd_exp(acc)
+
+
+def reference_interpolate_prior(field, query):
+    """interpolate_prior with every corner's log taken again on each query."""
+    items = [(field.priors[idx], w) for idx, w in prior_module._trilinear_weights(query, field.shape)]
+    if len(items) == 1:
+        return items[0][0]
+    weights = np.array([w for _, w in items])
+    mean = sum(w * p.mean for p, w in items)
+    cov = reference_log_euclidean_mean([regularize_spd(p.covariance) for p, _ in items], weights)
+    sigma2 = float(sum(w * p.noise_variance for p, w in items))
+    return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
+
+
+class TestLogCovarianceMemo:
+    def field(self, rng):
+        priors = {tuple(idx): toy_prior(rng, noise=rng.uniform(0.005, 0.02)) for idx in np.ndindex(2, 2, 2)}
+        # a rank-deficient corner takes the regularize_spd branch
+        half = rng.standard_normal((6, 3))
+        low = VoxelPrior.from_moments(rng.standard_normal(6), half @ half.T, 0.01, RankRule("fixed", 2))
+        assert regularize_spd(low.covariance) is not low.covariance
+        priors[(1, 1, 0)] = low
+        return make_field(priors)
+
+    def test_matches_per_query_logs_bit_for_bit(self, rng):
+        field = self.field(rng)
+        queries = np.clip(rng.uniform(-0.1, 1.1, size=(40, 3)), 0.0, 1.0)
+        queries[:3] = [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.5, 0.5, 0.5]]  # grid point, edge, centre
+        for q in queries:
+            got, want = interpolate_prior(field, q), reference_interpolate_prior(field, q)
+            for name in ("mean", "covariance", "eigenvalues", "eigenvectors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.noise_variance == want.noise_variance
+
+    def test_log_euclidean_mean_matches_loop(self, rng):
+        mats = [random_spd(rng, 5) for _ in range(4)]
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        assert log_euclidean_mean(mats, w).tobytes() == reference_log_euclidean_mean(mats, w).tobytes()
+
+    def test_one_log_per_voxel(self, rng, monkeypatch):
+        field = self.field(rng)
+        calls = []
+
+        def counting_spd_log(matrix):
+            calls.append(1)
+            return spd_log(matrix)
+
+        monkeypatch.setattr(prior_module, "spd_log", counting_spd_log)
+        axis = (0.2, 0.5, 0.8)
+        for q in np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3):
+            interpolate_prior(field, q)  # every query blends all 8 corners
+        assert len(calls) == 8
+        log = field.priors[(0, 0, 0)].log_covariance
+        assert log is field.priors[(0, 0, 0)].log_covariance and not log.flags.writeable
+
+        # log_euclidean_mean still takes its own logs and checks its weights
+        m = random_spd(rng, 6)
+        log_euclidean_mean([m, m], [0.5, 0.5])
+        assert len(calls) == 10
+        for weights in ([0.6, 0.5], [1.5, -0.5], [1.0]):
+            with pytest.raises(ValidationError):
+                log_euclidean_mean([m, m], weights)
 
 
 class TestVoxelPriorInvariants:

@@ -3,7 +3,9 @@ import pytest
 
 from qsdesign.errors import ValidationError
 from qsdesign.sim import (
+    PROJECTION_GRID_SIZE,
     GenerativeConfig,
+    GroundTruth,
     VmfComponent,
     cohort_from_csv,
     cohort_signal_matrix,
@@ -14,7 +16,7 @@ from qsdesign.sim import (
     observe,
     sample_vmf,
 )
-from qsdesign.sphere import funk_radon, make_grid
+from qsdesign.sphere import funk_radon, inverse_funk_radon, make_grid, normalized
 
 from conftest import random_unit_vectors
 
@@ -106,12 +108,48 @@ class TestGenerateFodf:
         assert np.abs(recovered - truth.fodf).max() < 1e-10
 
 
+def reference_generate_cohort(basis, config, count, seed):
+    """generate_cohort with each subject's density taken through the public,
+    input-checking mixture_density."""
+    grid = make_grid("equiangular", PROJECTION_GRID_SIZE)
+    phi = basis.evaluate(grid.directions)
+    truths = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        gen = np.random.default_rng(child)
+        m1 = sample_vmf(config.mean_directions[0], config.direction_concentration, gen)
+        m2 = sample_vmf(config.mean_directions[1], config.direction_concentration, gen)
+        w1, w2 = config.weights
+        comps = (
+            VmfComponent(tuple(m1), config.lobe_concentration, w1),
+            VmfComponent(tuple(m2), config.lobe_concentration, w2),
+        )
+        coeffs = phi.T @ (grid.weights * mixture_density(grid.directions, comps))
+        coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)
+        m2_folded = m2 if float(m1 @ m2) >= 0.0 else -m2
+        cos_sep = np.clip(abs(float(m1 @ m2)), 0.0, 1.0)
+        if np.degrees(np.arccos(cos_sep)) < config.peak_merge_degrees:
+            peaks = normalized(w1 * m1 + w2 * m2_folded)[None, :]
+        else:
+            peaks = np.vstack([m1, m2_folded])
+        peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)
+        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks))
+    return truths
+
+
 class TestGenerateCohort:
     def test_protocol_scale_cohort(self, basis8):
         cohort = generate_cohort(basis8, GenerativeConfig(), 200, seed=0)
         assert len(cohort) == 200
         mat = cohort_signal_matrix(cohort)
         assert np.unique(mat, axis=0).shape[0] == 200  # all distinct
+
+    def test_matches_checked_density_reference_bit_for_bit(self, basis8):
+        config = GenerativeConfig(weights=(0.3, 0.7), lobe_concentration=14.0)
+        for got, want in zip(generate_cohort(basis8, config, 12, seed=5),
+                             reference_generate_cohort(basis8, config, 12, seed=5), strict=True):
+            assert got.fodf.tobytes() == want.fodf.tobytes()
+            assert got.signal.tobytes() == want.signal.tobytes()
+            assert got.peaks.tobytes() == want.peaks.tobytes()
 
     def test_deterministic(self, basis4):
         a = generate_cohort(basis4, GenerativeConfig(), 5, seed=42)
