@@ -1,10 +1,15 @@
 """Hot numeric inner loops, one numpy implementation each.
 
-The pipeline calls these four kernels by name: `sh_matrix`, `greedy_gains`,
-`coulomb_energy_grad` and `local_maxima`. tests/test_kernels.py checks them
-against loop references, and benchmarks/bench_kernels.py times them. Every
-kernel is a pure function of its inputs, so results are bitwise
-deterministic run to run.
+The pipeline calls these kernels by name: `sh_matrix`, `greedy_gains`,
+`coulomb_energy_grad` (and its trial form `coulomb_energy_grad_below`) and
+`local_maxima`. tests/test_kernels.py checks them against loop references,
+and benchmarks/bench_kernels.py times them. Every kernel is a pure
+function of its inputs, so results are bitwise deterministic run to run.
+
+Whole-array forms here keep the bits of the loops they replaced: the
+Coulomb kernel runs over coordinate-major (R, 2, 3, n, n) pair arrays but
+rounds every sum as the (R, n, n, 3) einsum form did, and `local_maxima`
+takes a maximum, which is exact, for all rows at once.
 """
 
 import functools
@@ -97,47 +102,111 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np
     return num / den
 
 
-# Stacks are evaluated in blocks of at most this many point pairs, so the
-# (block, n, n, 3) temporaries stay near 200 kB. Larger blocks were slower
-# at n = 90: their temporaries went back to the operating system after
-# every call and page-faulted in again on the next.
+# Stacks are evaluated in blocks of at most this many point pairs, so a
+# block's (block, 2, 3, n, n) pair array stays near 400 kB. Measured for
+# this layout at n = 90, three restarts, 2000 iterations: in a fresh
+# process, where the allocator still hands such temporaries back to the
+# operating system after every step, one stack-wide block took 5.8 s with
+# 1.45 million page faults and blocks of one configuration 3.8 s with
+# 0.44 million; once a larger array has been freed, as inside
+# `run_simulation`, both took 2.2 s.
 _COULOMB_BLOCK_PAIRS = 8192
+
+
+def _coulomb_blocks(points: np.ndarray):
+    step = max(1, _COULOMB_BLOCK_PAIRS // points.shape[1] ** 2)
+    return [slice(s, s + step) for s in range(0, points.shape[0], step)]
 
 
 def coulomb_energy_grad(points: np.ndarray):
     """Antipodally symmetric Coulomb energy and its Euclidean gradient.
 
     `points` is one configuration (n, 3), giving (float, (n, 3)), or a
-    stack (R, n, 3), giving energies (R,) and gradients (R, n, 3). Each
-    configuration of a stack gets the same bits as on its own.
+    stack (R, n, 3), giving energies (R,) and C-contiguous gradients
+    (R, n, 3). Each configuration of a stack gets the same bits as on its
+    own, and the same bits as the (R, n, n, 3) einsum form of the kernel
+    (`_coulomb_terms` and `_coulomb_grad` say why).
     """
     if points.ndim == 2:
-        energy, grad = _coulomb_block(points[None])
+        energy, grad = coulomb_energy_grad(points[None])
         return float(energy[0]), grad[0]
-    step = max(1, _COULOMB_BLOCK_PAIRS // points.shape[1] ** 2)
-    blocks = [_coulomb_block(points[s : s + step]) for s in range(0, points.shape[0], step)]
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate([e for e, _ in blocks]), np.concatenate([g for _, g in blocks])
+    energies, grads = [], []
+    for rows in _coulomb_blocks(points):
+        energy, pairs, dist = _coulomb_terms(points[rows])
+        energies.append(energy)
+        grads.append(_coulomb_grad(pairs, dist))
+    return np.concatenate(energies), np.concatenate(grads)
 
 
-def _coulomb_block(stack: np.ndarray):
-    count, n = stack.shape[0], stack.shape[1]
-    diff = stack[:, :, None, :] - stack[:, None, :, :]
-    ssum = stack[:, :, None, :] + stack[:, None, :, :]
-    dm = np.sqrt(np.einsum("rijk,rijk->rij", diff, diff))
-    dp = np.sqrt(np.einsum("rijk,rijk->rij", ssum, ssum))
-    diag = np.arange(n)
-    dm[:, diag, diag] = np.inf
-    dp[:, diag, diag] = np.inf
-    # each energy sums its flattened n x n block, as np.sum does for one
-    inv_m = (1.0 / dm).reshape(count, -1).sum(axis=1)
-    inv_p = (1.0 / dp).reshape(count, -1).sum(axis=1)
-    energy = 0.5 * (inv_m + inv_p)
-    grad = -np.einsum("rij,rijk->rik", dm**-3, diff) - np.einsum("rij,rijk->rik", dp**-3, ssum)
-    return energy, grad
+def coulomb_energy_grad_below(points: np.ndarray, bound: np.ndarray):
+    """Energies (R,) of a stack (R, n, 3), and the gradients (k, n, 3) of
+    the k configurations whose energy is below `bound` (R,), in stack order.
+
+    Electrostatic repulsion keeps a trial only where its energy drops, so
+    it needs no gradient for the others. Bits as `coulomb_energy_grad`.
+    """
+    energies, grads = [], []
+    for rows in _coulomb_blocks(points):
+        energy, pairs, dist = _coulomb_terms(points[rows])
+        energies.append(energy)
+        lower = energy < bound[rows]
+        if lower.all():
+            grads.append(_coulomb_grad(pairs, dist))
+        elif lower.any():
+            grads.append(_coulomb_grad(pairs[lower], dist[lower]))
+    grad = np.concatenate(grads) if grads else np.empty((0, points.shape[1], 3))
+    return np.concatenate(energies), grad
+
+
+def _coulomb_terms(block: np.ndarray):
+    """Energies (B,) of a block (B, n, 3) and the pair arrays of its gradients.
+
+    The pair array is coordinate-major, (B, 2, 3, n, n): pairs[r, 0, k] is
+    p_i[k] - p_j[k] and pairs[r, 1, k] is p_i[k] + p_j[k], so every
+    operation runs once over n x n planes instead of over inner loops of
+    length 3, and once for both signs. The values are those of the
+    (B, n, n, 3) form. The distances dist (B, 2, n, n) pair the squares as
+    (x0^2 + x2^2) + x1^2, which is how numpy's einsum "rijk,rijk->rij"
+    rounds them (pinned by the reference in tests/test_kernels.py); each
+    energy sums its flattened n x n planes, as np.sum does for one
+    configuration.
+    """
+    count, n = block.shape[0], block.shape[1]
+    comp = np.ascontiguousarray(block.transpose(0, 2, 1))[:, None, :, :, None]
+    pairs = np.empty((count, 2, 3, n, n))
+    np.subtract(comp, comp.swapaxes(3, 4), out=pairs[:, :1])
+    np.add(comp, comp.swapaxes(3, 4), out=pairs[:, 1:])
+    squares = pairs * pairs
+    dist = squares[:, :, 0] + squares[:, :, 2]
+    dist += squares[:, :, 1]
+    np.sqrt(dist, out=dist)
+    planes = dist.reshape(count, 2, n * n)
+    planes[:, :, :: n + 1] = np.inf  # the diagonals
+    inverse = (1.0 / planes).sum(axis=2)
+    return 0.5 * (inverse[:, 0] + inverse[:, 1]), pairs, dist
+
+
+def _coulomb_grad(pairs, dist) -> np.ndarray:
+    """Gradients (B, n, 3) from the arrays of `_coulomb_terms`; overwrites
+    `pairs`.
+
+    grad_i = -sum_j dm_ij^-3 (p_i - p_j) - sum_j dp_ij^-3 (p_i + p_j). The
+    distances are exactly symmetric and p_i - p_j exactly antisymmetric,
+    so each sum over j equals, up to an exact sign, a sum over the first
+    pair axis, which numpy adds plane by plane in j order, as the einsum
+    it replaces did.
+    """
+    pairs *= (dist**-3)[:, :, None]
+    sums = pairs.sum(axis=3)
+    grad = sums[:, 0] - sums[:, 1]
+    return np.ascontiguousarray(grad.transpose(0, 2, 1))
 
 
 def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Mask of entries strictly greater than all their listed neighbors."""
-    return values > values[neighbors].max(axis=1)
+    """Mask of entries strictly greater than all their listed neighbors.
+
+    `values` is one row (G,) or a stack of rows (N, G) over the same grid;
+    `neighbors` (G, k) indexes the grid, and one gather serves every row.
+    A maximum is exact, so each row gets the mask it gets on its own.
+    """
+    return values > values[..., neighbors].max(axis=-1)

@@ -125,6 +125,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_design(args) -> int:
     if args.budget < 1:
         raise ValidationError(f"--budget must be >= 1, got {args.budget}")
+    if args.candidates < 1:
+        raise ValidationError(f"--candidates must be >= 1, got {args.candidates}")
     if args.voxel is not None and args.mode != "single":
         raise ValidationError(f"--voxel applies to --mode single only, not --mode {args.mode}")
     field = load_prior_field(args.prior)

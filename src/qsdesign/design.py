@@ -287,8 +287,13 @@ def esr_design(
 
     The restarts descend in lockstep, one stacked energy evaluation per
     step. Each keeps its own step size and accept/reject decisions and
-    leaves the live set once its step size falls below 1e-14, so every
-    restart follows the same path as it would alone.
+    leaves once its step size falls below 1e-14, so every restart follows
+    the same path as it would alone. The working arrays hold the live
+    restarts only (`ids` names them); a restart that leaves is copied out.
+    A step evaluates the energy of every live trial and the gradient of the
+    accepted ones only (`coulomb_energy_grad_below`), whose coordinate-major
+    kernel rounds as the one-configuration einsum kernel does, so the
+    design is bit for bit that of a restart-by-restart descent.
     """
     if count < 2:
         raise ValidationError("need at least two directions")
@@ -302,20 +307,26 @@ def esr_design(
     points = normalized(np.stack(starts))
     energy, grad = _kernels.coulomb_energy_grad(points)
     alpha = np.full(len(starts), step if step is not None else 0.01 / count)
-    live = np.arange(len(starts))
+    ids = np.arange(len(starts))
+    final_points, final_energy = np.empty_like(points), np.empty(len(starts))
     for _ in range(iterations):
-        pts, grd = points[live], grad[live]
-        tangent = grd - np.einsum("rij,rij->ri", grd, pts)[:, :, None] * pts
-        trial = normalized(pts - alpha[live, None, None] * tangent)
-        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial)
-        better = trial_energy < energy[live]
-        moved = live[better]
-        points[moved], energy[moved], grad[moved] = trial[better], trial_energy[better], trial_grad[better]
-        alpha[live] *= np.where(better, 1.2, 0.5)
-        live = live[better | ~(alpha[live] < 1e-14)]
-        if live.size == 0:
-            break
-    return points[int(np.argmin(energy))]
+        tangent = grad - np.einsum("rij,rij->ri", grad, points)[:, :, None] * points
+        trial = normalized(points - alpha[:, None, None] * tangent)
+        trial_energy, trial_grad = _kernels.coulomb_energy_grad_below(trial, energy)
+        better = trial_energy < energy
+        if better.all():
+            points, energy, grad = trial, trial_energy, trial_grad
+        else:
+            points[better], energy[better], grad[better] = trial[better], trial_energy[better], trial_grad
+        alpha *= np.where(better, 1.2, 0.5)
+        stay = better | ~(alpha < 1e-14)
+        if not stay.all():
+            final_points[ids[~stay]], final_energy[ids[~stay]] = points[~stay], energy[~stay]
+            points, energy, grad, alpha, ids = points[stay], energy[stay], grad[stay], alpha[stay], ids[stay]
+            if not ids.size:
+                break
+    final_points[ids], final_energy[ids] = points, energy
+    return final_points[int(np.argmin(final_energy))]
 
 
 def gradient_table(points) -> str:

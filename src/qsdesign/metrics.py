@@ -79,70 +79,77 @@ def _detection_setup(size: int, basis: ShBasis):
 
 
 def _cross3(a, b):
-    return np.array(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    """Cross product of the last axes of `a` and `b`, one 3-vector or a stack."""
+    return np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
     )
 
 
-def _ascend(coeff_rows, owners, points, values, basis: ShBasis):
+def _dots(a, b):
+    """Row-wise dot products of stacked vectors (..., d) as stacked matmuls:
+    numpy's matmul makes the BLAS dot call per slice that `a_i @ b_i` makes
+    on one pair, so each result has the bits of the one-pair product."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _ascend(coeffs, points, values, basis: ShBasis):
     """Tangent-plane ascent of every seed at once, in lockstep.
 
-    Seed i climbs the expansion `coeff_rows[owners[i]]` from `points[i]`,
-    whose value is `values[i]`. Each step evaluates the basis once at the
-    four finite-difference probes of every live seed and once at every
-    candidate, so the basis call count depends on `REFINE_STEPS`, not on the seed
-    count. The per-seed arithmetic is the serial ascent's, operation for
-    operation: basis rows do not depend on the batch they are evaluated in,
-    and each probe value is a 4-row product and each candidate value a 1-D
-    dot product, as when seeds were refined one at a time.
+    Seed i climbs the expansion `coeffs[i]` (one row per seed) from
+    `points[i]`, whose value is `values[i]`; returns the refined points
+    (P, 3), folded to the upper hemisphere, and their values (P,). Each
+    step evaluates the basis once at the four finite-difference probes of
+    every live seed and once at every candidate, so the basis call count
+    depends on `REFINE_STEPS`, not on the seed count, and runs every
+    per-seed operation as one array operation over the live seeds. The
+    arithmetic is the serial ascent's, operation for operation: cross
+    products and vector updates are elementwise; every 1-D norm and 1-D
+    candidate value is a stacked matmul of (1, d) by (d, 1) slices and each
+    4-probe value set a stacked matmul of (4, J) by (J, 1) slices, which
+    numpy hands to the same BLAS dot and gemv calls as the one-seed
+    products (an elementwise or einsum sum would round differently); the
+    probes keep their row-norm normalisation; and basis rows do not depend
+    on the batch they are evaluated in.
     """
-    points = [np.array(p, dtype=float) for p in points]
-    values = [float(v) for v in values]
-    step = [np.radians(REFINE_STEP_DEGREES)] * len(points)
-    live = list(range(len(points)))
+    points = np.array(points, dtype=float)
+    values = np.array(values, dtype=float)
+    step = np.full(len(points), np.radians(REFINE_STEP_DEGREES))
+    live = np.arange(len(points))
     fd = 1e-5
     for _ in range(REFINE_STEPS):
-        if not live:
+        if not live.size:
             break
-        frames = []
-        probes = np.empty((4 * len(live), 3))
-        for k, i in enumerate(live):
-            point = points[i]
-            helper = np.array([1.0, 0.0, 0.0]) if abs(point[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-            e1 = _cross3(point, helper)
-            e1 /= np.linalg.norm(e1)
-            e2 = _cross3(point, e1)
-            probes[4 * k : 4 * k + 4] = [
-                point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2
-            ]
-            frames.append((e1, e2))
+        point = points[live]
+        helper = np.where(np.abs(point[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        e1 = _cross3(point, helper)
+        e1 /= np.sqrt(_dots(e1, e1))[:, None]
+        e2 = _cross3(point, e1)
+        probes = np.stack([point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2], axis=1)
+        probes = probes.reshape(-1, 3)
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        probe_basis = basis.evaluate(probes)
-        moving, candidates = [], []
-        for k, i in enumerate(live):
-            vals = probe_basis[4 * k : 4 * k + 4] @ coeff_rows[owners[i]]
-            e1, e2 = frames[k]
-            grad = (vals[0] - vals[1]) / (2 * fd) * e1 + (vals[2] - vals[3]) / (2 * fd) * e2
-            norm = np.linalg.norm(grad)
-            if norm < 1e-14:
-                continue
-            candidate = points[i] + step[i] * (grad / norm)
-            candidate /= np.linalg.norm(candidate)
-            moving.append(i)
-            candidates.append(candidate)
-        live = moving
-        if not live:
+        probe_basis = basis.evaluate(probes).reshape(len(live), 4, -1)
+        vals = np.matmul(probe_basis, coeffs[live][:, :, None])[:, :, 0]
+        grad = ((vals[:, 0] - vals[:, 1]) / (2 * fd))[:, None] * e1 + (
+            (vals[:, 2] - vals[:, 3]) / (2 * fd)
+        )[:, None] * e2
+        norm = np.sqrt(_dots(grad, grad))
+        moving = ~(norm < 1e-14)
+        live = live[moving]
+        if not live.size:
             break
-        cand_basis = basis.evaluate(np.asarray(candidates))
-        for k, i in enumerate(live):
-            cand_value = float(cand_basis[k] @ coeff_rows[owners[i]])
-            if cand_value > values[i]:
-                points[i], values[i] = candidates[k], cand_value
-            else:
-                step[i] *= 0.5
-    for point in points:
-        if point[2] < 0.0 or (point[2] == 0.0 and point[0] < 0.0):
-            point *= -1.0
+        candidate = points[live] + step[live, None] * (grad[moving] / norm[moving, None])
+        candidate /= np.sqrt(_dots(candidate, candidate))[:, None]
+        cand_value = _dots(basis.evaluate(candidate), coeffs[live])
+        better = cand_value > values[live]
+        points[live[better]], values[live[better]] = candidate[better], cand_value[better]
+        step[live[~better]] *= 0.5
+    flip = (points[:, 2] < 0.0) | ((points[:, 2] == 0.0) & (points[:, 0] < 0.0))
+    points[flip] *= -1.0
     return points, values
 
 
@@ -156,33 +163,37 @@ def find_peaks_batch(
 
     Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
     (a sequence of coefficient vectors, or an (N, J) array): the grid
-    maxima of every row are found first, then all their seeds are refined
-    together (`REFINE_STEPS` ascent steps from `REFINE_STEP_DEGREES`), so a
-    batch costs as many basis evaluations as one row. Peaks of a row closer
-    than `PEAK_MERGE_DEGREES` keep only the higher one.
+    values of all rows come from one stacked matmul (one gemv per row, as
+    for a single row) and their maxima from one `local_maxima` gather,
+    then all their seeds are refined together (`REFINE_STEPS` ascent steps
+    from `REFINE_STEP_DEGREES`), so a batch costs as many basis evaluations
+    as one row. Peaks of a row closer than `PEAK_MERGE_DEGREES` keep only
+    the higher one.
     """
     if grid_size < 1:
         raise ValidationError("detection grid must be non-empty")
     if not 0.0 <= relative_threshold <= 1.0:
         raise ValidationError("relative_threshold must lie in [0, 1]")
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
+    if not rows:
+        return []
     dirs, neighbors, grid_basis = _detection_setup(grid_size, basis)
+    coeffs = np.array(rows)
+    grid_values = np.matmul(grid_basis, coeffs[:, :, None])[:, :, 0]
+    masks = _kernels.local_maxima(grid_values, neighbors)
     cutoffs, owners, seeds, seed_values = [], [], [], []
-    for r, coeffs in enumerate(rows):
-        values = grid_basis @ coeffs
-        mask = _kernels.local_maxima(values, neighbors)
+    for r, (values, mask) in enumerate(zip(grid_values, masks)):
         order = np.argsort(values[mask])[::-1]
         cutoff = relative_threshold * float(values.max())
         cutoffs.append(cutoff)
-        for seed, seed_value in zip(dirs[mask][order], values[mask][order]):
-            # grid maxima sit within ~2 degrees of the refined peak, so ascent
-            # gains only a few percent; seeds far below threshold cannot recover
-            if seed_value <= 0.0 or (cutoff > 0.0 and seed_value < 0.5 * cutoff):
-                continue
-            owners.append(r)
-            seeds.append(seed)
-            seed_values.append(seed_value)
-    peaks, peak_values = _ascend(rows, owners, seeds, seed_values, basis)
+        row_seeds, row_values = dirs[mask][order], values[mask][order]
+        # grid maxima sit within ~2 degrees of the refined peak, so ascent
+        # gains only a few percent; seeds far below threshold cannot recover
+        keep = (row_values > 0.0) & ~((cutoff > 0.0) & (row_values < 0.5 * cutoff))
+        owners += [r] * int(keep.sum())
+        seeds.append(row_seeds[keep])
+        seed_values.append(row_values[keep])
+    peaks, peak_values = _ascend(coeffs[owners], np.concatenate(seeds), np.concatenate(seed_values), basis)
     cos_merge = np.cos(np.radians(PEAK_MERGE_DEGREES))
     kept = [([], []) for _ in rows]
     # seeds of a row are visited in descending grid value, as the merge rule needs

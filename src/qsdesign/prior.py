@@ -295,7 +295,7 @@ def _trilinear_weights(query, shape):
                     * (frac[2] if dk else 1.0 - frac[2])
                 )
                 if w > 1e-12:
-                    out.append(((base[0] + di, base[1] + dj, base[2] + dk), w))
+                    out.append(((int(base[0]) + di, int(base[1]) + dj, int(base[2]) + dk), w))
     total = sum(w for _, w in out)
     return [(idx, w / total) for idx, w in out]
 
@@ -310,10 +310,10 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     query exactly on a grid point returns that voxel's stored prior.
     """
     contributions = _trilinear_weights(query, field.shape)
-    missing = [idx for idx, _ in contributions if tuple(int(i) for i in idx) not in field.priors]
+    missing = [idx for idx, _ in contributions if idx not in field.priors]
     if missing:
         raise ValidationError(f"incomplete neighborhood: missing voxel priors at {missing}")
-    items = [(field.priors[tuple(int(i) for i in idx)], w) for idx, w in contributions]
+    items = [(field.priors[idx], w) for idx, w in contributions]
     if len(items) == 1:
         return items[0][0]
     weights = np.array([w for _, w in items])

@@ -527,6 +527,10 @@ MALFORMED_INPUTS = [
      "error: --budget must be >= 1, got 0"),
     ("negative budget", lambda t: _design(t, budget="-1"),
      "error: --budget must be >= 1, got -1"),
+    ("zero candidates", lambda t: _design(t, "--candidates", "0"),
+     "error: --candidates must be >= 1, got 0"),
+    ("negative candidates", lambda t: _design(t, "--candidates", "-3"),
+     "error: --candidates must be >= 1, got -3"),
     ("qpf nan mean", lambda t: _patched_field(t, 64, "<d", float("nan")),
      "error: prior mean, covariance and eigenpairs must be finite"),
     ("qpf inf mean", lambda t: _patched_field(t, 72, "<d", float("inf")),

@@ -424,9 +424,14 @@ def reference_esr_design(count, iterations=2000, step=None, seed=0, restarts=3):
 class TestEsrDesign:
     # Counts 2, 3 and 5 stop every restart early, at different iterations
     # (count 3 ends in a three-way energy tie); 30 stops some early; 45 runs
-    # into the iteration cap.
-    @pytest.mark.parametrize("seed", [0, 7, 101])
-    @pytest.mark.parametrize("count", [2, 3, 5, 30, 45])
+    # into the iteration cap. The last four pairs, with (30, 101), are the
+    # ESR calls of the perfbench protocol run; each has steps where some
+    # restarts accept their trial and others reject it, so only some rows
+    # get a new gradient.
+    @pytest.mark.parametrize(
+        "count,seed",
+        [(c, s) for c in (2, 3, 5, 30, 45) for s in (0, 7, 101)] + [(5, 107), (10, 112), (15, 117), (20, 122)],
+    )
     def test_lockstep_restarts_equal_sequential_reference(self, count, seed):
         assert np.array_equal(esr_design(count, seed=seed), reference_esr_design(count, seed=seed))
 

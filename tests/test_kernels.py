@@ -149,3 +149,17 @@ def test_coulomb_gradient_matches_finite_differences(rng):
             e_minus, _ = _kernels.coulomb_energy_grad(bumped)
             fd = (e_plus - e_minus) / (2 * h)
             assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def test_local_maxima_rows_equal_per_row_calls(rng):
+    values = rng.standard_normal((6, 512))
+    values[1] = 0.0  # all tied: no strict maximum
+    values[2] = np.round(values[2])  # many ties
+    values[3] = -values[0]
+    neighbors = rng.integers(0, 512, size=(512, 8))
+    masks = _kernels.local_maxima(values, neighbors)
+    assert masks.shape == values.shape
+    assert not masks[1].any()
+    for row, mask in zip(values, masks):
+        assert np.array_equal(mask, _kernels.local_maxima(row, neighbors))
+        assert np.array_equal(mask, row > row[neighbors].max(axis=1))

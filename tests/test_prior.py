@@ -209,6 +209,12 @@ class TestInterpolatePrior:
         with pytest.raises(ValidationError):
             interpolate_prior(field, np.array([0.5, 0.5, 0.5]))
 
+    def test_missing_neighbor_message_names_plain_indices(self, rng):
+        field = make_field({(0, 0, 0): toy_prior(rng)})
+        with pytest.raises(ValidationError) as exc:
+            interpolate_prior(field, np.array([0.5, 0.0, 0.0]))
+        assert str(exc.value) == "incomplete neighborhood: missing voxel priors at [(1, 0, 0)]"
+
     def test_sigma2_passthrough(self, rng):
         field = self.full_field(rng)
         out = interpolate_prior(field, np.array([0.25, 0.75, 0.5]))
