@@ -3,8 +3,9 @@
 The pipeline calls these kernels by name: `sh_matrix`, `greedy_gains`,
 `coulomb_energy_grad` (and its trial form `coulomb_energy_grad_below`) and
 `local_maxima`. tests/test_kernels.py checks them against loop references,
-and benchmarks/bench_kernels.py times them. Every kernel is a pure
-function of its inputs, so results are bitwise deterministic run to run.
+and `benchmarks/bench_pipeline.py --workload kernels` times them. Every
+kernel is a pure function of its inputs, so results are bitwise
+deterministic run to run.
 
 Whole-array forms here keep the bits of the loops they replaced: the
 Coulomb kernel runs over coordinate-major (R, 2, 3, n, n) pair arrays but

@@ -23,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import integer_from, load_sim_config, numbers_from, read_config_mapping, sim_config_from_dict
+from .config import (
+    _require_finite,
+    integer_from,
+    load_sim_config,
+    numbers_from,
+    read_config_mapping,
+    sim_config_from_dict,
+)
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
     _greedy_bound,
@@ -50,7 +57,7 @@ from .sphere import ShBasis
 
 
 def _add_out(parser):
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="results", help="output directory (default results)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the comparison experiment")
     p.add_argument("--config", required=True, help="YAML experiment configuration")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    _add_out(p)
+    p.add_argument("--out", default=None, help="output directory (default: the config's out_dir)")
 
     p = sub.add_parser("design", help="greedy design for a stored prior field")
     p.add_argument("--prior", required=True, help="prior field file (.qpf)")
@@ -101,9 +108,14 @@ def _parse_triplet(text, kind=float):
         raise ValidationError(f"expected three comma-separated {what}, got {text!r}") from exc
 
 
-def _out_dir(args, default="results") -> Path:
-    out = Path(args.out if args.out is not None else default)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """The output directory `path`, created if missing; each command calls
+    this before its work, so an unusable path fails before any is done."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -116,6 +128,7 @@ def _cmd_simulate(args) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    _out_dir(cfg.out_dir)
     result = run_simulation(cfg)
     out = write_outputs(result, cfg.out_dir)
     print(f"wrote {out / 'metrics.csv'} ({len(result.rows)} rows, {result.elapsed_seconds:.1f}s)")
@@ -132,6 +145,7 @@ def _cmd_design(args) -> int:
     field = load_prior_field(args.prior)
     if not field.priors:
         raise ValidationError(f"{args.prior} contains no voxel priors")
+    out = _out_dir(args.out)
     basis = ShBasis(field.max_degree)
     candidates = default_candidates(args.candidates)
     if args.mode == "single":
@@ -154,7 +168,6 @@ def _cmd_design(args) -> int:
             (_greedy_bound(p, phi, args.budget, args.budget) for p in priors),
             key=lambda cert: cert.factor,
         )
-    out = _out_dir(args)
     table_path = out / f"design_{args.mode}_{args.budget:03d}.txt"
     table_path.write_text(gradient_table(candidates.points[result.selected]))
     report = {
@@ -171,12 +184,18 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_esr(args) -> int:
+    out = _out_dir(args.out)
     points = esr_design(args.count, seed=args.seed)
-    out = _out_dir(args)
     path = out / f"esr_{args.count:03d}.txt"
     path.write_text(gradient_table(points))
     print(f"wrote {path} (final energy {coulomb_energy(points):.6f})")
     return 0
+
+
+# SimConfig keys that only `simulate` reads
+_UNUSED_BY_PRIOR_BUILD = frozenset(
+    ("out_dir", "test_subjects", "budgets", "candidate_count", "peak_threshold", "peak_grid_size", "threads")
+)
 
 
 def _cmd_prior_build(args) -> int:
@@ -184,11 +203,18 @@ def _cmd_prior_build(args) -> int:
     grid_shape = numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1)
     grid_shape = tuple(integer_from("grid_shape entry", s) for s in grid_shape)
     rotation_step = numbers_from("rotation_per_voxel_degrees", raw.pop("rotation_per_voxel_degrees", 10.0))
+    _require_finite("rotation_per_voxel_degrees", rotation_step)
     cohort_csv = raw.pop("cohort_csv", None)
+    if cohort_csv is not None and not isinstance(cohort_csv, str):
+        raise ValidationError(f"cohort_csv must be a string, got {cohort_csv!r}")
     noise_variance = numbers_from("noise_variance", raw.pop("noise_variance", 1e-4))
+    unused = sorted(_UNUSED_BY_PRIOR_BUILD.intersection(raw))
+    if unused:
+        raise ValidationError(f"prior-build does not use configuration keys {unused}")
     cfg = sim_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    out = _out_dir(args.out)
     basis = ShBasis(cfg.degree)
     field = PriorField(grid_shape, {}, cfg.degree, cfg.rank_rule)
 
@@ -224,7 +250,6 @@ def _cmd_prior_build(args) -> int:
             voxel_cfg = dataclasses.replace(cfg, seed=voxel_seed)
             field.add(index, build_prior_from_cohort(truths, dense_points, voxel_cfg, "prior-build"))
 
-    out = _out_dir(args)
     path = out / "prior_field.qpf"
     save_prior_field(field, path)
     print(f"wrote {path} ({len(field)} voxels, J={basis.dimension})")
@@ -234,8 +259,8 @@ def _cmd_prior_build(args) -> int:
 def _cmd_prior_interp(args) -> int:
     field = load_prior_field(args.prior)
     query = _parse_triplet(args.query, float)
+    out = _out_dir(args.out)
     prior = interpolate_prior(field, np.asarray(query))
-    out = _out_dir(args)
     result = PriorField((1, 1, 1), {(0, 0, 0): prior}, field.max_degree, field.rank_rule)
     path = out / "prior_interp.qpf"
     save_prior_field(result, path)

@@ -110,14 +110,6 @@ def sample_vmf(mean, concentration: float, rng, size: int | None = None) -> np.n
     return out[0] if size is None else out
 
 
-def vmf_density(points, mean, concentration: float) -> np.ndarray:
-    """von Mises-Fisher density values on the 2-sphere."""
-    pts, single = as_unit_vectors(points, "points")
-    mu, _ = as_unit_vectors(np.asarray(mean, dtype=float), "mean")
-    vals = _vmf(pts, mu[0], concentration)
-    return vals[0] if single else vals
-
-
 def mixture_density(points, components) -> np.ndarray:
     """Weighted symmetrized mixture of von Mises-Fisher lobes."""
     pts, single = as_unit_vectors(points, "points")

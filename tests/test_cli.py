@@ -440,8 +440,14 @@ def _bad_cohort_csv(tmp_path, line, **changes):
     return _prior_build_config(tmp_path, cohort_csv=str(csv_path), **changes)
 
 
+def _out_is_file(tmp_path, argv):
+    """`argv`, whose --out path tmp_path / "o" is taken by a file."""
+    (tmp_path / "o").write_text("")
+    return argv
+
+
 # (case, argv builder, first line of stderr; {path} is the .qpf path, {csv}
-# the cohort CSV path, {cfg} the raw configuration path)
+# the cohort CSV path, {cfg} the raw configuration path, {out} the --out path)
 MALFORMED_INPUTS = [
     ("scalar budgets", lambda t: _write_config(t, budgets=5),
      "error: budgets must be a list of positive integers, got 5"),
@@ -558,6 +564,20 @@ MALFORMED_INPUTS = [
      "error: configuration {cfg} must be a mapping, got list"),
     ("negative esr seed", lambda t: ["esr", "--count", "6", "--seed", "-1", "--out", str(t / "o")],
      "error: seed must be non-negative, got -1"),
+    ("list cohort_csv", lambda t: _prior_build_config(t, cohort_csv=["a.csv"]),
+     "error: cohort_csv must be a string, got ['a.csv']"),
+    ("float cohort_csv", lambda t: _prior_build_config(t, cohort_csv=7.5),
+     "error: cohort_csv must be a string, got 7.5"),
+    ("infinite rotation_per_voxel_degrees", lambda t: _prior_build_config(
+        t, rotation_per_voxel_degrees=float("inf"), train_subjects=8, dense_design_size=20),
+     "error: rotation_per_voxel_degrees must be finite, got inf"),
+    ("esr --out naming a file", lambda t: _out_is_file(t, ["esr", "--count", "6", "--out", str(t / "o")]),
+     "error: cannot use output directory {out}: File exists"),
+    ("simulate --out naming a file", lambda t: _out_is_file(t, _write_config(t)),
+     "error: cannot use output directory {out}: File exists"),
+    ("out_dir in prior-build config", lambda t: _prior_build_config(
+        t, out_dir="elsewhere", train_subjects=8, dense_design_size=20),
+     "error: prior-build does not use configuration keys ['out_dir']"),
 ]
 
 
@@ -566,7 +586,9 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     argv = argv_for(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    expected = first_line.format(path=tmp_path / "field.qpf", csv=tmp_path / "cohort.csv", cfg=tmp_path / "bad.yaml")
+    expected = first_line.format(
+        path=tmp_path / "field.qpf", csv=tmp_path / "cohort.csv", cfg=tmp_path / "bad.yaml", out=tmp_path / "o"
+    )
     assert err.splitlines()[0] == expected
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
