@@ -61,8 +61,8 @@ STAGES = {
     "esr": "esr_design",
     "gcv": "gcv_select_batch",
     "greedy": "greedy_design",
-    "observe": "observe",
-    "conditional_fit": "conditional_fit",
+    "observe": "observe_batch",
+    "conditional_fit": "conditional_fit_batch",
     "peaks": "find_peaks_batch",
 }
 KERNEL_CALLS = 30

@@ -20,6 +20,7 @@ from .errors import DegeneracyError, QsdesignError, ValidationError
 from .estimator import (
     FitResult,
     conditional_fit,
+    conditional_fit_batch,
     conditional_scores,
     gcv_select,
     gcv_select_batch,
@@ -55,6 +56,7 @@ from .sim import (
     generate_cohort,
     generate_fodf,
     observe,
+    observe_batch,
     sample_vmf,
 )
 from .sphere import (

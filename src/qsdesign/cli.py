@@ -196,10 +196,25 @@ def _cmd_esr(args) -> int:
 _UNUSED_BY_PRIOR_BUILD = frozenset(
     ("out_dir", "test_subjects", "budgets", "candidate_count", "peak_threshold", "peak_grid_size", "threads")
 )
+# keys that only one mode of prior-build reads: with cohort_csv, or without
+_COHORT_ONLY = frozenset(("noise_variance",))
+_SYNTHETIC_ONLY = frozenset(
+    (
+        "grid_shape",
+        "rotation_per_voxel_degrees",
+        "train_subjects",
+        "dense_design_size",
+        "noise_sigma",
+        "noise_kind",
+        "gcv_grid",
+        "generative",
+    )
+)
 
 
 def _cmd_prior_build(args) -> int:
     raw = read_config_mapping(args.config)
+    keys = set(raw)
     grid_shape = numbers_from("grid_shape", raw.pop("grid_shape", (1, 1, 1)), 1)
     grid_shape = tuple(integer_from("grid_shape entry", s) for s in grid_shape)
     rotation_step = numbers_from("rotation_per_voxel_degrees", raw.pop("rotation_per_voxel_degrees", 10.0))
@@ -211,6 +226,10 @@ def _cmd_prior_build(args) -> int:
     unused = sorted(_UNUSED_BY_PRIOR_BUILD.intersection(raw))
     if unused:
         raise ValidationError(f"prior-build does not use configuration keys {unused}")
+    mode, other_mode_keys = ("with", _SYNTHETIC_ONLY) if cohort_csv is not None else ("without", _COHORT_ONLY)
+    unused = sorted(other_mode_keys & keys)
+    if unused:
+        raise ValidationError(f"prior-build {mode} cohort_csv does not use configuration keys {unused}")
     cfg = sim_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -99,9 +99,11 @@ def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
     """`gcv_select` for several value rows observed at the same points.
 
     The rows share the design, so each grid value's Cholesky factor and
-    hat-matrix trace are computed once for all of them; each row then costs
-    one triangular solve and one residual per grid value. Every row gets
-    the same bits as a `gcv_select` call of its own.
+    hat-matrix trace are computed once, and one triangular solve takes every
+    row as a column of its right-hand side. Each column gets the bits of its
+    own one-vector solve, and the residuals are stacked matrix-vector
+    products, so every row gets the same bits as a `gcv_select` call of its
+    own.
 
     Returns
     -------
@@ -113,13 +115,18 @@ def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
     lambdas = np.sort(np.asarray(DEFAULT_GCV_GRID if grid is None else grid, dtype=float))
     if lambdas.size < 1 or np.any(lambdas <= 0.0):
         raise ValidationError("GCV grid must be non-empty with positive entries")
+    n = rows.shape[0]
+    if not n:
+        return []
     phi = basis.evaluate(pts)
     gram = phi.T @ phi
     penalty = laplace_beltrami_penalty(basis)
     # one matrix-vector product per row: a stacked right-hand side would
     # go through a matrix product and can round differently
-    rhs = [phi.T @ vals for vals in rows]
-    best = [None] * len(rows)
+    rhs = np.stack([phi.T @ vals for vals in rows], axis=1)
+    found = np.zeros(n, dtype=bool)
+    best_score, best_lam = np.zeros(n), np.zeros(n)
+    best_coeffs = np.zeros((n, basis.dimension))
     for lam in lambdas:
         normal = gram + lam * penalty
         try:
@@ -130,15 +137,18 @@ def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
         dof_gap = m - trace_h
         if dof_gap <= 1e-9 * m:
             continue
-        for i, (vals, b) in enumerate(zip(rows, rhs)):
-            coeffs = linalg.cho_solve(factor, b, check_finite=False)
-            rss = float(np.sum((vals - phi @ coeffs) ** 2))
-            score = m * rss / dof_gap**2
-            if best[i] is None or score <= best[i][0]:
-                best[i] = (score, float(lam), coeffs)
-    if None in best:
+        coeffs = np.ascontiguousarray(linalg.cho_solve(factor, rhs, check_finite=False).T)
+        rss = np.sum((rows - np.matmul(phi, coeffs[:, :, None])[:, :, 0]) ** 2, axis=1)
+        score = m * rss / dof_gap**2
+        take = ~found | (score <= best_score)  # ties resolve toward the larger lambda
+        found |= take
+        best_score[take], best_lam[take], best_coeffs[take] = score[take], lam, coeffs[take]
+    if not found.all():
         raise DegeneracyError("GCV degenerate: every grid value exhausts the degrees of freedom")
-    return [(lam, FitResult(coefficients=coeffs, lambda_used=lam)) for _, lam, coeffs in best]
+    return [
+        (lam, FitResult(coefficients=coeffs, lambda_used=lam))
+        for lam, coeffs in zip(best_lam.tolist(), best_coeffs)
+    ]
 
 
 def conditional_scores(points, values, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:
@@ -149,22 +159,36 @@ def conditional_scores(points, values, prior: VoxelPrior, basis: ShBasis) -> np.
     Cholesky factorization; it is positive definite whenever the prior
     noise variance is positive.
     """
-    pts, vals = _check_observations(points, values)
+    return _conditional_scores_batch(points, [values], prior, basis)[0]
+
+
+def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:
+    """`conditional_scores` for several value rows observed at the same
+    points, one row of scores each.
+
+    The observation Gram matrix is factored once; one triangular solve takes
+    every residual as a column, and the products are stacked matrix-vector
+    products, so every row has the bits of its own `conditional_scores`.
+    """
+    pts = _check_points(points)
+    m = pts.shape[0]
+    rows = _check_value_rows(value_rows, m)
     if basis.dimension != prior.dimension:
         raise ValidationError("prior dimension does not match the basis")
     k = prior.rank
-    if pts.shape[0] == 0:
-        return np.zeros(k)
+    if m == 0 or not rows.shape[0]:
+        return np.zeros((rows.shape[0], k))
     phi = basis.evaluate(pts)
     psi = phi @ prior.eigenvectors  # (M, K) eigenfunction values
     lam = prior.eigenvalues
-    gram = (psi * lam) @ psi.T + prior.noise_variance * np.eye(pts.shape[0])
-    residual = vals - phi @ prior.mean
+    gram = (psi * lam) @ psi.T + prior.noise_variance * np.eye(m)
+    residuals = rows - phi @ prior.mean
     try:
         factor = linalg.cho_factor(gram, check_finite=False)
     except linalg.LinAlgError as exc:  # unreachable for positive noise variance
         raise DegeneracyError("observation Gram matrix is not positive definite") from exc
-    return lam * (psi.T @ linalg.cho_solve(factor, residual, check_finite=False))
+    solved = np.ascontiguousarray(linalg.cho_solve(factor, residuals.T, check_finite=False).T)
+    return lam * np.matmul(psi.T, solved[:, :, None])[:, :, 0]
 
 
 def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> FitResult:
@@ -173,5 +197,12 @@ def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> FitRes
     The estimate always lies in the affine subspace spanned by the prior's
     leading eigenvectors around its mean.
     """
-    scores = conditional_scores(points, values, prior, basis)
-    return FitResult(coefficients=prior.mean + prior.eigenvectors @ scores)
+    return conditional_fit_batch(points, [values], prior, basis)[0]
+
+
+def conditional_fit_batch(points, value_rows, prior: VoxelPrior, basis: ShBasis) -> list:
+    """`conditional_fit` for several value rows observed at the same points;
+    one FitResult per row, each with the bits of its own call."""
+    scores = _conditional_scores_batch(points, value_rows, prior, basis)
+    updates = np.matmul(prior.eigenvectors, scores[:, :, None])[:, :, 0]
+    return [FitResult(coefficients=prior.mean + update) for update in updates]

@@ -85,19 +85,36 @@ def truncate_rank(covariance, rank: int | None = None, fraction: float | None = 
     -------
     (eigenvalues (K,), eigenvectors (J, K)) with orthonormal columns.
     """
-    sigma = np.asarray(covariance, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rank, fraction)[0]
+
+
+def _truncate_ranks(covariances, rank: int | None = None, fraction: float | None = None) -> list:
+    """`truncate_rank` of every matrix of an (N, J, J) stack.
+
+    The finiteness and symmetry checks run once on the stack, and one
+    stacked `eigh` gives each matrix the bits of its own call; the rank
+    rule then runs matrix by matrix.
+    """
+    sigma = np.asarray(covariances, dtype=float)
+    if sigma.ndim != 3 or sigma.shape[1] != sigma.shape[2]:
         raise ValidationError("covariance must be a square matrix")
     if not np.isfinite(sigma).all():
         raise ValidationError("covariance must be finite")
-    if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL * max(1.0, np.abs(sigma).max()):
+    sigma_t = sigma.swapaxes(1, 2)
+    scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
+    if np.any(np.abs(sigma - sigma_t).max(axis=(1, 2)) > scale):
         raise ValidationError("covariance must be symmetric")
     if (rank is None) == (fraction is None):
         raise ValidationError("give exactly one of rank= or fraction=")
     try:
-        evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+        evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma_t))
     except np.linalg.LinAlgError as exc:  # e.g. entries spanning hundreds of decades
         raise DegeneracyError(f"covariance eigendecomposition failed: {exc}") from exc
+    return [_leading_eigenpairs(*pair, rank, fraction) for pair in zip(evals, evecs)]
+
+
+def _leading_eigenpairs(evals, evecs, rank, fraction):
+    """The rank rule of `truncate_rank` on one matrix's ascending eigenpairs."""
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     if evals[0] <= 0.0:
@@ -106,8 +123,8 @@ def truncate_rank(covariance, rank: int | None = None, fraction: float | None = 
     n_usable = int(np.count_nonzero(usable))
     if rank is not None:
         k = int(rank)
-        if k < 1 or k > sigma.shape[0]:
-            raise ValidationError(f"rank must be in [1, {sigma.shape[0]}]")
+        if k < 1 or k > evals.shape[0]:
+            raise ValidationError(f"rank must be in [1, {evals.shape[0]}]")
         k = min(k, n_usable)
     else:
         total = float(np.sum(np.maximum(evals, 0.0)))
@@ -176,11 +193,27 @@ class VoxelPrior:
 
     @classmethod
     def from_moments(cls, mean, covariance, noise_variance, rank_rule: RankRule = DEFAULT_RANK_RULE):
+        """The prior with this mean and covariance, truncated by `rank_rule`."""
+        covariances = np.asarray(covariance, dtype=float)[None]
+        return cls.from_moments_batch([mean], covariances, [noise_variance], rank_rule)[0]
+
+    @classmethod
+    def from_moments_batch(cls, means, covariances, noise_variances, rank_rule: RankRule = DEFAULT_RANK_RULE):
+        """`from_moments` of every voxel: one mean, one (J, J) covariance of
+        the (N, J, J) stack and one noise variance each. The covariances are
+        checked and decomposed as one stack; each prior then goes through the
+        rank rule and its own checks, with the bits of its own call."""
+        covariances = np.asarray(covariances, dtype=float)
         if rank_rule.kind == "fixed":
-            evals, evecs = truncate_rank(covariance, rank=int(rank_rule.value))
+            pairs = _truncate_ranks(covariances, rank=int(rank_rule.value))
         else:
-            evals, evecs = truncate_rank(covariance, fraction=float(rank_rule.value))
-        return cls(mean, np.asarray(covariance, dtype=float), evals, evecs, float(noise_variance))
+            pairs = _truncate_ranks(covariances, fraction=float(rank_rule.value))
+        return [
+            cls(mean, cov, evals, evecs, float(noise_variance))
+            for mean, cov, (evals, evecs), noise_variance in zip(
+                means, covariances, pairs, noise_variances, strict=True
+            )
+        ]
 
 
 def spd_log(matrix) -> np.ndarray:
@@ -382,7 +415,11 @@ def _read_exact(fh, n: int, path) -> bytes:
 
 
 def load_prior_field(path) -> PriorField:
-    """Read a field written by :func:`save_prior_field`."""
+    """Read a field written by :func:`save_prior_field`.
+
+    Every voxel is read before any is decomposed; the covariances then go
+    through `VoxelPrior.from_moments_batch` as one stack.
+    """
     path = str(path)
     try:
         fh = open(path, "rb")
@@ -402,18 +439,22 @@ def load_prior_field(path) -> PriorField:
         rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
         field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
         ntri = j * (j + 1) // 2
+        indices, sigma2s, means, trils = {}, [], [], []  # indices: voxel index -> its place in the file
         for _ in range(count):
             index = struct.unpack("<3i", _read_exact(fh, 12, path))
-            if index in field_.priors:
+            if index in indices:
                 raise ValidationError(f"{path} repeats voxel {index}")
-            (sigma2,) = struct.unpack("<d", _read_exact(fh, 8, path))
-            mean = np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy()
-            tril = np.frombuffer(_read_exact(fh, 8 * ntri, path), dtype="<f8")
-            cov = np.zeros((j, j))
-            cov[np.tril_indices(j)] = tril
-            cov = cov + np.tril(cov, -1).T
-            field_.add(index, VoxelPrior.from_moments(mean, cov, sigma2, rule))
+            indices[index] = len(indices)
+            sigma2s.append(struct.unpack("<d", _read_exact(fh, 8, path))[0])
+            means.append(np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy())
+            trils.append(np.frombuffer(_read_exact(fh, 8 * ntri, path), dtype="<f8"))
         extra = fh.read(1)
         if extra:
             raise ValidationError(f"{path} has trailing bytes; file is corrupt")
+    if count:
+        covs = np.zeros((count, j, j))
+        covs[(slice(None), *np.tril_indices(j))] = trils
+        covs += np.tril(covs, -1).swapaxes(1, 2)
+        for index, prior in zip(indices, VoxelPrior.from_moments_batch(means, covs, sigma2s, rule)):
+            field_.add(index, prior)
     return field_

@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import SimConfig
 from .design import default_candidates, esr_design, gradient_table, greedy_design
-from .estimator import conditional_fit, gcv_select_batch
+from .estimator import conditional_fit_batch, gcv_select_batch
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
-from .sim import generate_cohort, observe
+from .sim import generate_cohort, observe_batch
 from .sphere import ShBasis, funk_radon
 
 CSV_COLUMNS = ("budget", "method", "mise", "pfp", "peak_match_rate", "ea", "n_test", "seed")
@@ -50,10 +50,8 @@ def _derived_rng(seed: int, *key) -> np.random.Generator:
 def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str) -> VoxelPrior:
     """Dense-observe each subject, fit all with GCV smoothing in one batch, take moments."""
     basis = ShBasis(cfg.degree)
-    values = []
-    for i, truth in enumerate(truths):
-        rng = _derived_rng(cfg.seed, seed_tag, i)
-        values.append(observe(truth, dense_points, cfg.noise_sigma, rng, basis, cfg.noise_kind))
+    rngs = [_derived_rng(cfg.seed, seed_tag, i) for i in range(len(truths))]
+    values = observe_batch(truths, dense_points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
     fits = gcv_select_batch(dense_points, values, basis, cfg.gcv_lambdas)
     rows = np.array([fit.coefficients for _, fit in fits])
     mean, cov = empirical_moments(rows)
@@ -98,19 +96,10 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
         }
         for m_idx, (method, points) in enumerate(method_points.items()):
             designs[(budget, method)] = points
-            values = [
-                observe(
-                    truth,
-                    points,
-                    cfg.noise_sigma,
-                    _derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i),
-                    basis,
-                    cfg.noise_kind,
-                )
-                for i, truth in enumerate(test)
-            ]
+            rngs = [_derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i) for i in range(len(test))]
+            values = observe_batch(test, points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
             if method == METHOD_CONDITIONAL:
-                fits = [conditional_fit(points, v, prior, basis) for v in values]
+                fits = conditional_fit_batch(points, values, prior, basis)
             else:
                 # every test subject shares this design: one GCV batch
                 fits = [fit for _, fit in gcv_select_batch(points, values, basis, cfg.gcv_lambdas)]

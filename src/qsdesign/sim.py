@@ -89,12 +89,18 @@ def sample_vmf(mean, concentration: float, rng, size: int | None = None) -> np.n
     if concentration <= 0.0:
         raise ValidationError("concentration must be positive")
     mu, _ = as_unit_vectors(np.asarray(mean, dtype=float), "mean")
-    mu = mu[0]
     gen = _rng(rng)
     n = 1 if size is None else int(size)
     u = gen.random(n)
-    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * concentration)) / concentration
     angle = gen.random(n) * 2.0 * np.pi
+    out = _vmf_from_uniforms(mu[0], concentration, u, angle)
+    return out[0] if size is None else out
+
+
+def _vmf_from_uniforms(mu, concentration: float, u, angle) -> np.ndarray:
+    """The vMF draws about the unit axis `mu` made from uniforms `u` and
+    azimuths `angle` (one each per draw); every draw is elementwise."""
+    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * concentration)) / concentration
     # orthonormal tangent frame at mu
     helper = np.array([1.0, 0.0, 0.0]) if abs(mu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(mu, helper)
@@ -106,35 +112,29 @@ def sample_vmf(mean, concentration: float, rng, size: int | None = None) -> np.n
         + (sin_t * np.cos(angle))[:, None] * e1
         + (sin_t * np.sin(angle))[:, None] * e2
     )
-    out = normalized(out)
-    return out[0] if size is None else out
+    return normalized(out)
 
 
 def mixture_density(points, components) -> np.ndarray:
     """Weighted symmetrized mixture of von Mises-Fisher lobes."""
     pts, single = as_unit_vectors(points, "points")
-    total = _mixture(pts, components)
+    total = np.zeros(pts.shape[0])
+    for comp in components:
+        total += _lobe_pair(pts @ np.asarray(comp.mean, dtype=float), comp.concentration, comp.weight)
     return total[0] if single else total
 
 
-def _vmf(pts, mu, concentration: float) -> np.ndarray:
-    """vMF density at checked unit vectors `pts` (n, 3) about the unit axis `mu`."""
-    t = pts @ mu
+def _vmf(t, concentration: float) -> np.ndarray:
+    """vMF density at cosines `t` to its unit axis."""
     # kappa / (4 pi sinh kappa) * exp(kappa t), written overflow-safely
     norm = concentration / (2.0 * np.pi * (1.0 - np.exp(-2.0 * concentration)))
     return norm * np.exp(concentration * (t - 1.0))
 
 
-def _mixture(pts, components) -> np.ndarray:
-    """Symmetrized mixture at checked unit vectors; `VmfComponent` checked its axis."""
-    total = np.zeros(pts.shape[0])
-    for comp in components:
-        mu = np.asarray(comp.mean, dtype=float)
-        total += comp.weight * (
-            _vmf(pts, mu, comp.concentration)
-            + _vmf(pts, -mu, comp.concentration)
-        )
-    return total
+def _lobe_pair(t, concentration: float, weight: float) -> np.ndarray:
+    """One weighted symmetrized lobe at cosines `t = pts @ axis`; the
+    antipodal lobe's cosines `pts @ -axis` are bitwise `-t`."""
+    return weight * (_vmf(t, concentration) + _vmf(-t, concentration))
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,43 +163,72 @@ def generate_fodf(
     density representation. Analytic peak axes merge into a single bisector
     axis whenever the two lobe axes fall within the configured merge angle.
     """
-    gen = _rng(rng)
     if fixed_directions is None:
-        m1 = sample_vmf(config.mean_directions[0], config.direction_concentration, gen)
-        m2 = sample_vmf(config.mean_directions[1], config.direction_concentration, gen)
+        axes = _draw_axes(config, [_rng(rng)])
     else:
-        m1 = np.asarray(fixed_directions[0], dtype=float)
-        m2 = np.asarray(fixed_directions[1], dtype=float)
-    w1, w2 = config.weights
-    comps = (
-        VmfComponent(tuple(m1), config.lobe_concentration, w1),
-        VmfComponent(tuple(m2), config.lobe_concentration, w2),
+        axes = [as_unit_vectors(np.asarray(m, dtype=float), "fixed direction")[0] for m in fixed_directions]
+    return _ground_truths(basis, config, *axes)[0]
+
+
+def _draw_axes(config: GenerativeConfig, gens):
+    """Both lobe axes of every subject, (N, 3) each; subject i draws u1,
+    angle1, u2, angle2 from its own generator `gens[i]`, as two
+    `sample_vmf` calls would."""
+    draws = np.array([gen.random(4) for gen in gens])
+    kappa = config.direction_concentration
+    return tuple(
+        _vmf_from_uniforms(
+            np.asarray(mean, dtype=float),  # GenerativeConfig checked these unit vectors
+            kappa,
+            draws[:, 2 * lobe],
+            draws[:, 2 * lobe + 1] * 2.0 * np.pi,
+        )
+        for lobe, mean in enumerate(config.mean_directions)
     )
+
+
+def _ground_truths(basis: ShBasis, config: GenerativeConfig, axes1, axes2) -> list:
+    """One ground truth per row of the lobe axes `axes1`, `axes2` (N, 3).
+
+    Each subject's density is projected with its own matrix-vector product:
+    a stacked product can round differently, and a cohort-wide (N, grid)
+    array would cost memory for nothing.
+    """
     grid, phi = _projection_setup(basis)
-    values = _mixture(grid.directions, comps)  # SphericalGrid checked these unit vectors
-    coeffs = phi.T @ (grid.weights * values)
-    coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)  # unit integral over the sphere
+    w1, w2 = config.weights
+    kappa = config.lobe_concentration
+    truths = []
+    for m1, m2 in zip(axes1, axes2):
+        # SphericalGrid checked these unit vectors
+        values = np.zeros(grid.directions.shape[0])
+        values += _lobe_pair(grid.directions @ m1, kappa, w1)
+        values += _lobe_pair(grid.directions @ m2, kappa, w2)
+        coeffs = phi.T @ (grid.weights * values)
+        coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)  # unit integral over the sphere
 
-    m2_folded = m2 if float(m1 @ m2) >= 0.0 else -m2
-    cos_sep = np.clip(abs(float(m1 @ m2)), 0.0, 1.0)
-    if np.degrees(np.arccos(cos_sep)) < config.peak_merge_degrees:
-        peaks = normalized(w1 * m1 + w2 * m2_folded)[None, :]
-    else:
-        peaks = np.vstack([m1, m2_folded])
-    peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)  # hemisphere representatives
-
-    return GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks)
+        m2_folded = m2 if float(m1 @ m2) >= 0.0 else -m2
+        cos_sep = np.clip(abs(float(m1 @ m2)), 0.0, 1.0)
+        if np.degrees(np.arccos(cos_sep)) < config.peak_merge_degrees:
+            peaks = normalized(w1 * m1 + w2 * m2_folded)[None, :]
+        else:
+            peaks = np.vstack([m1, m2_folded])
+        peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)  # hemisphere representatives
+        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks))
+    return truths
 
 
 def generate_cohort(basis: ShBasis, config: GenerativeConfig, count: int, seed) -> list:
-    """Independent ground truths with per-subject seeds spawned from `seed`."""
+    """Independent ground truths with per-subject seeds spawned from `seed`.
+
+    Every subject draws its lobe axes from its own generator, exactly as
+    `generate_fodf` would; the axes are then made for the whole cohort at
+    once.
+    """
     if count < 1:
         raise ValidationError("cohort size must be >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [
-        generate_fodf(basis, config, np.random.default_rng(child))
-        for child in root.spawn(count)
-    ]
+    gens = [np.random.default_rng(child) for child in root.spawn(count)]
+    return _ground_truths(basis, config, *_draw_axes(config, gens))
 
 
 def observe(
@@ -216,20 +245,38 @@ def observe(
     scaled chi(2) variable with the same variance (magnitude-like noise for
     the robustness check); sigma=0 returns exact evaluations.
     """
+    return observe_batch([truth], points, sigma, [rng], basis, noise)[0]
+
+
+def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str = "gaussian") -> np.ndarray:
+    """`observe` for several subjects at the same points, one row each.
+
+    The points are checked and the basis evaluated once; each subject keeps
+    its own matrix-vector product and draws its noise from its own
+    generator `rngs[i]`, so row i has the bits of an `observe` call.
+    """
     if sigma < 0.0:
         raise ValidationError("sigma must be non-negative")
     pts, _ = as_unit_vectors(np.atleast_2d(np.asarray(points, dtype=float)), "points")
-    values = basis.evaluate(pts) @ truth.signal
+    phi = basis.evaluate(pts)
+    m = pts.shape[0]
+    out = np.empty((len(truths), m))
+    for row, truth in zip(out, truths):
+        row[:] = phi @ truth.signal
     if sigma == 0.0:
-        return values
-    gen = _rng(rng)
-    if noise == "gaussian":
-        return values + sigma * gen.standard_normal(pts.shape[0])
-    if noise == "chi":
-        scale = sigma / np.sqrt(2.0 - np.pi / 2.0)
-        raw = scale * np.hypot(gen.standard_normal(pts.shape[0]), gen.standard_normal(pts.shape[0]))
-        return values + raw - scale * np.sqrt(np.pi / 2.0)
-    raise ValidationError(f"unknown noise kind {noise!r}")
+        return out
+    if noise not in ("gaussian", "chi"):
+        raise ValidationError(f"unknown noise kind {noise!r}")
+    scale = sigma / np.sqrt(2.0 - np.pi / 2.0)
+    for row, rng in zip(out, rngs, strict=True):
+        gen = _rng(rng)
+        if noise == "gaussian":
+            row += sigma * gen.standard_normal(m)
+        else:
+            raw = scale * np.hypot(gen.standard_normal(m), gen.standard_normal(m))
+            row += raw
+            row -= scale * np.sqrt(np.pi / 2.0)
+    return out
 
 
 def cohort_signal_matrix(truths) -> np.ndarray:

@@ -578,6 +578,13 @@ MALFORMED_INPUTS = [
     ("out_dir in prior-build config", lambda t: _prior_build_config(
         t, out_dir="elsewhere", train_subjects=8, dense_design_size=20),
      "error: prior-build does not use configuration keys ['out_dir']"),
+    ("noise_variance without cohort_csv", lambda t: _prior_build_config(
+        t, noise_variance=0.5, train_subjects=8, dense_design_size=20),
+     "error: prior-build without cohort_csv does not use configuration keys ['noise_variance']"),
+    ("synthetic keys with cohort_csv", lambda t: _bad_cohort_csv(
+        t, ",".join(["0.25"] * 15), grid_shape=[2, 2, 2], train_subjects=3, noise_sigma=0.01),
+     "error: prior-build with cohort_csv does not use configuration keys "
+     "['grid_shape', 'noise_sigma', 'train_subjects']"),
 ]
 
 

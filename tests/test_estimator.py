@@ -6,6 +6,7 @@ from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.estimator import (
     DEFAULT_GCV_GRID,
     conditional_fit,
+    conditional_fit_batch,
     conditional_scores,
     gcv_select,
     gcv_select_batch,
@@ -232,6 +233,41 @@ class TestGcvSelectBatch:
             shls_fit(points, values, basis4, smoothing=1e-3)
         with pytest.raises(ValidationError, match="finite"):
             conditional_fit(points, values, random_prior(basis4, rng), basis4)
+
+
+def reference_conditional_fit(points, values, prior, basis):
+    """Conditional mean for one value row: factor, solve and map back for this row alone."""
+    vals = np.asarray(values, dtype=float)
+    if points.shape[0] == 0:
+        return prior.mean + prior.eigenvectors @ np.zeros(prior.rank)
+    phi = basis.evaluate(points)
+    psi = phi @ prior.eigenvectors
+    lam = prior.eigenvalues
+    gram = (psi * lam) @ psi.T + prior.noise_variance * np.eye(points.shape[0])
+    factor = linalg.cho_factor(gram, check_finite=False)
+    scores = lam * (psi.T @ linalg.cho_solve(factor, vals - phi @ prior.mean, check_finite=False))
+    return prior.mean + prior.eigenvectors @ scores
+
+
+class TestConditionalFitBatch:
+    @pytest.mark.parametrize("count", [0, 1, 5, 20, 45])
+    def test_rows_equal_per_row_reference(self, basis8, count):
+        rng = np.random.default_rng(count)
+        prior = random_prior(basis8, rng, rank=12, noise_variance=1e-3)
+        points = esr_design(count, seed=1) if count > 1 else random_unit_vectors(rng, count)
+        rows = [rng.standard_normal(count) for _ in range(30)] + [np.zeros(count)]
+        batch = conditional_fit_batch(points, rows, prior, basis8)
+        assert len(batch) == len(rows)
+        for values, fit in zip(rows, batch):
+            want = reference_conditional_fit(points, values, prior, basis8)
+            assert fit.coefficients.tobytes() == want.tobytes()
+            one = conditional_fit(points, values, prior, basis8)
+            assert one.coefficients.tobytes() == want.tobytes()
+
+    def test_row_length_checked(self, basis4, rng):
+        points = random_unit_vectors(rng, 6)
+        with pytest.raises(ValidationError, match="number of values"):
+            conditional_fit_batch(points, [np.zeros(6), np.zeros(5)], random_prior(basis4, rng), basis4)
 
 
 class TestConditionalScores:

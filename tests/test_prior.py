@@ -309,6 +309,13 @@ class TestVoxelPriorInvariants:
             VoxelPrior(np.zeros(3), np.eye(3), evals, evecs, 0.0)
 
 
+def reference_truncate_rank(covariance, rank):
+    """The leading `rank` eigenpairs from one `eigh` of this matrix alone."""
+    evals, evecs = np.linalg.eigh(0.5 * (covariance + covariance.T))
+    order = np.argsort(evals)[::-1]
+    return evals[order][:rank], evecs[:, order][:, :rank]
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         field = make_field({tuple(idx): toy_prior(rng) for idx in np.ndindex(2, 2, 2)})
@@ -332,6 +339,26 @@ class TestSerialization:
         assert np.array_equal(orig.mean, new.mean)
         assert np.array_equal(orig.covariance, new.covariance)
         assert orig.noise_variance == new.noise_variance
+
+    def test_load_equals_per_voxel_from_moments(self, rng, tmp_path):
+        rule = RankRule("fixed", 4)
+        field = PriorField((3, 2, 2), {}, 4, rule)
+        for idx in np.ndindex(3, 2, 2):
+            a = rng.standard_normal((15, 15))
+            field.add(idx, VoxelPrior.from_moments(rng.standard_normal(15), a @ a.T / 15, rng.uniform(0.01, 0.1), rule))
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        loaded = load_prior_field(path)
+        assert list(loaded.priors) == sorted(field.priors)
+        for idx, got in loaded.priors.items():
+            saved = field.priors[idx]
+            want = VoxelPrior.from_moments(saved.mean, saved.covariance, saved.noise_variance, rule)
+            evals, evecs = reference_truncate_rank(saved.covariance, 4)
+            for name in ("mean", "covariance", "eigenvalues", "eigenvectors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.eigenvalues.tobytes() == evals.tobytes()
+            assert got.eigenvectors.tobytes() == evecs.tobytes()
+            assert got.noise_variance == want.noise_variance
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.qpf"

@@ -14,6 +14,7 @@ from qsdesign.sim import (
     generate_fodf,
     mixture_density,
     observe,
+    observe_batch,
     sample_vmf,
 )
 from qsdesign.sphere import funk_radon, inverse_funk_radon, make_grid, normalized
@@ -136,6 +137,44 @@ def reference_generate_cohort(basis, config, count, seed):
     return truths
 
 
+def reference_observe(truth, points, sigma, rng, basis, noise="gaussian"):
+    """One subject's observation, evaluating the basis for this subject alone."""
+    values = basis.evaluate(points) @ truth.signal
+    if sigma == 0.0:
+        return values
+    if noise == "gaussian":
+        return values + sigma * rng.standard_normal(points.shape[0])
+    scale = sigma / np.sqrt(2.0 - np.pi / 2.0)
+    raw = scale * np.hypot(rng.standard_normal(points.shape[0]), rng.standard_normal(points.shape[0]))
+    return values + raw - scale * np.sqrt(np.pi / 2.0)
+
+
+class TestObserveBatch:
+    @pytest.mark.parametrize("noise,sigma", [("gaussian", 0.02), ("chi", 0.05), ("gaussian", 0.0)])
+    def test_rows_equal_per_subject_reference(self, basis8, noise, sigma):
+        truths = generate_cohort(basis8, GenerativeConfig(), 7, seed=3)
+        points = random_unit_vectors(np.random.default_rng(4), 23)
+        seeds = np.random.SeedSequence(6).spawn(len(truths))
+        batch = observe_batch(truths, points, sigma, [np.random.default_rng(s) for s in seeds], basis8, noise)
+        assert batch.shape == (len(truths), 23)
+        for row, truth, seed in zip(batch, truths, seeds):
+            want = reference_observe(truth, points, sigma, np.random.default_rng(seed), basis8, noise)
+            assert row.tobytes() == want.tobytes()
+            one = observe(truth, points, sigma, np.random.default_rng(seed), basis8, noise)
+            assert one.tobytes() == want.tobytes()
+
+    def test_one_rng_per_subject(self, basis4):
+        truths = generate_cohort(basis4, GenerativeConfig(), 3, seed=1)
+        with pytest.raises(ValueError):
+            observe_batch(truths, Z, 0.1, [np.random.default_rng(0)], basis4)
+
+    def test_unknown_noise_rejected(self, basis4):
+        truths = generate_cohort(basis4, GenerativeConfig(), 2, seed=1)
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        with pytest.raises(ValidationError, match="noise kind"):
+            observe_batch(truths, Z, 0.1, rngs, basis4, "rician")
+
+
 class TestGenerateCohort:
     def test_protocol_scale_cohort(self, basis8):
         cohort = generate_cohort(basis8, GenerativeConfig(), 200, seed=0)
@@ -147,6 +186,15 @@ class TestGenerateCohort:
         config = GenerativeConfig(weights=(0.3, 0.7), lobe_concentration=14.0)
         for got, want in zip(generate_cohort(basis8, config, 12, seed=5),
                              reference_generate_cohort(basis8, config, 12, seed=5), strict=True):
+            assert got.fodf.tobytes() == want.fodf.tobytes()
+            assert got.signal.tobytes() == want.signal.tobytes()
+            assert got.peaks.tobytes() == want.peaks.tobytes()
+
+    def test_both_tangent_frames_match_reference(self, basis8):
+        # |x| >= 0.9 takes the y axis as the tangent-frame helper, |x| < 0.9 the x axis
+        config = GenerativeConfig(mean_directions=((-0.96, 0.28, 0.0), (0.0, 0.6, 0.8)))
+        for got, want in zip(generate_cohort(basis8, config, 9, seed=8),
+                             reference_generate_cohort(basis8, config, 9, seed=8), strict=True):
             assert got.fodf.tobytes() == want.fodf.tobytes()
             assert got.signal.tobytes() == want.signal.tobytes()
             assert got.peaks.tobytes() == want.peaks.tobytes()
