@@ -345,7 +345,8 @@ class TestSerialization:
         field = PriorField((3, 2, 2), {}, 4, rule)
         for idx in np.ndindex(3, 2, 2):
             a = rng.standard_normal((15, 15))
-            field.add(idx, VoxelPrior.from_moments(rng.standard_normal(15), a @ a.T / 15, rng.uniform(0.01, 0.1), rule))
+            noise = rng.uniform(0.01, 0.1)
+            field.add(idx, VoxelPrior.from_moments(rng.standard_normal(15), a @ a.T / 15, noise, rule))
         path = tmp_path / "field.qpf"
         save_prior_field(field, path)
         loaded = load_prior_field(path)
