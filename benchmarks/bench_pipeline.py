@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time qsdesign stage by stage: the experiment pipeline, the field path and the kernels.
+"""Time qsdesign stage by stage: the experiment pipeline, the field path, the kernels and the set-up caches.
 
 Run from the repository root:
 
     python3 benchmarks/bench_pipeline.py --repeats 7 --label after
     python3 benchmarks/bench_pipeline.py --workload field --repeats 9 --label before --root ../other-checkout
 
-Four workloads, all at one BLAS thread:
+Five workloads, all at one BLAS thread:
 
 - perfbench: one `run_simulation` on the inputs of the perfbench `protocol`
   workload (`SIZES["full"]["protocol"]` in perfbench/workloads.py);
@@ -16,7 +16,17 @@ Four workloads, all at one BLAS thread:
   a region design; `Field.check` validates every repeat;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the restart stack
-  `esr_design` evaluates per step; 30 calls each, whatever --repeats says.
+  `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
+- setup: the two set-up caches a `simulate` process fills before any
+  timed work, each in a fresh process per repeat, at the perfbench degree
+  and at peak grid sizes 4096 and 16384 (SETUP_GRID_SIZES): the projection
+  grid and its basis matrix (`sim._projection_setup`) and the detection
+  grid with its neighbour table (`metrics._detection_setup`). A row holds
+  the CPU seconds of each cache, the CPU seconds of the whole process
+  (interpreter start-up and imports included), its `ru_maxrss` in MB, and
+  the sha256 of the tables, which is equal across checkouts whose tables
+  are; the neighbour rows are hashed sorted, since a row is a set of
+  neighbours and its column order is not part of the table's contract.
 
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
@@ -50,7 +60,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("perfbench", "unit", "field", "kernels")
+WORKLOADS = ("perfbench", "unit", "field", "kernels", "setup")
 UNIT = dict(
     degree=8, train_subjects=200, test_subjects=100, dense_design_size=90,
     candidate_count=321, budgets=(5, 10, 15, 20, 45), peak_grid_size=4096,
@@ -66,6 +76,25 @@ STAGES = {
     "peaks": "find_peaks_batch",
 }
 KERNEL_CALLS = 30
+SETUP_GRID_SIZES = (4096, 16384)
+# Fills both caches in a fresh process; argv: degree, peak grid size.
+SETUP_CHILD = """
+import hashlib, json, resource, sys, time
+import numpy as np
+from qsdesign import ShBasis, metrics, sim
+basis = ShBasis(int(sys.argv[1]))
+t0 = time.process_time()
+grid, phi = sim._projection_setup(basis)
+t1 = time.process_time()
+dirs, neighbors, grid_basis = metrics._detection_setup(int(sys.argv[2]), basis)
+t2 = time.process_time()
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+digest = hashlib.sha256()
+for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=1), grid_basis):
+    digest.update(table.tobytes())
+print(json.dumps({"cpu_s": {"projection": t1 - t0, "detection": t2 - t1, "process": t2},
+                  "maxrss_mb": maxrss, "tables_sha256": digest.hexdigest()}))
+"""
 
 
 def parse_args(argv):
@@ -208,6 +237,31 @@ def time_kernels(kernels):
     return {"seed": 0, "repeats": KERNEL_CALLS, "cpu_us": cpu_us, "outputs_sha256": digests}
 
 
+def time_setup(src: Path, degree: int, repeats: int):
+    """Fresh-process set-up of the projection and detection caches at every
+    SETUP_GRID_SIZES entry: the median and min of each cache's CPU seconds,
+    the process CPU seconds and `ru_maxrss` MB, and the tables' sha256."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cpu_s, maxrss_mb, tables = {}, {}, {}
+    for size in SETUP_GRID_SIZES:
+        grid = f"grid {size}"
+
+        def once(size=size, grid=grid):
+            proc = subprocess.run([sys.executable, "-c", SETUP_CHILD, str(degree), str(size)],
+                                  capture_output=True, text=True, env=env)
+            if proc.returncode != 0:
+                sys.exit(f"error: setup at {grid} failed:\n{proc.stderr}")
+            child = json.loads(proc.stdout)
+            tables[grid] = child["tables_sha256"]
+            times = {f"{key} ({grid})": value for key, value in child["cpu_s"].items()}
+            return dict(times, maxrss_mb=child["maxrss_mb"]), {grid: tables[grid].encode()}
+
+        stats = measure(f"setup at {grid}", once, repeats)[0]
+        maxrss_mb[grid] = stats.pop("maxrss_mb")
+        cpu_s.update(stats)
+    return {"degree": degree, "repeats": repeats, "cpu_s": cpu_s, "maxrss_mb": maxrss_mb, "tables_sha256": tables}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -236,6 +290,8 @@ def main(argv=None) -> int:
         print(f"timing {name}", file=sys.stderr, flush=True)
         if name == "kernels":
             fields = time_kernels(_kernels)
+        elif name == "setup":
+            fields = time_setup(src, workloads.SIZES["full"]["protocol"]["degree"], args.repeats)
         elif name == "field":
             with tempfile.TemporaryDirectory(prefix="bench_field_") as tmp:
                 field = workloads.Field(seed, "full", Path(tmp))

@@ -57,14 +57,32 @@ def _sh_tables(max_degree: int):
     return tables
 
 
+# Points are evaluated in blocks of at most this many, so the recurrence's
+# (L + 1, L + 1, block) table and the gathers after it stay near 3 MB at
+# L = 8 whatever the point count. Measured with tracemalloc on the 16384-point
+# projection grid: 26 MB peak in one piece, 9.2 MB in blocks (5.9 MB of it
+# the output).
+_SH_BLOCK_POINTS = 2048
+
+
 def sh_matrix(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     """Real symmetric (even-degree) orthonormal SH values, shape (n, J).
 
     Fully normalized associated Legendre values come from the standard
     stable three-term upward recurrence in degree, vectorised over order.
     Each output row depends on its own point only, so rows do not change
-    with the batch they are evaluated in. The result is C-contiguous.
+    with the batch they are evaluated in, and the points are evaluated in
+    blocks of `_SH_BLOCK_POINTS`. The result is C-contiguous.
     """
+    out = np.empty((xyz.shape[0], basis_dimension(max_degree)))
+    for start in range(0, xyz.shape[0], _SH_BLOCK_POINTS):
+        stop = start + _SH_BLOCK_POINTS
+        out[start:stop] = _sh_rows(xyz[start:stop], max_degree)
+    return out
+
+
+def _sh_rows(xyz: np.ndarray, max_degree: int) -> np.ndarray:
+    """`sh_matrix` of one block of points, as an (n, J) view of a (J, n) array."""
     L = max_degree
     diag, sub, a, b, scale, rows, cols, trig_rows = _sh_tables(L)
     n = xyz.shape[0]
@@ -85,8 +103,7 @@ def sh_matrix(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     # trig rows: 1 for m = 0, then cos(m phi) for m = 1..L, then sin(m phi)
     mphi = np.multiply.outer(np.arange(1.0, L + 1.0), phi)
     trig = np.concatenate([np.ones((1, n)), np.cos(mphi), np.sin(mphi)])
-    values = pbar[rows, cols] * scale * trig[trig_rows]
-    return np.ascontiguousarray(values.T)
+    return (pbar[rows, cols] * scale * trig[trig_rows]).T
 
 
 def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np.ndarray:

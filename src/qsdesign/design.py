@@ -173,6 +173,10 @@ def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budge
     objective = 0.0
     for step in range(budget):
         gains = weights @ _kernels.greedy_gains(psi, dmat, noise)
+        if not np.isfinite(gains).all():
+            raise DegeneracyError(
+                f"greedy gains are not finite at step {step}: prior eigenvalues are too large for float64"
+            )
         gains[~active] = -np.inf
         index = int(np.argmax(gains))  # ties resolve to the lowest index
         v = psi[:, index]

@@ -48,6 +48,17 @@ class PeakSet:
         return self.directions.shape[0]
 
 
+# Rows of the neighbour table are searched in blocks of this many, so a
+# block's proximity matrix stays near 0.6 MB at the default grid size.
+_NEIGHBOR_BLOCK_ROWS = 64
+# The first search radius, in radii sqrt(2 (NEIGHBOR_COUNT + 1) / size) of a
+# cap that holds about NEIGHBOR_COUNT + 1 grid points. At every size from 9
+# to 1499, and at 4096 and 16384, each point's NEIGHBOR_COUNT-th neighbour
+# lies within 1.2 such radii, so the first pass certifies every row and the
+# widening passes are a guarantee rather than a cost.
+_NEIGHBOR_FIRST_RADII = 2.0
+
+
 @functools.lru_cache(maxsize=None)
 def _detection_setup(size: int, basis: ShBasis):
     """Detection directions (size, 3), their folded neighbour table
@@ -57,6 +68,29 @@ def _detection_setup(size: int, basis: ShBasis):
     are fully determined by one hemisphere, and keeping exact antipodal
     twins out of the grid lets strict local maxima survive. The arrays are
     shared between callers, hence read-only.
+
+    Row i of the table lists the NEIGHBOR_COUNT points j != i of largest
+    folded proximity |d_i . d_j| (needs size > NEIGHBOR_COUNT), found
+    without the size x size proximity matrix. The heights
+    z_i = 1 - (i + 1/2) / size are linear in the index and non-negative,
+    and the angle between two unit vectors is at least the difference of
+    their heights, so angle(d_i, d_j) >= |i - j| / size and
+    angle(d_i, -d_j) >= z_i + z_j >= |i - j| / size. Every j within angle
+    delta of d_i or of its antipode therefore lies in the index window
+    |i - j| <= ceil(delta * size), folded twins at the end of the grid
+    included. Rows are searched in blocks of `_NEIGHBOR_BLOCK_ROWS` over
+    their window only. A row is certified once its NEIGHBOR_COUNT-th
+    proximity exceeds cos(delta) + 1e-12 (the margin is far above the
+    rounding of a 3-term dot product): no point outside the window can
+    then beat it, so the row holds the same set as a search of the whole
+    grid. Rows that are not certified go round again with delta doubled;
+    at delta >= 2 the window is the whole grid and every proximity (>= 0)
+    exceeds cos(delta), so the search ends. The first delta is
+    `_NEIGHBOR_FIRST_RADII` times the radius of a cap that holds about
+    NEIGHBOR_COUNT + 1 grid points, 2 sqrt(18 / size), so a block scans at
+    most `_NEIGHBOR_BLOCK_ROWS` + 4 sqrt(18 size) columns (1150 of 4096 at
+    the default size) and the table costs O(size^1.5) instead of
+    O(size^2).
     """
     i = np.arange(size)
     z = 1.0 - (i + 0.5) / size
@@ -64,14 +98,21 @@ def _detection_setup(size: int, basis: ShBasis):
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     neighbors = np.empty((size, NEIGHBOR_COUNT), dtype=np.int64)
-    chunk = 512
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        prox = np.abs(dirs[start:stop] @ dirs.T)  # folded angular proximity
-        prox[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        neighbors[start:stop] = np.argpartition(prox, -NEIGHBOR_COUNT, axis=1)[
-            :, -NEIGHBOR_COUNT:
-        ]
+    for start in range(0, size, _NEIGHBOR_BLOCK_ROWS):
+        rows = i[start : start + _NEIGHBOR_BLOCK_ROWS]
+        delta = _NEIGHBOR_FIRST_RADII * np.sqrt(2.0 * (NEIGHBOR_COUNT + 1) / size)
+        while rows.size:
+            reach = int(np.ceil(delta * size))
+            lo = max(0, rows[0] - reach)
+            hi = min(size, rows[-1] + reach + 1)
+            prox = np.abs(dirs[rows] @ dirs[lo:hi].T)  # folded angular proximity
+            prox[np.arange(rows.size), rows - lo] = -np.inf
+            top = np.argpartition(prox, -NEIGHBOR_COUNT, axis=1)[:, -NEIGHBOR_COUNT:]
+            kth = np.take_along_axis(prox, top, axis=1).min(axis=1)
+            done = kth > np.cos(delta) + 1e-12
+            neighbors[rows[done]] = top[done] + lo
+            rows = rows[~done]
+            delta *= 2.0
     tables = (dirs, neighbors, basis.evaluate(dirs))
     for table in tables:
         table.setflags(write=False)
@@ -170,8 +211,10 @@ def find_peaks_batch(
     as one row. Peaks of a row closer than `PEAK_MERGE_DEGREES` keep only
     the higher one.
     """
-    if grid_size < 1:
-        raise ValidationError("detection grid must be non-empty")
+    if grid_size <= NEIGHBOR_COUNT:
+        raise ValidationError(
+            f"detection grid needs at least {NEIGHBOR_COUNT + 1} points, got {grid_size}"
+        )
     if not 0.0 <= relative_threshold <= 1.0:
         raise ValidationError("relative_threshold must lie in [0, 1]")
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]

@@ -73,6 +73,17 @@ def test_sh_matrix_numpy_rows_do_not_depend_on_batch(rng):
         assert np.array_equal(_kernels.sh_matrix(xyz[start:stop], 8), full[start:stop])
 
 
+@pytest.mark.parametrize("max_degree", [8, 12])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+def test_sh_matrix_blocks_equal_loop_reference(max_degree, blocks, extra, rng):
+    xyz = random_unit_vectors(rng, blocks * _kernels._SH_BLOCK_POINTS + extra)
+    xyz[: len(SPECIAL_POINTS)] = SPECIAL_POINTS
+    out = _kernels.sh_matrix(xyz, max_degree)
+    ref = reference_sh_matrix(xyz, max_degree)
+    assert out.flags.c_contiguous and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
 def reference_greedy_gains(psi, dmat, noise_variance):
     """One candidate at a time: ||D v||^2 / (sigma^2 + v' D v)."""
     out = np.empty(psi.shape[0])

@@ -13,7 +13,7 @@ from qsdesign.metrics import (
 )
 from qsdesign import metrics
 from qsdesign.sim import GenerativeConfig, generate_cohort, generate_fodf
-from qsdesign.sphere import make_grid, project_to_basis
+from qsdesign.sphere import ShBasis, make_grid, project_to_basis
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -68,6 +68,35 @@ def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE
     vals = np.asarray(kept_vals)
     order = np.argsort(vals)[::-1]
     return PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size)
+
+
+def spiral_directions(size):
+    """The detection grid's hemisphere spiral, written out independently."""
+    i = np.arange(size)
+    z = 1.0 - (i + 0.5) / size
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def reference_neighbors(size):
+    """Brute-force folded neighbour table: each chunk of rows against the
+    whole grid, the NEIGHBOR_COUNT largest proximities by argpartition."""
+    dirs = spiral_directions(size)
+    out = np.empty((size, metrics.NEIGHBOR_COUNT), dtype=np.int64)
+    for start in range(0, size, 256):
+        stop = min(start + 256, size)
+        prox = np.abs(dirs[start:stop] @ dirs.T)
+        prox[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        out[start:stop] = np.argpartition(prox, -metrics.NEIGHBOR_COUNT, axis=1)[:, -metrics.NEIGHBOR_COUNT:]
+    return out
+
+
+def assert_same_neighbor_sets(size):
+    dirs, neighbors, _ = metrics._detection_setup.__wrapped__(size, ShBasis(0))
+    assert np.array_equal(dirs, spiral_directions(size))
+    assert neighbors.shape == (size, metrics.NEIGHBOR_COUNT)
+    assert np.array_equal(np.sort(neighbors, axis=1), np.sort(reference_neighbors(size), axis=1))
 
 
 def mixed_cohort(basis, rng):
@@ -202,6 +231,37 @@ class TestFindPeaks:
         bad[3] = np.inf
         with pytest.raises(ValidationError):
             find_peaks_batch([np.zeros(basis8.dimension), bad], basis8)
+
+
+class TestDetectionGrid:
+    @pytest.mark.parametrize("size", [*range(9, 65), 321, 512, 1024, 4096, 16384])
+    def test_neighbor_table_equals_brute_force(self, size):
+        assert_same_neighbor_sets(size)
+
+    @pytest.mark.parametrize("size", [9, 10, 33, 64, 321, 1024, 4096])
+    def test_widening_passes_equal_brute_force(self, size, monkeypatch):
+        # a first radius of a quarter cap leaves rows uncertified, so the
+        # search must widen before the table is complete
+        monkeypatch.setattr(metrics, "_NEIGHBOR_FIRST_RADII", 0.25)
+        first = 0.25 * np.sqrt(2.0 * (metrics.NEIGHBOR_COUNT + 1) / size)
+        dirs = spiral_directions(size)
+        ref = reference_neighbors(size)
+        kth = np.abs(np.einsum("ik,ijk->ij", dirs, dirs[ref])).min(axis=1)
+        assert (kth <= np.cos(first) + 1e-12).any()
+        assert_same_neighbor_sets(size)
+
+    @pytest.mark.parametrize("size", [1, 7, 8])
+    def test_grid_without_room_for_neighbors_rejected(self, basis4, size):
+        with pytest.raises(ValidationError, match="at least 9 points"):
+            find_peaks(np.ones(basis4.dimension), basis4, grid_size=size)
+        with pytest.raises(ValidationError, match="at least 9 points"):
+            find_peaks_batch([np.ones(basis4.dimension)], basis4, grid_size=size)
+
+    def test_smallest_grid_detects(self, basis4):
+        truth = generate_fodf(basis4, GenerativeConfig(), np.random.default_rng(0), fixed_directions=(Z, X))
+        got = find_peaks(truth.fodf, basis4, grid_size=9)
+        assert len(got) >= 1
+        assert_same_peaks(got, reference_find_peaks(truth.fodf, basis4, grid_size=9))
 
 
 class TestFindPeaksBatch:
