@@ -15,6 +15,7 @@ from .design import (
     greedy_bound,
     greedy_design,
     greedy_design_region,
+    region_bound,
 )
 from .errors import DegeneracyError, QsdesignError, ValidationError
 from .estimator import (

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -33,14 +34,12 @@ from .config import (
 )
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
-    _greedy_bound,
     coulomb_energy,
     default_candidates,
     esr_design,
     gradient_table,
-    greedy_bound,
-    greedy_design,
     greedy_design_region,
+    region_bound,
 )
 from .errors import DegeneracyError, ValidationError
 from .prior import (
@@ -119,6 +118,15 @@ def _out_dir(path) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError of the writes inside as a ValidationError naming the file (or `path`)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_sim_config(args.config)
     overrides = {}
@@ -128,9 +136,11 @@ def _cmd_simulate(args) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    _out_dir(cfg.out_dir)
+    out = _out_dir(cfg.out_dir)
+    _out_dir(out / "designs")
     result = run_simulation(cfg)
-    out = write_outputs(result, cfg.out_dir)
+    with _writing(out):
+        write_outputs(result, out)
     print(f"wrote {out / 'metrics.csv'} ({len(result.rows)} rows, {result.elapsed_seconds:.1f}s)")
     return 0
 
@@ -148,28 +158,18 @@ def _cmd_design(args) -> int:
     out = _out_dir(args.out)
     basis = ShBasis(field.max_degree)
     candidates = default_candidates(args.candidates)
-    if args.mode == "single":
-        if args.voxel is not None:
-            index = _parse_triplet(args.voxel, int)
-            if index not in field.priors:
-                raise ValidationError(f"voxel {index} not present in the field")
-        else:
-            index = sorted(field.priors)[0]
-        prior = field.priors[index]
-        result = greedy_design(candidates, prior, basis, args.budget)
-        bound = greedy_bound(prior, candidates, basis, args.budget, args.budget)
-    else:
-        priors = [field.priors[k] for k in sorted(field.priors)]
-        weights = np.full(len(priors), 1.0 / len(priors))
-        result = greedy_design_region(candidates, priors, weights, basis, args.budget)
-        # conservative certificate: worst-case spectrum constants across voxels
-        phi = basis.evaluate(candidates.points)
-        bound = min(
-            (_greedy_bound(p, phi, args.budget, args.budget) for p in priors),
-            key=lambda cert: cert.factor,
-        )
+    # single mode is the one-voxel region: the first voxel, or --voxel
+    indices = sorted(field.priors) if args.mode == "region" else [min(field.priors)]
+    if args.voxel is not None:
+        indices = [_parse_triplet(args.voxel, int)]
+        if indices[0] not in field.priors:
+            raise ValidationError(f"voxel {indices[0]} not present in the field")
+    priors = [field.priors[k] for k in indices]
+    weights = np.full(len(priors), 1.0 / len(priors))
+    result = greedy_design_region(candidates, priors, weights, basis, args.budget)
+    bound = region_bound(priors, candidates, basis, args.budget, args.budget)
     table_path = out / f"design_{args.mode}_{args.budget:03d}.txt"
-    table_path.write_text(gradient_table(candidates.points[result.selected]))
+    report_path = out / f"design_{args.mode}_{args.budget:03d}.json"
     report = {
         "mode": args.mode,
         "budget": args.budget,
@@ -177,8 +177,9 @@ def _cmd_design(args) -> int:
         "objective_per_step": [float(v) for v in result.objective_history],
         "bound_certificate": dataclasses.asdict(bound),
     }
-    report_path = out / f"design_{args.mode}_{args.budget:03d}.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _writing(out):
+        table_path.write_text(gradient_table(candidates.points[result.selected]))
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {table_path} and {report_path} (objective {result.objective:.6g})")
     return 0
 
@@ -187,7 +188,8 @@ def _cmd_esr(args) -> int:
     out = _out_dir(args.out)
     points = esr_design(args.count, seed=args.seed)
     path = out / f"esr_{args.count:03d}.txt"
-    path.write_text(gradient_table(points))
+    with _writing(path):
+        path.write_text(gradient_table(points))
     print(f"wrote {path} (final energy {coulomb_energy(points):.6f})")
     return 0
 
@@ -270,7 +272,8 @@ def _cmd_prior_build(args) -> int:
             field.add(index, build_prior_from_cohort(truths, dense_points, voxel_cfg, "prior-build"))
 
     path = out / "prior_field.qpf"
-    save_prior_field(field, path)
+    with _writing(path):
+        save_prior_field(field, path)
     print(f"wrote {path} ({len(field)} voxels, J={basis.dimension})")
     return 0
 
@@ -282,7 +285,8 @@ def _cmd_prior_interp(args) -> int:
     prior = interpolate_prior(field, np.asarray(query))
     result = PriorField((1, 1, 1), {(0, 0, 0): prior}, field.max_degree, field.rank_rule)
     path = out / "prior_interp.qpf"
-    save_prior_field(result, path)
+    with _writing(path):
+        save_prior_field(result, path)
     print(
         f"wrote {path} (rank {prior.rank}, noise variance {prior.noise_variance:.3e}, "
         f"top eigenvalue {prior.eigenvalues[0]:.6g})"

@@ -26,7 +26,12 @@ from .prior import VoxelPrior
 from .sphere import GOLDEN_ANGLE, ShBasis, as_unit_vectors, normalized
 
 DUPLICATE_ANGLE_TOL = 1e-6  # radians
+_DUPLICATE_BLOCK_ENTRIES = 1 << 20  # cosines per block of the duplicate check (8 MB)
 DEFAULT_CANDIDATE_COUNT = 321
+# electrostatic-repulsion descent: step cap, seeded starts, first step times the count
+_ESR_STEPS = 2000
+_ESR_RESTARTS = 3
+_ESR_FIRST_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,13 @@ class CandidateSet:
     def __post_init__(self):
         pts, _ = as_unit_vectors(self.points, "candidate points")
         object.__setattr__(self, "points", pts)
-        dots = np.clip(pts @ pts.T, -1.0, 1.0)
-        np.fill_diagonal(dots, 0.0)
-        if pts.shape[0] > 1 and np.arccos(np.max(dots)) < DUPLICATE_ANGLE_TOL:
+        # largest cosine of distinct points (or the zeroed diagonal's 0), in bounded row blocks
+        rows, closest = max(1, _DUPLICATE_BLOCK_ENTRIES // max(len(pts), 1)), 0.0
+        for lo in range(0, len(pts), rows):
+            dots = pts[lo : lo + rows] @ pts.T
+            np.fill_diagonal(dots[:, lo:], 0.0)
+            closest = max(closest, float(dots.max()))
+        if np.arccos(min(closest, 1.0)) < DUPLICATE_ANGLE_TOL:
             raise ValidationError("candidate set contains near-duplicate directions")
 
     def __len__(self):
@@ -240,30 +249,31 @@ def greedy_bound(
     where lambda_psi_star is the largest squared eigenfunction row norm
     over the candidates.
     """
-    return _greedy_bound(prior, basis.evaluate(candidates.points), steps, budget)
+    return region_bound([prior], candidates, basis, steps, budget)
 
 
-def _greedy_bound(prior: VoxelPrior, phi: np.ndarray, steps: int, budget: int) -> BoundCertificate:
-    """`greedy_bound` given the candidate basis matrix `phi`, so a region
-    evaluates the basis once for all its voxels."""
+def region_bound(
+    priors, candidates: CandidateSet, basis: ShBasis, steps: int, budget: int
+) -> BoundCertificate:
+    """Conservative certificate of a region design: the `greedy_bound` of the
+    voxel with the smallest factor (the first on a tie), with the candidate
+    basis evaluated once for all the voxels."""
     if not 1 <= steps <= budget:
         raise ValidationError("need 1 <= steps <= budget")
-    psi = phi @ prior.eigenvectors
-    lambda_psi_star = float(np.max(np.einsum("ij,ij->i", psi, psi)))
-    rho_max = float(prior.eigenvalues[0])
-    rho_min = float(prior.eigenvalues[-1])
-    sigma2 = prior.noise_variance
-    exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lambda_psi_star)
-    factor = 1.0 - np.exp(exponent)
-    return BoundCertificate(
-        steps=int(steps),
-        budget=int(budget),
-        rho_max=rho_max,
-        rho_min=rho_min,
-        lambda_psi_star=lambda_psi_star,
-        noise_variance=sigma2,
-        factor=float(factor),
-    )
+    if not priors:
+        raise ValidationError("need at least one prior")
+    phi = basis.evaluate(candidates.points)
+    certificates = []
+    for prior in priors:
+        psi = phi @ prior.eigenvectors
+        lam_star = float(np.max(np.einsum("ij,ij->i", psi, psi)))
+        rho_max, rho_min = float(prior.eigenvalues[0]), float(prior.eigenvalues[-1])
+        sigma2 = prior.noise_variance
+        exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lam_star)
+        factor = float(1.0 - np.exp(exponent))
+        cert = BoundCertificate(int(steps), int(budget), rho_max, rho_min, lam_star, sigma2, factor)
+        certificates.append(cert)
+    return min(certificates, key=lambda cert: cert.factor)
 
 
 def coulomb_energy(points) -> float:
@@ -273,21 +283,15 @@ def coulomb_energy(points) -> float:
     return energy
 
 
-def esr_design(
-    count: int,
-    iterations: int = 2000,
-    step: float | None = None,
-    seed: int = 0,
-    restarts: int = 3,
-) -> np.ndarray:
+def esr_design(count: int, seed: int = 0) -> np.ndarray:
     """Electrostatic-repulsion design: spread `count` directions on the sphere.
 
-    Starts from a jittered golden spiral and runs projected gradient
-    descent on the antipodally symmetric Coulomb energy with a
-    multiplicative backtracking step schedule; only energy-decreasing moves
-    are accepted, so the final energy never exceeds the initial one.
-    Deterministic for a fixed seed; the best of `restarts` seeded starts is
-    returned (the first one on a tie).
+    Starts from a jittered golden spiral and runs at most `_ESR_STEPS`
+    steps of projected gradient descent on the antipodally symmetric Coulomb
+    energy, with a multiplicative backtracking schedule from a first step of
+    `_ESR_FIRST_STEP / count`; only energy-decreasing moves are accepted.
+    Deterministic for a fixed seed; the best of `_ESR_RESTARTS` seeded
+    starts is returned (the first one on a tie).
 
     The restarts descend in lockstep, one stacked energy evaluation per
     step. Each keeps its own step size and accept/reject decisions and
@@ -301,19 +305,17 @@ def esr_design(
     """
     if count < 2:
         raise ValidationError("need at least two directions")
-    if iterations < 1:
-        raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     base = hemisphere_spiral(count)
-    starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(max(1, restarts))]
+    starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(_ESR_RESTARTS)]
     points = normalized(np.stack(starts))
     energy, grad = _kernels.coulomb_energy_grad(points)
-    alpha = np.full(len(starts), step if step is not None else 0.01 / count)
+    alpha = np.full(len(starts), _ESR_FIRST_STEP / count)
     ids = np.arange(len(starts))
     final_points, final_energy = np.empty_like(points), np.empty(len(starts))
-    for _ in range(iterations):
+    for _ in range(_ESR_STEPS):
         tangent = grad - np.einsum("rij,rij->ri", grad, points)[:, :, None] * points
         trial = normalized(points - alpha[:, None, None] * tangent)
         trial_energy, trial_grad = _kernels.coulomb_energy_grad_below(trial, energy)

@@ -48,11 +48,9 @@ class GenerativeConfig:
     direction_concentration: float = 20.0
     weights: tuple = (0.5, 0.5)
     mean_directions: tuple = (NU_1, NU_2)
-    peak_merge_degrees: float = 15.0
 
     def __post_init__(self):
-        floats = (self.lobe_concentration, self.direction_concentration, self.peak_merge_degrees)
-        if not np.isfinite([*floats, *self.weights]).all():
+        if not np.isfinite([self.lobe_concentration, self.direction_concentration, *self.weights]).all():
             raise ValidationError("generative parameters must be finite")
         if self.lobe_concentration <= 0 or self.direction_concentration <= 0:
             raise ValidationError("concentrations must be positive")
@@ -66,11 +64,10 @@ class GenerativeConfig:
 
 @dataclass
 class GroundTruth:
-    """One simulated subject: density and signal coefficients, true peak axes."""
+    """One simulated subject: density and signal coefficients."""
 
     fodf: np.ndarray
     signal: np.ndarray
-    peaks: np.ndarray  # (n_peaks, 3) hemisphere representatives
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -160,8 +157,7 @@ def generate_fodf(
     directions (or `fixed_directions` when given). The symmetrized mixture
     density is projected onto the basis by quadrature and rescaled to unit
     integral; the signal is the inverse great-circle transform of the
-    density representation. Analytic peak axes merge into a single bisector
-    axis whenever the two lobe axes fall within the configured merge angle.
+    density representation.
     """
     if fixed_directions is None:
         axes = _draw_axes(config, [_rng(rng)])
@@ -205,15 +201,7 @@ def _ground_truths(basis: ShBasis, config: GenerativeConfig, axes1, axes2) -> li
         values += _lobe_pair(grid.directions @ m2, kappa, w2)
         coeffs = phi.T @ (grid.weights * values)
         coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)  # unit integral over the sphere
-
-        m2_folded = m2 if float(m1 @ m2) >= 0.0 else -m2
-        cos_sep = np.clip(abs(float(m1 @ m2)), 0.0, 1.0)
-        if np.degrees(np.arccos(cos_sep)) < config.peak_merge_degrees:
-            peaks = normalized(w1 * m1 + w2 * m2_folded)[None, :]
-        else:
-            peaks = np.vstack([m1, m2_folded])
-        peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)  # hemisphere representatives
-        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks))
+        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis)))
     return truths
 
 

@@ -115,6 +115,28 @@ class TestRunner:
             assert len(hist) == budget
             assert np.all(np.diff(hist) >= -1e-12)
 
+    def test_one_greedy_run_sliced_per_budget(self, tmp_path, monkeypatch):
+        # each budget's selection and history equal a greedy run of its own
+        from qsdesign import runner
+        from qsdesign.design import default_candidates, greedy_design
+
+        calls = []
+
+        def recording_greedy(candidates, prior, basis, budget):
+            calls.append((prior, basis, budget))
+            return greedy_design(candidates, prior, basis, budget)
+
+        monkeypatch.setattr(runner, "greedy_design", recording_greedy)
+        cfg = sim_config_from_dict({**TINY_SIM, "budgets": [2, 3, 5, 9, 14], "out_dir": str(tmp_path)})
+        result = run_simulation(cfg)
+        assert [budget for _, _, budget in calls] == [14]
+        prior, basis, _ = calls[0]
+        pool = default_candidates(cfg.candidate_count)
+        for budget in cfg.budgets:
+            alone = greedy_design(pool, prior, basis, budget)
+            assert result.designs[(budget, "cond-greedy")].tobytes() == pool.points[alone.selected].tobytes()
+            assert np.array(result.objective_histories[budget]).tobytes() == alone.objective_history.tobytes()
+
     def test_objective_histories_prefix_stable(self, tiny_results):
         _, result, _ = tiny_results
         short = result.objective_histories[3]
@@ -219,33 +241,36 @@ class TestCliCommands:
         assert len(blended) == 1
 
     def test_region_single_voxel_matches_single_mode(self, tmp_path):
+        # single mode runs as the one-voxel region: its table and report
+        # equal greedy_design's and greedy_bound's at that voxel, bit for bit
+        from qsdesign.design import default_candidates, gradient_table, greedy_bound, greedy_design
+        from qsdesign.prior import PriorField, save_prior_field
+        from qsdesign.sphere import ShBasis
+
         cfg_path = tmp_path / "build.yaml"
-        cfg_path.write_text(yaml.safe_dump({**TINY_BUILD, "grid_shape": [1, 1, 1]}))
+        cfg_path.write_text(yaml.safe_dump(TINY_BUILD))  # a 2x1x1 field
         out = tmp_path / "field"
         assert main(["prior-build", "--config", str(cfg_path), "--out", str(out)]) == 0
-        field_path = out / "prior_field.qpf"
-        for mode in ("single", "region"):
-            assert (
-                main(
-                    [
-                        "design",
-                        "--prior",
-                        str(field_path),
-                        "--budget",
-                        "5",
-                        "--candidates",
-                        "40",
-                        "--mode",
-                        mode,
-                        "--out",
-                        str(tmp_path / mode),
-                    ]
-                )
-                == 0
-            )
-        single = (tmp_path / "single" / "design_single_005.txt").read_text()
-        region = (tmp_path / "region" / "design_region_005.txt").read_text()
-        assert single == region
+        field = load_prior_field(out / "prior_field.qpf")
+        one_voxel = tmp_path / "one.qpf"
+        save_prior_field(PriorField((1, 1, 1), {(0, 0, 0): field.priors[(0, 0, 0)]}, 4, field.rank_rule), one_voxel)
+        basis, pool = ShBasis(field.max_degree), default_candidates(40)
+        runs = [
+            ((0, 0, 0), out / "prior_field.qpf", "single", []),
+            ((1, 0, 0), out / "prior_field.qpf", "single", ["--voxel", "1,0,0"]),
+            ((0, 0, 0), one_voxel, "region", []),
+        ]
+        for n, (index, path, mode, extra) in enumerate(runs):
+            argv = ["design", "--prior", str(path), "--budget", "5", "--candidates", "40", "--mode", mode]
+            assert main([*argv, *extra, "--out", str(tmp_path / str(n))]) == 0
+            want = greedy_design(pool, field.priors[index], basis, 5)
+            table = (tmp_path / str(n) / f"design_{mode}_005.txt").read_text()
+            assert table == gradient_table(pool.points[want.selected])
+            report = json.loads((tmp_path / str(n) / f"design_{mode}_005.json").read_text())
+            assert report["selected_indices"] == want.selected
+            assert report["objective_per_step"] == want.objective_history.tolist()
+            want_bound = greedy_bound(field.priors[index], pool, basis, 5, 5)
+            assert report["bound_certificate"] == dataclasses.asdict(want_bound)
 
     def test_region_certificate_is_min_over_voxels(self, tmp_path):
         from qsdesign.design import default_candidates, greedy_bound
@@ -446,6 +471,18 @@ def _out_is_file(tmp_path, argv):
     return argv
 
 
+def _taken(path, argv, kind):
+    """`argv`, with `path` taken by an empty file or directory (`kind`)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.mkdir() if kind == "directory" else path.write_text("")
+    return argv
+
+
+def _simulate_into(tmp_path, out):
+    """simulate on the tiny configuration, writing to `out`."""
+    return [*_write_config(tmp_path)[:-1], str(out)]
+
+
 # (case, argv builder, first line of stderr; {path} is the .qpf path, {csv}
 # the cohort CSV path, {cfg} the raw configuration path, {out} the --out path)
 MALFORMED_INPUTS = [
@@ -575,6 +612,17 @@ MALFORMED_INPUTS = [
      "error: cannot use output directory {out}: File exists"),
     ("simulate --out naming a file", lambda t: _out_is_file(t, _write_config(t)),
      "error: cannot use output directory {out}: File exists"),
+    ("simulate designs/ taken by a file", lambda t: _taken(t / "o" / "designs", _write_config(t), "file"),
+     "error: cannot use output directory {out}/designs: File exists"),
+    # --out is a subdirectory of o, so o/metrics.csv stays absent
+    ("simulate metrics.csv taken by a directory", lambda t: _taken(
+        t / "o" / "sim" / "metrics.csv", _simulate_into(t, t / "o" / "sim"), "directory"),
+     "error: cannot write {out}/sim/metrics.csv: Is a directory"),
+    ("esr table taken by a directory", lambda t: _taken(
+        t / "o" / "esr_010.txt", ["esr", "--count", "10", "--out", str(t / "o")], "directory"),
+     "error: cannot write {out}/esr_010.txt: Is a directory"),
+    ("peak_merge_degrees in generative", lambda t: _write_config(t, generative={"peak_merge_degrees": 15.0}),
+     "error: unknown generative keys: ['peak_merge_degrees']"),
     ("out_dir in prior-build config", lambda t: _prior_build_config(
         t, out_dir="elsewhere", train_subjects=8, dense_design_size=20),
      "error: prior-build does not use configuration keys ['out_dir']"),

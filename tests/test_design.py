@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qsdesign import design
 from qsdesign.design import (
+    DUPLICATE_ANGLE_TOL,
     CandidateSet,
     block_inverse_update,
     coulomb_energy,
@@ -15,6 +17,7 @@ from qsdesign.design import (
     greedy_design,
     greedy_design_region,
     hemisphere_spiral,
+    region_bound,
 )
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.sphere import make_grid, normalized
@@ -47,6 +50,31 @@ class TestCandidateSet:
     def test_non_unit_rejected(self):
         with pytest.raises(ValidationError):
             CandidateSet(np.array([[0.0, 0.0, 2.0]]))
+
+    def test_default_pool_is_one_block(self):
+        assert design._DUPLICATE_BLOCK_ENTRIES // 321 >= 321
+
+    # with 3 rows per block the 11 points make blocks 0-2, 3-5, 6-8, 9-10
+    @pytest.mark.parametrize("pair", [None, (0, 1), (4, 5), (2, 3), (1, 7), (10, 0)])
+    def test_blockwise_check_matches_brute_force(self, monkeypatch, pair):
+        monkeypatch.setattr(design, "_DUPLICATE_BLOCK_ENTRIES", 3 * 11)
+        pts = hemisphere_spiral(11)
+        pts[6] = -pts[8]  # antipodal: not a duplicate
+        pts[9] = normalized(pts[8] + [1e-5, 0.0, 0.0])  # 1e-5 rad apart: not a duplicate either
+        if pair is not None:
+            i, j = pair
+            pts[j] = normalized(pts[i] + [1e-8, 0.0, 0.0])
+        near = any(
+            i != j and np.arccos(np.clip(pts[i] @ pts[j], -1.0, 1.0)) < DUPLICATE_ANGLE_TOL
+            for i in range(11)
+            for j in range(11)
+        )
+        assert near == (pair is not None)
+        if near:
+            with pytest.raises(ValidationError, match="near-duplicate"):
+                CandidateSet(pts)
+        else:
+            assert np.array_equal(CandidateSet(pts).points, pts)
 
 
 class TestDesignObjective:
@@ -387,6 +415,23 @@ class TestGreedyBound:
         )
         assert cert.factor == pytest.approx(recomputed, rel=1e-15)
 
+    def test_region_bound_of_one_prior_is_greedy_bound(self, basis4, rng):
+        prior = random_prior(basis4, rng, rank=4)
+        pool = default_candidates(40)
+        assert region_bound([prior], pool, basis4, 3, 9) == greedy_bound(prior, pool, basis4, 3, 9)
+
+    def test_region_bound_is_the_worst_voxel(self, basis4, rng):
+        priors = [random_prior(basis4, rng, rank=3, noise_variance=s) for s in (0.05, 0.002, 0.01)]
+        pool = default_candidates(40)
+        certificates = [greedy_bound(p, pool, basis4, 6, 6) for p in priors]
+        assert min(c.factor for c in certificates) < max(c.factor for c in certificates)
+        want = min(certificates, key=lambda cert: cert.factor)
+        assert region_bound(priors, pool, basis4, 6, 6) == want
+
+    def test_region_bound_needs_a_prior(self, basis4):
+        with pytest.raises(ValidationError, match="at least one prior"):
+            region_bound([], default_candidates(30), basis4, 3, 3)
+
     def test_bad_steps_rejected(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=2)
         pool = default_candidates(30)
@@ -396,15 +441,15 @@ class TestGreedyBound:
             greedy_bound(prior, pool, basis4, 4, 3)
 
 
-def reference_esr_design(count, iterations=2000, step=None, seed=0, restarts=3):
+def reference_esr_design(count, seed=0, iterations=2000, restarts=3, first_step=0.01):
     """ESR one restart after the other, on the one-configuration kernel."""
     rng = np.random.default_rng(seed)
     base = hemisphere_spiral(count)
     best_points, best_energy = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         points = normalized(base + 0.05 * rng.standard_normal((count, 3)))
         energy, grad = reference_coulomb_energy_grad(points)
-        alpha = step if step is not None else 0.01 / count
+        alpha = first_step / count
         for _ in range(iterations):
             tangent = grad - np.einsum("ij,ij->i", grad, points)[:, None] * points
             trial = normalized(points - alpha * tangent)
@@ -436,15 +481,20 @@ class TestEsrDesign:
         assert np.array_equal(esr_design(count, seed=seed), reference_esr_design(count, seed=seed))
 
     @pytest.mark.parametrize("count", [2, 5, 30, 45])
-    def test_one_restart_at_iteration_cap_equals_reference(self, count):
-        kwargs = dict(iterations=50, seed=3, restarts=1)
-        assert np.array_equal(esr_design(count, **kwargs), reference_esr_design(count, **kwargs))
+    def test_one_restart_at_iteration_cap_equals_reference(self, count, monkeypatch):
+        monkeypatch.setattr(design, "_ESR_STEPS", 50)
+        monkeypatch.setattr(design, "_ESR_RESTARTS", 1)
+        want = reference_esr_design(count, seed=3, iterations=50, restarts=1)
+        assert np.array_equal(esr_design(count, seed=3), want)
 
     @pytest.mark.parametrize("step", [5e-15, 1e-3])
-    def test_explicit_step_equals_reference(self, step):
+    def test_explicit_step_equals_reference(self, step, monkeypatch):
         # a step below the 1e-14 floor leaves a restart only on a rejection
-        kwargs = dict(iterations=60, seed=9, step=step, restarts=4)
-        assert np.array_equal(esr_design(12, **kwargs), reference_esr_design(12, **kwargs))
+        monkeypatch.setattr(design, "_ESR_STEPS", 60)
+        monkeypatch.setattr(design, "_ESR_RESTARTS", 4)
+        monkeypatch.setattr(design, "_ESR_FIRST_STEP", 12 * step)
+        want = reference_esr_design(12, seed=9, iterations=60, restarts=4, first_step=12 * step)
+        assert np.array_equal(esr_design(12, seed=9), want)
 
     def test_two_points_orthogonal(self):
         pts = esr_design(2, seed=3)
@@ -475,7 +525,7 @@ class TestEsrDesign:
     def test_energy_never_increases(self, rng):
         for n in (5, 12, 30):
             start = hemisphere_spiral(n)
-            final = esr_design(n, iterations=50, seed=7, restarts=1)
+            final = esr_design(n, seed=7)
             # descent-only acceptance: optimized energy below any fresh start
             assert coulomb_energy(final) <= coulomb_energy(start)
 

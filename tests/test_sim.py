@@ -17,7 +17,7 @@ from qsdesign.sim import (
     observe_batch,
     sample_vmf,
 )
-from qsdesign.sphere import funk_radon, inverse_funk_radon, make_grid, normalized
+from qsdesign.sphere import funk_radon, inverse_funk_radon, make_grid
 
 from conftest import random_unit_vectors
 
@@ -59,10 +59,14 @@ class TestSampleVmf:
 
 class TestGenerateFodf:
     def test_forced_single_fiber(self, basis8):
+        from qsdesign.metrics import find_peaks
+
         truth = generate_fodf(
             basis8, GenerativeConfig(), np.random.default_rng(0), fixed_directions=(Z, Z)
         )
-        assert truth.peaks.shape == (1, 3)
+        peaks = find_peaks(truth.fodf, basis8)
+        assert len(peaks) == 1
+        assert np.degrees(np.arccos(abs(peaks.directions[0] @ Z))) < 1.0
 
     def test_unit_integral(self, basis8):
         truth = generate_fodf(basis8, GenerativeConfig(), np.random.default_rng(1))
@@ -76,10 +80,9 @@ class TestGenerateFodf:
         from qsdesign.metrics import find_peaks, peak_angle_degrees
 
         cfg = GenerativeConfig()
-        truth = generate_fodf(basis8, cfg, np.random.default_rng(0))
-        assert truth.peaks.shape[0] == 2
-
-        m1, m2 = truth.peaks
+        gen = np.random.default_rng(0)
+        m1, m2 = (sample_vmf(mean, cfg.direction_concentration, gen) for mean in cfg.mean_directions)
+        truth = generate_fodf(basis8, cfg, None, fixed_directions=(m1, m2))
         comps = (
             VmfComponent(tuple(m1), cfg.lobe_concentration, 0.5),
             VmfComponent(tuple(m2), cfg.lobe_concentration, 0.5),
@@ -126,14 +129,7 @@ def reference_generate_cohort(basis, config, count, seed):
         )
         coeffs = phi.T @ (grid.weights * mixture_density(grid.directions, comps))
         coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)
-        m2_folded = m2 if float(m1 @ m2) >= 0.0 else -m2
-        cos_sep = np.clip(abs(float(m1 @ m2)), 0.0, 1.0)
-        if np.degrees(np.arccos(cos_sep)) < config.peak_merge_degrees:
-            peaks = normalized(w1 * m1 + w2 * m2_folded)[None, :]
-        else:
-            peaks = np.vstack([m1, m2_folded])
-        peaks = np.where(peaks[:, 2:3] >= 0.0, peaks, -peaks)
-        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis), peaks=peaks))
+        truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis)))
     return truths
 
 
@@ -188,7 +184,6 @@ class TestGenerateCohort:
                              reference_generate_cohort(basis8, config, 12, seed=5), strict=True):
             assert got.fodf.tobytes() == want.fodf.tobytes()
             assert got.signal.tobytes() == want.signal.tobytes()
-            assert got.peaks.tobytes() == want.peaks.tobytes()
 
     def test_both_tangent_frames_match_reference(self, basis8):
         # |x| >= 0.9 takes the y axis as the tangent-frame helper, |x| < 0.9 the x axis
@@ -197,7 +192,6 @@ class TestGenerateCohort:
                              reference_generate_cohort(basis8, config, 9, seed=8), strict=True):
             assert got.fodf.tobytes() == want.fodf.tobytes()
             assert got.signal.tobytes() == want.signal.tobytes()
-            assert got.peaks.tobytes() == want.peaks.tobytes()
 
     def test_deterministic(self, basis4):
         a = generate_cohort(basis4, GenerativeConfig(), 5, seed=42)
@@ -230,17 +224,6 @@ class TestGenerateCohort:
         cohort = generate_cohort(basis8, GenerativeConfig(), 200, seed=1)
         counts = {len(find_peaks(t.fodf, basis8)) for t in cohort}
         assert {1, 2} <= counts
-
-    def test_analytic_merge_threshold(self, basis8):
-        tilt = lambda deg: np.array([np.sin(np.radians(deg)), 0.0, np.cos(np.radians(deg))])
-        close = generate_fodf(
-            basis8, GenerativeConfig(), np.random.default_rng(0), fixed_directions=(Z, tilt(10))
-        )
-        apart = generate_fodf(
-            basis8, GenerativeConfig(), np.random.default_rng(0), fixed_directions=(Z, tilt(20))
-        )
-        assert close.peaks.shape[0] == 1
-        assert apart.peaks.shape[0] == 2
 
 
 class TestObserve:
