@@ -50,7 +50,7 @@ from .prior import (
     load_prior_field,
     save_prior_field,
 )
-from .runner import build_prior_from_cohort, run_simulation, write_outputs
+from .runner import build_prior_from_cohort, output_paths, run_simulation, write_outputs
 from .sim import cohort_from_csv, generate_cohort
 from .sphere import ShBasis
 
@@ -137,6 +137,10 @@ def _cmd_simulate(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     out = _out_dir(cfg.out_dir)
+    for path in output_paths(out, cfg.budgets):
+        if path.exists() and not path.is_file():
+            what = "Is a directory" if path.is_dir() else "not a regular file"
+            raise ValidationError(f"cannot write {path}: {what}")
     _out_dir(out / "designs")
     result = run_simulation(cfg)
     with _writing(out):
@@ -196,7 +200,7 @@ def _cmd_esr(args) -> int:
 
 # SimConfig keys that only `simulate` reads
 _UNUSED_BY_PRIOR_BUILD = frozenset(
-    ("out_dir", "test_subjects", "budgets", "candidate_count", "peak_threshold", "peak_grid_size", "threads")
+    ("out_dir", "test_subjects", "budgets", "candidate_count", "peak_grid_size", "threads")
 )
 # keys that only one mode of prior-build reads: with cohort_csv, or without
 _COHORT_ONLY = frozenset(("noise_variance",))
@@ -208,7 +212,6 @@ _SYNTHETIC_ONLY = frozenset(
         "dense_design_size",
         "noise_sigma",
         "noise_kind",
-        "gcv_grid",
         "generative",
     )
 )

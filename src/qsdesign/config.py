@@ -11,7 +11,7 @@ import yaml
 
 from .design import DEFAULT_CANDIDATE_COUNT
 from .errors import ValidationError
-from .metrics import DEFAULT_PEAK_GRID_SIZE, DEFAULT_RELATIVE_THRESHOLD
+from .metrics import DEFAULT_PEAK_GRID_SIZE, check_peak_grid_size
 from .prior import DEFAULT_RANK_RULE, RankRule
 from .sim import GenerativeConfig
 
@@ -67,9 +67,7 @@ class SimConfig:
     budgets: tuple = DEFAULT_BUDGETS
     rank_rule: RankRule = DEFAULT_RANK_RULE
     generative: GenerativeConfig = field(default_factory=GenerativeConfig)
-    gcv_grid: tuple = (1e-7, 1e-1, 20)  # (min, max, count), log-spaced
     candidate_count: int = DEFAULT_CANDIDATE_COUNT
-    peak_threshold: float = DEFAULT_RELATIVE_THRESHOLD
     peak_grid_size: int = DEFAULT_PEAK_GRID_SIZE
     threads: int = 1  # accepted and validated; no effect (the pipeline runs on one thread)
     out_dir: str = "results"
@@ -111,29 +109,9 @@ class SimConfig:
         self.budgets = budgets
         if budgets[-1] > self.candidate_count:
             raise ValidationError("largest budget exceeds the candidate count")
-        try:
-            lo, hi, count = self.gcv_grid
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"gcv_grid must be (min, max, count), got {self.gcv_grid!r}") from exc
-        lo, hi = numbers_from("gcv_grid min", lo), numbers_from("gcv_grid max", hi)
-        _require_finite("gcv_grid min", lo)
-        _require_finite("gcv_grid max", hi)
-        count = integer_from("gcv_grid count", count)
-        if not (0 < lo < hi and count >= 1):
-            raise ValidationError("gcv_grid must be (min, max, count) with 0 < min < max")
-        self.gcv_grid = (lo, hi, count)
-        _require_finite("peak threshold", self.peak_threshold)
-        if not 0.0 <= self.peak_threshold <= 1.0:
-            raise ValidationError("peak threshold must lie in [0, 1]")
-        if self.peak_grid_size < 16:
-            raise ValidationError("peak grid size is too small")
+        check_peak_grid_size(self.peak_grid_size)
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
-
-    @property
-    def gcv_lambdas(self) -> np.ndarray:
-        lo, hi, count = self.gcv_grid
-        return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _rank_rule_from(obj) -> RankRule:
@@ -172,12 +150,6 @@ def sim_config_from_dict(data: dict) -> SimConfig:
         kwargs["rank_rule"] = _rank_rule_from(kwargs["rank_rule"])
     if "generative" in kwargs:
         kwargs["generative"] = _generative_from(kwargs["generative"])
-    g = kwargs.get("gcv_grid")
-    if isinstance(g, dict):
-        try:
-            kwargs["gcv_grid"] = (g["min"], g["max"], g["count"])
-        except KeyError as exc:
-            raise ValidationError(f"gcv_grid needs min/max/count, missing {exc}") from exc
     try:
         return SimConfig(**kwargs)
     except TypeError as exc:

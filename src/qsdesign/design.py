@@ -74,18 +74,11 @@ def default_candidates(count: int = DEFAULT_CANDIDATE_COUNT) -> CandidateSet:
 
 @dataclass
 class Design:
-    """Greedy selection result.
-
-    `posterior_covariance` is the K x K posterior score covariance
-    diag(Lam) - W' G^-1 W after the last pick, with W the eigenfunction rows
-    of the selected points scaled by Lam and G their observation Gram
-    (None for region designs).
-    """
+    """Greedy selection result."""
 
     selected: list
     objective: float
     objective_history: np.ndarray
-    posterior_covariance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -157,13 +150,39 @@ def block_inverse_update(inv_prev: np.ndarray, h: np.ndarray, q: float) -> np.nd
     return out
 
 
-def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budget: int):
-    """Greedy picks for a weighted stack of voxels; returns the design and
-    the final (V, K_max, K_max) posterior covariances.
+def greedy_design(
+    candidates: CandidateSet, prior: VoxelPrior, basis: ShBasis, budget: int
+) -> Design:
+    """Select `budget` directions by greedy maximization of the trace objective.
 
-    Every voxel is zero-padded to the largest rank, so its padded columns of
-    `psi` and rows and columns of `dmat` stay exactly 0.
+    Each step scores all remaining candidates by their gain
+    ||D v||^2 / (sigma^2 + v' D v), with v the candidate's eigenfunction row
+    and D the posterior score covariance (ties break to the lowest index),
+    appends the winner and downdates D <- D - (D v)(D v)' / (sigma^2 + v' D v).
+    Greedy prefixes are stable: the design of budget b1 < b2 equals the
+    first b1 picks of the b2 design. This is `greedy_design_region` for one
+    voxel of weight 1.
     """
+    return greedy_design_region(candidates, [prior], np.ones(1), basis, budget)
+
+
+def greedy_design_region(
+    candidates: CandidateSet, priors, weights, basis: ShBasis, budget: int
+) -> Design:
+    """Greedy selection for a weighted collection of voxels.
+
+    Maximizes the weighted sum of per-voxel trace objectives; weights must be
+    positive and sum to 1. The voxels' posterior covariances are stacked,
+    zero-padded to the largest rank, so each step scores every voxel in one
+    stacked gains evaluation and downdates them all at once; a voxel's
+    padded columns of `psi` and rows and columns of `dmat` stay exactly 0.
+    """
+    priors = list(priors)
+    weights = np.asarray(weights, dtype=float)
+    if len(priors) < 1 or weights.shape != (len(priors),):
+        raise ValidationError("need one weight per prior and at least one prior")
+    if np.any(weights <= 0.0) or abs(float(weights.sum()) - 1.0) > 1e-10:
+        raise ValidationError("weights must be positive and sum to 1")
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > len(candidates):
@@ -198,43 +217,7 @@ def _run_greedy(candidates: CandidateSet, priors, weights, basis: ShBasis, budge
         history[step] = objective
     if not np.isfinite(history).all():
         raise DegeneracyError("greedy objective overflowed: prior eigenvalues are too large for float64")
-    return Design(selected=selected, objective=objective, objective_history=history), dmat
-
-
-def greedy_design(
-    candidates: CandidateSet, prior: VoxelPrior, basis: ShBasis, budget: int
-) -> Design:
-    """Select `budget` directions by greedy maximization of the trace objective.
-
-    Each step scores all remaining candidates by their gain
-    ||D v||^2 / (sigma^2 + v' D v), with v the candidate's eigenfunction row
-    and D the posterior score covariance (ties break to the lowest index),
-    appends the winner and downdates D <- D - (D v)(D v)' / (sigma^2 + v' D v).
-    Greedy prefixes are stable: the design of budget b1 < b2 equals the
-    first b1 picks of the b2 design.
-    """
-    design, dmat = _run_greedy(candidates, [prior], np.ones(1), basis, budget)
-    design.posterior_covariance = dmat[0]
-    return design
-
-
-def greedy_design_region(
-    candidates: CandidateSet, priors, weights, basis: ShBasis, budget: int
-) -> Design:
-    """Greedy selection for a weighted collection of voxels.
-
-    Maximizes the weighted sum of per-voxel trace objectives; weights must be
-    positive and sum to 1. The voxels' posterior covariances are stacked,
-    zero-padded to the largest rank, so each step scores every voxel in one
-    stacked gains evaluation and downdates them all at once.
-    """
-    priors = list(priors)
-    w = np.asarray(weights, dtype=float)
-    if len(priors) < 1 or w.shape != (len(priors),):
-        raise ValidationError("need one weight per prior and at least one prior")
-    if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
-        raise ValidationError("weights must be positive and sum to 1")
-    return _run_greedy(candidates, priors, w, basis, budget)[0]
+    return Design(selected=selected, objective=objective, objective_history=history)
 
 
 def greedy_bound(

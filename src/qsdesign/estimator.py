@@ -81,21 +81,21 @@ def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> FitResul
     return FitResult(coefficients=coeffs, lambda_used=float(smoothing))
 
 
-def gcv_select(points, values, basis: ShBasis, grid=None):
+def gcv_select(points, values, basis: ShBasis):
     """Pick the smoothing level minimizing generalized cross validation.
 
-    GCV(lambda) = M * RSS(lambda) / (M - trace H(lambda))^2 over the given
-    grid; grid values whose effective dof trace reaches M are skipped; ties
-    resolve toward the larger lambda.
+    GCV(lambda) = M * RSS(lambda) / (M - trace H(lambda))^2 over the
+    ascending `DEFAULT_GCV_GRID`; grid values whose effective dof trace
+    reaches M are skipped; ties resolve toward the larger lambda.
 
     Returns
     -------
     (lambda_star, FitResult)
     """
-    return gcv_select_batch(points, [values], basis, grid)[0]
+    return gcv_select_batch(points, [values], basis)[0]
 
 
-def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
+def gcv_select_batch(points, value_rows, basis: ShBasis):
     """`gcv_select` for several value rows observed at the same points.
 
     The rows share the design, so each grid value's Cholesky factor and
@@ -112,9 +112,6 @@ def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
     pts = _check_points(points)
     m = pts.shape[0]
     rows = _check_value_rows(value_rows, m)
-    lambdas = np.sort(np.asarray(DEFAULT_GCV_GRID if grid is None else grid, dtype=float))
-    if lambdas.size < 1 or np.any(lambdas <= 0.0):
-        raise ValidationError("GCV grid must be non-empty with positive entries")
     n = rows.shape[0]
     if not n:
         return []
@@ -127,7 +124,7 @@ def gcv_select_batch(points, value_rows, basis: ShBasis, grid=None):
     found = np.zeros(n, dtype=bool)
     best_score, best_lam = np.zeros(n), np.zeros(n)
     best_coeffs = np.zeros((n, basis.dimension))
-    for lam in lambdas:
+    for lam in DEFAULT_GCV_GRID:
         normal = gram + lam * penalty
         try:
             factor = linalg.cho_factor(normal, check_finite=False)

@@ -19,11 +19,20 @@ from .errors import ValidationError
 from .sphere import ShBasis
 
 DEFAULT_PEAK_GRID_SIZE = 4096
-DEFAULT_RELATIVE_THRESHOLD = 0.3
 NEIGHBOR_COUNT = 8
+RELATIVE_THRESHOLD = 0.3
 REFINE_STEPS = 10
 REFINE_STEP_DEGREES = 0.5
 PEAK_MERGE_DEGREES = 5.0
+
+
+def check_peak_grid_size(grid_size: int) -> None:
+    """A ValidationError unless the detection grid has a point beyond every
+    point's NEIGHBOR_COUNT neighbours."""
+    if grid_size <= NEIGHBOR_COUNT:
+        raise ValidationError(
+            f"detection grid needs at least {NEIGHBOR_COUNT + 1} points, got {grid_size}"
+        )
 
 
 def integrated_squared_error(coeffs_a, coeffs_b) -> float:
@@ -194,12 +203,7 @@ def _ascend(coeffs, points, values, basis: ShBasis):
     return points, values
 
 
-def find_peaks_batch(
-    coeff_rows,
-    basis: ShBasis,
-    grid_size: int = DEFAULT_PEAK_GRID_SIZE,
-    relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
-) -> list[PeakSet]:
+def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_GRID_SIZE) -> list[PeakSet]:
     """Peaks of many harmonic expansions, one :class:`PeakSet` per row.
 
     Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
@@ -211,12 +215,7 @@ def find_peaks_batch(
     as one row. Peaks of a row closer than `PEAK_MERGE_DEGREES` keep only
     the higher one.
     """
-    if grid_size <= NEIGHBOR_COUNT:
-        raise ValidationError(
-            f"detection grid needs at least {NEIGHBOR_COUNT + 1} points, got {grid_size}"
-        )
-    if not 0.0 <= relative_threshold <= 1.0:
-        raise ValidationError("relative_threshold must lie in [0, 1]")
+    check_peak_grid_size(grid_size)
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
     if not rows:
         return []
@@ -227,7 +226,7 @@ def find_peaks_batch(
     cutoffs, owners, seeds, seed_values = [], [], [], []
     for r, (values, mask) in enumerate(zip(grid_values, masks)):
         order = np.argsort(values[mask])[::-1]
-        cutoff = relative_threshold * float(values.max())
+        cutoff = RELATIVE_THRESHOLD * float(values.max())
         cutoffs.append(cutoff)
         row_seeds, row_values = dirs[mask][order], values[mask][order]
         # grid maxima sit within ~2 degrees of the refined peak, so ascent
@@ -259,23 +258,18 @@ def find_peaks_batch(
     return out
 
 
-def find_peaks(
-    coeffs,
-    basis: ShBasis,
-    grid_size: int = DEFAULT_PEAK_GRID_SIZE,
-    relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
-) -> PeakSet:
+def find_peaks(coeffs, basis: ShBasis, grid_size: int = DEFAULT_PEAK_GRID_SIZE) -> PeakSet:
     """Local maxima of a harmonic expansion, folded over antipodes.
 
     Grid points strictly greater than their 8 angularly-nearest neighbors
     (antipodal proximity) seed tangent-ascent refinement (`REFINE_STEPS`
     steps, the first `REFINE_STEP_DEGREES` long, halved after each
-    rejected step); peaks below `relative_threshold` times the global
+    rejected step); peaks below `RELATIVE_THRESHOLD` times the global
     maximum or with non-positive values are discarded, and refined peaks
     closer than `PEAK_MERGE_DEGREES` keep only the higher one. One row of
     :func:`find_peaks_batch`.
     """
-    return find_peaks_batch([coeffs], basis, grid_size, relative_threshold)[0]
+    return find_peaks_batch([coeffs], basis, grid_size)[0]
 
 
 def peak_angle_degrees(peaks: PeakSet) -> float:

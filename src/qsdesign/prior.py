@@ -74,21 +74,21 @@ def empirical_moments(coeff_rows):
     return mean, 0.5 * (cov + cov.T)
 
 
-def truncate_rank(covariance, rank: int | None = None, fraction: float | None = None):
+def truncate_rank(covariance, rule: RankRule):
     """Leading eigenpairs of a symmetric PSD matrix, sorted by eigenvalue.
 
-    Exactly one of `rank` (fixed K) or `fraction` (smallest K whose
-    eigenvalues explain at least that share of the total variance) must be
-    given. Eigenvalues below 1e-12 times the largest are never included.
+    A "fixed" rule keeps K = its value; a "fraction" rule keeps the smallest
+    K whose eigenvalues explain at least that share of the total variance.
+    Eigenvalues below 1e-12 times the largest are never included.
 
     Returns
     -------
     (eigenvalues (K,), eigenvectors (J, K)) with orthonormal columns.
     """
-    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rank, fraction)[0]
+    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rule)[0]
 
 
-def _truncate_ranks(covariances, rank: int | None = None, fraction: float | None = None) -> list:
+def _truncate_ranks(covariances, rule: RankRule) -> list:
     """`truncate_rank` of every matrix of an (N, J, J) stack.
 
     The finiteness and symmetry checks run once on the stack, and one
@@ -104,33 +104,29 @@ def _truncate_ranks(covariances, rank: int | None = None, fraction: float | None
     scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
     if np.any(np.abs(sigma - sigma_t).max(axis=(1, 2)) > scale):
         raise ValidationError("covariance must be symmetric")
-    if (rank is None) == (fraction is None):
-        raise ValidationError("give exactly one of rank= or fraction=")
     try:
         evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma_t))
     except np.linalg.LinAlgError as exc:  # e.g. entries spanning hundreds of decades
         raise DegeneracyError(f"covariance eigendecomposition failed: {exc}") from exc
-    return [_leading_eigenpairs(*pair, rank, fraction) for pair in zip(evals, evecs)]
+    return [_leading_eigenpairs(*pair, rule) for pair in zip(evals, evecs)]
 
 
-def _leading_eigenpairs(evals, evecs, rank, fraction):
+def _leading_eigenpairs(evals, evecs, rule: RankRule):
     """The rank rule of `truncate_rank` on one matrix's ascending eigenpairs."""
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     if evals[0] <= 0.0:
         raise DegeneracyError("covariance has no positive eigenvalue; rank is degenerate")
     usable = evals > EIGENVALUE_FLOOR_FACTOR * evals[0]
-    n_usable = int(np.count_nonzero(usable))
-    if rank is not None:
-        k = int(rank)
-        if k < 1 or k > evals.shape[0]:
+    if rule.kind == "fixed":
+        k = rule.value
+        if k > evals.shape[0]:
             raise ValidationError(f"rank must be in [1, {evals.shape[0]}]")
-        k = min(k, n_usable)
     else:
         total = float(np.sum(np.maximum(evals, 0.0)))
         cum = np.cumsum(np.maximum(evals, 0.0)) / total
-        k = int(np.searchsorted(cum, fraction - 1e-12) + 1)
-        k = min(k, n_usable)
+        k = int(np.searchsorted(cum, rule.value - 1e-12) + 1)
+    k = min(k, int(np.count_nonzero(usable)))
     return evals[:k].copy(), evecs[:, :k].copy()
 
 
@@ -204,10 +200,7 @@ class VoxelPrior:
         checked and decomposed as one stack; each prior then goes through the
         rank rule and its own checks, with the bits of its own call."""
         covariances = np.asarray(covariances, dtype=float)
-        if rank_rule.kind == "fixed":
-            pairs = _truncate_ranks(covariances, rank=int(rank_rule.value))
-        else:
-            pairs = _truncate_ranks(covariances, fraction=float(rank_rule.value))
+        pairs = _truncate_ranks(covariances, rank_rule)
         return [
             cls(mean, cov, evals, evecs, float(noise_variance))
             for mean, cov, (evals, evecs), noise_variance in zip(
@@ -279,7 +272,8 @@ def _blend_logs(logs, weights) -> np.ndarray:
 
 @dataclass
 class PriorField:
-    """Voxel-indexed collection of priors sharing one basis dimension."""
+    """Voxel-indexed collection of priors whose dimension is that of the
+    degree-`max_degree` basis."""
 
     shape: tuple
     priors: dict = field(default_factory=dict)  # (i, j, k) -> VoxelPrior
@@ -290,19 +284,26 @@ class PriorField:
         self.shape = tuple(int(s) for s in self.shape)
         if len(self.shape) != 3 or any(s < 1 for s in self.shape):
             raise ValidationError("field shape must be three positive integers")
-        dims = {p.dimension for p in self.priors.values()}
-        if len(dims) > 1:
-            raise ValidationError("all priors in a field must share one dimension")
+        if self.max_degree < 0 or self.max_degree % 2:
+            raise ValidationError(f"field basis degree must be even and non-negative, got {self.max_degree}")
+        for prior in self.priors.values():
+            self._check_dimension(prior)
 
     def __len__(self):
         return len(self.priors)
+
+    def _check_dimension(self, prior: VoxelPrior):
+        j = basis_dimension(self.max_degree)
+        if prior.dimension != j:
+            raise ValidationError(
+                f"prior dimension {prior.dimension} does not match the degree-{self.max_degree} basis (dimension {j})"
+            )
 
     def add(self, index, prior: VoxelPrior):
         index = tuple(int(i) for i in index)
         if len(index) != 3 or any(i < 0 or i >= s for i, s in zip(index, self.shape)):
             raise ValidationError(f"voxel index {index} outside field shape {self.shape}")
-        if self.priors and prior.dimension != next(iter(self.priors.values())).dimension:
-            raise ValidationError("prior dimension differs from the field's")
+        self._check_dimension(prior)
         self.priors[index] = prior
 
 

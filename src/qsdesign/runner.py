@@ -52,7 +52,7 @@ def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str)
     basis = ShBasis(cfg.degree)
     rngs = [_derived_rng(cfg.seed, seed_tag, i) for i in range(len(truths))]
     values = observe_batch(truths, dense_points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
-    fits = gcv_select_batch(dense_points, values, basis, cfg.gcv_lambdas)
+    fits = gcv_select_batch(dense_points, values, basis)
     rows = np.array([fit.coefficients for _, fit in fits])
     mean, cov = empirical_moments(rows)
     noise_var = cfg.noise_sigma**2 if cfg.noise_sigma > 0 else 1e-8
@@ -81,9 +81,7 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     prior = build_prior_from_cohort(train, dense_points, cfg, "train-noise")
     candidates = default_candidates(cfg.candidate_count)
 
-    true_peaks = find_peaks_batch(
-        [t.fodf for t in test], basis, cfg.peak_grid_size, cfg.peak_threshold
-    )
+    true_peaks = find_peaks_batch([t.fodf for t in test], basis, cfg.peak_grid_size)
 
     # greedy prefixes are stable: every budget is a prefix of the largest
     greedy = greedy_design(candidates, prior, basis, cfg.budgets[-1])
@@ -104,13 +102,10 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
                 fits = conditional_fit_batch(points, values, prior, basis)
             else:
                 # every test subject shares this design: one GCV batch
-                fits = [fit for _, fit in gcv_select_batch(points, values, basis, cfg.gcv_lambdas)]
+                fits = [fit for _, fit in gcv_select_batch(points, values, basis)]
             ises = [integrated_squared_error(f.coefficients, t.signal) for f, t in zip(fits, test)]
             est_peaks = find_peaks_batch(
-                [funk_radon(f.coefficients, basis) for f in fits],
-                basis,
-                cfg.peak_grid_size,
-                cfg.peak_threshold,
+                [funk_radon(f.coefficients, basis) for f in fits], basis, cfg.peak_grid_size
             )
             eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
             pfp = false_peak_fraction(est_peaks, true_peaks)
@@ -147,15 +142,25 @@ def metrics_csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _design_path(out: Path, method: str, budget: int) -> Path:
+    return out / "designs" / f"{method}_{budget:03d}.txt"
+
+
+def output_paths(out_dir, budgets) -> list:
+    """Every file `write_outputs` writes for a run over `budgets`."""
+    out = Path(out_dir)
+    designs = [_design_path(out, m, b) for b in budgets for m in (METHOD_CONDITIONAL, METHOD_BASELINE)]
+    return [out / "metrics.csv", *designs, out / "report.json"]
+
+
 def write_outputs(result: ExperimentResult, out_dir) -> Path:
     """Write metrics.csv, per-design gradient tables, and report.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(metrics_csv_text(result.rows))
-    design_dir = out / "designs"
-    design_dir.mkdir(exist_ok=True)
+    (out / "designs").mkdir(exist_ok=True)
     for (budget, method), points in sorted(result.designs.items()):
-        (design_dir / f"{method}_{budget:03d}.txt").write_text(gradient_table(points))
+        _design_path(out, method, budget).write_text(gradient_table(points))
     report = {
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,

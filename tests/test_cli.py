@@ -74,6 +74,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             sim_config_from_dict({**TINY_SIM, "budgets": [100]})
 
+    @pytest.mark.parametrize("size", [9, 12])
+    def test_peak_grid_bound_is_the_detectors(self, size):
+        # any grid with a point beyond each point's 8 neighbours is valid;
+        # the "peak grid of 8 points" row of MALFORMED_INPUTS exits 2
+        assert sim_config_from_dict({**TINY_SIM, "peak_grid_size": size}).peak_grid_size == size
+
     def test_shipped_protocol_config_is_the_default(self):
         path = Path(__file__).resolve().parents[1] / "configs" / "protocol.yaml"
         assert load_sim_config(path) == SimConfig()
@@ -488,8 +494,6 @@ def _simulate_into(tmp_path, out):
 MALFORMED_INPUTS = [
     ("scalar budgets", lambda t: _write_config(t, budgets=5),
      "error: budgets must be a list of positive integers, got 5"),
-    ("scalar gcv_grid", lambda t: _write_config(t, gcv_grid=3),
-     "error: gcv_grid must be (min, max, count), got 3"),
     ("nan noise_sigma", lambda t: _write_config(t, noise_sigma=float("nan")),
      "error: noise sigma must be finite, got nan"),
     ("nan direction", lambda t: _write_config(
@@ -545,10 +549,6 @@ MALFORMED_INPUTS = [
      "error: budgets must be a list of positive integers, got [[1], [2, 3]]"),
     ("fractional candidate_count", lambda t: _write_config(t, candidate_count=41.5),
      "error: candidate_count must be an integer, got 41.5"),
-    ("fractional gcv count", lambda t: _write_config(t, gcv_grid={"min": 1e-7, "max": 0.1, "count": 2.5}),
-     "error: gcv_grid count must be an integer, got 2.5"),
-    ("ragged gcv_grid", lambda t: _write_config(t, gcv_grid=[[1e-7], [0.1, 1.0], 3]),
-     "error: gcv_grid min must be a number, got [1e-07]"),
     ("fractional grid_shape", lambda t: _prior_build_config(
         t, grid_shape=[1.7, 1, 1], train_subjects=8, dense_design_size=20),
      "error: grid_shape entry must be an integer, got 1.7"),
@@ -621,6 +621,21 @@ MALFORMED_INPUTS = [
     ("esr table taken by a directory", lambda t: _taken(
         t / "o" / "esr_010.txt", ["esr", "--count", "10", "--out", str(t / "o")], "directory"),
      "error: cannot write {out}/esr_010.txt: Is a directory"),
+    ("simulate report.json taken by a directory", lambda t: _taken(
+        t / "o" / "report.json", _write_config(t), "directory"),
+     "error: cannot write {out}/report.json: Is a directory"),
+    ("simulate design table taken by a directory", lambda t: _taken(
+        t / "o" / "designs" / "shls-esr_005.txt", _write_config(t), "directory"),
+     "error: cannot write {out}/designs/shls-esr_005.txt: Is a directory"),
+    ("gcv_grid in simulate config", lambda t: _write_config(t, gcv_grid={"min": 1e-7, "max": 0.1, "count": 20}),
+     "error: unknown configuration keys: ['gcv_grid']"),
+    ("peak_threshold in simulate config", lambda t: _write_config(t, peak_threshold=0.3),
+     "error: unknown configuration keys: ['peak_threshold']"),
+    ("gcv_grid in prior-build config", lambda t: _prior_build_config(
+        t, gcv_grid={"min": 1e-7, "max": 0.1, "count": 20}, train_subjects=8, dense_design_size=20),
+     "error: unknown configuration keys: ['gcv_grid']"),
+    ("peak grid of 8 points", lambda t: _write_config(t, peak_grid_size=8),
+     "error: detection grid needs at least 9 points, got 8"),
     ("peak_merge_degrees in generative", lambda t: _write_config(t, generative={"peak_merge_degrees": 15.0}),
      "error: unknown generative keys: ['peak_merge_degrees']"),
     ("out_dir in prior-build config", lambda t: _prior_build_config(
@@ -636,9 +651,14 @@ MALFORMED_INPUTS = [
 ]
 
 
+def _files_under(root):
+    return sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else []
+
+
 @pytest.mark.parametrize("case,argv_for,first_line", MALFORMED_INPUTS, ids=[c[0] for c in MALFORMED_INPUTS])
 def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     argv = argv_for(tmp_path)
+    files_before = _files_under(tmp_path / "o")
     assert main(argv) == 2
     err = capsys.readouterr().err
     expected = first_line.format(
@@ -646,6 +666,7 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     )
     assert err.splitlines()[0] == expected
     assert not (tmp_path / "o" / "metrics.csv").exists()
+    assert _files_under(tmp_path / "o") == files_before  # nothing written
 
 
 @pytest.mark.parametrize("argv_for", [lambda t: _design_voxel(t, "0,0,0"), lambda t: _interp(_field_file(t))],

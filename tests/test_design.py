@@ -181,16 +181,6 @@ class TestGreedyDesign:
         diffs = np.diff(np.concatenate([[0.0], result.objective_history]))
         assert np.all(diffs >= -1e-12)
 
-    def test_posterior_covariance_state(self, basis4, rng):
-        prior = random_prior(basis4, rng, rank=4)
-        pool = default_candidates(60)
-        result = greedy_design(pool, prior, basis4, 18)
-        psi = basis4.evaluate(pool.points[result.selected]) @ prior.eigenvectors
-        w = psi * prior.eigenvalues
-        gram = w @ psi.T + prior.noise_variance * np.eye(18)
-        expected = np.diag(prior.eigenvalues) - w.T @ np.linalg.solve(gram, w)
-        assert np.abs(result.posterior_covariance - expected).max() < 1e-8
-
     def test_prefix_stability(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=4)
         pool = default_candidates(70)
@@ -318,7 +308,6 @@ class TestGreedyMatchesGramInverseReference:
         region = greedy_design_region(pool, priors, weights, basis4, 40)
         assert region.selected == selected
         np.testing.assert_allclose(region.objective_history, history, rtol=1e-10, atol=0)
-        assert region.posterior_covariance is None
 
 
 class TestGreedyRegion:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from qsdesign import estimator
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.estimator import (
     DEFAULT_GCV_GRID,
@@ -136,12 +137,13 @@ class TestGcvSelect:
         lam, _ = gcv_select(points, values, basis4)
         assert lam == pytest.approx(DEFAULT_GCV_GRID.min())
 
-    def test_matches_bruteforce_definition(self, basis4, rng):
+    def test_matches_bruteforce_definition(self, basis4, rng, monkeypatch):
         points = make_grid("spiral", 50).directions
         values = basis4.evaluate(points) @ rng.standard_normal(basis4.dimension)
         values += 0.05 * rng.standard_normal(50)
         grid = np.logspace(-6, 0, 12)
-        lam, _ = gcv_select(points, values, basis4, grid)
+        monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", grid)
+        lam, _ = gcv_select(points, values, basis4)
         scores = [gcv_score_oracle(points, values, basis4, l) for l in grid]
         assert lam == pytest.approx(grid[int(np.argmin(scores))])
 
@@ -150,31 +152,25 @@ class TestGcvSelect:
         # lambda, so GCV is flat in lambda and the tie rule decides
         points = make_grid("spiral", 30).directions
         values = np.full(30, 0.5)
-        grid = np.array([1e-4, 1e-3, 1e-2])
-        lam, _ = gcv_select(points, values, basis4, grid)
+        monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", np.array([1e-4, 1e-3, 1e-2]))
+        lam, _ = gcv_select(points, values, basis4)
         assert lam == pytest.approx(1e-2)
 
-    def test_degenerate_when_dof_exhausted(self, basis8, rng):
+    def test_degenerate_when_dof_exhausted(self, basis8, rng, monkeypatch):
         # more coefficients than observations and a lambda so small the
         # smoother reproduces the data: trace(H) -> M for every grid entry
         points = random_unit_vectors(rng, 8)
         values = rng.standard_normal(8)
+        monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", np.array([1e-18]))
         with pytest.raises(DegeneracyError):
-            gcv_select(points, values, basis8, np.array([1e-18]))
+            gcv_select(points, values, basis8)
 
-    def test_empty_grid_rejected(self, basis4, rng):
-        with pytest.raises(ValidationError):
-            gcv_select(random_unit_vectors(rng, 10), np.zeros(10), basis4, np.array([]))
-
-    def test_grid_order_irrelevant(self, basis4, rng):
-        points = make_grid("spiral", 40).directions
-        values = basis4.evaluate(points) @ rng.standard_normal(basis4.dimension)
-        values += 0.03 * rng.standard_normal(40)
-        grid = np.logspace(-6, -1, 9)
-        lam_fwd, fit_fwd = gcv_select(points, values, basis4, grid)
-        lam_rev, fit_rev = gcv_select(points, values, basis4, grid[::-1])
-        assert lam_fwd == lam_rev
-        assert np.array_equal(fit_fwd.coefficients, fit_rev.coefficients)
+    def test_default_grid_is_ascending_log_grid(self):
+        # the selection loop visits the grid in order and resolves ties
+        # toward the later (larger) value
+        expected = np.logspace(np.log10(1e-7), np.log10(1e-1), 20)
+        assert DEFAULT_GCV_GRID.tobytes() == expected.tobytes()
+        assert np.all(np.diff(DEFAULT_GCV_GRID) > 0.0)
 
 
 class TestGcvSelectBatch:
@@ -189,12 +185,13 @@ class TestGcvSelectBatch:
         return [observe(t, points, sigma, rng, basis) for t in truths]
 
     @pytest.mark.parametrize("count", [30, 60])
-    def test_rows_equal_per_row_reference(self, basis8, count):
+    def test_rows_equal_per_row_reference(self, basis8, count, monkeypatch):
         points = esr_design(count, seed=2)
         # a zero row scores exactly 0 at every usable grid value: the tie
         # rule picks the largest
         rows = self.cohort_values(basis8, points) + [np.zeros(count)]
-        batch = gcv_select_batch(points, rows, basis8, self.GRID)
+        monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", self.GRID)
+        batch = gcv_select_batch(points, rows, basis8)
         assert batch[-1][0] == self.GRID[-1]
         assert len(batch) == len(rows)
         lambdas = set()
@@ -202,18 +199,19 @@ class TestGcvSelectBatch:
             ref_lam, ref_coeffs = reference_gcv_select(points, values, basis8, self.GRID)
             assert lam == ref_lam == fit.lambda_used
             assert np.array_equal(fit.coefficients, ref_coeffs)
-            one_lam, one_fit = gcv_select(points, values, basis8, self.GRID)
+            one_lam, one_fit = gcv_select(points, values, basis8)
             assert one_lam == lam and np.array_equal(one_fit.coefficients, fit.coefficients)
             lambdas.add(lam)
         assert lambdas.isdisjoint({1e-18, 1e-16})
 
-    def test_small_lambdas_degenerate_at_30_points(self, basis8):
+    def test_small_lambdas_degenerate_at_30_points(self, basis8, monkeypatch):
         points = esr_design(30, seed=2)
         rows = self.cohort_values(basis8, points, subjects=2)
+        monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", self.GRID[:2])
         with pytest.raises(DegeneracyError):
-            gcv_select_batch(points, rows, basis8, self.GRID[:2])
+            gcv_select_batch(points, rows, basis8)
         with pytest.raises(DegeneracyError):
-            gcv_select(points, rows[0], basis8, self.GRID[:2])
+            gcv_select(points, rows[0], basis8)
 
     def test_row_length_checked(self, basis4, rng):
         points = random_unit_vectors(rng, 10)

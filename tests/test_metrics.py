@@ -20,14 +20,14 @@ X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 
 
-def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE,
-                         relative_threshold=metrics.DEFAULT_RELATIVE_THRESHOLD):
-    """Serial peak detection: each seed refined on its own, one basis call per probe set."""
+def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE):
+    """Serial peak detection: each seed refined on its own, one basis call per
+    probe set; the threshold is read at call time, as `find_peaks` reads it."""
     dirs, neighbors, _ = metrics._detection_setup(grid_size, basis)
     values = basis.evaluate(dirs) @ coeffs
     mask = values > values[neighbors].max(axis=1)
     order = np.argsort(values[mask])[::-1]
-    cutoff = relative_threshold * float(values.max())
+    cutoff = metrics.RELATIVE_THRESHOLD * float(values.max())
     cos_merge = np.cos(np.radians(metrics.PEAK_MERGE_DEGREES))
     fd = 1e-5
     kept_dirs, kept_vals = [], []
@@ -210,13 +210,15 @@ class TestFindPeaks:
             )
             assert best < 3.0
 
-    def test_threshold_drops_secondary_peak(self, basis8):
+    def test_threshold_drops_secondary_peak(self, basis8, monkeypatch):
         cfg = GenerativeConfig(weights=(0.9, 0.1))
         truth = generate_fodf(
             basis8, cfg, np.random.default_rng(0), fixed_directions=(Z, X)
         )
-        strict = find_peaks(truth.fodf, basis8, relative_threshold=0.9)
-        loose = find_peaks(truth.fodf, basis8, relative_threshold=0.05)
+        monkeypatch.setattr(metrics, "RELATIVE_THRESHOLD", 0.9)
+        strict = find_peaks(truth.fodf, basis8)
+        monkeypatch.setattr(metrics, "RELATIVE_THRESHOLD", 0.05)
+        loose = find_peaks(truth.fodf, basis8)
         assert len(strict) == 1
         assert len(loose) >= 2
 
@@ -275,6 +277,14 @@ class TestFindPeaksBatch:
     def test_batch_equals_serial_reference(self, basis8, rng):
         rows = mixed_cohort(basis8, rng)
         batch = find_peaks_batch(np.asarray(rows), basis8, grid_size=1024)
+        for got, row in zip(batch, rows):
+            assert_same_peaks(got, reference_find_peaks(row, basis8, grid_size=1024))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.9])
+    def test_batch_equals_serial_reference_at_other_thresholds(self, basis8, rng, threshold, monkeypatch):
+        monkeypatch.setattr(metrics, "RELATIVE_THRESHOLD", threshold)
+        rows = mixed_cohort(basis8, rng)
+        batch = find_peaks_batch(rows, basis8, grid_size=1024)
         for got, row in zip(batch, rows):
             assert_same_peaks(got, reference_find_peaks(row, basis8, grid_size=1024))
 

@@ -61,19 +61,19 @@ class TestEmpiricalMoments:
 
 class TestTruncateRank:
     def test_fraction_rule_boundary(self):
-        evals, evecs = truncate_rank(np.diag([4.0, 1.0, 0.0]), fraction=0.8)
+        evals, evecs = truncate_rank(np.diag([4.0, 1.0, 0.0]), RankRule("fraction", 0.8))
         assert evals.shape == (1,)
         assert evals[0] == pytest.approx(4.0)
         assert np.abs(np.abs(evecs[:, 0]) - [1, 0, 0]).max() < 1e-12
 
     def test_fixed_rank_identity(self):
-        evals, evecs = truncate_rank(np.eye(3), rank=2)
+        evals, evecs = truncate_rank(np.eye(3), RankRule("fixed", 2))
         assert np.allclose(evals, 1.0)
         assert np.allclose(evecs.T @ evecs, np.eye(2), atol=1e-12)
 
     def test_eckart_young_tail(self, rng):
         sigma = random_spd(rng, 10, spread=1.5)
-        evals, evecs = truncate_rank(sigma, rank=4)
+        evals, evecs = truncate_rank(sigma, RankRule("fixed", 4))
         approx = (evecs * evals) @ evecs.T
         all_evals = np.sort(np.linalg.eigvalsh(sigma))[::-1]
         tail = np.sum(all_evals[4:] ** 2)
@@ -81,21 +81,21 @@ class TestTruncateRank:
 
     def test_diagonalizes_covariance(self, rng):
         sigma = random_spd(rng, 8)
-        evals, evecs = truncate_rank(sigma, fraction=0.95)
+        evals, evecs = truncate_rank(sigma, RankRule("fraction", 0.95))
         assert np.abs(evecs.T @ sigma @ evecs - np.diag(evals)).max() < 1e-8
 
     def test_rejects_asymmetric(self, rng):
         m = rng.standard_normal((4, 4))
         with pytest.raises(ValidationError):
-            truncate_rank(m, rank=1)
+            truncate_rank(m, RankRule("fixed", 1))
 
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegeneracyError):
-            truncate_rank(np.zeros((3, 3)), rank=1)
+            truncate_rank(np.zeros((3, 3)), RankRule("fixed", 1))
 
-    def test_dual_rule_rejected(self):
-        with pytest.raises(ValidationError):
-            truncate_rank(np.eye(2), rank=1, fraction=0.5)
+    def test_rank_above_dimension_rejected(self):
+        with pytest.raises(ValidationError, match=r"rank must be in \[1, 2\]"):
+            truncate_rank(np.eye(2), RankRule("fixed", 3))
 
 
 class TestSpdLogExp:
@@ -164,6 +164,25 @@ def toy_prior(rng, j=6, noise=0.01, scale=1.0):
     mean = rng.standard_normal(j)
     cov = random_spd(rng, j, spread=0.5) * scale
     return VoxelPrior.from_moments(mean, cov, noise, RankRule("fixed", 2))
+
+
+class TestPriorFieldDimension:
+    # J = 15 is the degree-4 basis, J = 45 the degree-8 one
+    @pytest.mark.parametrize("j,max_degree", [(15, 8), (45, 4), (6, 4)])
+    def test_dimension_not_the_degrees_rejected(self, rng, j, max_degree):
+        prior = toy_prior(rng, j=j)
+        message = f"prior dimension {j} does not match the degree-{max_degree} basis"
+        with pytest.raises(ValidationError, match=message):
+            PriorField((1, 1, 1), {(0, 0, 0): prior}, max_degree)
+        field = PriorField((1, 1, 1), {}, max_degree)
+        with pytest.raises(ValidationError, match=message):
+            field.add((0, 0, 0), prior)
+        assert not field.priors
+
+    @pytest.mark.parametrize("max_degree", [3, -2])
+    def test_degree_the_loader_rejects_is_rejected(self, max_degree):
+        with pytest.raises(ValidationError, match="field basis degree must be even and non-negative"):
+            PriorField((1, 1, 1), {}, max_degree)
 
 
 class TestInterpolatePrior:
@@ -304,7 +323,7 @@ class TestVoxelPriorInvariants:
             VoxelPrior(np.zeros(4), np.eye(4), np.array([1.0]), np.ones((4, 2)), 0.01)
 
     def test_rejects_non_positive_noise(self, rng):
-        evals, evecs = truncate_rank(np.eye(3), rank=1)
+        evals, evecs = truncate_rank(np.eye(3), RankRule("fixed", 1))
         with pytest.raises(ValidationError):
             VoxelPrior(np.zeros(3), np.eye(3), evals, evecs, 0.0)
 
