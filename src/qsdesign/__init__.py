@@ -19,7 +19,6 @@ from .design import (
 )
 from .errors import DegeneracyError, QsdesignError, ValidationError
 from .estimator import (
-    FitResult,
     conditional_fit,
     conditional_fit_batch,
     conditional_scores,

@@ -1,9 +1,10 @@
 """Hot numeric inner loops, one numpy implementation each.
 
-The pipeline calls these kernels by name: `sh_matrix`, `greedy_gains`,
-`coulomb_energy_grad` (and its trial form `coulomb_energy_grad_below`) and
-`local_maxima`. tests/test_kernels.py checks them against loop references,
-and `benchmarks/bench_pipeline.py --workload kernels` times them. Every
+The pipeline calls these kernels by name: `sh_matrix`, `row_products`,
+`greedy_gains`, `coulomb_energy_grad` (and its trial form
+`coulomb_energy_grad_below`) and `local_maxima`. tests/test_kernels.py
+checks them against loop references, and
+`benchmarks/bench_pipeline.py --workload kernels` times them. Every
 kernel is a pure function of its inputs, so results are bitwise
 deterministic run to run.
 
@@ -104,6 +105,20 @@ def _sh_rows(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     mphi = np.multiply.outer(np.arange(1.0, L + 1.0), phi)
     trig = np.concatenate([np.ones((1, n)), np.cos(mphi), np.sin(mphi)])
     return (pbar[rows, cols] * scale * trig[trig_rows]).T
+
+
+def row_products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Matrix-vector products `a @ x`, one per row x of `rows` (N, d), as (N, m).
+
+    `a` is one (m, d) matrix that every row shares, or a stack (N, m, d)
+    with one matrix per row. This is the one place the batches of the
+    pipeline round: numpy's stacked matmul hands each slice to the BLAS
+    call (gemv, or dot for m = 1) that `a_i @ x_i` makes on one vector, so
+    row i has the bits of its own one-vector product whatever N is. One
+    matrix product over the batch (`rows @ a.T`) or an elementwise or
+    einsum sum can round differently.
+    """
+    return np.matmul(a, rows[..., None])[..., 0]
 
 
 def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance: float) -> np.ndarray:

@@ -50,7 +50,7 @@ from .prior import (
     load_prior_field,
     save_prior_field,
 )
-from .runner import build_prior_from_cohort, output_paths, run_simulation, write_outputs
+from .runner import build_prior_from_cohort, output_names, run_simulation, write_outputs
 from .sim import cohort_from_csv, generate_cohort
 from .sphere import ShBasis
 
@@ -107,15 +107,23 @@ def _parse_triplet(text, kind=float):
         raise ValidationError(f"expected three comma-separated {what}, got {text!r}") from exc
 
 
-def _out_dir(path) -> Path:
-    """The output directory `path`, created if missing; each command calls
-    this before its work, so an unusable path fails before any is done."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot use output directory {out}: {exc.strerror}") from exc
-    return out
+def _outputs(out_dir, *names) -> list:
+    """The paths of the outputs `names` (relative to `out_dir`), once none
+    of them exists as anything but a regular file and their directories are
+    made. Each command calls this before its work, so an output it cannot
+    write fails before any work is done."""
+    out = Path(out_dir)
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.exists() and not path.is_file():
+            what = "Is a directory" if path.is_dir() else "not a regular file"
+            raise ValidationError(f"cannot write {path}: {what}")
+    for directory in sorted({out, *(path.parent for path in paths)}):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot use output directory {directory}: {exc.strerror}") from exc
+    return paths
 
 
 @contextlib.contextmanager
@@ -136,12 +144,8 @@ def _cmd_simulate(args) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    out = _out_dir(cfg.out_dir)
-    for path in output_paths(out, cfg.budgets):
-        if path.exists() and not path.is_file():
-            what = "Is a directory" if path.is_dir() else "not a regular file"
-            raise ValidationError(f"cannot write {path}: {what}")
-    _out_dir(out / "designs")
+    _outputs(cfg.out_dir, *output_names(cfg.budgets))
+    out = Path(cfg.out_dir)
     result = run_simulation(cfg)
     with _writing(out):
         write_outputs(result, out)
@@ -159,7 +163,8 @@ def _cmd_design(args) -> int:
     field = load_prior_field(args.prior)
     if not field.priors:
         raise ValidationError(f"{args.prior} contains no voxel priors")
-    out = _out_dir(args.out)
+    stem = f"design_{args.mode}_{args.budget:03d}"
+    table_path, report_path = _outputs(args.out, f"{stem}.txt", f"{stem}.json")
     basis = ShBasis(field.max_degree)
     candidates = default_candidates(args.candidates)
     # single mode is the one-voxel region: the first voxel, or --voxel
@@ -172,8 +177,6 @@ def _cmd_design(args) -> int:
     weights = np.full(len(priors), 1.0 / len(priors))
     result = greedy_design_region(candidates, priors, weights, basis, args.budget)
     bound = region_bound(priors, candidates, basis, args.budget, args.budget)
-    table_path = out / f"design_{args.mode}_{args.budget:03d}.txt"
-    report_path = out / f"design_{args.mode}_{args.budget:03d}.json"
     report = {
         "mode": args.mode,
         "budget": args.budget,
@@ -181,7 +184,7 @@ def _cmd_design(args) -> int:
         "objective_per_step": [float(v) for v in result.objective_history],
         "bound_certificate": dataclasses.asdict(bound),
     }
-    with _writing(out):
+    with _writing(table_path.parent):
         table_path.write_text(gradient_table(candidates.points[result.selected]))
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {table_path} and {report_path} (objective {result.objective:.6g})")
@@ -189,9 +192,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_esr(args) -> int:
-    out = _out_dir(args.out)
+    (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
     points = esr_design(args.count, seed=args.seed)
-    path = out / f"esr_{args.count:03d}.txt"
     with _writing(path):
         path.write_text(gradient_table(points))
     print(f"wrote {path} (final energy {coulomb_energy(points):.6f})")
@@ -238,7 +240,7 @@ def _cmd_prior_build(args) -> int:
     cfg = sim_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _out_dir(args.out)
+    path, _ = _outputs(args.out, "prior_field.qpf", "prior_field.qpf.json")
     basis = ShBasis(cfg.degree)
     field = PriorField(grid_shape, {}, cfg.degree, cfg.rank_rule)
 
@@ -274,7 +276,6 @@ def _cmd_prior_build(args) -> int:
             voxel_cfg = dataclasses.replace(cfg, seed=voxel_seed)
             field.add(index, build_prior_from_cohort(truths, dense_points, voxel_cfg, "prior-build"))
 
-    path = out / "prior_field.qpf"
     with _writing(path):
         save_prior_field(field, path)
     print(f"wrote {path} ({len(field)} voxels, J={basis.dimension})")
@@ -284,10 +285,9 @@ def _cmd_prior_build(args) -> int:
 def _cmd_prior_interp(args) -> int:
     field = load_prior_field(args.prior)
     query = _parse_triplet(args.query, float)
-    out = _out_dir(args.out)
+    path, _ = _outputs(args.out, "prior_interp.qpf", "prior_interp.qpf.json")
     prior = interpolate_prior(field, np.asarray(query))
     result = PriorField((1, 1, 1), {(0, 0, 0): prior}, field.max_degree, field.rank_rule)
-    path = out / "prior_interp.qpf"
     with _writing(path):
         save_prior_field(result, path)
     print(

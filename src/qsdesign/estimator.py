@@ -10,24 +10,15 @@ given the observed values and maps it back to the full coefficient vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import linalg
 
+from ._kernels import row_products
 from .errors import DegeneracyError, ValidationError
 from .prior import VoxelPrior
 from .sphere import ShBasis, as_unit_vectors, laplace_beltrami_penalty
 
 DEFAULT_GCV_GRID = np.logspace(-7.0, -1.0, 20)
-
-
-@dataclass
-class FitResult:
-    """Fitted coefficient vector and, for penalized fits, the smoothing level."""
-
-    coefficients: np.ndarray
-    lambda_used: float | None = None  # smoothing level (penalized fits only)
 
 
 def _check_points(points) -> np.ndarray:
@@ -54,8 +45,8 @@ def _check_observations(points, values):
     return pts, _check_value_rows([values], pts.shape[0])[0]
 
 
-def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> FitResult:
-    """Penalized least-squares coefficients from observed directional samples.
+def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> np.ndarray:
+    """Penalized least-squares coefficients (J,) from observed directional samples.
 
     Solves (Phi' Phi + smoothing * R) c = Phi' s exactly, with R the
     diagonal Laplace-Beltrami penalty. With smoothing = 0 at least J
@@ -77,8 +68,7 @@ def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> FitResul
         factor = linalg.cho_factor(normal, check_finite=False)
     except linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular normal equations (smoothing={smoothing:g})") from exc
-    coeffs = linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
-    return FitResult(coefficients=coeffs, lambda_used=float(smoothing))
+    return linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
 
 
 def gcv_select(points, values, basis: ShBasis):
@@ -90,9 +80,10 @@ def gcv_select(points, values, basis: ShBasis):
 
     Returns
     -------
-    (lambda_star, FitResult)
+    (lambda_star, coefficients (J,))
     """
-    return gcv_select_batch(points, [values], basis)[0]
+    lambdas, coeffs = gcv_select_batch(points, [values], basis)
+    return float(lambdas[0]), coeffs[0]
 
 
 def gcv_select_batch(points, value_rows, basis: ShBasis):
@@ -101,29 +92,27 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
     The rows share the design, so each grid value's Cholesky factor and
     hat-matrix trace are computed once, and one triangular solve takes every
     row as a column of its right-hand side. Each column gets the bits of its
-    own one-vector solve, and the residuals are stacked matrix-vector
-    products, so every row gets the same bits as a `gcv_select` call of its
-    own.
+    own one-vector solve, and the right-hand sides and residuals come from
+    `row_products`, so every row gets the same bits as a `gcv_select` call
+    of its own.
 
     Returns
     -------
-    list of (lambda_star, FitResult), one per row
+    (lambda_star (N,), coefficients (N, J)), row i for value row i
     """
     pts = _check_points(points)
     m = pts.shape[0]
     rows = _check_value_rows(value_rows, m)
     n = rows.shape[0]
-    if not n:
-        return []
-    phi = basis.evaluate(pts)
-    gram = phi.T @ phi
-    penalty = laplace_beltrami_penalty(basis)
-    # one matrix-vector product per row: a stacked right-hand side would
-    # go through a matrix product and can round differently
-    rhs = np.stack([phi.T @ vals for vals in rows], axis=1)
     found = np.zeros(n, dtype=bool)
     best_score, best_lam = np.zeros(n), np.zeros(n)
     best_coeffs = np.zeros((n, basis.dimension))
+    if not n:
+        return best_lam, best_coeffs
+    phi = basis.evaluate(pts)
+    gram = phi.T @ phi
+    penalty = laplace_beltrami_penalty(basis)
+    rhs = row_products(phi.T, rows).T
     for lam in DEFAULT_GCV_GRID:
         normal = gram + lam * penalty
         try:
@@ -135,17 +124,14 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
         if dof_gap <= 1e-9 * m:
             continue
         coeffs = np.ascontiguousarray(linalg.cho_solve(factor, rhs, check_finite=False).T)
-        rss = np.sum((rows - np.matmul(phi, coeffs[:, :, None])[:, :, 0]) ** 2, axis=1)
+        rss = np.sum((rows - row_products(phi, coeffs)) ** 2, axis=1)
         score = m * rss / dof_gap**2
         take = ~found | (score <= best_score)  # ties resolve toward the larger lambda
         found |= take
         best_score[take], best_lam[take], best_coeffs[take] = score[take], lam, coeffs[take]
     if not found.all():
         raise DegeneracyError("GCV degenerate: every grid value exhausts the degrees of freedom")
-    return [
-        (lam, FitResult(coefficients=coeffs, lambda_used=lam))
-        for lam, coeffs in zip(best_lam.tolist(), best_coeffs)
-    ]
+    return best_lam, best_coeffs
 
 
 def conditional_scores(points, values, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:
@@ -164,8 +150,8 @@ def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBa
     points, one row of scores each.
 
     The observation Gram matrix is factored once; one triangular solve takes
-    every residual as a column, and the products are stacked matrix-vector
-    products, so every row has the bits of its own `conditional_scores`.
+    every residual as a column, and the products are `row_products`, so
+    every row has the bits of its own `conditional_scores`.
     """
     pts = _check_points(points)
     m = pts.shape[0]
@@ -185,11 +171,11 @@ def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBa
     except linalg.LinAlgError as exc:  # unreachable for positive noise variance
         raise DegeneracyError("observation Gram matrix is not positive definite") from exc
     solved = np.ascontiguousarray(linalg.cho_solve(factor, residuals.T, check_finite=False).T)
-    return lam * np.matmul(psi.T, solved[:, :, None])[:, :, 0]
+    return lam * row_products(psi.T, solved)
 
 
-def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> FitResult:
-    """Posterior-mean coefficients: prior mean plus the latent update.
+def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:
+    """Posterior-mean coefficients (J,): prior mean plus the latent update.
 
     The estimate always lies in the affine subspace spanned by the prior's
     leading eigenvectors around its mean.
@@ -197,9 +183,8 @@ def conditional_fit(points, values, prior: VoxelPrior, basis: ShBasis) -> FitRes
     return conditional_fit_batch(points, [values], prior, basis)[0]
 
 
-def conditional_fit_batch(points, value_rows, prior: VoxelPrior, basis: ShBasis) -> list:
-    """`conditional_fit` for several value rows observed at the same points;
-    one FitResult per row, each with the bits of its own call."""
+def conditional_fit_batch(points, value_rows, prior: VoxelPrior, basis: ShBasis) -> np.ndarray:
+    """`conditional_fit` for several value rows observed at the same points:
+    coefficients (N, J), each row with the bits of its own call."""
     scores = _conditional_scores_batch(points, value_rows, prior, basis)
-    updates = np.matmul(prior.eigenvectors, scores[:, :, None])[:, :, 0]
-    return [FitResult(coefficients=prior.mean + update) for update in updates]
+    return prior.mean + row_products(prior.eigenvectors, scores)

@@ -51,7 +51,6 @@ class PeakSet:
 
     directions: np.ndarray  # (P, 3), hemisphere representatives
     values: np.ndarray  # (P,), strictly positive
-    grid_size: int
 
     def __len__(self):
         return self.directions.shape[0]
@@ -128,23 +127,9 @@ def _detection_setup(size: int, basis: ShBasis):
     return tables
 
 
-def _cross3(a, b):
-    """Cross product of the last axes of `a` and `b`, one 3-vector or a stack."""
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
-
-
 def _dots(a, b):
-    """Row-wise dot products of stacked vectors (..., d) as stacked matmuls:
-    numpy's matmul makes the BLAS dot call per slice that `a_i @ b_i` makes
-    on one pair, so each result has the bits of the one-pair product."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    """Dot products a_i . b_i of the rows of two (N, d) stacks, as (N,)."""
+    return _kernels.row_products(a[:, None, :], b)[:, 0]
 
 
 def _ascend(coeffs, points, values, basis: ShBasis):
@@ -158,13 +143,10 @@ def _ascend(coeffs, points, values, basis: ShBasis):
     depends on `REFINE_STEPS`, not on the seed count, and runs every
     per-seed operation as one array operation over the live seeds. The
     arithmetic is the serial ascent's, operation for operation: cross
-    products and vector updates are elementwise; every 1-D norm and 1-D
-    candidate value is a stacked matmul of (1, d) by (d, 1) slices and each
-    4-probe value set a stacked matmul of (4, J) by (J, 1) slices, which
-    numpy hands to the same BLAS dot and gemv calls as the one-seed
-    products (an elementwise or einsum sum would round differently); the
-    probes keep their row-norm normalisation; and basis rows do not depend
-    on the batch they are evaluated in.
+    products and vector updates are elementwise; every norm, candidate
+    value and 4-probe value set is a `row_products` call, with the bits of
+    the one-seed product; the probes keep their row-norm normalisation; and
+    basis rows do not depend on the batch they are evaluated in.
     """
     points = np.array(points, dtype=float)
     values = np.array(values, dtype=float)
@@ -176,14 +158,14 @@ def _ascend(coeffs, points, values, basis: ShBasis):
             break
         point = points[live]
         helper = np.where(np.abs(point[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        e1 = _cross3(point, helper)
+        e1 = np.cross(point, helper)
         e1 /= np.sqrt(_dots(e1, e1))[:, None]
-        e2 = _cross3(point, e1)
+        e2 = np.cross(point, e1)
         probes = np.stack([point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2], axis=1)
         probes = probes.reshape(-1, 3)
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         probe_basis = basis.evaluate(probes).reshape(len(live), 4, -1)
-        vals = np.matmul(probe_basis, coeffs[live][:, :, None])[:, :, 0]
+        vals = _kernels.row_products(probe_basis, coeffs[live])
         grad = ((vals[:, 0] - vals[:, 1]) / (2 * fd))[:, None] * e1 + (
             (vals[:, 2] - vals[:, 3]) / (2 * fd)
         )[:, None] * e2
@@ -208,12 +190,11 @@ def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_G
 
     Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
     (a sequence of coefficient vectors, or an (N, J) array): the grid
-    values of all rows come from one stacked matmul (one gemv per row, as
-    for a single row) and their maxima from one `local_maxima` gather,
-    then all their seeds are refined together (`REFINE_STEPS` ascent steps
-    from `REFINE_STEP_DEGREES`), so a batch costs as many basis evaluations
-    as one row. Peaks of a row closer than `PEAK_MERGE_DEGREES` keep only
-    the higher one.
+    values of all rows come from one `row_products` call and their maxima
+    from one `local_maxima` gather, then all their seeds are refined
+    together (`REFINE_STEPS` ascent steps from `REFINE_STEP_DEGREES`), so a
+    batch costs as many basis evaluations as one row. Peaks of a row closer
+    than `PEAK_MERGE_DEGREES` keep only the higher one.
     """
     check_peak_grid_size(grid_size)
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
@@ -221,7 +202,7 @@ def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_G
         return []
     dirs, neighbors, grid_basis = _detection_setup(grid_size, basis)
     coeffs = np.array(rows)
-    grid_values = np.matmul(grid_basis, coeffs[:, :, None])[:, :, 0]
+    grid_values = _kernels.row_products(grid_basis, coeffs)
     masks = _kernels.local_maxima(grid_values, neighbors)
     cutoffs, owners, seeds, seed_values = [], [], [], []
     for r, (values, mask) in enumerate(zip(grid_values, masks)):
@@ -252,9 +233,9 @@ def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_G
         if kept_dirs:
             vals = np.asarray(kept_vals)
             order = np.argsort(vals)[::-1]
-            out.append(PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size))
+            out.append(PeakSet(np.asarray(kept_dirs)[order], vals[order]))
         else:
-            out.append(PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size))
+            out.append(PeakSet(np.zeros((0, 3)), np.zeros(0)))
     return out
 
 

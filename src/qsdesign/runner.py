@@ -52,9 +52,8 @@ def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str)
     basis = ShBasis(cfg.degree)
     rngs = [_derived_rng(cfg.seed, seed_tag, i) for i in range(len(truths))]
     values = observe_batch(truths, dense_points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
-    fits = gcv_select_batch(dense_points, values, basis)
-    rows = np.array([fit.coefficients for _, fit in fits])
-    mean, cov = empirical_moments(rows)
+    _, coeffs = gcv_select_batch(dense_points, values, basis)
+    mean, cov = empirical_moments(coeffs)
     noise_var = cfg.noise_sigma**2 if cfg.noise_sigma > 0 else 1e-8
     return VoxelPrior.from_moments(mean, cov, noise_var, cfg.rank_rule)
 
@@ -99,14 +98,12 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
             rngs = [_derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i) for i in range(len(test))]
             values = observe_batch(test, points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
             if method == METHOD_CONDITIONAL:
-                fits = conditional_fit_batch(points, values, prior, basis)
+                coeffs = conditional_fit_batch(points, values, prior, basis)
             else:
                 # every test subject shares this design: one GCV batch
-                fits = [fit for _, fit in gcv_select_batch(points, values, basis)]
-            ises = [integrated_squared_error(f.coefficients, t.signal) for f, t in zip(fits, test)]
-            est_peaks = find_peaks_batch(
-                [funk_radon(f.coefficients, basis) for f in fits], basis, cfg.peak_grid_size
-            )
+                _, coeffs = gcv_select_batch(points, values, basis)
+            ises = [integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test)]
+            est_peaks = find_peaks_batch([funk_radon(c, basis) for c in coeffs], basis, cfg.peak_grid_size)
             eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
             pfp = false_peak_fraction(est_peaks, true_peaks)
             rows.append(
@@ -142,15 +139,15 @@ def metrics_csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _design_path(out: Path, method: str, budget: int) -> Path:
-    return out / "designs" / f"{method}_{budget:03d}.txt"
+def _design_name(method: str, budget: int) -> str:
+    return f"designs/{method}_{budget:03d}.txt"
 
 
-def output_paths(out_dir, budgets) -> list:
-    """Every file `write_outputs` writes for a run over `budgets`."""
-    out = Path(out_dir)
-    designs = [_design_path(out, m, b) for b in budgets for m in (METHOD_CONDITIONAL, METHOD_BASELINE)]
-    return [out / "metrics.csv", *designs, out / "report.json"]
+def output_names(budgets) -> list:
+    """Every file `write_outputs` writes for a run over `budgets`, relative
+    to its output directory."""
+    designs = [_design_name(m, b) for b in budgets for m in (METHOD_CONDITIONAL, METHOD_BASELINE)]
+    return ["metrics.csv", *designs, "report.json"]
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> Path:
@@ -160,7 +157,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
     (out / "metrics.csv").write_text(metrics_csv_text(result.rows))
     (out / "designs").mkdir(exist_ok=True)
     for (budget, method), points in sorted(result.designs.items()):
-        _design_path(out, method, budget).write_text(gradient_table(points))
+        (out / _design_name(method, budget)).write_text(gradient_table(points))
     report = {
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import row_products
 from .errors import ValidationError
 from .sphere import ShBasis, as_unit_vectors, inverse_funk_radon, make_grid, normalized
 
@@ -186,9 +187,9 @@ def _draw_axes(config: GenerativeConfig, gens):
 def _ground_truths(basis: ShBasis, config: GenerativeConfig, axes1, axes2) -> list:
     """One ground truth per row of the lobe axes `axes1`, `axes2` (N, 3).
 
-    Each subject's density is projected with its own matrix-vector product:
-    a stacked product can round differently, and a cohort-wide (N, grid)
-    array would cost memory for nothing.
+    Each subject's density is projected on its own: the cohort-wide
+    (N, grid) array of density values that one `row_products` call would
+    take costs memory for nothing.
     """
     grid, phi = _projection_setup(basis)
     w1, w2 = config.weights
@@ -239,8 +240,8 @@ def observe(
 def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str = "gaussian") -> np.ndarray:
     """`observe` for several subjects at the same points, one row each.
 
-    The points are checked and the basis evaluated once; each subject keeps
-    its own matrix-vector product and draws its noise from its own
+    The points are checked and the basis evaluated once; the signal values
+    are `row_products` and each subject draws its noise from its own
     generator `rngs[i]`, so row i has the bits of an `observe` call.
     """
     if sigma < 0.0:
@@ -248,9 +249,8 @@ def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str
     pts, _ = as_unit_vectors(np.atleast_2d(np.asarray(points, dtype=float)), "points")
     phi = basis.evaluate(pts)
     m = pts.shape[0]
-    out = np.empty((len(truths), m))
-    for row, truth in zip(out, truths):
-        row[:] = phi @ truth.signal
+    signals = np.array([truth.signal for truth in truths]).reshape(len(truths), phi.shape[1])
+    out = row_products(phi, signals)
     if sigma == 0.0:
         return out
     if noise not in ("gaussian", "chi"):

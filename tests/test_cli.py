@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from qsdesign import cli
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
 from qsdesign.errors import ValidationError
@@ -627,6 +628,15 @@ MALFORMED_INPUTS = [
     ("simulate design table taken by a directory", lambda t: _taken(
         t / "o" / "designs" / "shls-esr_005.txt", _write_config(t), "directory"),
      "error: cannot write {out}/designs/shls-esr_005.txt: Is a directory"),
+    ("prior-build sidecar taken by a directory", lambda t: _taken(
+        t / "o" / "prior_field.qpf.json", _prior_build_config(t, train_subjects=8, dense_design_size=20), "directory"),
+     "error: cannot write {out}/prior_field.qpf.json: Is a directory"),
+    ("prior-interp sidecar taken by a directory", lambda t: _taken(
+        t / "o" / "prior_interp.qpf.json", _interp(_field_file(t)), "directory"),
+     "error: cannot write {out}/prior_interp.qpf.json: Is a directory"),
+    ("design report taken by a directory", lambda t: _taken(
+        t / "o" / "design_single_002.json", _design(t), "directory"),
+     "error: cannot write {out}/design_single_002.json: Is a directory"),
     ("gcv_grid in simulate config", lambda t: _write_config(t, gcv_grid={"min": 1e-7, "max": 0.1, "count": 20}),
      "error: unknown configuration keys: ['gcv_grid']"),
     ("peak_threshold in simulate config", lambda t: _write_config(t, peak_threshold=0.3),
@@ -667,6 +677,32 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     assert err.splitlines()[0] == expected
     assert not (tmp_path / "o" / "metrics.csv").exists()
     assert _files_under(tmp_path / "o") == files_before  # nothing written
+
+
+# (command, argv builder with one output taken by a directory, the first
+# step of the command's work, as cli calls it)
+TAKEN_OUTPUTS = [
+    ("simulate", lambda t: _taken(t / "o" / "report.json", _write_config(t), "directory"), "run_simulation"),
+    ("esr", lambda t: _taken(t / "o" / "esr_010.txt", ["esr", "--count", "10", "--out", str(t / "o")], "directory"),
+     "esr_design"),
+    ("design", lambda t: _taken(t / "o" / "design_single_002.json", _design(t), "directory"),
+     "greedy_design_region"),
+    ("prior-build", lambda t: _taken(
+        t / "o" / "prior_field.qpf.json", _prior_build_config(t, train_subjects=8, dense_design_size=20), "directory"),
+     "esr_design"),
+    ("prior-interp", lambda t: _taken(t / "o" / "prior_interp.qpf.json", _interp(_field_file(t)), "directory"),
+     "interpolate_prior"),
+]
+
+
+@pytest.mark.parametrize("command,argv_for,work", TAKEN_OUTPUTS, ids=[c[0] for c in TAKEN_OUTPUTS])
+def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} ran {work} before checking its outputs")
+
+    argv = argv_for(tmp_path)
+    monkeypatch.setattr(cli, work, refuse)
+    assert main(argv) == 2
 
 
 @pytest.mark.parametrize("argv_for", [lambda t: _design_voxel(t, "0,0,0"), lambda t: _interp(_field_file(t))],

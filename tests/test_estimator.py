@@ -86,14 +86,13 @@ class TestShlsFit:
         points = hemisphere_spiral(basis4.dimension)
         c0 = rng.standard_normal(basis4.dimension)
         values = basis4.evaluate(points) @ c0
-        fit = shls_fit(points, values, basis4, smoothing=0.0)
-        assert np.abs(fit.coefficients - c0).max() < 1e-8
+        coeffs = shls_fit(points, values, basis4, smoothing=0.0)
+        assert np.abs(coeffs - c0).max() < 1e-8
 
     def test_infinite_smoothing_keeps_only_mean(self, basis4, rng):
         points = random_unit_vectors(rng, 40)
         values = 0.3 + 0.05 * rng.standard_normal(40)
-        fit = shls_fit(points, values, basis4, smoothing=1e12)
-        coeffs = fit.coefficients
+        coeffs = shls_fit(points, values, basis4, smoothing=1e12)
         assert np.abs(coeffs[1:]).max() < 1e-8
         # degree-0 is unpenalized: the limit is the plain mean-preserving fit
         phi0 = 1.0 / np.sqrt(4 * np.pi)
@@ -108,8 +107,8 @@ class TestShlsFit:
             values = phi @ c0 + 0.01 * rng.standard_normal(90)
             raw = shls_fit(points, values, basis8, smoothing=0.0)
             _, smoothed = gcv_select(points, values, basis8)
-            err_raw = np.sum((raw.coefficients - c0) ** 2)
-            err_gcv = np.sum((smoothed.coefficients - c0) ** 2)
+            err_raw = np.sum((raw - c0) ** 2)
+            err_gcv = np.sum((smoothed - c0) ** 2)
             wins += err_gcv < err_raw
         assert wins > 25  # smoothing helps on average
 
@@ -191,18 +190,23 @@ class TestGcvSelectBatch:
         # rule picks the largest
         rows = self.cohort_values(basis8, points) + [np.zeros(count)]
         monkeypatch.setattr(estimator, "DEFAULT_GCV_GRID", self.GRID)
-        batch = gcv_select_batch(points, rows, basis8)
-        assert batch[-1][0] == self.GRID[-1]
-        assert len(batch) == len(rows)
+        batch_lams, batch_coeffs = gcv_select_batch(points, rows, basis8)
+        assert batch_lams[-1] == self.GRID[-1]
+        assert batch_lams.shape == (len(rows),)
+        assert batch_coeffs.shape == (len(rows), basis8.dimension)
         lambdas = set()
-        for values, (lam, fit) in zip(rows, batch):
+        for values, lam, coeffs in zip(rows, batch_lams, batch_coeffs):
             ref_lam, ref_coeffs = reference_gcv_select(points, values, basis8, self.GRID)
-            assert lam == ref_lam == fit.lambda_used
-            assert np.array_equal(fit.coefficients, ref_coeffs)
-            one_lam, one_fit = gcv_select(points, values, basis8)
-            assert one_lam == lam and np.array_equal(one_fit.coefficients, fit.coefficients)
+            assert lam == ref_lam
+            assert np.array_equal(coeffs, ref_coeffs)
+            one_lam, one_coeffs = gcv_select(points, values, basis8)
+            assert one_lam == lam and np.array_equal(one_coeffs, coeffs)
             lambdas.add(lam)
         assert lambdas.isdisjoint({1e-18, 1e-16})
+
+    def test_empty_batch_keeps_shapes(self, basis8):
+        lambdas, coeffs = gcv_select_batch(esr_design(30, seed=2), [], basis8)
+        assert lambdas.shape == (0,) and coeffs.shape == (0, basis8.dimension)
 
     def test_small_lambdas_degenerate_at_30_points(self, basis8, monkeypatch):
         points = esr_design(30, seed=2)
@@ -255,12 +259,18 @@ class TestConditionalFitBatch:
         points = esr_design(count, seed=1) if count > 1 else random_unit_vectors(rng, count)
         rows = [rng.standard_normal(count) for _ in range(30)] + [np.zeros(count)]
         batch = conditional_fit_batch(points, rows, prior, basis8)
-        assert len(batch) == len(rows)
-        for values, fit in zip(rows, batch):
+        assert batch.shape == (len(rows), basis8.dimension)
+        for values, coeffs in zip(rows, batch):
             want = reference_conditional_fit(points, values, prior, basis8)
-            assert fit.coefficients.tobytes() == want.tobytes()
+            assert coeffs.tobytes() == want.tobytes()
             one = conditional_fit(points, values, prior, basis8)
-            assert one.coefficients.tobytes() == want.tobytes()
+            assert one.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [0, 6])
+    def test_empty_batch_keeps_shapes(self, basis4, rng, count):
+        points = random_unit_vectors(rng, count)
+        batch = conditional_fit_batch(points, [], random_prior(basis4, rng), basis4)
+        assert batch.shape == (0, basis4.dimension)
 
     def test_row_length_checked(self, basis4, rng):
         points = random_unit_vectors(rng, 6)
@@ -274,7 +284,7 @@ class TestConditionalScores:
         scores = conditional_scores(np.zeros((0, 3)), np.zeros(0), prior, basis4)
         assert np.all(scores == 0.0)
         fit = conditional_fit(np.zeros((0, 3)), np.zeros(0), prior, basis4)
-        assert np.array_equal(fit.coefficients, prior.mean)
+        assert np.array_equal(fit, prior.mean)
 
     def test_huge_noise_shrinks_to_zero(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=4, noise_variance=1e12)
@@ -337,14 +347,14 @@ class TestConditionalFit:
         points = make_grid("spiral", 12).directions
         values = basis4.evaluate(points) @ truth
         fit = conditional_fit(points, values, prior, basis4)
-        assert np.abs(fit.coefficients - truth).max() < 1e-6
+        assert np.abs(fit - truth).max() < 1e-6
 
     def test_estimate_stays_in_prior_subspace(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=3)
         points = random_unit_vectors(rng, 10)
         values = rng.standard_normal(10)
         fit = conditional_fit(points, values, prior, basis4)
-        offset = fit.coefficients - prior.mean
+        offset = fit - prior.mean
         projected = prior.eigenvectors @ (prior.eigenvectors.T @ offset)
         assert np.abs(offset - projected).max() < 1e-12
 
@@ -362,8 +372,8 @@ class TestConditionalFit:
             values = phi @ truth + 0.1 * rng.standard_normal(10)
             cond = conditional_fit(points, values, prior, basis4)
             _, pen = gcv_select(points, values, basis4)
-            err_cond += np.sum((cond.coefficients - truth) ** 2)
-            err_shls += np.sum((pen.coefficients - truth) ** 2)
+            err_cond += np.sum((cond - truth) ** 2)
+            err_shls += np.sum((pen - truth) ** 2)
         assert err_cond <= err_shls
 
     def test_optimal_among_fixed_linear_estimators(self, basis4, rng):
@@ -384,7 +394,7 @@ class TestConditionalFit:
             truth = prior.mean + prior.eigenvectors @ xi
             values = phi @ truth + 0.2 * rng.standard_normal(8)
             fit = conditional_fit(points, values, prior, basis4)
-            total_cond += np.sum((fit.coefficients - truth) ** 2)
+            total_cond += np.sum((fit - truth) ** 2)
             for name, est in competitors.items():
                 totals[name] += np.sum((est(values) - truth) ** 2)
         for name, total in totals.items():

@@ -174,3 +174,45 @@ def test_local_maxima_rows_equal_per_row_calls(rng):
     for row, mask in zip(values, masks):
         assert np.array_equal(mask, _kernels.local_maxima(row, neighbors))
         assert np.array_equal(mask, row > row[neighbors].max(axis=1))
+
+
+# (m, d, N): basis matrices of the pipeline's designs, its candidate pool and
+# its detection grid, at J = 45 and J = 15, and an empty batch
+SHARED_SHAPES = [(90, 45, 100), (30, 45, 60), (5, 45, 16), (20, 15, 8), (321, 45, 3), (4096, 45, 16), (30, 45, 0)]
+
+
+@pytest.mark.parametrize("m,d,n", SHARED_SHAPES)
+def test_row_products_shared_matrix_equals_one_row_products(m, d, n, rng):
+    a = rng.standard_normal((m, d))  # C-order, as a basis matrix
+    rows = rng.standard_normal((n, d))
+    got = _kernels.row_products(a, rows)
+    want = np.array([a @ x for x in rows]).reshape(n, m)
+    assert got.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
+    # the transposed view, as `phi.T` takes rows of observed values
+    rows_t = rng.standard_normal((n, m))
+    got_t = _kernels.row_products(a.T, rows_t)
+    want_t = np.array([a.T @ x for x in rows_t]).reshape(n, d)
+    assert got_t.shape == (n, d)
+    assert got_t.tobytes() == want_t.tobytes()
+
+
+@pytest.mark.parametrize("m,d,n", [(4, 45, 60), (4, 15, 7), (1, 45, 9), (4, 45, 0)])
+def test_row_products_stack_equals_one_row_products(m, d, n, rng):
+    # (N, 4, J) is the peak ascent's probe stack, (N, 1, J) its candidate values
+    a = rng.standard_normal((n, m, d))
+    rows = rng.standard_normal((n, d))
+    got = _kernels.row_products(a, rows)
+    want = np.array([a_i @ x_i for a_i, x_i in zip(a, rows)]).reshape(n, m)
+    assert got.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 0])
+def test_row_products_dots_equal_one_pair_dots(n, rng):
+    # (N, 1, 3) views of (N, 3) stacks, as the peak ascent's norms take them
+    x = rng.standard_normal((n, 3))
+    y = rng.standard_normal((n, 3))
+    got = _kernels.row_products(x[:, None, :], y)[:, 0]
+    want = np.array([x_i @ y_i for x_i, y_i in zip(x, y)]).reshape(n)
+    assert got.tobytes() == want.tobytes()

@@ -38,9 +38,9 @@ def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE
         step = np.radians(metrics.REFINE_STEP_DEGREES)
         for _ in range(metrics.REFINE_STEPS):
             helper = np.array([1.0, 0.0, 0.0]) if abs(point[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-            e1 = metrics._cross3(point, helper)
+            e1 = np.cross(point, helper)
             e1 /= np.linalg.norm(e1)
-            e2 = metrics._cross3(point, e1)
+            e2 = np.cross(point, e1)
             probes = np.vstack([point + fd * e1, point - fd * e1, point + fd * e2, point - fd * e2])
             probes /= np.linalg.norm(probes, axis=1, keepdims=True)
             vals = basis.evaluate(probes) @ coeffs
@@ -64,10 +64,10 @@ def reference_find_peaks(coeffs, basis, grid_size=metrics.DEFAULT_PEAK_GRID_SIZE
         kept_dirs.append(point)
         kept_vals.append(value)
     if not kept_dirs:
-        return PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size)
+        return PeakSet(np.zeros((0, 3)), np.zeros(0))
     vals = np.asarray(kept_vals)
     order = np.argsort(vals)[::-1]
-    return PeakSet(np.asarray(kept_dirs)[order], vals[order], grid_size)
+    return PeakSet(np.asarray(kept_dirs)[order], vals[order])
 
 
 def spiral_directions(size):
@@ -116,13 +116,12 @@ def mixed_cohort(basis, rng):
 def assert_same_peaks(got, want):
     assert np.array_equal(got.directions, want.directions)
     assert np.array_equal(got.values, want.values)
-    assert got.grid_size == want.grid_size
 
 
 def peak_set(*dirs_vals):
     dirs = np.array([d for d, _ in dirs_vals], dtype=float)
     vals = np.array([v for _, v in dirs_vals], dtype=float)
-    return PeakSet(dirs, vals, grid_size=0)
+    return PeakSet(dirs, vals)
 
 
 class TestIntegratedSquaredError:
@@ -334,7 +333,7 @@ class TestAngularError:
 
     def test_empty_estimate_counts_as_single_fiber(self):
         truth = peak_set((Z, 1.0), (X, 0.5))
-        empty = PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size=0)
+        empty = PeakSet(np.zeros((0, 3)), np.zeros(0))
         assert angular_error(empty, truth) == pytest.approx(90.0)
 
     def test_angles_folded_to_ninety(self):
@@ -343,6 +342,6 @@ class TestAngularError:
         assert peak_angle_degrees(est) == pytest.approx(10.0, abs=1e-9)
 
     def test_empty_truth_rejected(self):
-        empty = PeakSet(np.zeros((0, 3)), np.zeros(0), grid_size=0)
+        empty = PeakSet(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValidationError):
             angular_error(peak_set((Z, 1.0)), empty)

@@ -159,6 +159,11 @@ class TestObserveBatch:
             one = observe(truth, points, sigma, np.random.default_rng(seed), basis8, noise)
             assert one.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_no_subjects_give_no_rows(self, basis4, sigma):
+        points = random_unit_vectors(np.random.default_rng(4), 5)
+        assert observe_batch([], points, sigma, [], basis4).shape == (0, 5)
+
     def test_one_rng_per_subject(self, basis4):
         truths = generate_cohort(basis4, GenerativeConfig(), 3, seed=1)
         with pytest.raises(ValueError):
