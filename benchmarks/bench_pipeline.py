@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time qsdesign stage by stage: the experiment pipeline, the field path, the kernels and the set-up caches.
+"""Time qsdesign stage by stage: the experiment pipeline, the field path, the region design, the kernels and the set-up caches.
 
 Run from the repository root:
 
     python3 benchmarks/bench_pipeline.py --repeats 7 --label after
     python3 benchmarks/bench_pipeline.py --workload field --repeats 9 --label before --root ../other-checkout
 
-Five workloads, all at one BLAS thread:
+Six workloads, all at one BLAS thread:
 
 - perfbench: one `run_simulation` on the inputs of the perfbench `protocol`
   workload (`SIZES["full"]["protocol"]` in perfbench/workloads.py);
@@ -14,6 +14,13 @@ Five workloads, all at one BLAS thread:
 - field: one repeat of the perfbench `field` workload (`workloads.Field`):
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
   a region design; `Field.check` validates every repeat;
+- region: `qsdesign design --mode region --budget 20` in a fresh process
+  per repeat, on lattices of 216, 1000 and 4096 voxels (REGION_LATTICES)
+  interpolated from the coarse prior of the `field` workload's
+  `prior-build`; the lattices are built once per run, untimed. A row holds
+  each size's process CPU seconds (interpreter start-up and imports
+  included), its peak RSS in MB (VmHWM, see REGION_CHILD) and the sha256
+  of its design report;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the restart stack
   `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
@@ -39,7 +46,7 @@ by `Field.run_once` itself.
 Every workload runs one untimed warm-up first; a timed repeat whose outputs
 hash differently from the warm-up's stops the script with exit 1. Each
 workload appends one row to BENCH_pipeline.json (BENCH_field.json for
-`field`) next to this directory: the median and the min CPU time per stage
+`field` and `region`) next to this directory: the median and the min CPU time per stage
 and in total (seconds; microseconds for kernels), the sha256 of the
 outputs, nproc, the Python, numpy and scipy versions, and the git commit of
 the checkout whose `src/` was timed.
@@ -48,6 +55,7 @@ the checkout whose `src/` was timed.
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -60,7 +68,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("perfbench", "unit", "field", "kernels", "setup")
+WORKLOADS = ("perfbench", "unit", "field", "region", "kernels", "setup")
 UNIT = dict(
     degree=8, train_subjects=200, test_subjects=100, dense_design_size=90,
     candidate_count=321, budgets=(5, 10, 15, 20, 45), peak_grid_size=4096,
@@ -94,6 +102,19 @@ for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=
     digest.update(table.tobytes())
 print(json.dumps({"cpu_s": {"projection": t1 - t0, "detection": t2 - t1, "process": t2},
                   "maxrss_mb": maxrss, "tables_sha256": digest.hexdigest()}))
+"""
+REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
+REGION_BUDGET = 20
+# Runs the `qsdesign` command line in a fresh process; argv: its arguments.
+# Its peak RSS is VmHWM: on Linux, ru_maxrss after a fork and exec starts
+# from the forking process's RSS, here that of the lattices' builder.
+REGION_CHILD = """
+import json, resource, sys
+from qsdesign import cli
+code = cli.main(sys.argv[1:])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "cpu_s": usage.ru_utime + usage.ru_stime, "maxrss_mb": peak_kb / 1024.0}))
 """
 
 
@@ -191,6 +212,60 @@ def field_once(field):
     times = dict(timer.times, total=sum(timer.times.values()))
     paths = {"coarse_qpf": "coarse_path", "fine_qpf": "fine_path", "region_report": "report_path"}
     return times, {key: outcome[path].read_bytes() for key, path in paths.items()}
+
+
+def build_lattices(field, workdir: Path) -> dict:
+    """The `field` workload's coarse prior, interpolated to a jittered
+    n x n x n lattice for every n of REGION_LATTICES; returns voxel count ->
+    the saved `.qpf`. The jitter is that of `workloads.Field`, from the
+    field's seed."""
+    import numpy as np
+    from qsdesign import cli, prior
+
+    build = workdir / "build"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["prior-build", "--config", str(field.config), "--out", str(build)])
+    if code != 0:
+        sys.exit(f"error: prior-build of the region lattices exited with {code}")
+    coarse = prior.load_prior_field(build / "prior_field.qpf")
+    grid = np.array(coarse.shape, dtype=float) - 1.0
+    paths = {}
+    for n in REGION_LATTICES:
+        base = np.stack(np.meshgrid(*(np.linspace(0.0, g, n) for g in grid), indexing="ij"), axis=-1)
+        jitter = np.random.default_rng(field.seed).uniform(-0.4, 0.4, size=(n**3, 3)) * grid / (n - 1)
+        coords = np.clip(base.reshape(-1, 3) + jitter, 0.0, grid)
+        lattice = prior.PriorField((n, n, n), {}, coarse.max_degree, coarse.rank_rule)
+        for index, query in zip(np.ndindex(n, n, n), coords):
+            lattice.add(index, prior.interpolate_prior(coarse, query))
+        paths[n**3] = workdir / f"lattice_{n**3}.qpf"
+        prior.save_prior_field(lattice, paths[n**3])
+    return paths
+
+
+def time_region(src: Path, lattices: dict, repeats: int):
+    """Fresh-process region designs on every lattice: the median and min of
+    the process CPU seconds and `ru_maxrss` MB, and the report's sha256."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cpu_s, maxrss_mb, reports = {}, {}, {}
+    for voxels, path in lattices.items():
+        size = f"{voxels} voxels"
+        out = path.with_suffix("")
+        argv = ["design", "--prior", str(path), "--mode", "region", "--budget", str(REGION_BUDGET),
+                "--candidates", "321", "--out", str(out)]
+
+        def once(size=size, out=out, argv=argv):
+            proc = subprocess.run([sys.executable, "-c", REGION_CHILD, *argv], capture_output=True, text=True, env=env)
+            child = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else {"code": None}
+            if child["code"] != 0:
+                sys.exit(f"error: region design at {size} failed:\n{proc.stderr}")
+            report = (out / f"design_region_{REGION_BUDGET:03d}.json").read_bytes()
+            return {size: child["cpu_s"], f"maxrss {size}": child["maxrss_mb"]}, {size: report}
+
+        stats, digests = measure(f"region at {size}", once, repeats)
+        cpu_s[size], maxrss_mb[size] = stats[size], stats[f"maxrss {size}"]
+        reports.update(digests)
+    return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, "cpu_s": cpu_s,
+            "maxrss_mb": maxrss_mb, "report_sha256": reports}
 
 
 def time_kernels(kernels):
@@ -297,6 +372,10 @@ def main(argv=None) -> int:
                 field = workloads.Field(seed, "full", Path(tmp))
                 cpu_s, digests = measure(name, lambda: field_once(field), args.repeats)
             fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s, "outputs_sha256": digests}
+        elif name == "region":
+            with tempfile.TemporaryDirectory(prefix="bench_region_") as tmp:
+                lattices = build_lattices(workloads.Field(seed, "full", Path(tmp)), Path(tmp))
+                fields = {"seed": seed, **time_region(src, lattices, args.repeats)}
         else:
             params = workloads.SIZES["full"]["protocol"] if name == "perfbench" else UNIT
             cfg = config.SimConfig(seed=seed, out_dir="unused", **params)
@@ -304,7 +383,7 @@ def main(argv=None) -> int:
             fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s,
                       "metrics_csv_sha256": digests["metrics_csv"]}
         row = {"label": args.label, "workload": name, "git_commit": git_commit(args.root), **fields, **environment}
-        path = ROOT / ("BENCH_field.json" if name == "field" else "BENCH_pipeline.json")
+        path = ROOT / ("BENCH_field.json" if name in ("field", "region") else "BENCH_pipeline.json")
         bench = json.loads(path.read_text()) if path.exists() else {"benchmark": path.stem, "rows": []}
         bench["rows"].append(row)
         path.write_text(json.dumps(bench, indent=2) + "\n")

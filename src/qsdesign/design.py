@@ -16,6 +16,7 @@ minimized by projected gradient descent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,16 @@ import numpy as np
 from . import _kernels
 from .errors import DegeneracyError, ValidationError
 from .prior import VoxelPrior
-from .sphere import GOLDEN_ANGLE, ShBasis, as_unit_vectors, normalized
+from .sphere import GOLDEN_ANGLE, UNIT_NORM_TOL, ShBasis, as_unit_vectors, normalized
 
 DUPLICATE_ANGLE_TOL = 1e-6  # radians
-_DUPLICATE_BLOCK_ENTRIES = 1 << 20  # cosines per block of the duplicate check (8 MB)
+# Two unit vectors (squared norms within UNIT_NORM_TOL of 1) whose dot product
+# exceeds cos(DUPLICATE_ANGLE_TOL) differ in z by less than
+# sqrt(2 UNIT_NORM_TOL + 2 (1 - cos DUPLICATE_ANGLE_TOL)) = 1.42e-5; the
+# duplicate check compares each point with the points above it in z within
+# twice that.
+_DUPLICATE_Z_WINDOW = 2.0 * math.sqrt(2.0 * UNIT_NORM_TOL + 2.0 * (1.0 - math.cos(DUPLICATE_ANGLE_TOL)))
+_DUPLICATE_BLOCK_ENTRIES = 1 << 16  # dot products per step of the duplicate check (about 5 MB)
 DEFAULT_CANDIDATE_COUNT = 321
 # electrostatic-repulsion descent: step cap, seeded starts, first step times the count
 _ESR_STEPS = 2000
@@ -43,17 +50,36 @@ class CandidateSet:
     def __post_init__(self):
         pts, _ = as_unit_vectors(self.points, "candidate points")
         object.__setattr__(self, "points", pts)
-        # largest cosine of distinct points (or the zeroed diagonal's 0), in bounded row blocks
-        rows, closest = max(1, _DUPLICATE_BLOCK_ENTRIES // max(len(pts), 1)), 0.0
-        for lo in range(0, len(pts), rows):
-            dots = pts[lo : lo + rows] @ pts.T
-            np.fill_diagonal(dots[:, lo:], 0.0)
-            closest = max(closest, float(dots.max()))
-        if np.arccos(min(closest, 1.0)) < DUPLICATE_ANGLE_TOL:
+        if np.arccos(min(_closest_cosine(pts), 1.0)) < DUPLICATE_ANGLE_TOL:
             raise ValidationError("candidate set contains near-duplicate directions")
 
     def __len__(self):
         return self.points.shape[0]
+
+
+def _closest_cosine(pts: np.ndarray) -> float:
+    """Largest dot product of two distinct points that lie within
+    `_DUPLICATE_Z_WINDOW` of each other in z, or 0.
+
+    The points are sorted by z, and each is paired with the points that
+    follow it inside the window, one offset in the sorted order at a time,
+    in row blocks of `_DUPLICATE_BLOCK_ENTRIES`. The work is about linear in
+    the point count for points spread in z; a ring of points of equal z
+    costs the square of its size in time, but never more than one block in
+    memory.
+    """
+    srt = pts[np.argsort(pts[:, 2], kind="stable")]
+    reach = np.searchsorted(srt[:, 2], srt[:, 2] + _DUPLICATE_Z_WINDOW, side="right")
+    closest = 0.0
+    for start in range(0, len(srt), _DUPLICATE_BLOCK_ENTRIES):
+        rows, offset = np.arange(start, min(start + _DUPLICATE_BLOCK_ENTRIES, len(srt))), 1
+        while True:
+            rows = rows[rows + offset < reach[rows]]  # rows with a point `offset` places on in the window
+            if not rows.size:
+                break
+            closest = max(closest, float(np.einsum("ij,ij->i", srt[rows], srt[rows + offset]).max()))
+            offset += 1
+    return closest
 
 
 def hemisphere_spiral(n: int) -> np.ndarray:
@@ -173,9 +199,12 @@ def greedy_design_region(
 
     Maximizes the weighted sum of per-voxel trace objectives; weights must be
     positive and sum to 1. The voxels' posterior covariances are stacked,
-    zero-padded to the largest rank, so each step scores every voxel in one
-    stacked gains evaluation and downdates them all at once; a voxel's
-    padded columns of `psi` and rows and columns of `dmat` stay exactly 0.
+    zero-padded to the largest rank, so each step scores every voxel with
+    one `greedy_gains` call, which runs in voxel blocks of bounded size, and
+    downdates them all at once; a voxel's padded columns of `psi` and rows
+    and columns of `dmat` stay exactly 0. Beyond `psi` (V, N, K), a step's
+    temporaries are one (V, N) gains array, (V, K, K) downdate terms and
+    one block.
     """
     priors = list(priors)
     weights = np.asarray(weights, dtype=float)
@@ -194,6 +223,7 @@ def greedy_design_region(
         evecs[v, :, : prior.rank] = prior.eigenvectors
         dmat[v, : prior.rank, : prior.rank] = np.diag(prior.eigenvalues)
     psi = basis.evaluate(candidates.points) @ evecs  # (V, N, K_max)
+    del evecs  # (V, J, K_max): the steps read psi only
     noise = np.array([[p.noise_variance] for p in priors])
     active = np.ones(len(candidates), dtype=bool)
     selected: list[int] = []

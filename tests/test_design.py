@@ -52,12 +52,12 @@ class TestCandidateSet:
             CandidateSet(np.array([[0.0, 0.0, 2.0]]))
 
     def test_default_pool_is_one_block(self):
-        assert design._DUPLICATE_BLOCK_ENTRIES // 321 >= 321
+        assert design._DUPLICATE_BLOCK_ENTRIES >= 321
 
-    # with 3 rows per block the 11 points make blocks 0-2, 3-5, 6-8, 9-10
+    # with 3 rows per block the 11 points, sorted by z, make blocks 0-2, 3-5, 6-8, 9-10
     @pytest.mark.parametrize("pair", [None, (0, 1), (4, 5), (2, 3), (1, 7), (10, 0)])
     def test_blockwise_check_matches_brute_force(self, monkeypatch, pair):
-        monkeypatch.setattr(design, "_DUPLICATE_BLOCK_ENTRIES", 3 * 11)
+        monkeypatch.setattr(design, "_DUPLICATE_BLOCK_ENTRIES", 3)
         pts = hemisphere_spiral(11)
         pts[6] = -pts[8]  # antipodal: not a duplicate
         pts[9] = normalized(pts[8] + [1e-5, 0.0, 0.0])  # 1e-5 rad apart: not a duplicate either
