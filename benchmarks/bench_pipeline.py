@@ -18,9 +18,10 @@ Six workloads, all at one BLAS thread:
   per repeat, on lattices of 216, 1000 and 4096 voxels (REGION_LATTICES)
   interpolated from the coarse prior of the `field` workload's
   `prior-build`; the lattices are built once per run, untimed. A row holds
-  each size's process CPU seconds (interpreter start-up and imports
-  included), its peak RSS in MB (VmHWM, see REGION_CHILD) and the sha256
-  of its design report;
+  each size's process CPU seconds and peak RSS (see run_child), the sha256
+  of its design report, and the sha256 of every prior that
+  `load_prior_field` reads from its lattice (mean, covariance, eigenpairs,
+  noise variance), loaded once in this process, untimed;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the restart stack
   `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
@@ -29,11 +30,11 @@ Six workloads, all at one BLAS thread:
   and at peak grid sizes 4096 and 16384 (SETUP_GRID_SIZES): the projection
   grid and its basis matrix (`sim._projection_setup`) and the detection
   grid with its neighbour table (`metrics._detection_setup`). A row holds
-  the CPU seconds of each cache, the CPU seconds of the whole process
-  (interpreter start-up and imports included), its `ru_maxrss` in MB, and
-  the sha256 of the tables, which is equal across checkouts whose tables
-  are; the neighbour rows are hashed sorted, since a row is a set of
-  neighbours and its column order is not part of the table's contract.
+  the CPU seconds of each cache, the process CPU seconds and peak RSS (see
+  run_child), and the sha256 of the tables, which is equal across
+  checkouts whose tables are; the neighbour rows are hashed sorted, since a
+  row is a set of neighbours and its column order is not part of the
+  table's contract.
 
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
@@ -49,7 +50,8 @@ workload appends one row to BENCH_pipeline.json (BENCH_field.json for
 `field` and `region`) next to this directory: the median and the min CPU time per stage
 and in total (seconds; microseconds for kernels), the sha256 of the
 outputs, nproc, the Python, numpy and scipy versions, and the git commit of
-the checkout whose `src/` was timed.
+the checkout whose `src/` was timed, marked "-dirty" when its tracked files
+differ from that commit.
 """
 
 import argparse
@@ -85,9 +87,21 @@ STAGES = {
 }
 KERNEL_CALLS = 30
 SETUP_GRID_SIZES = (4096, 16384)
-# Fills both caches in a fresh process; argv: degree, peak grid size.
+# The fresh-process workloads run one of these bodies through run_child.
+# Each leaves a JSON-able dict in `result`; the tail adds the process's CPU
+# seconds (interpreter start-up and imports included) and its peak RSS in MB.
+# The peak is VmHWM: on Linux, ru_maxrss after a fork and exec starts from
+# the forking process's RSS, here that of this harness.
+CHILD_HEAD = "import json, resource, sys\n"
+CHILD_TAIL = """
+usage = resource.getrusage(resource.RUSAGE_SELF)
+peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_kb / 1024.0)
+print(json.dumps(result))
+"""
+# Fills both caches; argv: degree, peak grid size.
 SETUP_CHILD = """
-import hashlib, json, resource, sys, time
+import hashlib, time
 import numpy as np
 from qsdesign import ShBasis, metrics, sim
 basis = ShBasis(int(sys.argv[1]))
@@ -96,25 +110,21 @@ grid, phi = sim._projection_setup(basis)
 t1 = time.process_time()
 dirs, neighbors, grid_basis = metrics._detection_setup(int(sys.argv[2]), basis)
 t2 = time.process_time()
-maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 digest = hashlib.sha256()
 for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=1), grid_basis):
     digest.update(table.tobytes())
-print(json.dumps({"cpu_s": {"projection": t1 - t0, "detection": t2 - t1, "process": t2},
-                  "maxrss_mb": maxrss, "tables_sha256": digest.hexdigest()}))
+result = {"cpu_s": {"projection": t1 - t0, "detection": t2 - t1}, "tables_sha256": digest.hexdigest()}
 """
 REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
 REGION_BUDGET = 20
-# Runs the `qsdesign` command line in a fresh process; argv: its arguments.
-# Its peak RSS is VmHWM: on Linux, ru_maxrss after a fork and exec starts
-# from the forking process's RSS, here that of the lattices' builder.
+# Runs the `qsdesign` command line; argv: its arguments. A failing command
+# exits with its code, so run_child reports its stderr.
 REGION_CHILD = """
-import json, resource, sys
 from qsdesign import cli
 code = cli.main(sys.argv[1:])
-usage = resource.getrusage(resource.RUSAGE_SELF)
-peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(json.dumps({"code": code, "cpu_s": usage.ru_utime + usage.ru_stime, "maxrss_mb": peak_kb / 1024.0}))
+if code:
+    sys.exit(code)
+result = {}
 """
 
 
@@ -134,8 +144,35 @@ def parse_args(argv):
 
 def git_commit(root: Path):
     env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(root.resolve().parent)}
-    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True, env=env)
+    # the full hash of HEAD (no tag names), with "-dirty" when tracked files differ from it
+    proc = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+                          capture_output=True, text=True, env=env)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run_child(src: Path, body: str, argv, what: str) -> dict:
+    """Run `body` in a fresh Python process that imports qsdesign from `src`,
+    with `argv` as its arguments; returns its `result` with `process_cpu_s`
+    and `maxrss_mb` added. Exits 1 naming `what` when the process fails."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", CHILD_HEAD + body + CHILD_TAIL, *argv],
+                          capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        sys.exit(f"error: {what} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])  # after whatever `body` printed
+
+
+def loaded_field_sha256(path: Path) -> str:
+    """The sha256 of every prior `load_prior_field` reads from `path`, in
+    file order: index, mean, covariance, eigenpairs and noise variance."""
+    from qsdesign import prior
+
+    digest = hashlib.sha256()
+    for index, p in prior.load_prior_field(path).priors.items():
+        digest.update(repr((index, p.noise_variance)).encode())
+        for array in (p.mean, p.covariance, p.eigenvalues, p.eigenvectors):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def measure(name, once, repeats):
@@ -244,9 +281,9 @@ def build_lattices(field, workdir: Path) -> dict:
 
 def time_region(src: Path, lattices: dict, repeats: int):
     """Fresh-process region designs on every lattice: the median and min of
-    the process CPU seconds and `ru_maxrss` MB, and the report's sha256."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    cpu_s, maxrss_mb, reports = {}, {}, {}
+    the process CPU seconds and peak RSS MB, the report's sha256 and that of
+    the loaded priors."""
+    cpu_s, maxrss_mb, reports, loaded = {}, {}, {}, {}
     for voxels, path in lattices.items():
         size = f"{voxels} voxels"
         out = path.with_suffix("")
@@ -254,18 +291,16 @@ def time_region(src: Path, lattices: dict, repeats: int):
                 "--candidates", "321", "--out", str(out)]
 
         def once(size=size, out=out, argv=argv):
-            proc = subprocess.run([sys.executable, "-c", REGION_CHILD, *argv], capture_output=True, text=True, env=env)
-            child = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else {"code": None}
-            if child["code"] != 0:
-                sys.exit(f"error: region design at {size} failed:\n{proc.stderr}")
+            child = run_child(src, REGION_CHILD, argv, f"region design at {size}")
             report = (out / f"design_region_{REGION_BUDGET:03d}.json").read_bytes()
-            return {size: child["cpu_s"], f"maxrss {size}": child["maxrss_mb"]}, {size: report}
+            return {size: child["process_cpu_s"], f"maxrss {size}": child["maxrss_mb"]}, {size: report}
 
         stats, digests = measure(f"region at {size}", once, repeats)
         cpu_s[size], maxrss_mb[size] = stats[size], stats[f"maxrss {size}"]
         reports.update(digests)
+        loaded[size] = loaded_field_sha256(path)
     return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, "cpu_s": cpu_s,
-            "maxrss_mb": maxrss_mb, "report_sha256": reports}
+            "maxrss_mb": maxrss_mb, "report_sha256": reports, "loaded_priors_sha256": loaded}
 
 
 def time_kernels(kernels):
@@ -315,20 +350,16 @@ def time_kernels(kernels):
 def time_setup(src: Path, degree: int, repeats: int):
     """Fresh-process set-up of the projection and detection caches at every
     SETUP_GRID_SIZES entry: the median and min of each cache's CPU seconds,
-    the process CPU seconds and `ru_maxrss` MB, and the tables' sha256."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    the process CPU seconds and peak RSS MB, and the tables' sha256."""
     cpu_s, maxrss_mb, tables = {}, {}, {}
     for size in SETUP_GRID_SIZES:
         grid = f"grid {size}"
 
         def once(size=size, grid=grid):
-            proc = subprocess.run([sys.executable, "-c", SETUP_CHILD, str(degree), str(size)],
-                                  capture_output=True, text=True, env=env)
-            if proc.returncode != 0:
-                sys.exit(f"error: setup at {grid} failed:\n{proc.stderr}")
-            child = json.loads(proc.stdout)
+            child = run_child(src, SETUP_CHILD, [str(degree), str(size)], f"setup at {grid}")
             tables[grid] = child["tables_sha256"]
-            times = {f"{key} ({grid})": value for key, value in child["cpu_s"].items()}
+            cpu = dict(child["cpu_s"], process=child["process_cpu_s"])
+            times = {f"{key} ({grid})": value for key, value in cpu.items()}
             return dict(times, maxrss_mb=child["maxrss_mb"]), {grid: tables[grid].encode()}
 
         stats = measure(f"setup at {grid}", once, repeats)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,6 +27,9 @@ ORTHO_TOL = 1e-10
 EIGENVALUE_FLOOR_FACTOR = 1e-12
 
 _MAGIC = b"QPFLD001"
+# after the magic: J, basis degree, rank-rule kind code, rank-rule value,
+# grid shape, voxel count
+_HEADER = struct.Struct("<IIId3II")
 # `load_prior_field` decomposes its voxels in blocks of at most this many
 # covariance entries (512 kB): 32 voxels a block at degree 8. Measured with
 # tracemalloc on the 216-voxel perfbench field: the load's peak went from
@@ -292,24 +296,28 @@ class PriorField:
             raise ValidationError("field shape must be three positive integers")
         if self.max_degree < 0 or self.max_degree % 2:
             raise ValidationError(f"field basis degree must be even and non-negative, got {self.max_degree}")
-        for prior in self.priors.values():
-            self._check_dimension(prior)
+        priors, self.priors = self.priors, {}
+        for index, prior in priors.items():
+            self.add(index, prior)
 
     def __len__(self):
         return len(self.priors)
 
-    def _check_dimension(self, prior: VoxelPrior):
+    def _voxel_index(self, index) -> tuple:
+        """`index` as a tuple of ints, or ValidationError when it is not a
+        voxel of this field."""
+        index = tuple(int(i) for i in index)
+        if len(index) != 3 or any(i < 0 or i >= s for i, s in zip(index, self.shape)):
+            raise ValidationError(f"voxel index {index} outside field shape {self.shape}")
+        return index
+
+    def add(self, index, prior: VoxelPrior):
+        index = self._voxel_index(index)
         j = basis_dimension(self.max_degree)
         if prior.dimension != j:
             raise ValidationError(
                 f"prior dimension {prior.dimension} does not match the degree-{self.max_degree} basis (dimension {j})"
             )
-
-    def add(self, index, prior: VoxelPrior):
-        index = tuple(int(i) for i in index)
-        if len(index) != 3 or any(i < 0 or i >= s for i, s in zip(index, self.shape)):
-            raise ValidationError(f"voxel index {index} outside field shape {self.shape}")
-        self._check_dimension(prior)
         self.priors[index] = prior
 
 
@@ -367,71 +375,63 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
 # serialization: binary payload + JSON sidecar, bit-exact round trip
 
 
+def _record_fields(j: int) -> list:
+    """One voxel's record as `np.dtype` fields, packed and little-endian: its
+    index, noise variance, mean and the row-order lower triangle of its
+    covariance."""
+    return [("index", "<i4", (3,)), ("noise", "<f8", ()), ("mean", "<f8", (j,)), ("tril", "<f8", (j * (j + 1) // 2,))]
+
+
 def save_prior_field(field_: PriorField, path):
     """Write a field to `path` (binary) and `path + '.json'` (metadata)."""
     path = str(path)
-    j = next(iter(field_.priors.values())).dimension if field_.priors else 0
-    ntri = j * (j + 1) // 2
+    order = sorted(field_.priors)
+    priors = [field_.priors[index] for index in order]
+    j = basis_dimension(field_.max_degree) if priors else 0
+    records = np.zeros(len(priors), _record_fields(j))
+    if priors:
+        lower = np.tril_indices(j)
+        records["index"] = order
+        records["noise"] = [p.noise_variance for p in priors]
+        records["mean"] = [p.mean for p in priors]
+        records["tril"] = [p.covariance[lower] for p in priors]
     rank_kind_code = 0 if field_.rank_rule.kind == "fraction" else 1
+    header = _HEADER.pack(j, field_.max_degree, rank_kind_code, field_.rank_rule.value, *field_.shape, len(priors))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIId3II",
-                j,
-                field_.max_degree,
-                rank_kind_code,
-                float(field_.rank_rule.value),
-                *field_.shape,
-                len(field_.priors),
-            )
-        )
-        for index in sorted(field_.priors):
-            prior = field_.priors[index]
-            fh.write(struct.pack("<3i", *index))
-            fh.write(struct.pack("<d", prior.noise_variance))
-            fh.write(np.ascontiguousarray(prior.mean, dtype="<f8").tobytes())
-            tril = prior.covariance[np.tril_indices(j)]
-            assert tril.size == ntri
-            fh.write(np.ascontiguousarray(tril, dtype="<f8").tobytes())
+        fh.write(_MAGIC + header)
+        records.tofile(fh)
     sidecar = {
         "format": _MAGIC.decode(),
         "basis_max_degree": field_.max_degree,
         "dimension": j,
         "rank_rule": {"kind": field_.rank_rule.kind, "value": field_.rank_rule.value},
         "grid_shape": list(field_.shape),
-        "voxel_count": len(field_.priors),
+        "voxel_count": len(priors),
     }
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    """Read exactly `n` bytes, or raise ValidationError naming the file.
-
-    The size is checked against what is left of the file before reading, so
-    a corrupt header cannot ask for more memory than the file holds.
-    """
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise ValidationError(
-            f"{path} is truncated: needs {n} more bytes at offset {fh.tell()}, has {left}"
-        )
-    return fh.read(n)
+def _check_fits(path, offset: int, sizes, left: int):
+    """ValidationError naming the first of the consecutive fields of `sizes`
+    bytes, from `offset` on, that the `left` bytes there do not hold."""
+    for size in sizes:
+        if size > left:
+            raise ValidationError(f"{path} is truncated: needs {size} more bytes at offset {offset}, has {left}")
+        offset, left = offset + size, left - size
 
 
 def load_prior_field(path) -> PriorField:
     """Read a field written by :func:`save_prior_field`.
 
-    The whole file is read and its structure checked before any voxel is
-    decomposed, with the covariance triangles in one (count, J(J+1)/2)
-    array. The covariances are then built and sent through
-    `VoxelPrior.from_moments_batch` in voxel blocks of at most
-    `_LOAD_BLOCK_ENTRIES` covariance entries, so the load's temporaries
-    beyond the file's own bytes stay that size whatever the voxel count.
-    Stacked `eigh` makes one LAPACK call per matrix, so every voxel gets the
-    bits of its own `from_moments` call, whatever the block.
+    The file's size is checked against its header, the voxel records are
+    read with one `np.fromfile`, and every voxel index is checked before any
+    voxel is decomposed. The covariances then go through
+    `VoxelPrior.from_moments_batch` in blocks of at most `_LOAD_BLOCK_ENTRIES`
+    entries, so the temporaries beyond the records stay that size. Stacked
+    `eigh` makes one LAPACK call per matrix, so every voxel gets the bits of
+    its own `from_moments` call, whatever the block.
     """
     path = str(path)
     try:
@@ -439,45 +439,42 @@ def load_prior_field(path) -> PriorField:
     except OSError as exc:
         raise ValidationError(f"cannot read prior field {path}: {exc}") from exc
     with fh:
-        magic = fh.read(8)
+        magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValidationError(f"{path} is not a prior-field file (bad magic {magic!r})")
-        j, max_degree, rank_kind_code, rank_value, sx, sy, sz, count = struct.unpack(
-            "<IIId3II", _read_exact(fh, struct.calcsize("<IIId3II"), path)
-        )
+        size = os.fstat(fh.fileno()).st_size
+        _check_fits(path, fh.tell(), [_HEADER.size], size - fh.tell())
+        j, max_degree, rank_kind_code, rank_value, sx, sy, sz, count = _HEADER.unpack(fh.read(_HEADER.size))
         if rank_kind_code not in (0, 1):
             raise ValidationError(f"{path} has unknown rank-rule kind code {rank_kind_code}")
-        if max_degree % 2 or (count and j != basis_dimension(max_degree)):
+        if max_degree % 2 or j != (basis_dimension(max_degree) if count else 0):
             raise ValidationError(f"{path} header is inconsistent: dimension {j}, basis degree {max_degree}")
         rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
         field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
-        ntri = j * (j + 1) // 2
-        # only whole records land in `trils`, so its size is bounded by the file's
-        rows = min(count, (os.fstat(fh.fileno()).st_size - fh.tell()) // (20 + 8 * j + 8 * ntri))
-        trils = bytearray(rows * 8 * ntri)
-        indices, sigma2s, means = {}, [], []  # indices: voxel index -> its place in the file
-        for v in range(count):
-            index = struct.unpack("<3i", _read_exact(fh, 12, path))
-            if index in indices:
-                raise ValidationError(f"{path} repeats voxel {index}")
-            indices[index] = v
-            sigma2s.append(struct.unpack("<d", _read_exact(fh, 8, path))[0])
-            means.append(np.frombuffer(_read_exact(fh, 8 * j, path), dtype="<f8").copy())
-            trils[8 * ntri * v : 8 * ntri * (v + 1)] = _read_exact(fh, 8 * ntri, path)
-        extra = fh.read(1)
-        if extra:
+        fields = _record_fields(j)
+        sizes = [np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in fields]
+        record, body = sum(sizes), size - fh.tell()
+        whole = min(count, body // record)  # the records the file holds in full
+        if whole < count:
+            _check_fits(path, fh.tell() + whole * record, sizes, body - whole * record)
+        if body > count * record:
             raise ValidationError(f"{path} has trailing bytes; file is corrupt")
+        records = np.fromfile(fh, np.dtype(fields), count)
+    order, seen = [tuple(index) for index in records["index"].tolist()], set()
+    for index in order:
+        if index in seen:
+            raise ValidationError(f"{path} repeats voxel {index}")
+        seen.add(field_._voxel_index(index))
     if not count:
         return field_
-    trils = np.frombuffer(trils, dtype="<f8").reshape(count, ntri)
-    order, lower = list(indices), np.tril_indices(j)
+    lower = np.tril_indices(j)
     step = max(1, _LOAD_BLOCK_ENTRIES // (j * j))
     for start in range(0, count, step):
-        block = slice(start, min(start + step, count))
-        covs = np.zeros((block.stop - start, j, j))
-        covs[(slice(None), *lower)] = trils[block]
+        block = records[start : start + step]
+        covs = np.zeros((len(block), j, j))
+        covs[(slice(None), *lower)] = block["tril"]
         covs += np.tril(covs, -1).swapaxes(1, 2)
-        priors = VoxelPrior.from_moments_batch(means[block], covs, sigma2s[block], rule)
-        for index, prior in zip(order[block], priors):
-            field_.add(index, prior)
+        means = np.array(block["mean"], dtype=float)  # copied, so no prior keeps `records` alive
+        priors = VoxelPrior.from_moments_batch(means, covs, block["noise"].tolist(), rule)
+        field_.priors.update(zip(order[start : start + step], priors))  # indices checked above
     return field_

@@ -1,8 +1,10 @@
 """The region path in voxel blocks: `load_prior_field` and the region
 greedy give the bits of one block whatever the block size, fail on a bad
 voxel in the last block as on one block, and keep their temporaries within
-the block budget whatever the voxel count."""
+the block budget whatever the voxel count. The load checks every voxel
+index before it decomposes any voxel, and keeps nothing but the priors."""
 
+import re
 import struct
 import tracemalloc
 
@@ -95,6 +97,26 @@ def corrupt_last_covariance(path, value):
 
 
 @pytest.mark.parametrize(
+    "index, message",
+    [((VOXELS, 0, 0), f"voxel index ({VOXELS}, 0, 0) outside field shape ({VOXELS}, 1, 1)"),
+     ((0, 0, 0), "repeats voxel (0, 0, 0)")],
+    ids=["outside", "repeated"],
+)
+def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monkeypatch, index, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a voxel was decomposed before every index was checked")
+
+    monkeypatch.setattr(prior, "_LOAD_BLOCK_ENTRIES", 3 * 15 * 15)
+    monkeypatch.setattr(prior, "_truncate_ranks", refuse)
+    data = bytearray(field_path.read_bytes())
+    record = (len(data) - HEADER_BYTES) // VOXELS
+    struct.pack_into("<3i", data, HEADER_BYTES + (VOXELS - 1) * record, *index)
+    field_path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_prior_field(field_path)
+
+
+@pytest.mark.parametrize(
     "value, error, code", [(np.nan, ValidationError, 2), (np.inf, ValidationError, 2), (0.0, DegeneracyError, 3)]
 )
 def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, value, error, code):
@@ -135,6 +157,23 @@ def test_load_temporaries_stay_within_the_block_budget(rng, tmp_path, voxels):
     assert len(field) == voxels
     file_bytes = path.stat().st_size  # the records the load reads whole
     assert peak - kept - file_bytes <= BLOCK_COPIES * prior._LOAD_BLOCK_ENTRIES * 8
+
+
+# The Python objects around one loaded voxel's arrays: the VoxelPrior, its
+# array headers, the index tuple and its dict slot (about 750 bytes measured).
+PRIOR_OBJECT_BYTES = 1024
+
+
+@pytest.mark.parametrize("voxels", [48, 384])
+def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
+    path = tmp_path / "field.qpf"
+    save_prior_field(mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8)), path)
+    load_prior_field(path)  # first-use caches out of the traced call
+    field, _, kept = traced(lambda: load_prior_field(path))
+    names = ("mean", "covariance", "eigenvalues", "eigenvectors")
+    arrays = sum(getattr(p, name).nbytes for p in field.priors.values() for name in names)
+    # a prior holding a view of the file's records would keep all of them
+    assert kept - arrays <= voxels * PRIOR_OBJECT_BYTES < path.stat().st_size
 
 
 @pytest.mark.parametrize("voxels", [48, 384])

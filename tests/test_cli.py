@@ -425,6 +425,18 @@ def _field_file(tmp_path):
     return path
 
 
+def _empty_field(tmp_path, j):
+    """design on a degree-2 field of no voxels whose header says dimension `j`."""
+    from qsdesign.prior import PriorField, save_prior_field
+
+    path = tmp_path / "field.qpf"
+    save_prior_field(PriorField((1, 1, 1), {}, 2), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 8, j)
+    path.write_bytes(bytes(data))
+    return ["design", "--prior", str(path), "--budget", "2", "--out", str(tmp_path / "o")]
+
+
 def _interp(path, query="0,0,0"):
     return ["prior-interp", "--prior", str(path), "--query", query, "--out", str(path.parent / "o")]
 
@@ -585,6 +597,12 @@ MALFORMED_INPUTS = [
      "error: {path} header is inconsistent: dimension 6, basis degree 4"),
     ("qpf unknown rank kind", lambda t: _patched_field(t, 16, "<I", 2),
      "error: {path} has unknown rank-rule kind code 2"),
+    ("qpf empty field", lambda t: _empty_field(t, 0),  # loads: J = 0 is right for no voxels
+     "error: {path} contains no voxel priors"),
+    ("qpf empty field with dimension 6", lambda t: _empty_field(t, 6),
+     "error: {path} header is inconsistent: dimension 6, basis degree 2"),
+    ("qpf empty field with dimension 5", lambda t: _empty_field(t, 5),
+     "error: {path} header is inconsistent: dimension 5, basis degree 2"),
     ("repeated simulate key", lambda t: _raw_config(
         t, "simulate", "seed: 7\nseed: 8\n" + yaml.safe_dump({k: v for k, v in TINY_SIM.items() if k != "seed"})),
      "error: configuration {cfg} line 2: repeated key 'seed'"),

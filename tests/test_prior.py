@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,12 @@ class TestPriorFieldDimension:
         with pytest.raises(ValidationError, match=message):
             field.add((0, 0, 0), prior)
         assert not field.priors
+
+    @pytest.mark.parametrize("index", [(5, 5, 5), (0, 0)])
+    def test_initial_prior_outside_the_shape_rejected(self, rng, index):
+        # checked as `add` checks it, so the field never saves a file that will not load
+        with pytest.raises(ValidationError, match=r"voxel index \(.*\) outside field shape \(1, 1, 1\)"):
+            PriorField((1, 1, 1), {index: toy_prior(rng)}, 2)
 
     @pytest.mark.parametrize("max_degree", [3, -2])
     def test_degree_the_loader_rejects_is_rejected(self, max_degree):
@@ -378,6 +386,33 @@ class TestSerialization:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.eigenvalues.tobytes() == evals.tobytes()
             assert got.eigenvectors.tobytes() == evecs.tobytes()
+            assert got.noise_variance == want.noise_variance
+
+    def test_layout_pinned_byte_for_byte(self, rng, tmp_path):
+        # magic, header, then per voxel in index order: index, noise variance,
+        # mean and the covariance's lower triangle in row order
+        rule = RankRule("fraction", 0.9)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        spectra = {(1, 0, 0): np.full(6, 1.0), (0, 0, 0): 0.1 ** np.arange(6)}
+        field = PriorField((2, 1, 1), {}, 2, rule)
+        for index, spectrum in spectra.items():  # added out of order: the file sorts them
+            field.add(index, VoxelPrior.from_moments(rng.standard_normal(6), (q * spectrum) @ q.T, 0.02, rule))
+        assert field.priors[(0, 0, 0)].rank != field.priors[(1, 0, 0)].rank
+        expected = b"QPFLD001" + struct.pack("<IIId3II", 6, 2, 0, 0.9, 2, 1, 1, 2)
+        for index in ((0, 0, 0), (1, 0, 0)):
+            p = field.priors[index]
+            tril = [p.covariance[r, c] for r in range(6) for c in range(r + 1)]
+            expected += struct.pack("<3i", *index) + struct.pack("<d", p.noise_variance)
+            expected += struct.pack("<6d", *p.mean) + struct.pack("<21d", *tril)
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        assert path.read_bytes() == expected
+        loaded = load_prior_field(path)
+        assert list(loaded.priors) == [(0, 0, 0), (1, 0, 0)]
+        for index, got in loaded.priors.items():
+            want = field.priors[index]
+            for name in ("mean", "covariance", "eigenvalues", "eigenvectors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.noise_variance == want.noise_variance
 
     def test_bad_magic(self, tmp_path):
