@@ -20,6 +20,23 @@ import numpy as np
 
 INV_SQRT_4PI = 0.28209479177387814
 
+# Every bounded-memory loop takes its slices from `blocks`: at most this many
+# float64 entries (512 kB) of its largest per-item temporary a block, so the
+# temporaries stay that size whatever the item count. Block size is a cost
+# even where memory is not short: in a fresh process the allocator hands
+# temporaries of this order back to the operating system when they are
+# freed, so `esr_design` page-faults its Coulomb pair arrays in again at
+# every descent step, more of them the larger the block.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def blocks(count: int, item_entries: int) -> list:
+    """Slices that cover `count` items in order, in blocks of at most
+    `_BLOCK_ENTRIES` entries at `item_entries` an item, and of one item
+    where an item holds more."""
+    step = max(1, _BLOCK_ENTRIES // max(1, item_entries))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
 
 def basis_dimension(max_degree: int) -> int:
     return (max_degree + 1) * (max_degree + 2) // 2
@@ -58,14 +75,6 @@ def _sh_tables(max_degree: int):
     return tables
 
 
-# Points are evaluated in blocks of at most this many, so the recurrence's
-# (L + 1, L + 1, block) table and the gathers after it stay near 3 MB at
-# L = 8 whatever the point count. Measured with tracemalloc on the 16384-point
-# projection grid: 26 MB peak in one piece, 9.2 MB in blocks (5.9 MB of it
-# the output).
-_SH_BLOCK_POINTS = 2048
-
-
 def sh_matrix(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     """Real symmetric (even-degree) orthonormal SH values, shape (n, J).
 
@@ -73,12 +82,12 @@ def sh_matrix(xyz: np.ndarray, max_degree: int) -> np.ndarray:
     stable three-term upward recurrence in degree, vectorised over order.
     Each output row depends on its own point only, so rows do not change
     with the batch they are evaluated in, and the points are evaluated in
-    blocks of `_SH_BLOCK_POINTS`. The result is C-contiguous.
+    `blocks` of (L + 1)^2 recurrence entries a point. The result is
+    C-contiguous.
     """
     out = np.empty((xyz.shape[0], basis_dimension(max_degree)))
-    for start in range(0, xyz.shape[0], _SH_BLOCK_POINTS):
-        stop = start + _SH_BLOCK_POINTS
-        out[start:stop] = _sh_rows(xyz[start:stop], max_degree)
+    for block in blocks(xyz.shape[0], (max_degree + 1) ** 2):
+        out[block] = _sh_rows(xyz[block], max_degree)
     return out
 
 
@@ -121,15 +130,6 @@ def row_products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(a, rows[..., None])[..., 0]
 
 
-# A voxel stack is scored in blocks of at most this many entries of
-# `psi @ dmat` (512 kB), so the per-step temporaries of a region design stay
-# that size whatever the voxel count: 25 voxels a block at 321 candidates and
-# rank 8. Measured with tracemalloc on the 216-voxel perfbench field, budget
-# 20: the region greedy's peak went from 11.4 MB in one piece to 5.9 MB, 4.4 MB
-# of it `psi`; at 4096 voxels from 214 MB to 98 MB, 84 MB of it `psi`.
-_GAINS_BLOCK_ENTRIES = 1 << 16
-
-
 def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance) -> np.ndarray:
     """Objective increase for appending each candidate row of `psi`.
 
@@ -137,17 +137,15 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance) -> np.ndarra
     a candidate with eigenfunction row v is ||dmat v||^2 / (sigma^2 + v' dmat v).
     One voxel is `psi` (N, K), `dmat` (K, K) and a float noise variance,
     giving gains (N,). A stack is `psi` (V, N, K), `dmat` (V, K, K) and noise
-    variances (V, 1), giving gains (V, N); it is scored in voxel blocks of
-    at most `_GAINS_BLOCK_ENTRIES` entries of `psi @ dmat`. Stacked matmul
-    makes one BLAS call per voxel and the row sums never cross voxels, so
-    every voxel gets the bits of its own one-voxel call, whatever the block.
+    variances (V, 1), giving gains (V, N); it is scored in voxel `blocks`,
+    at the N K entries of `psi @ dmat` a voxel. Stacked matmul makes one
+    BLAS call per voxel and the row sums never cross voxels, so every voxel
+    gets the bits of its own one-voxel call, whatever the block.
     """
     if psi.ndim == 2:
         return _gains(psi, dmat, noise_variance)
     gains = np.empty(psi.shape[:2])
-    step = max(1, _GAINS_BLOCK_ENTRIES // max(1, psi.shape[1] * psi.shape[2]))
-    for start in range(0, psi.shape[0], step):
-        block = slice(start, start + step)
+    for block in blocks(psi.shape[0], psi.shape[1] * psi.shape[2]):
         gains[block] = _gains(psi[block], dmat[block], noise_variance[block])
     return gains
 
@@ -159,36 +157,21 @@ def _gains(psi, dmat, noise_variance):
     return num / den
 
 
-# Stacks are evaluated in blocks of at most this many point pairs, so a
-# block's (block, 2, 3, n, n) pair array stays near 400 kB. Measured for
-# this layout at n = 90, three restarts, 2000 iterations: in a fresh
-# process, where the allocator still hands such temporaries back to the
-# operating system after every step, one stack-wide block took 5.8 s with
-# 1.45 million page faults and blocks of one configuration 3.8 s with
-# 0.44 million; once a larger array has been freed, as inside
-# `run_simulation`, both took 2.2 s.
-_COULOMB_BLOCK_PAIRS = 8192
-
-
-def _coulomb_blocks(points: np.ndarray):
-    step = max(1, _COULOMB_BLOCK_PAIRS // points.shape[1] ** 2)
-    return [slice(s, s + step) for s in range(0, points.shape[0], step)]
-
-
 def coulomb_energy_grad(points: np.ndarray):
     """Antipodally symmetric Coulomb energy and its Euclidean gradient.
 
     `points` is one configuration (n, 3), giving (float, (n, 3)), or a
     stack (R, n, 3), giving energies (R,) and C-contiguous gradients
-    (R, n, 3). Each configuration of a stack gets the same bits as on its
-    own, and the same bits as the (R, n, n, 3) einsum form of the kernel
-    (`_coulomb_terms` and `_coulomb_grad` say why).
+    (R, n, 3). A stack is evaluated in `blocks` of the 6 n^2 entries of a
+    configuration's pair array. Each configuration of a stack gets the same
+    bits as on its own, and the same bits as the (R, n, n, 3) einsum form
+    of the kernel (`_coulomb_terms` and `_coulomb_grad` say why).
     """
     if points.ndim == 2:
         energy, grad = coulomb_energy_grad(points[None])
         return float(energy[0]), grad[0]
     energies, grads = [], []
-    for rows in _coulomb_blocks(points):
+    for rows in blocks(points.shape[0], 6 * points.shape[1] ** 2):
         energy, pairs, dist = _coulomb_terms(points[rows])
         energies.append(energy)
         grads.append(_coulomb_grad(pairs, dist))
@@ -203,7 +186,7 @@ def coulomb_energy_grad_below(points: np.ndarray, bound: np.ndarray):
     it needs no gradient for the others. Bits as `coulomb_energy_grad`.
     """
     energies, grads = [], []
-    for rows in _coulomb_blocks(points):
+    for rows in blocks(points.shape[0], 6 * points.shape[1] ** 2):
         energy, pairs, dist = _coulomb_terms(points[rows])
         energies.append(energy)
         lower = energy < bound[rows]

@@ -174,8 +174,7 @@ def _cmd_design(args) -> int:
         if indices[0] not in field.priors:
             raise ValidationError(f"voxel {indices[0]} not present in the field")
     priors = [field.priors[k] for k in indices]
-    weights = np.full(len(priors), 1.0 / len(priors))
-    result = greedy_design_region(candidates, priors, weights, basis, args.budget)
+    result = greedy_design_region(candidates, priors, basis, args.budget)
     bound = region_bound(priors, candidates, basis, args.budget, args.budget)
     report = {
         "mode": args.mode,

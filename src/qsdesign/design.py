@@ -33,7 +33,6 @@ DUPLICATE_ANGLE_TOL = 1e-6  # radians
 # duplicate check compares each point with the points above it in z within
 # twice that.
 _DUPLICATE_Z_WINDOW = 2.0 * math.sqrt(2.0 * UNIT_NORM_TOL + 2.0 * (1.0 - math.cos(DUPLICATE_ANGLE_TOL)))
-_DUPLICATE_BLOCK_ENTRIES = 1 << 16  # dot products per step of the duplicate check (about 5 MB)
 DEFAULT_CANDIDATE_COUNT = 321
 # electrostatic-repulsion descent: step cap, seeded starts, first step times the count
 _ESR_STEPS = 2000
@@ -63,16 +62,16 @@ def _closest_cosine(pts: np.ndarray) -> float:
 
     The points are sorted by z, and each is paired with the points that
     follow it inside the window, one offset in the sorted order at a time,
-    in row blocks of `_DUPLICATE_BLOCK_ENTRIES`. The work is about linear in
+    in row `blocks` of one dot product a row. The work is about linear in
     the point count for points spread in z; a ring of points of equal z
     costs the square of its size in time, but never more than one block in
     memory.
     """
     srt = pts[np.argsort(pts[:, 2], kind="stable")]
     reach = np.searchsorted(srt[:, 2], srt[:, 2] + _DUPLICATE_Z_WINDOW, side="right")
-    closest = 0.0
-    for start in range(0, len(srt), _DUPLICATE_BLOCK_ENTRIES):
-        rows, offset = np.arange(start, min(start + _DUPLICATE_BLOCK_ENTRIES, len(srt))), 1
+    order, closest = np.arange(len(srt)), 0.0
+    for block in _kernels.blocks(len(srt), 1):
+        rows, offset = order[block], 1
         while True:
             rows = rows[rows + offset < reach[rows]]  # rows with a point `offset` places on in the window
             if not rows.size:
@@ -187,18 +186,16 @@ def greedy_design(
     appends the winner and downdates D <- D - (D v)(D v)' / (sigma^2 + v' D v).
     Greedy prefixes are stable: the design of budget b1 < b2 equals the
     first b1 picks of the b2 design. This is `greedy_design_region` for one
-    voxel of weight 1.
+    voxel.
     """
-    return greedy_design_region(candidates, [prior], np.ones(1), basis, budget)
+    return greedy_design_region(candidates, [prior], basis, budget)
 
 
-def greedy_design_region(
-    candidates: CandidateSet, priors, weights, basis: ShBasis, budget: int
-) -> Design:
-    """Greedy selection for a weighted collection of voxels.
+def greedy_design_region(candidates: CandidateSet, priors, basis: ShBasis, budget: int) -> Design:
+    """Greedy selection for a collection of voxels.
 
-    Maximizes the weighted sum of per-voxel trace objectives; weights must be
-    positive and sum to 1. The voxels' posterior covariances are stacked,
+    Maximizes the mean of the per-voxel trace objectives, which for one
+    voxel is its own objective. The voxels' posterior covariances are stacked,
     zero-padded to the largest rank, so each step scores every voxel with
     one `greedy_gains` call, which runs in voxel blocks of bounded size, and
     downdates them all at once; a voxel's padded columns of `psi` and rows
@@ -207,11 +204,8 @@ def greedy_design_region(
     one block.
     """
     priors = list(priors)
-    weights = np.asarray(weights, dtype=float)
-    if len(priors) < 1 or weights.shape != (len(priors),):
-        raise ValidationError("need one weight per prior and at least one prior")
-    if np.any(weights <= 0.0) or abs(float(weights.sum()) - 1.0) > 1e-10:
-        raise ValidationError("weights must be positive and sum to 1")
+    if not priors:
+        raise ValidationError("need at least one prior")
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > len(candidates):
@@ -225,6 +219,7 @@ def greedy_design_region(
     psi = basis.evaluate(candidates.points) @ evecs  # (V, N, K_max)
     del evecs  # (V, J, K_max): the steps read psi only
     noise = np.array([[p.noise_variance] for p in priors])
+    weights = np.full(len(priors), 1.0 / len(priors))
     active = np.ones(len(candidates), dtype=bool)
     selected: list[int] = []
     history = np.empty(budget)

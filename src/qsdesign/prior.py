@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import basis_dimension
+from ._kernels import basis_dimension, blocks
 from .errors import DegeneracyError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -30,12 +30,6 @@ _MAGIC = b"QPFLD001"
 # after the magic: J, basis degree, rank-rule kind code, rank-rule value,
 # grid shape, voxel count
 _HEADER = struct.Struct("<IIId3II")
-# `load_prior_field` decomposes its voxels in blocks of at most this many
-# covariance entries (512 kB): 32 voxels a block at degree 8. Measured with
-# tracemalloc on the 216-voxel perfbench field: the load's peak went from
-# 12.5 MB in one piece to 6.9 MB, 4.3 MB of it the priors it returns; at 4096
-# voxels from 238 MB to 118 MB, 81 MB of it the priors and 35 MB the file.
-_LOAD_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,13 +136,17 @@ def _leading_eigenpairs(evals, evecs, rule: RankRule):
 
 @dataclass(frozen=True)
 class VoxelPrior:
-    """Gaussian-process prior on one voxel's coefficient vector."""
+    """Gaussian-process prior on one voxel's coefficient vector.
+
+    `rank_rule` is the rule that truncated the eigenpairs, as recorded by
+    `from_moments`, or None for a prior built by hand."""
 
     mean: np.ndarray  # (J,)
     covariance: np.ndarray  # (J, J)
     eigenvalues: np.ndarray  # (K,) positive, non-increasing
     eigenvectors: np.ndarray  # (J, K) orthonormal columns
     noise_variance: float
+    rank_rule: RankRule | None = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -199,7 +197,8 @@ class VoxelPrior:
 
     @classmethod
     def from_moments(cls, mean, covariance, noise_variance, rank_rule: RankRule = DEFAULT_RANK_RULE):
-        """The prior with this mean and covariance, truncated by `rank_rule`."""
+        """The prior with this mean and covariance, truncated by `rank_rule`,
+        which it records."""
         covariances = np.asarray(covariance, dtype=float)[None]
         return cls.from_moments_batch([mean], covariances, [noise_variance], rank_rule)[0]
 
@@ -212,7 +211,7 @@ class VoxelPrior:
         covariances = np.asarray(covariances, dtype=float)
         pairs = _truncate_ranks(covariances, rank_rule)
         return [
-            cls(mean, cov, evals, evecs, float(noise_variance))
+            cls(mean, cov, evals, evecs, float(noise_variance), rank_rule)
             for mean, cov, (evals, evecs), noise_variance in zip(
                 means, covariances, pairs, noise_variances, strict=True
             )
@@ -283,7 +282,8 @@ def _blend_logs(logs, weights) -> np.ndarray:
 @dataclass
 class PriorField:
     """Voxel-indexed collection of priors whose dimension is that of the
-    degree-`max_degree` basis."""
+    degree-`max_degree` basis, each truncated by the field's `rank_rule` or
+    built by hand (a `VoxelPrior` whose `rank_rule` is None)."""
 
     shape: tuple
     priors: dict = field(default_factory=dict)  # (i, j, k) -> VoxelPrior
@@ -318,6 +318,8 @@ class PriorField:
             raise ValidationError(
                 f"prior dimension {prior.dimension} does not match the degree-{self.max_degree} basis (dimension {j})"
             )
+        if prior.rank_rule not in (None, self.rank_rule):
+            raise ValidationError(f"prior truncated by {prior.rank_rule}, not by the field's {self.rank_rule}")
         self.priors[index] = prior
 
 
@@ -383,30 +385,35 @@ def _record_fields(j: int) -> list:
 
 
 def save_prior_field(field_: PriorField, path):
-    """Write a field to `path` (binary) and `path + '.json'` (metadata)."""
+    """Write a field to `path` (binary) and `path + '.json'` (metadata).
+
+    The voxel records are filled and written in `blocks` of J^2 entries a
+    voxel, as `load_prior_field` reads them, so the temporaries beyond the
+    field stay that size.
+    """
     path = str(path)
     order = sorted(field_.priors)
-    priors = [field_.priors[index] for index in order]
-    j = basis_dimension(field_.max_degree) if priors else 0
-    records = np.zeros(len(priors), _record_fields(j))
-    if priors:
-        lower = np.tril_indices(j)
-        records["index"] = order
-        records["noise"] = [p.noise_variance for p in priors]
-        records["mean"] = [p.mean for p in priors]
-        records["tril"] = [p.covariance[lower] for p in priors]
+    j = basis_dimension(field_.max_degree) if order else 0
+    lower = np.tril_indices(j)
     rank_kind_code = 0 if field_.rank_rule.kind == "fraction" else 1
-    header = _HEADER.pack(j, field_.max_degree, rank_kind_code, field_.rank_rule.value, *field_.shape, len(priors))
+    header = _HEADER.pack(j, field_.max_degree, rank_kind_code, field_.rank_rule.value, *field_.shape, len(order))
     with open(path, "wb") as fh:
         fh.write(_MAGIC + header)
-        records.tofile(fh)
+        for block in blocks(len(order), j * j):
+            priors = [field_.priors[index] for index in order[block]]
+            records = np.zeros(len(priors), _record_fields(j))
+            records["index"] = order[block]
+            records["noise"] = [p.noise_variance for p in priors]
+            records["mean"] = [p.mean for p in priors]
+            records["tril"] = [p.covariance[lower] for p in priors]
+            records.tofile(fh)
     sidecar = {
         "format": _MAGIC.decode(),
         "basis_max_degree": field_.max_degree,
         "dimension": j,
         "rank_rule": {"kind": field_.rank_rule.kind, "value": field_.rank_rule.value},
         "grid_shape": list(field_.shape),
-        "voxel_count": len(priors),
+        "voxel_count": len(order),
     }
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -428,8 +435,8 @@ def load_prior_field(path) -> PriorField:
     The file's size is checked against its header, the voxel records are
     read with one `np.fromfile`, and every voxel index is checked before any
     voxel is decomposed. The covariances then go through
-    `VoxelPrior.from_moments_batch` in blocks of at most `_LOAD_BLOCK_ENTRIES`
-    entries, so the temporaries beyond the records stay that size. Stacked
+    `VoxelPrior.from_moments_batch` in `blocks` of J^2 entries a voxel, so
+    the temporaries beyond the records stay that size. Stacked
     `eigh` makes one LAPACK call per matrix, so every voxel gets the bits of
     its own `from_moments` call, whatever the block.
     """
@@ -465,16 +472,12 @@ def load_prior_field(path) -> PriorField:
         if index in seen:
             raise ValidationError(f"{path} repeats voxel {index}")
         seen.add(field_._voxel_index(index))
-    if not count:
-        return field_
     lower = np.tril_indices(j)
-    step = max(1, _LOAD_BLOCK_ENTRIES // (j * j))
-    for start in range(0, count, step):
-        block = records[start : start + step]
-        covs = np.zeros((len(block), j, j))
-        covs[(slice(None), *lower)] = block["tril"]
+    for block in blocks(count, j * j):
+        covs = np.zeros((len(order[block]), j, j))
+        covs[(slice(None), *lower)] = records["tril"][block]
         covs += np.tril(covs, -1).swapaxes(1, 2)
-        means = np.array(block["mean"], dtype=float)  # copied, so no prior keeps `records` alive
-        priors = VoxelPrior.from_moments_batch(means, covs, block["noise"].tolist(), rule)
-        field_.priors.update(zip(order[start : start + step], priors))  # indices checked above
+        means = np.array(records["mean"][block], dtype=float)  # copied, so no prior keeps `records` alive
+        priors = VoxelPrior.from_moments_batch(means, covs, records["noise"][block].tolist(), rule)
+        field_.priors.update(zip(order[block], priors))  # indices checked above
     return field_

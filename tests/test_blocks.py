@@ -1,8 +1,9 @@
-"""The region path in voxel blocks: `load_prior_field` and the region
-greedy give the bits of one block whatever the block size, fail on a bad
-voxel in the last block as on one block, and keep their temporaries within
-the block budget whatever the voxel count. The load checks every voxel
-index before it decomposes any voxel, and keeps nothing but the priors."""
+"""Loops in blocks of `_kernels.blocks`: every result has the bits of one
+block whatever the block size. On the region path, `load_prior_field` and
+the region greedy fail on a bad voxel in the last block as on one block,
+and the load, the save and the greedy keep their temporaries within the
+block budget whatever the voxel count. The load checks every voxel index
+before it decomposes any voxel, and keeps nothing but the priors."""
 
 import re
 import struct
@@ -11,11 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsdesign import _kernels, prior
+from qsdesign import _kernels, design, prior
 from qsdesign.cli import main
-from qsdesign.design import default_candidates, greedy_design_region
+from qsdesign.design import default_candidates, esr_design, greedy_design_region
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_prior_field, save_prior_field
+from qsdesign.sphere import ShBasis
+
+from conftest import random_unit_vectors
 
 VOXELS = 10  # not a multiple of the 3-voxel blocks below
 HEADER_BYTES = 8 + struct.calcsize("<IIId3II")
@@ -40,10 +44,77 @@ def field_path(rng, tmp_path):
     return path
 
 
+# Each case builds its inputs, then returns a call whose result is bytes.
+def esr_case(count):
+    return lambda rng, tmp_path: lambda: esr_design(count, seed=count).tobytes()
+
+
+def sh_matrix_case(rng, tmp_path):
+    xyz = random_unit_vectors(rng, 333)
+    return lambda: _kernels.sh_matrix(xyz, 8).tobytes()
+
+
+def candidates_case(rng, tmp_path):
+    def run():
+        points = default_candidates(321).points
+        return points.tobytes() + struct.pack("<d", design._closest_cosine(points))
+
+    return run
+
+
+def region_case(rng, tmp_path):
+    priors = list(mixed_rank_field(rng, VOXELS).priors.values())
+    pool, basis = default_candidates(60), ShBasis(4)
+
+    def run():
+        result = greedy_design_region(pool, priors, basis, 12)
+        return np.array(result.selected).tobytes() + result.objective_history.tobytes()
+
+    return run
+
+
+def save_case(rng, tmp_path):
+    field = mixed_rank_field(rng, 48, degree=8)  # two blocks at the default budget
+    path = tmp_path / "saved.qpf"
+
+    def run():
+        save_prior_field(field, path)
+        return path.read_bytes() + (tmp_path / "saved.qpf.json").read_bytes()
+
+    return run
+
+
+def load_case(rng, tmp_path):
+    path = tmp_path / "field.qpf"
+    save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
+    names = ("mean", "covariance", "eigenvalues", "eigenvectors")
+
+    def run():
+        loaded = load_prior_field(path)
+        parts = [np.array(list(loaded.priors)).tobytes()]
+        for p in loaded.priors.values():
+            parts += [getattr(p, name).tobytes() for name in names] + [struct.pack("<d", p.noise_variance)]
+        return b"".join(parts)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "case",
+    [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case, load_case],
+    ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load"],
+)
+def test_block_size_never_changes_a_result(case, rng, tmp_path, monkeypatch):
+    run = case(rng, tmp_path)
+    want = run()
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 1)  # one item a block in every loop
+    assert run() == want
+
+
 def test_load_blocks_keep_the_bits(field_path, monkeypatch):
     whole = load_prior_field(field_path)  # 10 voxels of J = 15: one block
-    assert prior._LOAD_BLOCK_ENTRIES >= VOXELS * 15 * 15
-    monkeypatch.setattr(prior, "_LOAD_BLOCK_ENTRIES", 3 * 15 * 15)
+    assert _kernels._BLOCK_ENTRIES >= VOXELS * 15 * 15
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     blocked = load_prior_field(field_path)
     assert list(blocked.priors) == list(whole.priors)
     for index, want in whole.priors.items():
@@ -57,13 +128,12 @@ def test_region_greedy_blocks_keep_the_bits(field_path, monkeypatch, basis4):
     field = load_prior_field(field_path)
     priors = [field.priors[index] for index in sorted(field.priors)]
     assert len({p.rank for p in priors}) > 1  # so some voxels are zero-padded
-    weights = np.full(VOXELS, 1.0 / VOXELS)
     pool = default_candidates(60)
-    whole = greedy_design_region(pool, priors, weights, basis4, 12)
+    whole = greedy_design_region(pool, priors, basis4, 12)
     kmax = max(p.rank for p in priors)
-    assert _kernels._GAINS_BLOCK_ENTRIES >= VOXELS * 60 * kmax
-    monkeypatch.setattr(_kernels, "_GAINS_BLOCK_ENTRIES", 3 * 60 * kmax)
-    blocked = greedy_design_region(pool, priors, weights, basis4, 12)
+    assert _kernels._BLOCK_ENTRIES >= VOXELS * 60 * kmax
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 60 * kmax)
+    blocked = greedy_design_region(pool, priors, basis4, 12)
     assert blocked.selected == whole.selected
     assert blocked.objective_history.tobytes() == whole.objective_history.tobytes()
 
@@ -77,7 +147,7 @@ def test_stacked_gains_equal_one_voxel_calls_across_block_edges(rng, monkeypatch
     dmat[-1, -1, :] = dmat[-1, :, -1] = 0.0
     noise = rng.uniform(1e-4, 0.1, size=(VOXELS, 1))
     whole = _kernels.greedy_gains(psi, dmat, noise)
-    monkeypatch.setattr(_kernels, "_GAINS_BLOCK_ENTRIES", 3 * n * k)
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * n * k)
     blocked = _kernels.greedy_gains(psi, dmat, noise)
     assert blocked.shape == (VOXELS, n)
     assert blocked.tobytes() == whole.tobytes()
@@ -106,7 +176,7 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
     def refuse(*args, **kwargs):
         raise AssertionError("a voxel was decomposed before every index was checked")
 
-    monkeypatch.setattr(prior, "_LOAD_BLOCK_ENTRIES", 3 * 15 * 15)
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     monkeypatch.setattr(prior, "_truncate_ranks", refuse)
     data = bytearray(field_path.read_bytes())
     record = (len(data) - HEADER_BYTES) // VOXELS
@@ -120,7 +190,7 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
     "value, error, code", [(np.nan, ValidationError, 2), (np.inf, ValidationError, 2), (0.0, DegeneracyError, 3)]
 )
 def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, value, error, code):
-    monkeypatch.setattr(prior, "_LOAD_BLOCK_ENTRIES", 3 * 15 * 15)
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     corrupt_last_covariance(field_path, value)
     with pytest.raises(error):
         load_prior_field(field_path)
@@ -130,10 +200,11 @@ def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, v
     assert not (tmp_path / "out" / "design_region_003.json").exists()
 
 
-# The memory bounds: tracemalloc's peak over what the call keeps (load) or
-# over what the greedy must hold for V voxels (region design), against a
-# small multiple of one block. At degree 8 the default blocks hold 32 voxels
-# (load) and 25 voxels (greedy), so 48 and 384 voxels are both several blocks.
+# The memory bounds: tracemalloc's peak over what the call keeps (load and
+# save) or over what the greedy must hold for V voxels (region design),
+# against a small multiple of one block. At degree 8 the default blocks hold
+# 32 voxels (load and save) and 25 voxels (greedy), so 48 and 384 voxels are
+# both several blocks.
 BLOCK_COPIES = 4
 
 
@@ -156,7 +227,16 @@ def test_load_temporaries_stay_within_the_block_budget(rng, tmp_path, voxels):
     field, peak, kept = traced(lambda: load_prior_field(path))
     assert len(field) == voxels
     file_bytes = path.stat().st_size  # the records the load reads whole
-    assert peak - kept - file_bytes <= BLOCK_COPIES * prior._LOAD_BLOCK_ENTRIES * 8
+    assert peak - kept - file_bytes <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("voxels", [48, 384])
+def test_save_temporaries_stay_within_the_block_budget(rng, tmp_path, voxels):
+    field = mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8))
+    path = tmp_path / "field.qpf"
+    save_prior_field(field, path)  # first-use caches out of the traced call
+    _, peak, kept = traced(lambda: save_prior_field(field, path))
+    assert peak - kept <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
 
 
 # The Python objects around one loaded voxel's arrays: the VoxelPrior, its
@@ -180,12 +260,11 @@ def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
 def test_region_greedy_temporaries_stay_within_the_block_budget(rng, voxels, basis8):
     field = mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8))
     priors = list(field.priors.values())
-    weights = np.full(voxels, 1.0 / voxels)
     pool = default_candidates()
-    greedy_design_region(pool, priors[:1], weights[:1] * voxels, basis8, 2)  # first-use caches
-    _, peak, _ = traced(lambda: greedy_design_region(pool, priors, weights, basis8, 5))
+    greedy_design_region(pool, priors[:1], basis8, 2)  # first-use caches
+    _, peak, _ = traced(lambda: greedy_design_region(pool, priors, basis8, 5))
     n, j, k = len(pool), basis8.dimension, 8
     # psi (V, N, K), the (V, J, K) eigenvectors it is built from, one gains
     # row per voxel and the (V, K, K) covariances and downdate terms
     held = voxels * (n * k + j * k + n + 4 * k * k) * 8
-    assert peak - held <= BLOCK_COPIES * _kernels._GAINS_BLOCK_ENTRIES * 8
+    assert peak - held <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsdesign import design
+from qsdesign import _kernels, design
 from qsdesign.design import (
     DUPLICATE_ANGLE_TOL,
     CandidateSet,
@@ -52,12 +52,12 @@ class TestCandidateSet:
             CandidateSet(np.array([[0.0, 0.0, 2.0]]))
 
     def test_default_pool_is_one_block(self):
-        assert design._DUPLICATE_BLOCK_ENTRIES >= 321
+        assert _kernels._BLOCK_ENTRIES >= 321
 
     # with 3 rows per block the 11 points, sorted by z, make blocks 0-2, 3-5, 6-8, 9-10
     @pytest.mark.parametrize("pair", [None, (0, 1), (4, 5), (2, 3), (1, 7), (10, 0)])
     def test_blockwise_check_matches_brute_force(self, monkeypatch, pair):
-        monkeypatch.setattr(design, "_DUPLICATE_BLOCK_ENTRIES", 3)
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3)
         pts = hemisphere_spiral(11)
         pts[6] = -pts[8]  # antipodal: not a duplicate
         pts[9] = normalized(pts[8] + [1e-5, 0.0, 0.0])  # 1e-5 rad apart: not a duplicate either
@@ -261,15 +261,16 @@ class ReferenceVoxelState:
             self.inv_gram = np.linalg.inv(gram)
 
 
-def reference_greedy(candidates, priors, weights, basis, budget):
-    """Greedy picks voxel by voxel on Gram-inverse states: (selected, history)."""
+def reference_greedy(candidates, priors, basis, budget):
+    """Greedy picks voxel by voxel on Gram-inverse states, for the mean of
+    the voxels' objectives: (selected, history)."""
     states = [ReferenceVoxelState(candidates, p, basis) for p in priors]
     active = np.ones(len(candidates), dtype=bool)
     selected, history, objective = [], [], 0.0
     for _ in range(budget):
         gains = np.zeros(len(candidates))
-        for w, state in zip(weights, states):
-            gains += w * state.gains()
+        for state in states:
+            gains += (1.0 / len(states)) * state.gains()
         gains[~active] = -np.inf
         index = int(np.argmax(gains))
         for state in states:
@@ -288,10 +289,10 @@ class TestGreedyMatchesGramInverseReference:
     def test_single_voxel(self, basis4, rng, rank):
         prior = random_prior(basis4, rng, rank=rank)
         pool = default_candidates(80)
-        selected, history = reference_greedy(pool, [prior], [1.0], basis4, 40)
+        selected, history = reference_greedy(pool, [prior], basis4, 40)
         for result in (
             greedy_design(pool, prior, basis4, 40),
-            greedy_design_region(pool, [prior], [1.0], basis4, 40),
+            greedy_design_region(pool, [prior], basis4, 40),
         ):
             assert result.selected == selected
             np.testing.assert_allclose(result.objective_history, history, rtol=1e-10, atol=0)
@@ -302,10 +303,9 @@ class TestGreedyMatchesGramInverseReference:
             random_prior(basis4, np.random.default_rng(seed), rank=rank, noise_variance=noise)
             for seed, rank, noise in ((0, 3, 0.005), (1, 5, 0.2), (2, 8, 0.005))
         ]
-        weights = [0.2, 0.3, 0.5]
         pool = default_candidates(80)
-        selected, history = reference_greedy(pool, priors, weights, basis4, 40)
-        region = greedy_design_region(pool, priors, weights, basis4, 40)
+        selected, history = reference_greedy(pool, priors, basis4, 40)
+        region = greedy_design_region(pool, priors, basis4, 40)
         assert region.selected == selected
         np.testing.assert_allclose(region.objective_history, history, rtol=1e-10, atol=0)
 
@@ -315,7 +315,7 @@ class TestGreedyRegion:
         prior = random_prior(basis4, rng, rank=3)
         pool = default_candidates(50)
         single = greedy_design(pool, prior, basis4, 8)
-        region = greedy_design_region(pool, [prior], [1.0], basis4, 8)
+        region = greedy_design_region(pool, [prior], basis4, 8)
         assert single.selected == region.selected
         assert region.objective == pytest.approx(single.objective, rel=1e-12)
 
@@ -323,7 +323,7 @@ class TestGreedyRegion:
         prior = random_prior(basis4, rng, rank=3)
         pool = default_candidates(50)
         single = greedy_design(pool, prior, basis4, 6)
-        region = greedy_design_region(pool, [prior, prior], [0.5, 0.5], basis4, 6)
+        region = greedy_design_region(pool, [prior, prior], basis4, 6)
         assert single.selected == region.selected
 
     def test_two_orthogonal_modes_both_served(self, basis4):
@@ -335,7 +335,7 @@ class TestGreedyRegion:
         p_pole = prior_with_eigenfunction_value(basis4, pole, 0.9, rho=1.0, noise_variance=0.01)
         p_eq = prior_with_eigenfunction_value(basis4, equator, 0.9, rho=1.0, noise_variance=0.01)
         pool = CandidateSet(hemisphere_spiral(20))
-        region = greedy_design_region(pool, [p_pole, p_eq], [0.5, 0.5], basis4, 2)
+        region = greedy_design_region(pool, [p_pole, p_eq], basis4, 2)
 
         psi_pole = (basis4.evaluate(pool.points) @ p_pole.eigenvectors)[:, 0]
         psi_eq = (basis4.evaluate(pool.points) @ p_eq.eigenvectors)[:, 0]
@@ -351,22 +351,15 @@ class TestGreedyRegion:
             best_val = max(best_val, val)
         assert region.objective >= 0.95 * best_val
 
-    def test_weights_validated(self, basis4, rng):
-        prior = random_prior(basis4, rng, rank=2)
-        pool = default_candidates(30)
-        with pytest.raises(ValidationError):
-            greedy_design_region(pool, [prior, prior], [0.7, 0.5], basis4, 3)
-
     def test_per_voxel_noise_levels_respected(self, basis4, rng):
-        # the weighted objective matches the from-scratch sum even when the
+        # the mean objective matches the from-scratch mean even when the
         # voxels carry different noise variances
         a = random_prior(basis4, np.random.default_rng(0), rank=3, noise_variance=0.005)
         b = random_prior(basis4, np.random.default_rng(1), rank=4, noise_variance=0.2)
         pool = default_candidates(40)
-        weights = [0.3, 0.7]
-        region = greedy_design_region(pool, [a, b], weights, basis4, 7)
+        region = greedy_design_region(pool, [a, b], basis4, 7)
         pts = pool.points[region.selected]
-        recomputed = 0.3 * design_objective(pts, a, basis4) + 0.7 * design_objective(
+        recomputed = 0.5 * design_objective(pts, a, basis4) + 0.5 * design_objective(
             pts, b, basis4
         )
         assert region.objective == pytest.approx(recomputed, abs=1e-8)

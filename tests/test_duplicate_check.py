@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdesign import design
+from qsdesign import _kernels
 from qsdesign.design import DUPLICATE_ANGLE_TOL, CandidateSet
 from qsdesign.errors import ValidationError
 from qsdesign.sphere import normalized
@@ -21,7 +21,7 @@ def all_pairs_verdict(pts):
 
 
 def rejected(pts, block):
-    with mock.patch.object(design, "_DUPLICATE_BLOCK_ENTRIES", block):
+    with mock.patch.object(_kernels, "_BLOCK_ENTRIES", block):
         try:
             CandidateSet(pts)
         except ValidationError:

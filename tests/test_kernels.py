@@ -76,7 +76,8 @@ def test_sh_matrix_numpy_rows_do_not_depend_on_batch(rng):
 @pytest.mark.parametrize("max_degree", [8, 12])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
 def test_sh_matrix_blocks_equal_loop_reference(max_degree, blocks, extra, rng):
-    xyz = random_unit_vectors(rng, blocks * _kernels._SH_BLOCK_POINTS + extra)
+    block_points = _kernels.blocks(1, (max_degree + 1) ** 2)[0].stop  # points a block
+    xyz = random_unit_vectors(rng, blocks * block_points + extra)
     xyz[: len(SPECIAL_POINTS)] = SPECIAL_POINTS
     out = _kernels.sh_matrix(xyz, max_degree)
     ref = reference_sh_matrix(xyz, max_degree)

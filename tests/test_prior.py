@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -191,6 +192,52 @@ class TestPriorFieldDimension:
     def test_degree_the_loader_rejects_is_rejected(self, max_degree):
         with pytest.raises(ValidationError, match="field basis degree must be even and non-negative"):
             PriorField((1, 1, 1), {}, max_degree)
+
+
+class TestPriorFieldRankRule:
+    """A field holds only priors truncated by its own rank rule, so a saved
+    field reloads with the eigenpairs it was designed on."""
+
+    def test_from_moments_records_its_rule(self, rng):
+        rule = RankRule("fixed", 3)
+        cov = random_spd(rng, 6)
+        assert VoxelPrior.from_moments(np.zeros(6), cov, 0.01, rule).rank_rule == rule
+        batch = VoxelPrior.from_moments_batch(np.zeros((2, 6)), np.stack([cov, cov]), [0.01, 0.02], rule)
+        assert [p.rank_rule for p in batch] == [rule, rule]
+
+    def test_prior_of_another_rule_rejected(self, rng):
+        prior = VoxelPrior.from_moments(rng.standard_normal(6), random_spd(rng, 6), 0.01, RankRule("fixed", 3))
+        message = re.escape(
+            "prior truncated by RankRule(kind='fixed', value=3), "
+            "not by the field's RankRule(kind='fraction', value=0.9)"
+        )
+        with pytest.raises(ValidationError, match=message):
+            PriorField((1, 1, 1), {(0, 0, 0): prior}, 2, RankRule("fraction", 0.9))
+        field = PriorField((1, 1, 1), {}, 2, RankRule("fraction", 0.9))
+        with pytest.raises(ValidationError, match=message):
+            field.add((0, 0, 0), prior)
+        assert not field.priors
+        field = PriorField((1, 1, 1), {}, 2, RankRule("fixed", 3.0))
+        field.add((0, 0, 0), prior)
+        assert field.priors[(0, 0, 0)] is prior
+
+    def test_hand_built_prior_accepted_by_any_rule(self, rng):
+        made = VoxelPrior.from_moments(rng.standard_normal(6), random_spd(rng, 6), 0.01, RankRule("fixed", 3))
+        by_hand = VoxelPrior(made.mean, made.covariance, made.eigenvalues, made.eigenvectors, made.noise_variance)
+        assert by_hand.rank_rule is None
+        for rule in (RankRule("fixed", 3), RankRule("fraction", 0.9)):
+            field = PriorField((1, 1, 1), {(0, 0, 0): by_hand}, 2, rule)
+            assert field.priors[(0, 0, 0)] is by_hand
+
+    def test_loaded_and_interpolated_priors_carry_the_field_rule(self, rng, tmp_path):
+        rule = RankRule("fixed", 2)
+        field = make_field({tuple(idx): toy_prior(rng) for idx in np.ndindex(2, 2, 2)})
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        loaded = load_prior_field(path)
+        assert loaded.rank_rule == rule
+        assert {p.rank_rule for p in loaded.priors.values()} == {rule}
+        assert interpolate_prior(loaded, [0.5, 0.5, 0.5]).rank_rule == rule
 
 
 class TestInterpolatePrior:
