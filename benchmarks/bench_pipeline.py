@@ -38,11 +38,11 @@ Six workloads, all at one BLAS thread:
 
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
-stages are timed by wrapping the functions that `qsdesign.runner` calls
-(cohort generation, ESR designs, GCV fits, greedy designs, observations,
-conditional fits, peak detection); `other` is the rest of the run (prior
-moments, Funk-Radon transforms, errors and metrics). Field steps are timed
-by `Field.run_once` itself.
+stages are those `run_simulation` times itself, read from its result's
+`stage_seconds` (CPU seconds: cohort, dense_esr, prior_fit, peaks, greedy,
+baseline_esr, observe, fit); `total` is the CPU time of the whole call,
+and the script exits 1 when the stages cover less than COVERAGE of it.
+Field steps are timed by `Field.run_once` itself.
 
 Every workload runs one untimed warm-up first; a timed repeat whose outputs
 hash differently from the warm-up's stops the script with exit 1. Each
@@ -75,16 +75,8 @@ UNIT = dict(
     degree=8, train_subjects=200, test_subjects=100, dense_design_size=90,
     candidate_count=321, budgets=(5, 10, 15, 20, 45), peak_grid_size=4096,
 )
-# stage name -> the name `qsdesign.runner` calls it by
-STAGES = {
-    "cohort": "generate_cohort",
-    "esr": "esr_design",
-    "gcv": "gcv_select_batch",
-    "greedy": "greedy_design",
-    "observe": "observe_batch",
-    "conditional_fit": "conditional_fit_batch",
-    "peaks": "find_peaks_batch",
-}
+# share of a run's CPU time its stages must account for
+COVERAGE = 0.95
 KERNEL_CALLS = 30
 SETUP_GRID_SIZES = (4096, 16384)
 # The fresh-process workloads run one of these bodies through run_child.
@@ -195,35 +187,17 @@ def measure(name, once, repeats):
     return stats, first
 
 
-def install_timers(runner) -> dict:
-    """Wrap each stage function in `runner`'s namespace; returns the dict
-    that their CPU seconds add to. Stages do not nest: none calls another."""
-    spent = dict.fromkeys(STAGES, 0.0)
-
-    def timed(stage, fn):
-        def wrapper(*args, **kwargs):
-            t0 = time.process_time()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[stage] += time.process_time() - t0
-
-        return wrapper
-
-    for stage, name in STAGES.items():
-        setattr(runner, name, timed(stage, getattr(runner, name)))
-    return spent
-
-
-def simulate_once(runner, cfg, spent):
-    """One `run_simulation`: CPU seconds per stage and the metrics.csv bytes."""
-    for stage in spent:
-        spent[stage] = 0.0
+def simulate_once(runner, cfg):
+    """One `run_simulation`: CPU seconds per stage and in total, and the
+    metrics.csv bytes. Exits 1 when the stages cover less than COVERAGE of
+    the total."""
     t0 = time.process_time()
     result = runner.run_simulation(cfg)
     total = time.process_time() - t0
-    times = dict(spent, other=total - sum(spent.values()), total=total)
-    return times, {"metrics_csv": runner.metrics_csv_text(result.rows).encode()}
+    stages = result.stage_seconds["cpu"]
+    if sum(stages.values()) < COVERAGE * total:
+        sys.exit(f"error: run_simulation's stages cover {sum(stages.values()):.3f} of its {total:.3f} CPU seconds")
+    return dict(stages, total=total), {"metrics_csv": runner.metrics_csv_text(result.rows).encode()}
 
 
 class CpuSteps:
@@ -384,7 +358,6 @@ def main(argv=None) -> int:
         print(f"error: imported qsdesign from {qsdesign.__file__}, not {src}", file=sys.stderr)
         return 2
     seed = workloads.REFERENCE_SEED
-    spent = install_timers(runner)
     environment = {
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": 1,
@@ -410,7 +383,7 @@ def main(argv=None) -> int:
         else:
             params = workloads.SIZES["full"]["protocol"] if name == "perfbench" else UNIT
             cfg = config.SimConfig(seed=seed, out_dir="unused", **params)
-            cpu_s, digests = measure(name, lambda: simulate_once(runner, cfg, spent), args.repeats)
+            cpu_s, digests = measure(name, lambda: simulate_once(runner, cfg), args.repeats)
             fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s,
                       "metrics_csv_sha256": digests["metrics_csv"]}
         row = {"label": args.label, "workload": name, "git_commit": git_commit(args.root), **fields, **environment}

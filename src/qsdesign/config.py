@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
+from ._kernels import basis_dimension
 from .design import DEFAULT_CANDIDATE_COUNT
 from .errors import ValidationError
 from .metrics import DEFAULT_PEAK_GRID_SIZE, check_peak_grid_size
@@ -33,6 +34,14 @@ def integer_from(name: str, value) -> int:
     if not whole:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _reject_unknown(section: str, mapping: dict, known) -> None:
+    """A ValidationError naming every key of `mapping` not in `known`; keys
+    are sorted by their text, since YAML keys need not be strings."""
+    unknown = set(mapping) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {section} keys: {sorted(unknown, key=str)}")
 
 
 def numbers_from(name: str, value, depth: int = 0):
@@ -110,6 +119,11 @@ class SimConfig:
         if budgets[-1] > self.candidate_count:
             raise ValidationError("largest budget exceeds the candidate count")
         check_peak_grid_size(self.peak_grid_size)
+        dimension = basis_dimension(self.degree)
+        if self.rank_rule.kind == "fixed" and self.rank_rule.value > dimension:
+            raise ValidationError(
+                f"fixed rank {self.rank_rule.value} exceeds the basis dimension {dimension} at degree {self.degree}"
+            )
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
 
@@ -118,6 +132,7 @@ def _rank_rule_from(obj) -> RankRule:
     if isinstance(obj, RankRule):
         return obj
     if isinstance(obj, dict):
+        _reject_unknown("rank_rule", obj, ("kind", "value"))
         try:
             kind, value = str(obj["kind"]), obj["value"]
         except KeyError as exc:
@@ -131,9 +146,7 @@ def _generative_from(obj) -> GenerativeConfig:
         return obj
     if not isinstance(obj, dict):
         raise ValidationError("generative section must be a mapping")
-    unknown = set(obj) - {f.name for f in fields(GenerativeConfig)}
-    if unknown:
-        raise ValidationError(f"unknown generative keys: {sorted(unknown)}")
+    _reject_unknown("generative", obj, (f.name for f in fields(GenerativeConfig)))
     depths = {"weights": 1, "mean_directions": 2}
     kwargs = {key: numbers_from(key, value, depths.get(key, 0)) for key, value in obj.items()}
     return GenerativeConfig(**kwargs)
@@ -142,9 +155,7 @@ def _generative_from(obj) -> GenerativeConfig:
 def sim_config_from_dict(data: dict) -> SimConfig:
     if not isinstance(data, dict):
         raise ValidationError("configuration root must be a mapping")
-    unknown = set(data) - {f.name for f in fields(SimConfig)}
-    if unknown:
-        raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
+    _reject_unknown("configuration", data, (f.name for f in fields(SimConfig)))
     kwargs = dict(data)
     if "rank_rule" in kwargs:
         kwargs["rank_rule"] = _rank_rule_from(kwargs["rank_rule"])

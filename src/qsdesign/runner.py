@@ -36,9 +36,28 @@ class ExperimentResult:
 
     rows: list  # one dict per (budget, method), CSV_COLUMNS keys
     designs: dict  # (budget, method) -> (n, 3) direction array
-    objective_histories: dict  # budget -> per-step greedy objective values
-    elapsed_seconds: float
+    objective_history: list  # greedy objective after each pick, largest budget; a budget's is its prefix
+    stage_seconds: dict  # "cpu" and "wall" -> stage name -> seconds, in run order
     config: dict
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Wall seconds of the run: the sum of its stages' wall laps."""
+        return sum(self.stage_seconds["wall"].values())
+
+
+class _LapClock:
+    """Charges the CPU and wall seconds since the previous lap to a named stage."""
+
+    def __init__(self):
+        self.stage_seconds = {"cpu": {}, "wall": {}}
+        self._last = {"cpu": time.process_time(), "wall": time.perf_counter()}
+
+    def lap(self, stage: str) -> None:
+        now = {"cpu": time.process_time(), "wall": time.perf_counter()}
+        for kind, seconds in self.stage_seconds.items():
+            seconds[stage] = seconds.get(stage, 0.0) + now[kind] - self._last[kind]
+        self._last = now
 
 
 def _derived_rng(seed: int, *key) -> np.random.Generator:
@@ -69,39 +88,45 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     the penalized baseline, reconstruct an independent test cohort from
     noisy sparse samples, and score MISE, peak-count mismatch, and angular
     error against the ground truth.
+
+    `stage_seconds` charges each CPU and wall second of the run to one stage:
+    cohort, dense_esr, prior_fit, peaks (detection and scoring), greedy,
+    baseline_esr, observe and fit.
     """
-    start = time.time()
+    clock = _LapClock()
     basis = ShBasis(cfg.degree)
 
     train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
     test = generate_cohort(basis, cfg.generative, cfg.test_subjects, np.random.SeedSequence((cfg.seed, 2)))
-
+    clock.lap("cohort")
     dense_points = esr_design(cfg.dense_design_size, seed=cfg.seed)
+    clock.lap("dense_esr")
     prior = build_prior_from_cohort(train, dense_points, cfg, "train-noise")
-    candidates = default_candidates(cfg.candidate_count)
-
+    clock.lap("prior_fit")
     true_peaks = find_peaks_batch([t.fodf for t in test], basis, cfg.peak_grid_size)
+    clock.lap("peaks")
 
     # greedy prefixes are stable: every budget is a prefix of the largest
+    candidates = default_candidates(cfg.candidate_count)
     greedy = greedy_design(candidates, prior, basis, cfg.budgets[-1])
+    clock.lap("greedy")
     rows = []
     designs = {}
-    histories = {}
     for b_idx, budget in enumerate(cfg.budgets):
-        histories[budget] = greedy.objective_history[:budget].tolist()
-        method_points = {
-            METHOD_CONDITIONAL: candidates.points[greedy.selected[:budget]],
-            METHOD_BASELINE: esr_design(budget, seed=cfg.seed + 1 + budget),
-        }
+        baseline = esr_design(budget, seed=cfg.seed + 1 + budget)
+        clock.lap("baseline_esr")
+        method_points = {METHOD_CONDITIONAL: candidates.points[greedy.selected[:budget]], METHOD_BASELINE: baseline}
         for m_idx, (method, points) in enumerate(method_points.items()):
             designs[(budget, method)] = points
             rngs = [_derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i) for i in range(len(test))]
             values = observe_batch(test, points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
+            clock.lap("observe")
             if method == METHOD_CONDITIONAL:
                 coeffs = conditional_fit_batch(points, values, prior, basis)
             else:
                 # every test subject shares this design: one GCV batch
                 _, coeffs = gcv_select_batch(points, values, basis)
+            clock.lap("fit")
             ises = [integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test)]
             est_peaks = find_peaks_batch([funk_radon(c, basis) for c in coeffs], basis, cfg.peak_grid_size)
             eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
@@ -118,11 +143,12 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
                     "seed": cfg.seed,
                 }
             )
+            clock.lap("peaks")
     return ExperimentResult(
         rows=rows,
         designs=designs,
-        objective_histories=histories,
-        elapsed_seconds=time.time() - start,
+        objective_history=greedy.objective_history.tolist(),
+        stage_seconds=clock.stage_seconds,
         config=asdict(cfg),
     )
 
@@ -161,9 +187,8 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
     report = {
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
-        "greedy_objective_histories": {
-            str(k): v for k, v in sorted(result.objective_histories.items())
-        },
+        "greedy_objective_history": result.objective_history,
+        "stage_seconds": result.stage_seconds,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out

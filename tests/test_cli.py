@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from qsdesign import cli
+from qsdesign import cli, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
 from qsdesign.errors import ValidationError
@@ -115,16 +116,39 @@ class TestRunner:
             assert rows.reshape(-1, 3).shape == (budget, 3)
 
     def test_report_has_objective_histories(self, tiny_results):
+        # one greedy history, the largest budget's, and the stage laps
         _, result, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        for budget in result.config["budgets"]:
-            hist = report["greedy_objective_histories"][str(budget)]
-            assert len(hist) == budget
-            assert np.all(np.diff(hist) >= -1e-12)
+        hist = report["greedy_objective_history"]
+        assert "greedy_objective_histories" not in report
+        assert hist == result.objective_history
+        assert len(hist) == result.config["budgets"][-1]
+        assert np.all(np.diff(hist) >= -1e-12)
+        assert report["stage_seconds"] == result.stage_seconds
+        assert report["elapsed_seconds"] == result.elapsed_seconds
+
+    def test_every_stage_timed(self, tiny_results):
+        _, result, _ = tiny_results
+        stages = ["cohort", "dense_esr", "prior_fit", "peaks", "greedy", "baseline_esr", "observe", "fit"]
+        for kind in ("cpu", "wall"):
+            assert list(result.stage_seconds[kind]) == stages
+            assert all(seconds >= 0.0 for seconds in result.stage_seconds[kind].values())
+
+    def test_laps_cover_the_run(self, tiny_results):
+        # the wall laps sum to elapsed_seconds, and the CPU laps leave out
+        # next to nothing of the call's own CPU time (a wall bound from
+        # below would depend on the host's scheduling)
+        cfg, _, _ = tiny_results
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        result = run_simulation(cfg)
+        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        assert result.elapsed_seconds == sum(result.stage_seconds["wall"].values())
+        assert 0.0 < result.elapsed_seconds <= wall
+        assert 0.95 * cpu <= sum(result.stage_seconds["cpu"].values()) <= cpu
 
     def test_one_greedy_run_sliced_per_budget(self, tmp_path, monkeypatch):
-        # each budget's selection and history equal a greedy run of its own
-        from qsdesign import runner
+        # each budget's selection and history equal a greedy run of its own,
+        # and its history is a prefix of the one the result keeps
         from qsdesign.design import default_candidates, greedy_design
 
         calls = []
@@ -142,13 +166,8 @@ class TestRunner:
         for budget in cfg.budgets:
             alone = greedy_design(pool, prior, basis, budget)
             assert result.designs[(budget, "cond-greedy")].tobytes() == pool.points[alone.selected].tobytes()
-            assert np.array(result.objective_histories[budget]).tobytes() == alone.objective_history.tobytes()
-
-    def test_objective_histories_prefix_stable(self, tiny_results):
-        _, result, _ = tiny_results
-        short = result.objective_histories[3]
-        long = result.objective_histories[5]
-        assert np.allclose(short, long[:3], atol=0)
+            assert np.array(result.objective_history[:budget]).tobytes() == alone.objective_history.tobytes()
+        assert len(result.objective_history) == cfg.budgets[-1]
 
 
 class TestCliCommands:
@@ -672,6 +691,14 @@ MALFORMED_INPUTS = [
     ("noise_variance without cohort_csv", lambda t: _prior_build_config(
         t, noise_variance=0.5, train_subjects=8, dense_design_size=20),
      "error: prior-build without cohort_csv does not use configuration keys ['noise_variance']"),
+    ("non-string simulate key", lambda t: _raw_config(t, "simulate", "1: 2\nfoo: 3\n"),
+     "error: unknown configuration keys: [1, 'foo']"),
+    ("non-string prior-build key", lambda t: _raw_config(t, "prior-build", "1: 2\nfoo: 3\n"),
+     "error: unknown configuration keys: [1, 'foo']"),
+    ("non-string generative key", lambda t: _write_config(t, generative={1: 2, "x": 3}),
+     "error: unknown generative keys: [1, 'x']"),
+    ("misspelt rank_rule key", lambda t: _write_config(t, rank_rule={"kind": "fraction", "value": 0.9, "valeu": 0.99}),
+     "error: unknown rank_rule keys: ['valeu']"),
     ("synthetic keys with cohort_csv", lambda t: _bad_cohort_csv(
         t, ",".join(["0.25"] * 15), grid_shape=[2, 2, 2], train_subjects=3, noise_sigma=0.01),
      "error: prior-build with cohort_csv does not use configuration keys "
@@ -721,6 +748,20 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
     argv = argv_for(tmp_path)
     monkeypatch.setattr(cli, work, refuse)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv_for", [
+    lambda t: _write_config(t, rank_rule={"kind": "fixed", "value": 100}),
+    lambda t: _prior_build_config(t, rank_rule={"kind": "fixed", "value": 100}, train_subjects=8, dense_design_size=20),
+], ids=["simulate", "prior-build"])
+def test_fixed_rank_above_dimension_fails_before_any_work(argv_for, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("esr_design ran before the rank rule was checked")
+
+    monkeypatch.setattr(runner, "esr_design", refuse)
+    monkeypatch.setattr(cli, "esr_design", refuse)
+    assert main(argv_for(tmp_path)) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error: fixed rank 100 exceeds the basis dimension 15 at degree 4"
 
 
 @pytest.mark.parametrize("argv_for", [lambda t: _design_voxel(t, "0,0,0"), lambda t: _interp(_field_file(t))],
