@@ -25,13 +25,14 @@ Six workloads, all at one BLAS thread:
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the restart stack
   `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
-- setup: the two set-up caches a `simulate` process fills before any
-  timed work, each in a fresh process per repeat, at the perfbench degree
-  and at peak grid sizes 4096 and 16384 (SETUP_GRID_SIZES): the projection
-  grid and its basis matrix (`sim._projection_setup`) and the detection
-  grid with its neighbour table (`metrics._detection_setup`). A row holds
-  the CPU seconds of each cache, the process CPU seconds and peak RSS (see
-  run_child), and the sha256 of the tables, which is equal across
+- setup: `import qsdesign` and the two set-up caches a `simulate` process
+  fills before any timed work, each in a fresh process per repeat, at the
+  perfbench degree and at peak grid sizes 4096 and 16384
+  (SETUP_GRID_SIZES): the projection grid and its basis matrix
+  (`sim._projection_setup`) and the detection grid with its neighbour
+  table (`metrics._detection_setup`). A row holds the CPU seconds of the
+  import (numpy's included) and of each cache, the process CPU seconds and
+  peak RSS (see run_child), and the sha256 of the tables, which is equal across
   checkouts whose tables are; the neighbour rows are hashed sorted, since a
   row is a set of neighbours and its column order is not part of the
   table's contract.
@@ -91,11 +92,12 @@ peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if lin
 result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_kb / 1024.0)
 print(json.dumps(result))
 """
-# Fills both caches; argv: degree, peak grid size.
+# Imports qsdesign, then fills both caches; argv: degree, peak grid size.
 SETUP_CHILD = """
 import hashlib, time
-import numpy as np
+t_import = time.process_time()
 from qsdesign import ShBasis, metrics, sim
+import numpy as np
 basis = ShBasis(int(sys.argv[1]))
 t0 = time.process_time()
 grid, phi = sim._projection_setup(basis)
@@ -105,7 +107,8 @@ t2 = time.process_time()
 digest = hashlib.sha256()
 for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=1), grid_basis):
     digest.update(table.tobytes())
-result = {"cpu_s": {"projection": t1 - t0, "detection": t2 - t1}, "tables_sha256": digest.hexdigest()}
+cpu_s = {"import": t0 - t_import, "projection": t1 - t0, "detection": t2 - t1}
+result = {"cpu_s": cpu_s, "tables_sha256": digest.hexdigest()}
 """
 REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
 REGION_BUDGET = 20

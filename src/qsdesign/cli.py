@@ -34,6 +34,7 @@ from .config import (
 )
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
+    check_esr_request,
     coulomb_energy,
     default_candidates,
     esr_design,
@@ -45,6 +46,7 @@ from .errors import DegeneracyError, ValidationError
 from .prior import (
     PriorField,
     VoxelPrior,
+    corner_weights,
     empirical_moments,
     interpolate_prior,
     load_prior_field,
@@ -163,16 +165,16 @@ def _cmd_design(args) -> int:
     field = load_prior_field(args.prior)
     if not field.priors:
         raise ValidationError(f"{args.prior} contains no voxel priors")
-    stem = f"design_{args.mode}_{args.budget:03d}"
-    table_path, report_path = _outputs(args.out, f"{stem}.txt", f"{stem}.json")
-    basis = ShBasis(field.max_degree)
-    candidates = default_candidates(args.candidates)
     # single mode is the one-voxel region: the first voxel, or --voxel
     indices = sorted(field.priors) if args.mode == "region" else [min(field.priors)]
     if args.voxel is not None:
         indices = [_parse_triplet(args.voxel, int)]
         if indices[0] not in field.priors:
             raise ValidationError(f"voxel {indices[0]} not present in the field")
+    stem = f"design_{args.mode}_{args.budget:03d}"
+    table_path, report_path = _outputs(args.out, f"{stem}.txt", f"{stem}.json")
+    basis = ShBasis(field.max_degree)
+    candidates = default_candidates(args.candidates)
     priors = [field.priors[k] for k in indices]
     result = greedy_design_region(candidates, priors, basis, args.budget)
     bound = region_bound(priors, candidates, basis, args.budget, args.budget)
@@ -191,6 +193,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_esr(args) -> int:
+    check_esr_request(args.count, args.seed)
     (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
     points = esr_design(args.count, seed=args.seed)
     with _writing(path):
@@ -239,11 +242,10 @@ def _cmd_prior_build(args) -> int:
     cfg = sim_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    path, _ = _outputs(args.out, "prior_field.qpf", "prior_field.qpf.json")
     basis = ShBasis(cfg.degree)
     field = PriorField(grid_shape, {}, cfg.degree, cfg.rank_rule)
-
     if cohort_csv is not None:
+        # one voxel, read and checked like any input before the outputs are made
         rows = cohort_from_csv(cohort_csv)
         if rows.shape[1] != basis.dimension:
             raise ValidationError(
@@ -251,7 +253,9 @@ def _cmd_prior_build(args) -> int:
             )
         mean, cov = empirical_moments(rows)
         field.add((0, 0, 0), VoxelPrior.from_moments(mean, cov, noise_variance, cfg.rank_rule))
-    else:
+    path, _ = _outputs(args.out, "prior_field.qpf", "prior_field.qpf.json")
+
+    if cohort_csv is None:
         dense_points = esr_design(cfg.dense_design_size, seed=cfg.seed)
         for index in np.ndindex(grid_shape):
             # smooth synthetic variation across the grid: rotate the
@@ -283,9 +287,10 @@ def _cmd_prior_build(args) -> int:
 
 def _cmd_prior_interp(args) -> int:
     field = load_prior_field(args.prior)
-    query = _parse_triplet(args.query, float)
+    query = np.asarray(_parse_triplet(args.query, float))
+    corner_weights(field, query)  # the query's checks, before any output is made
     path, _ = _outputs(args.out, "prior_interp.qpf", "prior_interp.qpf.json")
-    prior = interpolate_prior(field, np.asarray(query))
+    prior = interpolate_prior(field, query)
     result = PriorField((1, 1, 1), {(0, 0, 0): prior}, field.max_degree, field.rank_rule)
     with _writing(path):
         save_prior_field(result, path)

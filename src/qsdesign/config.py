@@ -1,13 +1,16 @@
 """Declarative experiment configuration: YAML (or its JSON subset) in,
 validated dataclass out. Every violation is reported before any work runs.
+
+PyYAML is imported by the first `read_config_mapping` call, so a process
+that reads no configuration file does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from ._kernels import basis_dimension
 from .design import DEFAULT_CANDIDATE_COUNT
@@ -167,31 +170,39 @@ def sim_config_from_dict(data: dict) -> SimConfig:
         raise ValidationError(f"bad configuration value types: {exc}") from exc
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated within one mapping, which
-    plain YAML loading resolves silently in favour of the last value."""
+@functools.lru_cache(maxsize=None)
+def _unique_key_loader():
+    """A yaml.SafeLoader subclass that rejects a key repeated within one
+    mapping, which plain YAML loading resolves silently in favour of the
+    last value. Built on first use, so that `import yaml` happens then."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            # only scalar keys are hashable: SafeLoader itself rejects the
-            # others, and "<<" merge keys may legitimately repeat
-            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node)
-            if key in seen:
-                mark = key_node.start_mark
-                raise ValidationError(f"configuration {mark.name} line {mark.line + 1}: repeated key {key!r}")
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                # only scalar keys are hashable: SafeLoader itself rejects the
+                # others, and "<<" merge keys may legitimately repeat
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ValidationError(f"configuration {mark.name} line {mark.line + 1}: repeated key {key!r}")
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return UniqueKeyLoader
 
 
 def read_config_mapping(path) -> dict:
     """The top-level mapping of a YAML/JSON configuration file; an empty
     file reads as an empty mapping."""
+    import yaml
+
     try:
         with open(path, "rb") as fh:  # bytes, so undecodable text is a YAMLError
-            data = yaml.load(fh, Loader=_UniqueKeyLoader)
+            data = yaml.load(fh, Loader=_unique_key_loader())
     except OSError as exc:
         raise ValidationError(f"cannot read configuration {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -291,6 +291,14 @@ def coulomb_energy(points) -> float:
     return energy
 
 
+def check_esr_request(count: int, seed: int) -> None:
+    """ValidationError unless `esr_design(count, seed)` can run."""
+    if count < 2:
+        raise ValidationError("need at least two directions")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def esr_design(count: int, seed: int = 0) -> np.ndarray:
     """Electrostatic-repulsion design: spread `count` directions on the sphere.
 
@@ -311,10 +319,7 @@ def esr_design(count: int, seed: int = 0) -> np.ndarray:
     kernel rounds as the one-configuration einsum kernel does, so the
     design is bit for bit that of a restart-by-restart descent.
     """
-    if count < 2:
-        raise ValidationError("need at least two directions")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    check_esr_request(count, seed)
     rng = np.random.default_rng(seed)
     base = hemisphere_spiral(count)
     starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(_ESR_RESTARTS)]

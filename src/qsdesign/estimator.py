@@ -6,12 +6,15 @@ penalty (smoothing level chosen by generalized cross validation). For
 sparse samples, `conditional_fit` shrinks toward a Gaussian-process prior:
 it computes the conditional mean of the leading prior eigen-coefficients
 given the observed values and maps it back to the full coefficient vector.
+
+`scipy.linalg` is imported inside the three functions that factor a matrix,
+so a process that never fits (`esr`, `design`, `prior-interp`) does not load
+scipy. Its `LinAlgError` is numpy's, which the `except` clauses name.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from ._kernels import row_products
 from .errors import DegeneracyError, ValidationError
@@ -62,11 +65,13 @@ def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> np.ndarr
         raise ValidationError(
             f"unpenalized fit needs at least {basis.dimension} observations, got {m}"
         )
+    from scipy import linalg
+
     phi = basis.evaluate(pts)
     normal = phi.T @ phi + smoothing * laplace_beltrami_penalty(basis)
     try:
         factor = linalg.cho_factor(normal, check_finite=False)
-    except linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular normal equations (smoothing={smoothing:g})") from exc
     return linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
 
@@ -109,6 +114,8 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
     best_coeffs = np.zeros((n, basis.dimension))
     if not n:
         return best_lam, best_coeffs
+    from scipy import linalg
+
     phi = basis.evaluate(pts)
     gram = phi.T @ phi
     penalty = laplace_beltrami_penalty(basis)
@@ -117,7 +124,7 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
         normal = gram + lam * penalty
         try:
             factor = linalg.cho_factor(normal, check_finite=False)
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             continue
         trace_h = float(np.trace(linalg.cho_solve(factor, gram, check_finite=False)))
         dof_gap = m - trace_h
@@ -166,9 +173,11 @@ def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBa
     lam = prior.eigenvalues
     gram = (psi * lam) @ psi.T + prior.noise_variance * np.eye(m)
     residuals = rows - phi @ prior.mean
+    from scipy import linalg
+
     try:
         factor = linalg.cho_factor(gram, check_finite=False)
-    except linalg.LinAlgError as exc:  # unreachable for positive noise variance
+    except np.linalg.LinAlgError as exc:  # unreachable for positive noise variance
         raise DegeneracyError("observation Gram matrix is not positive definite") from exc
     solved = np.ascontiguousarray(linalg.cho_solve(factor, residuals.T, check_finite=False).T)
     return lam * row_products(psi.T, solved)

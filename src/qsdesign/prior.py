@@ -331,7 +331,7 @@ def _trilinear_weights(query, shape):
         raise ValidationError(f"query {q.tolist()} is not finite")
     hi = np.asarray(shape, dtype=float) - 1.0
     if np.any(q < -1e-12) or np.any(q > hi + 1e-12):
-        raise ValidationError(f"query {tuple(q)} outside field bounding box {tuple(int(h) for h in hi)}")
+        raise ValidationError(f"query {q.tolist()} outside field bounding box {tuple(int(h) for h in hi)}")
     q = np.clip(q, 0.0, hi)
     base = np.minimum(np.floor(q).astype(int), np.maximum(hi.astype(int) - 1, 0))
     frac = q - base
@@ -350,6 +350,17 @@ def _trilinear_weights(query, shape):
     return [(idx, w / total) for idx, w in out]
 
 
+def corner_weights(field: PriorField, query) -> list:
+    """The (voxel index, weight) pairs `interpolate_prior` blends at `query`,
+    once the query lies in the field's bounding box and every corner of
+    nonzero weight holds a prior; ValidationError otherwise."""
+    contributions = _trilinear_weights(query, field.shape)
+    missing = [idx for idx, _ in contributions if idx not in field.priors]
+    if missing:
+        raise ValidationError(f"incomplete neighborhood: missing voxel priors at {missing}")
+    return contributions
+
+
 def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     """Prior at a continuous coordinate inside the field's bounding box.
 
@@ -359,11 +370,7 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     is recomputed on the blended covariance with the field's rank rule. A
     query exactly on a grid point returns that voxel's stored prior.
     """
-    contributions = _trilinear_weights(query, field.shape)
-    missing = [idx for idx, _ in contributions if idx not in field.priors]
-    if missing:
-        raise ValidationError(f"incomplete neighborhood: missing voxel priors at {missing}")
-    items = [(field.priors[idx], w) for idx, w in contributions]
+    items = [(field.priors[idx], w) for idx, w in corner_weights(field, query)]
     if len(items) == 1:
         return items[0][0]
     weights = np.array([w for _, w in items])

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -456,6 +459,16 @@ def _empty_field(tmp_path, j):
     return ["design", "--prior", str(path), "--budget", "2", "--out", str(tmp_path / "o")]
 
 
+def _sparse_field_interp(tmp_path, query):
+    """prior-interp at `query` on a 2x1x1 field that holds voxel (0, 0, 0) only."""
+    from qsdesign.prior import PriorField, load_prior_field, save_prior_field
+
+    path = _field_file(tmp_path)
+    prior = load_prior_field(path).priors[(0, 0, 0)]
+    save_prior_field(PriorField((2, 1, 1), {(0, 0, 0): prior}, 2), path)
+    return _interp(path, query)
+
+
 def _interp(path, query="0,0,0"):
     return ["prior-interp", "--prior", str(path), "--query", query, "--out", str(path.parent / "o")]
 
@@ -592,6 +605,14 @@ MALFORMED_INPUTS = [
      "error: expected three comma-separated numbers, got 'a,b,c'"),
     ("nan query", lambda t: _interp(_field_file(t), "nan,0,0"),
      "error: query [nan, 0.0, 0.0] is not finite"),
+    ("query outside the field", lambda t: _interp(_field_file(t), "9,9,9"),
+     "error: query [9.0, 9.0, 9.0] outside field bounding box (0, 0, 0)"),
+    ("query beside a missing voxel", lambda t: _sparse_field_interp(t, "0.5,0,0"),
+     "error: incomplete neighborhood: missing voxel priors at [(1, 0, 0)]"),
+    ("voxel outside the field", lambda t: _design_voxel(t, "9,9,9"),
+     "error: voxel (9, 9, 9) not present in the field"),
+    ("esr count of one", lambda t: ["esr", "--count", "1", "--out", str(t / "o")],
+     "error: need at least two directions"),
     ("text voxel", lambda t: _design_voxel(t, "a,b,c"),
      "error: expected three comma-separated integers, got 'a,b,c'"),
     ("fractional voxel", lambda t: _design_voxel(t, "0.5,0,0"),
@@ -713,6 +734,7 @@ def _files_under(root):
 @pytest.mark.parametrize("case,argv_for,first_line", MALFORMED_INPUTS, ids=[c[0] for c in MALFORMED_INPUTS])
 def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     argv = argv_for(tmp_path)
+    out_existed = (tmp_path / "o").exists()
     files_before = _files_under(tmp_path / "o")
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -722,6 +744,7 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
     assert err.splitlines()[0] == expected
     assert not (tmp_path / "o" / "metrics.csv").exists()
     assert _files_under(tmp_path / "o") == files_before  # nothing written
+    assert out_existed or not (tmp_path / "o").exists()  # no directory made either
 
 
 # (command, argv builder with one output taken by a directory, the first
@@ -771,3 +794,50 @@ def test_seed_flag_rejected(argv_for, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([*argv_for(tmp_path), "--seed", "3"])
     assert exc.value.code == 2
+
+
+# Runs `python -m qsdesign` once per argument list of its JSON argument, in
+# one process, and prints the exit codes and which of scipy and PyYAML loaded.
+STARTUP_CHILD = """
+import json, runpy, sys
+import qsdesign
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["qsdesign", *argv]
+    try:
+        runpy.run_module("qsdesign", run_name="__main__")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "yaml"})]))
+"""
+
+
+def test_commands_without_fits_or_configs_load_neither_scipy_nor_yaml(tmp_path):
+    # scipy is imported by the first matrix factorisation and PyYAML by the
+    # first configuration read, so these commands start without either
+    from qsdesign.prior import PriorField, save_prior_field
+    from qsdesign.sphere import ShBasis
+
+    from conftest import random_prior
+
+    rng = np.random.default_rng(0)
+    field = PriorField((2, 1, 1), {}, 2)
+    for index in ((0, 0, 0), (1, 0, 0)):
+        field.add(index, random_prior(ShBasis(2), rng))
+    path = tmp_path / "field.qpf"
+    save_prior_field(field, path)
+    runs = [
+        ["--help"],
+        ["esr", "--count", "6", "--out", str(tmp_path / "esr")],
+        ["design", "--prior", str(path), "--mode", "region", "--budget", "3", "--candidates", "40",
+         "--out", str(tmp_path / "design")],
+        ["prior-interp", "--prior", str(path), "--query", "0.5,0,0", "--out", str(tmp_path / "interp")],
+        ["design", "--prior", str(tmp_path / "missing.qpf"), "--budget", "3"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 2]
+    assert loaded == []

@@ -278,6 +278,12 @@ class TestInterpolatePrior:
         with pytest.raises(ValidationError):
             interpolate_prior(field, np.array([1.5, 0.0, 0.0]))
 
+    def test_out_of_bounds_message_names_plain_numbers(self, rng):
+        field = self.full_field(rng)
+        with pytest.raises(ValidationError) as exc:
+            interpolate_prior(field, np.array([9.0, 9.0, 9.0]))
+        assert str(exc.value) == "query [9.0, 9.0, 9.0] outside field bounding box (1, 1, 1)"
+
     def test_missing_neighbor(self, rng):
         field = make_field({(0, 0, 0): toy_prior(rng)})
         with pytest.raises(ValidationError):
