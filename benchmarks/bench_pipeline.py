@@ -25,17 +25,20 @@ Six workloads, all at one BLAS thread:
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the restart stack
   `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
-- setup: `import qsdesign` and the two set-up caches a `simulate` process
-  fills before any timed work, each in a fresh process per repeat, at the
-  perfbench degree and at peak grid sizes 4096 and 16384
-  (SETUP_GRID_SIZES): the projection grid and its basis matrix
-  (`sim._projection_setup`) and the detection grid with its neighbour
-  table (`metrics._detection_setup`). A row holds the CPU seconds of the
-  import (numpy's included) and of each cache, the process CPU seconds and
-  peak RSS (see run_child), and the sha256 of the tables, which is equal across
-  checkouts whose tables are; the neighbour rows are hashed sorted, since a
-  row is a set of neighbours and its column order is not part of the
-  table's contract.
+- setup: `import qsdesign`, a process's first fit and the two set-up
+  caches a `simulate` process fills before any timed work, each in a fresh
+  process per repeat, at the perfbench degree and at peak grid sizes 4096
+  and 16384 (SETUP_GRID_SIZES). The first fit is one `gcv_select_batch` of
+  four value rows at 2 J spiral points, right after the import, so it
+  carries whatever its factorisation loads; `gcv_maxrss_mb` is the peak RSS
+  (VmHWM) right after it. The caches are the projection grid and its basis
+  matrix (`sim._projection_setup`) and the detection grid with its
+  neighbour table (`metrics._detection_setup`). A row holds the CPU seconds
+  of the import (numpy's included), of the fit and of each cache, the
+  process CPU seconds and peak RSS (see run_child), the sha256 of the
+  fit's output and that of the tables, each equal across checkouts whose
+  outputs are; the neighbour rows are hashed sorted, since a row is a set
+  of neighbours and its column order is not part of the table's contract.
 
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
@@ -92,14 +95,20 @@ peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if lin
 result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_kb / 1024.0)
 print(json.dumps(result))
 """
-# Imports qsdesign, then fills both caches; argv: degree, peak grid size.
+# Imports qsdesign, makes one first fit, then fills both caches; argv:
+# degree, peak grid size.
 SETUP_CHILD = """
 import hashlib, time
 t_import = time.process_time()
-from qsdesign import ShBasis, metrics, sim
+from qsdesign import ShBasis, design, estimator, metrics, sim
 import numpy as np
 basis = ShBasis(int(sys.argv[1]))
+points = design.hemisphere_spiral(2 * basis.dimension)
+rows = np.random.default_rng(0).standard_normal((4, len(points)))
+t_fit = time.process_time()
+lambdas, coeffs = estimator.gcv_select_batch(points, rows, basis)
 t0 = time.process_time()
+fit_peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 grid, phi = sim._projection_setup(basis)
 t1 = time.process_time()
 dirs, neighbors, grid_basis = metrics._detection_setup(int(sys.argv[2]), basis)
@@ -107,8 +116,9 @@ t2 = time.process_time()
 digest = hashlib.sha256()
 for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=1), grid_basis):
     digest.update(table.tobytes())
-cpu_s = {"import": t0 - t_import, "projection": t1 - t0, "detection": t2 - t1}
-result = {"cpu_s": cpu_s, "tables_sha256": digest.hexdigest()}
+cpu_s = {"import": t_fit - t_import, "gcv": t0 - t_fit, "projection": t1 - t0, "detection": t2 - t1}
+result = {"cpu_s": cpu_s, "gcv_maxrss_mb": fit_peak_kb / 1024.0, "tables_sha256": digest.hexdigest(),
+          "gcv_sha256": hashlib.sha256(lambdas.tobytes() + coeffs.tobytes()).hexdigest()}
 """
 REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
 REGION_BUDGET = 20
@@ -325,24 +335,27 @@ def time_kernels(kernels):
 
 
 def time_setup(src: Path, degree: int, repeats: int):
-    """Fresh-process set-up of the projection and detection caches at every
-    SETUP_GRID_SIZES entry: the median and min of each cache's CPU seconds,
-    the process CPU seconds and peak RSS MB, and the tables' sha256."""
-    cpu_s, maxrss_mb, tables = {}, {}, {}
+    """Fresh-process import, first fit and set-up of the projection and
+    detection caches at every SETUP_GRID_SIZES entry: the median and min of
+    each step's CPU seconds, the process CPU seconds, the peak RSS MB after
+    the fit and at the end, and the fit's and the tables' sha256."""
+    cpu_s, maxrss_mb, gcv_maxrss_mb, tables, gcv = {}, {}, {}, {}, {}
     for size in SETUP_GRID_SIZES:
         grid = f"grid {size}"
 
         def once(size=size, grid=grid):
             child = run_child(src, SETUP_CHILD, [str(degree), str(size)], f"setup at {grid}")
-            tables[grid] = child["tables_sha256"]
+            tables[grid], gcv[grid] = child["tables_sha256"], child["gcv_sha256"]
             cpu = dict(child["cpu_s"], process=child["process_cpu_s"])
             times = {f"{key} ({grid})": value for key, value in cpu.items()}
-            return dict(times, maxrss_mb=child["maxrss_mb"]), {grid: tables[grid].encode()}
+            peaks = dict(maxrss_mb=child["maxrss_mb"], gcv_maxrss_mb=child["gcv_maxrss_mb"])
+            return dict(times, **peaks), {grid: tables[grid].encode(), f"gcv {grid}": gcv[grid].encode()}
 
         stats = measure(f"setup at {grid}", once, repeats)[0]
-        maxrss_mb[grid] = stats.pop("maxrss_mb")
+        maxrss_mb[grid], gcv_maxrss_mb[grid] = stats.pop("maxrss_mb"), stats.pop("gcv_maxrss_mb")
         cpu_s.update(stats)
-    return {"degree": degree, "repeats": repeats, "cpu_s": cpu_s, "maxrss_mb": maxrss_mb, "tables_sha256": tables}
+    return {"degree": degree, "repeats": repeats, "cpu_s": cpu_s, "maxrss_mb": maxrss_mb,
+            "gcv_maxrss_mb": gcv_maxrss_mb, "tables_sha256": tables, "gcv_sha256": gcv}
 
 
 def main(argv=None) -> int:

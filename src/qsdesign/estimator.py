@@ -7,12 +7,20 @@ sparse samples, `conditional_fit` shrinks toward a Gaussian-process prior:
 it computes the conditional mean of the leading prior eigen-coefficients
 given the observed values and maps it back to the full coefficient vector.
 
-`scipy.linalg` is imported inside the three functions that factor a matrix,
-so a process that never fits (`esr`, `design`, `prior-interp`) does not load
-scipy. Its `LinAlgError` is numpy's, which the `except` clauses name.
+Every fit factors one matrix with LAPACK `dpotrf` and solves with `dpotrs`
+(upper triangle, column-major copies, as `scipy.linalg.cho_factor` and
+`cho_solve` call them). Both come from the LAPACK numpy already loads: the
+first factorisation resolves them through `ctypes` from numpy's
+`_umath_linalg` module as the ILP64 symbols `scipy_dpotrf_64_` and
+`scipy_dpotrs_64_` of its OpenBLAS wheel, so no process loads scipy or a
+second OpenBLAS. Where numpy exports no such symbols (Accelerate or a system
+LAPACK), the same two calls go through `scipy.linalg`, imported then.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -22,6 +30,66 @@ from .prior import VoxelPrior
 from .sphere import ShBasis, as_unit_vectors, laplace_beltrami_penalty
 
 DEFAULT_GCV_GRID = np.logspace(-7.0, -1.0, 20)
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_lapack():
+    """numpy's own `dpotrf` and `dpotrs` as ctypes functions, or None when its
+    LAPACK does not export them under the names of the OpenBLAS wheels."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        potrf, potrs = lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
+    except (AttributeError, OSError):
+        return None
+    # Fortran calling convention: every argument by reference, then the
+    # hidden length of each character argument
+    ref = ctypes.c_void_p
+    potrf.argtypes = [ctypes.c_char_p, ref, ref, ref, ref, ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p, ref, ref, ref, ref, ref, ref, ref, ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+    return potrf, potrs
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U of a symmetric positive definite (n, n) matrix,
+    A = U'U, in a column-major copy whose strict lower triangle keeps A's
+    entries: the array `scipy.linalg.cho_factor(a)[0]` returns, with its bits.
+    Raises `np.linalg.LinAlgError` when A is not positive definite."""
+    lapack = _numpy_lapack()
+    if lapack is None:
+        from scipy import linalg
+
+        return linalg.cho_factor(a, check_finite=False)[0]
+    c = np.array(a, dtype=np.float64, order="F")
+    n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
+    ref = ctypes.byref
+    lapack[0](b"U", ref(n), c.ctypes.data, ref(n), ref(info), 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{info.value}-th leading minor of the array is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"LAPACK dpotrf rejected argument {-info.value}")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a vector b (n,) or the columns of b (n, k), given
+    `c = _cho_factor(A)`: the array `scipy.linalg.cho_solve((c, False), b)`
+    returns (column-major for a matrix b), with its bits."""
+    lapack = _numpy_lapack()
+    if lapack is None:
+        from scipy import linalg
+
+        return linalg.cho_solve((c, False), b, check_finite=False)
+    x = np.array(b, dtype=np.float64, order="F")
+    n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
+    nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
+    ref = ctypes.byref
+    lapack[1](b"U", ref(n), ref(nrhs), c.ctypes.data, ref(n), x.ctypes.data, ref(n), ref(info), 1)
+    if info.value != 0:
+        raise ValueError(f"LAPACK dpotrs rejected argument {-info.value}")
+    return x
 
 
 def _check_points(points) -> np.ndarray:
@@ -56,8 +124,8 @@ def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> np.ndarr
     observations are required and the design must have full column rank.
     """
     pts, vals = _check_observations(points, values)
-    if smoothing < 0.0:
-        raise ValidationError("smoothing must be non-negative")
+    if not (np.isfinite(smoothing) and smoothing >= 0.0):
+        raise ValidationError(f"smoothing must be finite and non-negative, got {smoothing}")
     m = pts.shape[0]
     if m < 1:
         raise ValidationError("need at least one observation")
@@ -65,15 +133,13 @@ def shls_fit(points, values, basis: ShBasis, smoothing: float = 0.0) -> np.ndarr
         raise ValidationError(
             f"unpenalized fit needs at least {basis.dimension} observations, got {m}"
         )
-    from scipy import linalg
-
     phi = basis.evaluate(pts)
     normal = phi.T @ phi + smoothing * laplace_beltrami_penalty(basis)
     try:
-        factor = linalg.cho_factor(normal, check_finite=False)
+        factor = _cho_factor(normal)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular normal equations (smoothing={smoothing:g})") from exc
-    return linalg.cho_solve(factor, phi.T @ vals, check_finite=False)
+    return _cho_solve(factor, phi.T @ vals)
 
 
 def gcv_select(points, values, basis: ShBasis):
@@ -114,8 +180,6 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
     best_coeffs = np.zeros((n, basis.dimension))
     if not n:
         return best_lam, best_coeffs
-    from scipy import linalg
-
     phi = basis.evaluate(pts)
     gram = phi.T @ phi
     penalty = laplace_beltrami_penalty(basis)
@@ -123,14 +187,14 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
     for lam in DEFAULT_GCV_GRID:
         normal = gram + lam * penalty
         try:
-            factor = linalg.cho_factor(normal, check_finite=False)
+            factor = _cho_factor(normal)
         except np.linalg.LinAlgError:
             continue
-        trace_h = float(np.trace(linalg.cho_solve(factor, gram, check_finite=False)))
+        trace_h = float(np.trace(_cho_solve(factor, gram)))
         dof_gap = m - trace_h
         if dof_gap <= 1e-9 * m:
             continue
-        coeffs = np.ascontiguousarray(linalg.cho_solve(factor, rhs, check_finite=False).T)
+        coeffs = np.ascontiguousarray(_cho_solve(factor, rhs).T)
         rss = np.sum((rows - row_products(phi, coeffs)) ** 2, axis=1)
         score = m * rss / dof_gap**2
         take = ~found | (score <= best_score)  # ties resolve toward the larger lambda
@@ -173,13 +237,11 @@ def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBa
     lam = prior.eigenvalues
     gram = (psi * lam) @ psi.T + prior.noise_variance * np.eye(m)
     residuals = rows - phi @ prior.mean
-    from scipy import linalg
-
     try:
-        factor = linalg.cho_factor(gram, check_finite=False)
+        factor = _cho_factor(gram)
     except np.linalg.LinAlgError as exc:  # unreachable for positive noise variance
         raise DegeneracyError("observation Gram matrix is not positive definite") from exc
-    solved = np.ascontiguousarray(linalg.cho_solve(factor, residuals.T, check_finite=False).T)
+    solved = np.ascontiguousarray(_cho_solve(factor, residuals.T).T)
     return lam * row_products(psi.T, solved)
 
 

@@ -841,3 +841,22 @@ def test_commands_without_fits_or_configs_load_neither_scipy_nor_yaml(tmp_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 2]
     assert loaded == []
+
+
+def test_fitting_commands_do_not_load_scipy(tmp_path):
+    # the fits factor with the LAPACK numpy loads, so `simulate` and
+    # `prior-build` load PyYAML for their configuration and never scipy
+    sim_cfg, build_cfg = tmp_path / "sim.yaml", tmp_path / "build.yaml"
+    sim_cfg.write_text(yaml.safe_dump(TINY_SIM))
+    build_cfg.write_text(yaml.safe_dump(TINY_BUILD))
+    runs = [
+        ["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")],
+        ["prior-build", "--config", str(build_cfg), "--out", str(tmp_path / "field")],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == ["yaml"]

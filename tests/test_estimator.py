@@ -122,6 +122,13 @@ class TestShlsFit:
         with pytest.raises(ValidationError):
             shls_fit(points, np.zeros(20), basis4, smoothing=-1.0)
 
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf])
+    def test_non_finite_smoothing_rejected(self, basis4, rng, smoothing):
+        # NaN passes a `smoothing < 0` check and would give NaN coefficients
+        points = random_unit_vectors(rng, 20)
+        with pytest.raises(ValidationError, match="smoothing must be finite"):
+            shls_fit(points, np.zeros(20), basis4, smoothing=smoothing)
+
     def test_duplicate_points_unpenalized_singular(self, basis4):
         points = np.tile([[0.0, 0.0, 1.0]], (basis4.dimension, 1))
         with pytest.raises(DegeneracyError):
@@ -235,6 +242,47 @@ class TestGcvSelectBatch:
             shls_fit(points, values, basis4, smoothing=1e-3)
         with pytest.raises(ValidationError, match="finite"):
             conditional_fit(points, values, random_prior(basis4, rng), basis4)
+
+
+class TestCholeskyPair:
+    """`_cho_factor`/`_cho_solve` against `scipy.linalg.cho_factor`/`cho_solve`,
+    the calls they replace, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 45, 90])
+    def test_equals_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n + 3))
+        a = a @ a.T
+        factor = estimator._cho_factor(a)
+        want = linalg.cho_factor(a, check_finite=False)
+        assert factor.tobytes(order="A") == want[0].tobytes(order="A")
+        assert factor.strides == want[0].strides
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 4)), rng.standard_normal((4, n)).T):
+            x = estimator._cho_solve(factor, b)
+            y = linalg.cho_solve(want, b, check_finite=False)
+            assert x.shape == y.shape and x.strides == y.strides
+            assert x.tobytes(order="A") == y.tobytes(order="A")
+
+    @pytest.mark.parametrize("matrix", [-np.eye(3), np.diag([1.0, 0.0, 1.0]), np.ones((4, 4))])
+    def test_not_positive_definite_raises(self, matrix):
+        with pytest.raises(np.linalg.LinAlgError):
+            estimator._cho_factor(matrix)
+
+    def test_scipy_fallback_gives_the_same_bytes(self, basis8, monkeypatch):
+        # where numpy's LAPACK exports no `dpotrf`/`dpotrs`, scipy's do the work
+        rng = np.random.default_rng(9)
+        points = esr_design(30, seed=2)
+        rows = [rng.standard_normal(30) for _ in range(5)]
+        prior = random_prior(basis8, rng, rank=12, noise_variance=1e-3)
+
+        def fits():
+            lams, coeffs = gcv_select_batch(points, rows, basis8)
+            return (lams.tobytes(), coeffs.tobytes(), shls_fit(points, rows[0], basis8, 1e-3).tobytes(),
+                    conditional_fit_batch(points, rows, prior, basis8).tobytes())
+
+        resolved = fits()
+        monkeypatch.setattr(estimator, "_numpy_lapack", lambda: None)
+        assert fits() == resolved
 
 
 def reference_conditional_fit(points, values, prior, basis):
