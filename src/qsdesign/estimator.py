@@ -12,9 +12,10 @@ Every fit factors one matrix with LAPACK `dpotrf` and solves with `dpotrs`
 `cho_solve` call them). Both come from the LAPACK numpy already loads: the
 first factorisation resolves them through `ctypes` from numpy's
 `_umath_linalg` module as the ILP64 symbols `scipy_dpotrf_64_` and
-`scipy_dpotrs_64_` of its OpenBLAS wheel, so no process loads scipy or a
-second OpenBLAS. Where numpy exports no such symbols (Accelerate or a system
-LAPACK), the same two calls go through `scipy.linalg`, imported then.
+`scipy_dpotrs_64_` of its OpenBLAS wheel, so a fitting process loads
+neither scipy nor a second OpenBLAS. Where numpy exports no such symbols
+(Accelerate or a system LAPACK), the same two calls go through
+`scipy.linalg`, imported then.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def _numpy_lapack():
         return None
     # Fortran calling convention: every argument by reference, then the
     # hidden length of each character argument
-    ref = ctypes.c_void_p
-    potrf.argtypes = [ctypes.c_char_p, ref, ref, ref, ref, ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p, ref, ref, ref, ref, ref, ref, ref, ctypes.c_size_t]
+    ptr = ctypes.c_void_p
+    potrf.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_size_t]
     potrf.restype = potrs.restype = None
     return potrf, potrs
 
@@ -63,6 +64,8 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
 
         return linalg.cho_factor(a, check_finite=False)[0]
     c = np.array(a, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+        raise ValueError(f"need a non-empty square matrix, got shape {c.shape}")
     n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
     ref = ctypes.byref
     lapack[0](b"U", ref(n), c.ctypes.data, ref(n), ref(info), 1)
@@ -82,7 +85,10 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         from scipy import linalg
 
         return linalg.cho_solve((c, False), b, check_finite=False)
+    c = np.asfortranarray(c, dtype=np.float64)
     x = np.array(b, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or x.ndim not in (1, 2) or x.shape[0] != c.shape[0] or not x.size:
+        raise ValueError(f"need a square factor and non-empty matching right-hand sides, got {c.shape} and {x.shape}")
     n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
     nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
     ref = ctypes.byref

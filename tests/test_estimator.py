@@ -268,6 +268,15 @@ class TestCholeskyPair:
         with pytest.raises(np.linalg.LinAlgError):
             estimator._cho_factor(matrix)
 
+    def test_mismatched_shapes_rejected_before_lapack(self):
+        factor = estimator._cho_factor(np.eye(3))
+        for b in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 0)), np.zeros((3, 1, 1))):
+            with pytest.raises(ValueError):
+                estimator._cho_solve(factor, b)
+        for a in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                estimator._cho_factor(a)
+
     def test_scipy_fallback_gives_the_same_bytes(self, basis8, monkeypatch):
         # where numpy's LAPACK exports no `dpotrf`/`dpotrs`, scipy's do the work
         rng = np.random.default_rng(9)
