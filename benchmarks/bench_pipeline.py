@@ -88,11 +88,13 @@ SETUP_GRID_SIZES = (4096, 16384)
 # seconds (interpreter start-up and imports included) and its peak RSS in MB.
 # The peak is VmHWM: on Linux, ru_maxrss after a fork and exec starts from
 # the forking process's RSS, here that of this harness.
-CHILD_HEAD = "import json, resource, sys\n"
+CHILD_HEAD = """import json, resource, sys
+def peak_mb():
+    return next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:")) / 1024.0
+"""
 CHILD_TAIL = """
 usage = resource.getrusage(resource.RUSAGE_SELF)
-peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_kb / 1024.0)
+result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_mb())
 print(json.dumps(result))
 """
 # Imports qsdesign, makes one first fit, then fills both caches; argv:
@@ -108,7 +110,7 @@ rows = np.random.default_rng(0).standard_normal((4, len(points)))
 t_fit = time.process_time()
 lambdas, coeffs = estimator.gcv_select_batch(points, rows, basis)
 t0 = time.process_time()
-fit_peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+fit_peak_mb = peak_mb()
 grid, phi = sim._projection_setup(basis)
 t1 = time.process_time()
 dirs, neighbors, grid_basis = metrics._detection_setup(int(sys.argv[2]), basis)
@@ -117,7 +119,7 @@ digest = hashlib.sha256()
 for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=1), grid_basis):
     digest.update(table.tobytes())
 cpu_s = {"import": t_fit - t_import, "gcv": t0 - t_fit, "projection": t1 - t0, "detection": t2 - t1}
-result = {"cpu_s": cpu_s, "gcv_maxrss_mb": fit_peak_kb / 1024.0, "tables_sha256": digest.hexdigest(),
+result = {"cpu_s": cpu_s, "gcv_maxrss_mb": fit_peak_mb, "tables_sha256": digest.hexdigest(),
           "gcv_sha256": hashlib.sha256(lambdas.tobytes() + coeffs.tobytes()).hexdigest()}
 """
 REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels

@@ -58,14 +58,14 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     A = U'U, in a column-major copy whose strict lower triangle keeps A's
     entries: the array `scipy.linalg.cho_factor(a)[0]` returns, with its bits.
     Raises `np.linalg.LinAlgError` when A is not positive definite."""
+    c = np.array(a, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+        raise ValueError(f"need a non-empty square matrix, got shape {c.shape}")
     lapack = _numpy_lapack()
     if lapack is None:
         from scipy import linalg
 
-        return linalg.cho_factor(a, check_finite=False)[0]
-    c = np.array(a, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
-        raise ValueError(f"need a non-empty square matrix, got shape {c.shape}")
+        return linalg.cho_factor(c, check_finite=False)[0]
     n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
     ref = ctypes.byref
     lapack[0](b"U", ref(n), c.ctypes.data, ref(n), ref(info), 1)
@@ -80,15 +80,15 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a vector b (n,) or the columns of b (n, k), given
     `c = _cho_factor(A)`: the array `scipy.linalg.cho_solve((c, False), b)`
     returns (column-major for a matrix b), with its bits."""
-    lapack = _numpy_lapack()
-    if lapack is None:
-        from scipy import linalg
-
-        return linalg.cho_solve((c, False), b, check_finite=False)
     c = np.asfortranarray(c, dtype=np.float64)
     x = np.array(b, dtype=np.float64, order="F")
     if c.ndim != 2 or c.shape[0] != c.shape[1] or x.ndim not in (1, 2) or x.shape[0] != c.shape[0] or not x.size:
         raise ValueError(f"need a square factor and non-empty matching right-hand sides, got {c.shape} and {x.shape}")
+    lapack = _numpy_lapack()
+    if lapack is None:
+        from scipy import linalg
+
+        return linalg.cho_solve((c, False), x, check_finite=False)
     n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
     nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
     ref = ctypes.byref

@@ -268,7 +268,10 @@ class TestCholeskyPair:
         with pytest.raises(np.linalg.LinAlgError):
             estimator._cho_factor(matrix)
 
-    def test_mismatched_shapes_rejected_before_lapack(self):
+    @pytest.mark.parametrize("resolved", [True, False])
+    def test_mismatched_shapes_rejected_before_lapack(self, resolved, monkeypatch):
+        if not resolved:
+            monkeypatch.setattr(estimator, "_numpy_lapack", lambda: None)
         factor = estimator._cho_factor(np.eye(3))
         for b in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 0)), np.zeros((3, 1, 1))):
             with pytest.raises(ValueError):
