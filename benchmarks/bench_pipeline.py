@@ -11,6 +11,8 @@ Six workloads, all at one BLAS thread:
 - perfbench: one `run_simulation` on the inputs of the perfbench `protocol`
   workload (`SIZES["full"]["protocol"]` in perfbench/workloads.py);
 - unit: one `run_simulation` of the roadmap's protocol unit (UNIT below);
+  a perfbench or unit row also holds the peak RSS (VmHWM, see run_child)
+  of one more run, made once per row in a fresh process, untimed;
 - field: one repeat of the perfbench `field` workload (`workloads.Field`):
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
   a region design; `Field.check` validates every repeat;
@@ -121,6 +123,12 @@ for table in (grid.directions, grid.weights, phi, dirs, np.sort(neighbors, axis=
 cpu_s = {"import": t_fit - t_import, "gcv": t0 - t_fit, "projection": t1 - t0, "detection": t2 - t1}
 result = {"cpu_s": cpu_s, "gcv_maxrss_mb": fit_peak_mb, "tables_sha256": digest.hexdigest(),
           "gcv_sha256": hashlib.sha256(lambdas.tobytes() + coeffs.tobytes()).hexdigest()}
+"""
+# One `run_simulation`; argv: its SimConfig keyword arguments as JSON.
+SIMULATE_CHILD = """
+from qsdesign import config, runner
+runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1])))
+result = {}
 """
 REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
 REGION_BUDGET = 20
@@ -399,11 +407,12 @@ def main(argv=None) -> int:
                 lattices = build_lattices(workloads.Field(seed, "full", Path(tmp)), Path(tmp))
                 fields = {"seed": seed, **time_region(src, lattices, args.repeats)}
         else:
-            params = workloads.SIZES["full"]["protocol"] if name == "perfbench" else UNIT
-            cfg = config.SimConfig(seed=seed, out_dir="unused", **params)
-            cpu_s, digests = measure(name, lambda: simulate_once(runner, cfg), args.repeats)
+            params = dict(workloads.SIZES["full"]["protocol"] if name == "perfbench" else UNIT,
+                          seed=seed, out_dir="unused")
+            cpu_s, digests = measure(name, lambda: simulate_once(runner, config.SimConfig(**params)), args.repeats)
+            child = run_child(src, SIMULATE_CHILD, [json.dumps(params)], f"{name} run_simulation")
             fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s,
-                      "metrics_csv_sha256": digests["metrics_csv"]}
+                      "metrics_csv_sha256": digests["metrics_csv"], "maxrss_mb": child["maxrss_mb"]}
         row = {"label": args.label, "workload": name, "git_commit": git_commit(args.root), **fields, **environment}
         path = ROOT / ("BENCH_field.json" if name in ("field", "region") else "BENCH_pipeline.json")
         bench = json.loads(path.read_text()) if path.exists() else {"benchmark": path.stem, "rows": []}

@@ -11,7 +11,13 @@ deterministic run to run.
 Whole-array forms here keep the bits of the loops they replaced: the
 Coulomb kernel runs over coordinate-major (R, 2, 3, n, n) pair arrays but
 rounds every sum as the (R, n, n, 3) einsum form did, and `local_maxima`
-takes a maximum, which is exact, for all rows at once.
+takes a maximum, which is exact, over row blocks.
+
+The peak-detection grid phase is bounded by the same rule: `local_maxima`
+and `metrics.find_peaks_batch` take their rows in `blocks` of G k entries
+a row (the (B, k, G) neighbour gather of a block), so the grid values, the
+gather and the seed selection of a batch stay within `_BLOCK_ENTRIES`
+whatever its row count; the seeds of all rows are then refined together.
 """
 
 import functools
@@ -245,8 +251,19 @@ def _coulomb_grad(pairs, dist) -> np.ndarray:
 def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Mask of entries strictly greater than all their listed neighbors.
 
-    `values` is one row (G,) or a stack of rows (N, G) over the same grid;
-    `neighbors` (G, k) indexes the grid, and one gather serves every row.
-    A maximum is exact, so each row gets the mask it gets on its own.
+    `values` is one row (G,) or a stack of rows (N, G) over the same grid,
+    and `neighbors` (G, k) indexes the grid. A row is a one-row stack. The
+    rows are compared in `blocks` of the G k entries of a row's gather: each
+    block takes its neighbour values neighbour-major, as (B, k, G) over the
+    transposed table, and reduces them across the k planes. The table of
+    `metrics._detection_setup` is the transposed view of a C-contiguous
+    (k, G) array, so no call copies it. A maximum is exact, so each row gets
+    the mask it gets on its own, whatever the block.
     """
-    return values > values[..., neighbors].max(axis=-1)
+    rows = values.reshape(-1, values.shape[-1])
+    table = neighbors.T
+    mask = np.empty(rows.shape, dtype=bool)
+    for block in blocks(rows.shape[0], table.size):
+        part = rows[block]
+        np.greater(part, np.take(part, table, axis=-1).max(axis=1), out=mask[block])
+    return mask.reshape(values.shape)

@@ -10,6 +10,8 @@ Subcommands:
 Every subcommand takes --out (output directory); simulate, esr and
 prior-build also take --seed (for simulate and prior-build it overrides the
 config seed).
+Every subcommand runs with numpy's OpenBLAS held to one thread, so its
+outputs do not depend on OPENBLAS_NUM_THREADS.
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy.
 """
 
@@ -43,6 +45,7 @@ from .design import (
     region_bound,
 )
 from .errors import DegeneracyError, ValidationError
+from .estimator import one_blas_thread
 from .prior import (
     PriorField,
     VoxelPrior,
@@ -313,7 +316,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    with one_blas_thread():  # every command's bits, whatever the thread count
+        return _COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

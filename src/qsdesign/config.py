@@ -95,8 +95,9 @@ class SimConfig:
                 raise ValidationError(f"{f.name} must be a string, got {value!r}")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.degree < 0 or self.degree % 2:
-            raise ValidationError("degree must be even and non-negative")
+        if self.degree < 2 or self.degree % 2:
+            # a degree-0 expansion is constant: it has no peaks to score
+            raise ValidationError(f"degree must be even and at least 2, got {self.degree}")
         if self.train_subjects < 2:
             raise ValidationError("need at least two training subjects")
         if self.test_subjects < 1:

@@ -15,11 +15,14 @@ first factorisation resolves them through `ctypes` from numpy's
 `scipy_dpotrs_64_` of its OpenBLAS wheel, so a fitting process loads
 neither scipy nor a second OpenBLAS. Where numpy exports no such symbols
 (Accelerate or a system LAPACK), the same two calls go through
-`scipy.linalg`, imported then.
+`scipy.linalg`, imported then. `one_blas_thread` pins the same OpenBLAS
+to one thread, through its `scipy_openblas_set_num_threads64_`, around
+every run and command, so their bits do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 
@@ -34,15 +37,25 @@ DEFAULT_GCV_GRID = np.logspace(-7.0, -1.0, 20)
 
 
 @functools.lru_cache(maxsize=None)
-def _numpy_lapack():
-    """numpy's own `dpotrf` and `dpotrs` as ctypes functions, or None when its
-    LAPACK does not export them under the names of the OpenBLAS wheels."""
+def _numpy_library():
+    """numpy's `_umath_linalg` module as a ctypes library, through which the
+    symbols of the LAPACK and BLAS it links resolve, or None."""
     from numpy.linalg import _umath_linalg
 
     try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_lapack():
+    """numpy's own `dpotrf` and `dpotrs` as ctypes functions, or None when its
+    LAPACK does not export them under the names of the OpenBLAS wheels."""
+    lib = _numpy_library()
+    try:
         potrf, potrs = lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
-    except (AttributeError, OSError):
+    except AttributeError:  # no such symbols, or no library
         return None
     # Fortran calling convention: every argument by reference, then the
     # hidden length of each character argument
@@ -51,6 +64,40 @@ def _numpy_lapack():
     potrs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_size_t]
     potrf.restype = potrs.restype = None
     return potrf, potrs
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS as ctypes
+    functions, or None when it exports no such symbols."""
+    lib = _numpy_library()
+    try:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:  # no such symbols, or no library
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and restore the
+    previous count after it. OpenBLAS splits a product differently at
+    other thread counts, and so rounds it differently. Yields the count in
+    effect, or None where numpy's BLAS exports no thread control, in which
+    case nothing is changed."""
+    control = _openblas_threads()
+    if control is None:
+        yield None
+        return
+    get, put = control
+    previous = get()
+    put(1)
+    try:
+        yield get()
+    finally:
+        put(previous)
 
 
 def _cho_factor(a: np.ndarray) -> np.ndarray:

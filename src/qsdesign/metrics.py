@@ -75,7 +75,10 @@ def _detection_setup(size: int, basis: ShBasis):
     Hemisphere spiral with antipodally folded adjacency: even expansions
     are fully determined by one hemisphere, and keeping exact antipodal
     twins out of the grid lets strict local maxima survive. The arrays are
-    shared between callers, hence read-only.
+    shared between callers, hence read-only. The table is stored
+    neighbour-major, as a C-contiguous (NEIGHBOR_COUNT, size) array, and
+    handed out as its transposed view, the (size, NEIGHBOR_COUNT) layout
+    `_kernels.local_maxima` reads without a copy.
 
     Row i of the table lists the NEIGHBOR_COUNT points j != i of largest
     folded proximity |d_i . d_j| (needs size > NEIGHBOR_COUNT), found
@@ -105,7 +108,7 @@ def _detection_setup(size: int, basis: ShBasis):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    neighbors = np.empty((size, NEIGHBOR_COUNT), dtype=np.int64)
+    table = np.empty((NEIGHBOR_COUNT, size), dtype=np.int64)
     for start in range(0, size, _NEIGHBOR_BLOCK_ROWS):
         rows = i[start : start + _NEIGHBOR_BLOCK_ROWS]
         delta = _NEIGHBOR_FIRST_RADII * np.sqrt(2.0 * (NEIGHBOR_COUNT + 1) / size)
@@ -118,12 +121,13 @@ def _detection_setup(size: int, basis: ShBasis):
             top = np.argpartition(prox, -NEIGHBOR_COUNT, axis=1)[:, -NEIGHBOR_COUNT:]
             kth = np.take_along_axis(prox, top, axis=1).min(axis=1)
             done = kth > np.cos(delta) + 1e-12
-            neighbors[rows[done]] = top[done] + lo
+            table[:, rows[done]] = (top[done] + lo).T
             rows = rows[~done]
             delta *= 2.0
-    tables = (dirs, neighbors, basis.evaluate(dirs))
-    for table in tables:
-        table.setflags(write=False)
+    table.setflags(write=False)
+    tables = (dirs, table.T, basis.evaluate(dirs))
+    for array in tables:
+        array.setflags(write=False)
     return tables
 
 
@@ -189,12 +193,18 @@ def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_G
     """Peaks of many harmonic expansions, one :class:`PeakSet` per row.
 
     Same rules as :func:`find_peaks`, applied to each row of `coeff_rows`
-    (a sequence of coefficient vectors, or an (N, J) array): the grid
-    values of all rows come from one `row_products` call and their maxima
-    from one `local_maxima` gather, then all their seeds are refined
-    together (`REFINE_STEPS` ascent steps from `REFINE_STEP_DEGREES`), so a
-    batch costs as many basis evaluations as one row. Peaks of a row closer
-    than `PEAK_MERGE_DEGREES` keep only the higher one.
+    (a sequence of coefficient vectors, or an (N, J) array). The grid
+    phase runs in `_kernels.blocks` of rows, at the grid_size
+    NEIGHBOR_COUNT entries of a row's neighbour gather: a block's grid
+    values come from one `row_products` call, its maxima from one
+    `local_maxima` call, and then each of its rows picks its seeds, so the
+    grid phase holds one block whatever the row count. `row_products` gives
+    each row the bits of its own product and a maximum is exact, so the
+    seeds do not depend on the block. All seeds of all rows are then
+    refined together (`REFINE_STEPS` ascent steps from
+    `REFINE_STEP_DEGREES`), so a batch costs as many basis evaluations as
+    one row. Peaks of a row closer than `PEAK_MERGE_DEGREES` keep only the
+    higher one.
     """
     check_peak_grid_size(grid_size)
     rows = [basis.check_coefficients(c, f"coefficient row {r}") for r, c in enumerate(coeff_rows)]
@@ -202,20 +212,21 @@ def find_peaks_batch(coeff_rows, basis: ShBasis, grid_size: int = DEFAULT_PEAK_G
         return []
     dirs, neighbors, grid_basis = _detection_setup(grid_size, basis)
     coeffs = np.array(rows)
-    grid_values = _kernels.row_products(grid_basis, coeffs)
-    masks = _kernels.local_maxima(grid_values, neighbors)
     cutoffs, owners, seeds, seed_values = [], [], [], []
-    for r, (values, mask) in enumerate(zip(grid_values, masks)):
-        order = np.argsort(values[mask])[::-1]
-        cutoff = RELATIVE_THRESHOLD * float(values.max())
-        cutoffs.append(cutoff)
-        row_seeds, row_values = dirs[mask][order], values[mask][order]
-        # grid maxima sit within ~2 degrees of the refined peak, so ascent
-        # gains only a few percent; seeds far below threshold cannot recover
-        keep = (row_values > 0.0) & ~((cutoff > 0.0) & (row_values < 0.5 * cutoff))
-        owners += [r] * int(keep.sum())
-        seeds.append(row_seeds[keep])
-        seed_values.append(row_values[keep])
+    for block in _kernels.blocks(len(coeffs), grid_size * NEIGHBOR_COUNT):
+        grid_values = _kernels.row_products(grid_basis, coeffs[block])
+        masks = _kernels.local_maxima(grid_values, neighbors)
+        for r, values, mask in zip(range(len(coeffs))[block], grid_values, masks):
+            order = np.argsort(values[mask])[::-1]
+            cutoff = RELATIVE_THRESHOLD * float(values.max())
+            cutoffs.append(cutoff)
+            row_seeds, row_values = dirs[mask][order], values[mask][order]
+            # grid maxima sit within ~2 degrees of the refined peak, so ascent
+            # gains only a few percent; seeds far below threshold cannot recover
+            keep = (row_values > 0.0) & ~((cutoff > 0.0) & (row_values < 0.5 * cutoff))
+            owners += [r] * int(keep.sum())
+            seeds.append(row_seeds[keep])
+            seed_values.append(row_values[keep])
     peaks, peak_values = _ascend(coeffs[owners], np.concatenate(seeds), np.concatenate(seed_values), basis)
     cos_merge = np.cos(np.radians(PEAK_MERGE_DEGREES))
     kept = [([], []) for _ in rows]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import SimConfig
 from .design import default_candidates, esr_design, gradient_table, greedy_design
-from .estimator import conditional_fit_batch, gcv_select_batch
+from .estimator import conditional_fit_batch, gcv_select_batch, one_blas_thread
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe_batch
@@ -39,6 +39,7 @@ class ExperimentResult:
     objective_history: list  # greedy objective after each pick, largest budget; a budget's is its prefix
     stage_seconds: dict  # "cpu" and "wall" -> stage name -> seconds, in run order
     config: dict
+    blas_threads: int | None  # numpy's OpenBLAS threads during the run; None where it cannot be pinned
 
     @property
     def elapsed_seconds(self) -> float:
@@ -91,8 +92,16 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
 
     `stage_seconds` charges each CPU and wall second of the run to one stage:
     cohort, dense_esr, prior_fit, peaks (detection and scoring), greedy,
-    baseline_esr, observe and fit.
+    baseline_esr, observe and fit. The run holds numpy's OpenBLAS to one
+    thread (`one_blas_thread`), so its bits do not depend on the thread
+    count the process started with; `blas_threads` records the count.
     """
+    with one_blas_thread() as blas_threads:
+        return _run_experiment(cfg, blas_threads)
+
+
+def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
+    """The body of `run_simulation`, at the BLAS thread count it pinned."""
     clock = _LapClock()
     basis = ShBasis(cfg.degree)
 
@@ -150,6 +159,7 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
         objective_history=greedy.objective_history.tolist(),
         stage_seconds=clock.stage_seconds,
         config=asdict(cfg),
+        blas_threads=blas_threads,
     )
 
 
@@ -185,6 +195,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
     for (budget, method), points in sorted(result.designs.items()):
         (out / _design_name(method, budget)).write_text(gradient_table(points))
     report = {
+        "blas_threads": result.blas_threads,
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
         "greedy_objective_history": result.objective_history,

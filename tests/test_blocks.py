@@ -1,5 +1,6 @@
 """Loops in blocks of `_kernels.blocks`: every result has the bits of one
-block whatever the block size. On the region path, `load_prior_field` and
+block whatever the block size. Peak detection keeps its grid phase within
+one block whatever the row count. On the region path, `load_prior_field` and
 the region greedy fail on a bad voxel in the last block as on one block,
 and the load, the save and the greedy keep their temporaries within the
 block budget whatever the voxel count. The load checks every voxel index
@@ -12,11 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsdesign import _kernels, design, prior
+from qsdesign import _kernels, design, metrics, prior
 from qsdesign.cli import main
 from qsdesign.design import default_candidates, esr_design, greedy_design_region
 from qsdesign.errors import DegeneracyError, ValidationError
+from qsdesign.metrics import find_peaks, find_peaks_batch
 from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_prior_field, save_prior_field
+from qsdesign.sim import GenerativeConfig, generate_cohort
 from qsdesign.sphere import ShBasis
 
 from conftest import random_unit_vectors
@@ -99,10 +102,26 @@ def load_case(rng, tmp_path):
     return run
 
 
+def fodf_rows(count):
+    """Degree-8 fODF coefficient rows of a synthetic cohort, with a zero row last."""
+    basis = ShBasis(8)
+    rows = [t.fodf for t in generate_cohort(basis, GenerativeConfig(), count - 1, 5)]
+    return np.array([*rows, np.zeros(basis.dimension)])
+
+
+def peak_bytes(peak_sets):
+    return b"".join(p.directions.tobytes() + p.values.tobytes() for p in peak_sets)
+
+
+def peaks_case(rng, tmp_path):
+    rows = fodf_rows(5)
+    return lambda: peak_bytes(find_peaks_batch(rows, ShBasis(8), grid_size=1024))
+
+
 @pytest.mark.parametrize(
     "case",
-    [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case, load_case],
-    ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load"],
+    [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case, load_case, peaks_case],
+    ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load", "peaks"],
 )
 def test_block_size_never_changes_a_result(case, rng, tmp_path, monkeypatch):
     run = case(rng, tmp_path)
@@ -153,6 +172,52 @@ def test_stacked_gains_equal_one_voxel_calls_across_block_edges(rng, monkeypatch
     assert blocked.tobytes() == whole.tobytes()
     for v in range(VOXELS):
         assert blocked[v].tobytes() == _kernels.greedy_gains(psi[v], dmat[v], float(noise[v, 0])).tobytes()
+
+
+def maxima_rows(rng, size):
+    """Grid rows for `local_maxima`: random, all tied, many ties, one
+    maximum at each end of the grid, signed zeros, and infinite and
+    extreme finite values; none is NaN."""
+    values = rng.standard_normal((9, size))
+    values[1] = 0.0
+    values[2] = np.round(values[2])
+    values[3] = -1.0
+    values[3, 0] = 0.0  # the only maximum, at the grid's first point
+    values[4] = -1.0
+    values[4, -1] = 0.0  # and at its last
+    values[5] = np.where(values[5] < 0.0, -0.0, 0.0)  # equal zeros of both signs
+    values[6, ::7] = np.inf
+    values[7, ::5] = -np.inf
+    values[8, ::3] = np.finfo(float).max
+    values[8, 1::3] = -np.finfo(float).max
+    return values
+
+
+@pytest.mark.parametrize("budget_rows", [1, 2, 4])
+def test_local_maxima_blocks_equal_whole_array_reference(rng, monkeypatch, budget_rows):
+    size = 1024
+    _, neighbors, _ = metrics._detection_setup(size, ShBasis(4))
+    values = maxima_rows(rng, size)  # 9 rows: a part block at the end
+    want = np.array([row > row[neighbors].max(axis=1) for row in values])
+    assert not want[1].any() and not want[5].any()
+    assert want[3, 0] and want[4, -1]
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", budget_rows * size * metrics.NEIGHBOR_COUNT)
+    assert len(_kernels.blocks(len(values), size * metrics.NEIGHBOR_COUNT)) == -(-len(values) // budget_rows)
+    assert np.array_equal(_kernels.local_maxima(values, neighbors), want)
+    for row, mask in zip(values, want):
+        assert np.array_equal(_kernels.local_maxima(row, neighbors), mask)
+
+
+def test_peak_blocks_equal_one_row_calls(monkeypatch):
+    rows = fodf_rows(7)
+    want = [find_peaks(row, ShBasis(8), grid_size=1024) for row in rows]
+    assert {len(p) for p in want} >= {0, 1, 2}
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 1024 * metrics.NEIGHBOR_COUNT)  # 3 rows a block
+    got = find_peaks_batch(rows, ShBasis(8), grid_size=1024)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.directions.tobytes() == w.directions.tobytes()
+        assert g.values.tobytes() == w.values.tobytes()
 
 
 def corrupt_last_covariance(path, value):
@@ -268,3 +333,18 @@ def test_region_greedy_temporaries_stay_within_the_block_budget(rng, voxels, bas
     # row per voxel and the (V, K, K) covariances and downdate terms
     held = voxels * (n * k + j * k + n + 4 * k * k) * 8
     assert peak - held <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
+
+
+# Peak detection's traced peak may grow with the row count only through the
+# ascent, whose arrays hold a few kB a row at degree 8. A whole-batch
+# neighbour gather would grow by G k 8 bytes (256 kB) a row, 15.7 MB from
+# 4 to 64 rows.
+PEAK_GROWTH_BYTES = 2 * _kernels._BLOCK_ENTRIES * 8
+
+
+def test_peak_detection_memory_does_not_grow_with_the_batch(basis8):
+    rows = fodf_rows(64)
+    find_peaks_batch(rows[:1], basis8)  # first-use caches out of the traced calls
+    _, small, _ = traced(lambda: find_peaks_batch(rows[:4], basis8))
+    _, large, _ = traced(lambda: find_peaks_batch(rows, basis8))
+    assert large - small <= PEAK_GROWTH_BYTES

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qsdesign import cli, runner
+from qsdesign import cli, estimator, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
 from qsdesign.errors import ValidationError
@@ -407,14 +407,61 @@ class TestDenseRegimeParity:
         assert ratio < 2.0
 
 
+def _without_times(report_bytes):
+    """A report.json without its timings and its output directory."""
+    report = json.loads(report_bytes)
+    del report["stage_seconds"], report["elapsed_seconds"], report["config"]["out_dir"]
+    return report
+
+
 class TestThreading:
-    def test_threaded_run_matches_serial(self):
-        base = dict(TINY_SIM)
-        cfg1 = sim_config_from_dict({**base, "threads": 1})
-        cfg2 = sim_config_from_dict({**base, "threads": 4})
-        assert metrics_csv_text(run_simulation(cfg1).rows) == metrics_csv_text(
-            run_simulation(cfg2).rows
-        )
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
+        # `simulate` holds numpy's OpenBLAS to one thread, so a process
+        # started at two threads writes the bytes of one started at one; at
+        # degree 8, unpinned, the two write different metrics.csv files
+        config = {**TINY_SIM, "degree": 8}
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        src = Path(__file__).resolve().parents[1] / "src"
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "qsdesign", "simulate", "--config", str(cfg), "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            runs.append({str(p.relative_to(out)): p.read_bytes() for p in _files_under(out)})
+        assert sorted(runs[0]) == sorted(runner.output_names(config["budgets"]))
+        reports = [_without_times(run.pop("report.json")) for run in runs]
+        assert runs[0] == runs[1]
+        assert reports[0] == reports[1]
+
+    def test_pin_holds_one_thread_and_restores_the_count(self):
+        control = estimator._openblas_threads()
+        if control is None:  # numpy exports no thread control: the pin changes nothing
+            with estimator.one_blas_thread() as threads:
+                assert threads is None
+            return
+        get, put = control
+        start = get()
+        put(2)
+        try:
+            with estimator.one_blas_thread() as threads:
+                assert threads == get() == 1
+            assert get() == 2
+        finally:
+            put(start)
+
+    def test_report_records_the_pinned_count(self, tiny_results):
+        _, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["blas_threads"] == result.blas_threads == (1 if estimator._openblas_threads() else None)
+
+    def test_run_without_thread_control_records_null(self, tiny_results, monkeypatch):
+        cfg, pinned, _ = tiny_results
+        monkeypatch.setattr(estimator, "_openblas_threads", lambda: None)
+        result = run_simulation(cfg)
+        assert result.blas_threads is None
+        assert metrics_csv_text(result.rows) == metrics_csv_text(pinned.rows)
 
 
 def _raw_config(tmp_path, command, text):
@@ -771,6 +818,18 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
     argv = argv_for(tmp_path)
     monkeypatch.setattr(cli, work, refuse)
     assert main(argv) == 2
+
+
+def test_degree_without_peaks_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # a degree-0 expansion is constant, so no subject has a peak to score
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate ran before its degree was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", refuse)
+    monkeypatch.setattr(runner, "generate_cohort", refuse)
+    assert main(_write_config(tmp_path, degree=0)) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error: degree must be even and at least 2, got 0"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv_for", [

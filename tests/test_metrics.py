@@ -96,6 +96,7 @@ def assert_same_neighbor_sets(size):
     dirs, neighbors, _ = metrics._detection_setup.__wrapped__(size, ShBasis(0))
     assert np.array_equal(dirs, spiral_directions(size))
     assert neighbors.shape == (size, metrics.NEIGHBOR_COUNT)
+    assert neighbors.T.flags.c_contiguous  # the neighbour-major layout local_maxima gathers over
     assert np.array_equal(np.sort(neighbors, axis=1), np.sort(reference_neighbors(size), axis=1))
 
 
