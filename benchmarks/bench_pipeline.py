@@ -17,7 +17,7 @@ Six workloads, all at one BLAS thread:
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
   a region design; `Field.check` validates every repeat;
 - region: `qsdesign design --mode region --budget 20` in a fresh process
-  per repeat, on lattices of 216, 1000 and 4096 voxels (REGION_LATTICES)
+  per repeat, on lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
   interpolated from the coarse prior of the `field` workload's
   `prior-build`; the lattices are built once per run, untimed. A row holds
   each size's process CPU seconds and peak RSS (see run_child), the sha256
@@ -130,7 +130,7 @@ from qsdesign import config, runner
 runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1])))
 result = {}
 """
-REGION_LATTICES = (6, 10, 16)  # points per axis: 216, 1000 and 4096 voxels
+REGION_LATTICES = (6, 10, 16, 20)  # points per axis: 216, 1000, 4096 and 8000 voxels
 REGION_BUDGET = 20
 # Runs the `qsdesign` command line; argv: its arguments. A failing command
 # exits with its code, so run_child reports its stderr.

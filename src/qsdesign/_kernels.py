@@ -143,20 +143,11 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance) -> np.ndarra
     a candidate with eigenfunction row v is ||dmat v||^2 / (sigma^2 + v' dmat v).
     One voxel is `psi` (N, K), `dmat` (K, K) and a float noise variance,
     giving gains (N,). A stack is `psi` (V, N, K), `dmat` (V, K, K) and noise
-    variances (V, 1), giving gains (V, N); it is scored in voxel `blocks`,
-    at the N K entries of `psi @ dmat` a voxel. Stacked matmul makes one
-    BLAS call per voxel and the row sums never cross voxels, so every voxel
-    gets the bits of its own one-voxel call, whatever the block.
+    variances (V, 1), giving gains (V, N); the region greedy passes one
+    voxel block of its `blocks` loop. Stacked matmul makes one BLAS call per
+    voxel and the row sums never cross voxels, so every voxel gets the bits
+    of its own one-voxel call, whatever the stack.
     """
-    if psi.ndim == 2:
-        return _gains(psi, dmat, noise_variance)
-    gains = np.empty(psi.shape[:2])
-    for block in blocks(psi.shape[0], psi.shape[1] * psi.shape[2]):
-        gains[block] = _gains(psi[block], dmat[block], noise_variance[block])
-    return gains
-
-
-def _gains(psi, dmat, noise_variance):
     v = psi @ dmat
     num = np.einsum("...ij,...ij->...i", v, v)
     den = noise_variance + np.einsum("...ij,...ij->...i", psi, v)

@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,13 +52,19 @@ from .prior import (
     VoxelPrior,
     corner_weights,
     empirical_moments,
+    field_header,
     interpolate_prior,
+    load_eigen_field,
     load_prior_field,
     save_prior_field,
 )
 from .runner import build_prior_from_cohort, output_names, run_simulation, write_outputs
 from .sim import cohort_from_csv, generate_cohort
 from .sphere import ShBasis
+
+# The most memory, in bytes, that the arrays a size argument sets may take:
+# a larger request fails before any work instead of in an allocation.
+SIZE_CEILING_BYTES = 1 << 30
 
 
 def _add_out(parser):
@@ -165,9 +172,14 @@ def _cmd_design(args) -> int:
         raise ValidationError(f"--candidates must be >= 1, got {args.candidates}")
     if args.voxel is not None and args.mode != "single":
         raise ValidationError(f"--voxel applies to --mode single only, not --mode {args.mode}")
-    field = load_prior_field(args.prior)
-    if not field.priors:
+    _, dimension, count = field_header(args.prior)
+    if not count:
         raise ValidationError(f"{args.prior} contains no voxel priors")
+    voxels = count if args.mode == "region" else 1
+    limit = SIZE_CEILING_BYTES // (8 * (dimension + voxels))  # the (N, J) basis and the (V, N) gains
+    if args.candidates > limit:
+        raise ValidationError(f"--candidates must be at most {limit} for this field, got {args.candidates}")
+    field = load_eigen_field(args.prior)
     # single mode is the one-voxel region: the first voxel, or --voxel
     indices = sorted(field.priors) if args.mode == "region" else [min(field.priors)]
     if args.voxel is not None:
@@ -197,6 +209,9 @@ def _cmd_design(args) -> int:
 
 def _cmd_esr(args) -> int:
     check_esr_request(args.count, args.seed)
+    limit = math.isqrt(SIZE_CEILING_BYTES // (6 * 8))  # the 6 n^2 Coulomb pair entries of a configuration
+    if args.count > limit:
+        raise ValidationError(f"--count must be at most {limit}, got {args.count}")
     (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
     points = esr_design(args.count, seed=args.seed)
     with _writing(path):

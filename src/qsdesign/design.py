@@ -195,13 +195,13 @@ def greedy_design_region(candidates: CandidateSet, priors, basis: ShBasis, budge
     """Greedy selection for a collection of voxels.
 
     Maximizes the mean of the per-voxel trace objectives, which for one
-    voxel is its own objective. The voxels' posterior covariances are stacked,
-    zero-padded to the largest rank, so each step scores every voxel with
-    one `greedy_gains` call, which runs in voxel blocks of bounded size, and
-    downdates them all at once; a voxel's padded columns of `psi` and rows
-    and columns of `dmat` stay exactly 0. Beyond `psi` (V, N, K), a step's
-    temporaries are one (V, N) gains array, (V, K, K) downdate terms and
-    one block.
+    voxel is its own objective, from each prior's eigen form only. The
+    eigenvectors (V, J, K) and posterior score covariances (V, K, K) are
+    stacked, zero-padded to the largest rank. Each step is one loop over
+    voxel `blocks`: a block computes its `psi` (B, N, K), applies the last
+    pick's downdate from that pick's row of it and scores its
+    `greedy_gains`. Stacked matmul makes one BLAS call per voxel, so a block
+    has the bits of the whole-stack product; no (V, N, K) `psi` is held.
     """
     priors = list(priors)
     if not priors:
@@ -216,26 +216,29 @@ def greedy_design_region(candidates: CandidateSet, priors, basis: ShBasis, budge
     for v, prior in enumerate(priors):
         evecs[v, :, : prior.rank] = prior.eigenvectors
         dmat[v, : prior.rank, : prior.rank] = np.diag(prior.eigenvalues)
-    psi = basis.evaluate(candidates.points) @ evecs  # (V, N, K_max)
-    del evecs  # (V, J, K_max): the steps read psi only
+    phi = basis.evaluate(candidates.points)
     noise = np.array([[p.noise_variance] for p in priors])
     weights = np.full(len(priors), 1.0 / len(priors))
     active = np.ones(len(candidates), dtype=bool)
+    voxel_gains = np.empty((len(priors), len(candidates)))
     selected: list[int] = []
     history = np.empty(budget)
     objective = 0.0
     for step in range(budget):
-        gains = weights @ _kernels.greedy_gains(psi, dmat, noise)
+        for block in _kernels.blocks(len(priors), len(candidates) * kmax):
+            psi, dblock, nblock = phi @ evecs[block], dmat[block], noise[block]
+            if selected:  # D <- D - (D v)(D v)' / (sigma^2 + v' D v), v the previous pick's row
+                dv = np.einsum("vij,vj->vi", dblock, psi[:, selected[-1]])
+                den = nblock + np.einsum("vi,vi->v", psi[:, selected[-1]], dv)[:, None]
+                dblock -= dv[:, :, None] * dv[:, None, :] / den[:, :, None]
+            voxel_gains[block] = _kernels.greedy_gains(psi, dblock, nblock)
+        gains = weights @ voxel_gains
         if not np.isfinite(gains).all():
             raise DegeneracyError(
                 f"greedy gains are not finite at step {step}: prior eigenvalues are too large for float64"
             )
         gains[~active] = -np.inf
         index = int(np.argmax(gains))  # ties resolve to the lowest index
-        v = psi[:, index]
-        dv = np.einsum("vij,vj->vi", dmat, v)
-        den = noise + np.einsum("vi,vi->v", v, dv)[:, None]
-        dmat -= dv[:, :, None] * dv[:, None, :] / den[:, :, None]
         active[index] = False
         selected.append(index)
         objective += float(gains[index])

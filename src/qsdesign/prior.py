@@ -6,6 +6,9 @@ Fields of priors over a voxel grid interpolate to arbitrary continuous
 coordinates: means combine linearly, covariances combine as a weighted
 Karcher mean under the log-Euclidean metric (which keeps determinants from
 swelling), and the eigen-truncation is recomputed afterwards.
+
+Design reads only a prior's eigen form (mean, eigenpairs, noise, rank rule
+and spectrum total), which is all `load_eigen_field` keeps: no covariance.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ _MAGIC = b"QPFLD001"
 # after the magic: J, basis degree, rank-rule kind code, rank-rule value,
 # grid shape, voxel count
 _HEADER = struct.Struct("<IIId3II")
+_RECORDS_OFFSET = len(_MAGIC) + _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def truncate_rank(covariance, rule: RankRule):
     -------
     (eigenvalues (K,), eigenvectors (J, K)) with orthonormal columns.
     """
-    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rule)[0]
+    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rule)[0][:2]
 
 
 def _truncate_ranks(covariances, rule: RankRule) -> list:
@@ -97,7 +101,7 @@ def _truncate_ranks(covariances, rule: RankRule) -> list:
 
     The finiteness and symmetry checks run once on the stack, and one
     stacked `eigh` gives each matrix the bits of its own call; the rank
-    rule then runs matrix by matrix.
+    rule then runs matrix by matrix, giving (eigenvalues, eigenvectors, total).
     """
     sigma = np.asarray(covariances, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1] != sigma.shape[2]:
@@ -122,43 +126,45 @@ def _leading_eigenpairs(evals, evecs, rule: RankRule):
     if evals[0] <= 0.0:
         raise DegeneracyError("covariance has no positive eigenvalue; rank is degenerate")
     usable = evals > EIGENVALUE_FLOOR_FACTOR * evals[0]
+    total = float(np.sum(np.maximum(evals, 0.0)))
     if rule.kind == "fixed":
         k = rule.value
         if k > evals.shape[0]:
             raise ValidationError(f"rank must be in [1, {evals.shape[0]}]")
     else:
-        total = float(np.sum(np.maximum(evals, 0.0)))
         cum = np.cumsum(np.maximum(evals, 0.0)) / total
         k = int(np.searchsorted(cum, rule.value - 1e-12) + 1)
     k = min(k, int(np.count_nonzero(usable)))
-    return evals[:k].copy(), evecs[:, :k].copy()
+    return evals[:k].copy(), evecs[:, :k].copy(), total
 
 
 @dataclass(frozen=True)
 class VoxelPrior:
     """Gaussian-process prior on one voxel's coefficient vector.
 
-    `rank_rule` is the rule that truncated the eigenpairs, as recorded by
-    `from_moments`, or None for a prior built by hand."""
+    `rank_rule` and `spectrum_total` are the rule that truncated the
+    eigenpairs and the sum of the non-negative eigenvalues it truncated, or
+    None for a prior built by hand; `covariance` is None in eigen form."""
 
     mean: np.ndarray  # (J,)
-    covariance: np.ndarray  # (J, J)
+    covariance: np.ndarray | None  # (J, J)
     eigenvalues: np.ndarray  # (K,) positive, non-increasing
     eigenvectors: np.ndarray  # (J, K) orthonormal columns
     noise_variance: float
     rank_rule: RankRule | None = None
+    spectrum_total: float | None = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        cov = None if self.covariance is None else np.asarray(self.covariance, dtype=float)
         evals = np.asarray(self.eigenvalues, dtype=float)
         evecs = np.asarray(self.eigenvectors, dtype=float)
         j = mean.shape[0]
-        if cov.shape != (j, j):
+        if cov is not None and cov.shape != (j, j):
             raise ValidationError("covariance shape does not match the mean length")
-        if not all(np.isfinite(a).all() for a in (mean, cov, evals, evecs)):
+        if not all(np.isfinite(a).all() for a in (mean, cov, evals, evecs) if a is not None):
             raise ValidationError("prior mean, covariance and eigenpairs must be finite")
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
+        if cov is not None and np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
             raise ValidationError("covariance must be symmetric")
         if evals.ndim != 1 or evals.size < 1 or np.any(evals <= 0.0):
             raise ValidationError("eigenvalues must be strictly positive")
@@ -174,7 +180,7 @@ class VoxelPrior:
         object.__setattr__(self, "mean", mean)
         # exact symmetrization (idempotent) so the lower triangle determines
         # the matrix bitwise, which serialization relies on
-        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "covariance", None if cov is None else 0.5 * (cov + cov.T))
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", evecs)
 
@@ -191,6 +197,8 @@ class VoxelPrior:
         """Matrix log of the (regularized) covariance, computed on first use
         and kept, read-only, because every interpolation query touching this
         voxel blends the same log."""
+        if self.covariance is None:
+            raise ValidationError("a prior in eigen form holds no covariance to interpolate")
         out = spd_log(regularize_spd(self.covariance))
         out.setflags(write=False)
         return out
@@ -211,8 +219,8 @@ class VoxelPrior:
         covariances = np.asarray(covariances, dtype=float)
         pairs = _truncate_ranks(covariances, rank_rule)
         return [
-            cls(mean, cov, evals, evecs, float(noise_variance), rank_rule)
-            for mean, cov, (evals, evecs), noise_variance in zip(
+            cls(mean, cov, evals, evecs, float(noise_variance), rank_rule, total)
+            for mean, cov, (evals, evecs, total), noise_variance in zip(
                 means, covariances, pairs, noise_variances, strict=True
             )
         ]
@@ -399,6 +407,8 @@ def save_prior_field(field_: PriorField, path):
     field stay that size.
     """
     path = str(path)
+    if any(p.covariance is None for p in field_.priors.values()):
+        raise ValidationError("a prior in eigen form holds no covariance to save")
     order = sorted(field_.priors)
     j = basis_dimension(field_.max_degree) if order else 0
     lower = np.tril_indices(j)
@@ -436,17 +446,9 @@ def _check_fits(path, offset: int, sizes, left: int):
         offset, left = offset + size, left - size
 
 
-def load_prior_field(path) -> PriorField:
-    """Read a field written by :func:`save_prior_field`.
-
-    The file's size is checked against its header, the voxel records are
-    read with one `np.fromfile`, and every voxel index is checked before any
-    voxel is decomposed. The covariances then go through
-    `VoxelPrior.from_moments_batch` in `blocks` of J^2 entries a voxel, so
-    the temporaries beyond the records stay that size. Stacked
-    `eigh` makes one LAPACK call per matrix, so every voxel gets the bits of
-    its own `from_moments` call, whatever the block.
-    """
+def field_header(path):
+    """The empty field, dimension J and voxel count that a file written by
+    :func:`save_prior_field` declares, once its size matches its header."""
     path = str(path)
     try:
         fh = open(path, "rb")
@@ -459,32 +461,65 @@ def load_prior_field(path) -> PriorField:
         size = os.fstat(fh.fileno()).st_size
         _check_fits(path, fh.tell(), [_HEADER.size], size - fh.tell())
         j, max_degree, rank_kind_code, rank_value, sx, sy, sz, count = _HEADER.unpack(fh.read(_HEADER.size))
-        if rank_kind_code not in (0, 1):
-            raise ValidationError(f"{path} has unknown rank-rule kind code {rank_kind_code}")
-        if max_degree % 2 or j != (basis_dimension(max_degree) if count else 0):
-            raise ValidationError(f"{path} header is inconsistent: dimension {j}, basis degree {max_degree}")
-        rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
-        field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
-        fields = _record_fields(j)
-        sizes = [np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in fields]
-        record, body = sum(sizes), size - fh.tell()
-        whole = min(count, body // record)  # the records the file holds in full
-        if whole < count:
-            _check_fits(path, fh.tell() + whole * record, sizes, body - whole * record)
-        if body > count * record:
-            raise ValidationError(f"{path} has trailing bytes; file is corrupt")
-        records = np.fromfile(fh, np.dtype(fields), count)
-    order, seen = [tuple(index) for index in records["index"].tolist()], set()
+    if rank_kind_code not in (0, 1):
+        raise ValidationError(f"{path} has unknown rank-rule kind code {rank_kind_code}")
+    if max_degree % 2 or j != (basis_dimension(max_degree) if count else 0):
+        raise ValidationError(f"{path} header is inconsistent: dimension {j}, basis degree {max_degree}")
+    rule = RankRule("fraction" if rank_kind_code == 0 else "fixed", rank_value)
+    field_ = PriorField((sx, sy, sz), {}, max_degree, rule)
+    fields = _record_fields(j)
+    sizes = [np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in fields]
+    record, body = sum(sizes), size - _RECORDS_OFFSET
+    whole = min(count, body // record)  # the records the file holds in full
+    if whole < count:
+        _check_fits(path, _RECORDS_OFFSET + whole * record, sizes, body - whole * record)
+    if body > count * record:
+        raise ValidationError(f"{path} has trailing bytes; file is corrupt")
+    return field_, j, count
+
+
+def _read_field(path: str, make_priors) -> PriorField:
+    """The field of a `.qpf` file, its priors built by `make_priors(means,
+    covariances, noise variances, rank rule)`. Every voxel index is checked
+    before any voxel is decomposed. The records are read in `blocks` of J^2
+    entries a voxel, twice, so they are never held whole."""
+    field_, j, count = field_header(path)
+    dtype, parts = np.dtype(_record_fields(j)), blocks(count, j * j)
+
+    def read(block):
+        offset = _RECORDS_OFFSET + block.start * dtype.itemsize
+        return np.fromfile(path, dtype, min(block.stop, count) - block.start, offset=offset)
+
+    order, seen = [tuple(index) for block in parts for index in read(block)["index"].tolist()], set()
     for index in order:
         if index in seen:
             raise ValidationError(f"{path} repeats voxel {index}")
         seen.add(field_._voxel_index(index))
-    lower = np.tril_indices(j)
-    for block in blocks(count, j * j):
-        covs = np.zeros((len(order[block]), j, j))
-        covs[(slice(None), *lower)] = records["tril"][block]
-        covs += np.tril(covs, -1).swapaxes(1, 2)
-        means = np.array(records["mean"][block], dtype=float)  # copied, so no prior keeps `records` alive
-        priors = VoxelPrior.from_moments_batch(means, covs, records["noise"][block].tolist(), rule)
-        field_.priors.update(zip(order[block], priors))  # indices checked above
+    rows, cols = np.tril_indices(j)
+    for block in parts:
+        records = read(block)
+        covs = np.empty((len(records), j, j))
+        covs[:, cols, rows] = covs[:, rows, cols] = records["tril"]
+        means = np.array(records["mean"], dtype=float)  # copied, so no prior keeps `records` alive
+        field_.priors.update(zip(order[block], make_priors(means, covs, records["noise"].tolist(), field_.rank_rule)))
     return field_
+
+
+def load_prior_field(path) -> PriorField:
+    """Read a field written by :func:`save_prior_field` (see `_read_field`).
+    Each prior has the bits of its record's own `VoxelPrior.from_moments`:
+    stacked `eigh` makes one LAPACK call per matrix, whatever the block."""
+    return _read_field(str(path), VoxelPrior.from_moments_batch)
+
+
+def load_eigen_field(path) -> PriorField:
+    """Read a field written by :func:`save_prior_field` (see `_read_field`)
+    in eigen form: each prior holds what `load_prior_field` gives it, bit for
+    bit, but no covariance."""
+
+    def eigen_priors(means, covariances, noises, rule):
+        triples = _truncate_ranks(covariances, rule)
+        return [VoxelPrior(mean, None, evals, evecs, noise, rule, total)
+                for mean, (evals, evecs, total), noise in zip(means, triples, noises, strict=True)]
+
+    return _read_field(str(path), eigen_priors)

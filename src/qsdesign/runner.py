@@ -40,6 +40,8 @@ class ExperimentResult:
     stage_seconds: dict  # "cpu" and "wall" -> stage name -> seconds, in run order
     config: dict
     blas_threads: int | None  # numpy's OpenBLAS threads during the run; None where it cannot be pinned
+    prior_rank: int  # eigenpairs the prior kept
+    prior_explained_variance: float  # their share of the prior covariance's spectrum total
 
     @property
     def elapsed_seconds(self) -> float:
@@ -160,6 +162,8 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
         stage_seconds=clock.stage_seconds,
         config=asdict(cfg),
         blas_threads=blas_threads,
+        prior_rank=prior.rank,
+        prior_explained_variance=float(np.sum(prior.eigenvalues) / prior.spectrum_total),
     )
 
 
@@ -199,6 +203,8 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
         "greedy_objective_history": result.objective_history,
+        "prior_explained_variance": result.prior_explained_variance,
+        "prior_rank": result.prior_rank,
         "stage_seconds": result.stage_seconds,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -1,10 +1,12 @@
 """Loops in blocks of `_kernels.blocks`: every result has the bits of one
 block whatever the block size. Peak detection keeps its grid phase within
-one block whatever the row count. On the region path, `load_prior_field` and
+one block whatever the row count. On the region path, both `.qpf` readers
+(`load_prior_field`, and `load_eigen_field`, which design reads with) and
 the region greedy fail on a bad voxel in the last block as on one block,
-and the load, the save and the greedy keep their temporaries within the
-block budget whatever the voxel count. The load checks every voxel index
-before it decomposes any voxel, and keeps nothing but the priors."""
+and the loads, the save and the greedy keep their temporaries within the
+block budget whatever the voxel count. The loads check every voxel index
+before they decompose any voxel, never hold the file's records whole and
+keep nothing but the priors; the eigen-form load keeps no covariance."""
 
 import re
 import struct
@@ -18,7 +20,7 @@ from qsdesign.cli import main
 from qsdesign.design import default_candidates, esr_design, greedy_design_region
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.metrics import find_peaks, find_peaks_batch
-from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_prior_field, save_prior_field
+from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_eigen_field, load_prior_field, save_prior_field
 from qsdesign.sim import GenerativeConfig, generate_cohort
 from qsdesign.sphere import ShBasis
 
@@ -87,19 +89,24 @@ def save_case(rng, tmp_path):
     return run
 
 
-def load_case(rng, tmp_path):
-    path = tmp_path / "field.qpf"
-    save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
-    names = ("mean", "covariance", "eigenvalues", "eigenvectors")
+def load_case(load, names):
+    def case(rng, tmp_path):
+        path = tmp_path / "field.qpf"
+        save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
 
-    def run():
-        loaded = load_prior_field(path)
-        parts = [np.array(list(loaded.priors)).tobytes()]
-        for p in loaded.priors.values():
-            parts += [getattr(p, name).tobytes() for name in names] + [struct.pack("<d", p.noise_variance)]
-        return b"".join(parts)
+        def run():
+            loaded = load(path)
+            parts = [np.array(list(loaded.priors)).tobytes()]
+            for p in loaded.priors.values():
+                parts += [getattr(p, name).tobytes() for name in names] + [struct.pack("<d", p.noise_variance)]
+            return b"".join(parts)
 
-    return run
+        return run
+
+    return case
+
+
+EIGEN_FORM = ("mean", "eigenvalues", "eigenvectors")
 
 
 def fodf_rows(count):
@@ -120,8 +127,9 @@ def peaks_case(rng, tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case, load_case, peaks_case],
-    ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load", "peaks"],
+    [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case,
+     load_case(load_prior_field, ("covariance", *EIGEN_FORM)), load_case(load_eigen_field, EIGEN_FORM), peaks_case],
+    ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load", "eigen load", "peaks"],
 )
 def test_block_size_never_changes_a_result(case, rng, tmp_path, monkeypatch):
     run = case(rng, tmp_path)
@@ -141,6 +149,23 @@ def test_load_blocks_keep_the_bits(field_path, monkeypatch):
         for name in ("mean", "covariance", "eigenvalues", "eigenvectors"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.noise_variance == want.noise_variance
+
+
+@pytest.mark.parametrize("voxels_a_block", [1, 3, 4, VOXELS])
+def test_eigen_load_equals_the_full_load_bit_for_bit(field_path, monkeypatch, voxels_a_block):
+    full = load_prior_field(field_path)
+    assert len({p.rank for p in full.priors.values()}) > 1
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", voxels_a_block * 15 * 15)
+    eigen = load_eigen_field(field_path)
+    assert (eigen.shape, eigen.max_degree, eigen.rank_rule) == (full.shape, full.max_degree, full.rank_rule)
+    assert list(eigen.priors) == list(full.priors)
+    for index, want in full.priors.items():
+        got = eigen.priors[index]
+        assert got.covariance is None
+        for name in EIGEN_FORM:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.noise_variance, got.rank_rule, got.spectrum_total) == (
+            want.noise_variance, want.rank_rule, want.spectrum_total)
 
 
 def test_region_greedy_blocks_keep_the_bits(field_path, monkeypatch, basis4):
@@ -247,8 +272,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
     record = (len(data) - HEADER_BYTES) // VOXELS
     struct.pack_into("<3i", data, HEADER_BYTES + (VOXELS - 1) * record, *index)
     field_path.write_bytes(bytes(data))
-    with pytest.raises(ValidationError, match=re.escape(message)):
-        load_prior_field(field_path)
+    for load in (load_prior_field, load_eigen_field):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load(field_path)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +283,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
 def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, value, error, code):
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     corrupt_last_covariance(field_path, value)
-    with pytest.raises(error):
-        load_prior_field(field_path)
+    for load in (load_prior_field, load_eigen_field):
+        with pytest.raises(error):
+            load(field_path)
     argv = ["design", "--prior", str(field_path), "--mode", "region", "--budget", "3",
             "--candidates", "30", "--out", str(tmp_path / "out")]
     assert main(argv) == code
@@ -291,8 +318,9 @@ def test_load_temporaries_stay_within_the_block_budget(rng, tmp_path, voxels):
     load_prior_field(path)  # first-use caches out of the traced call
     field, peak, kept = traced(lambda: load_prior_field(path))
     assert len(field) == voxels
-    file_bytes = path.stat().st_size  # the records the load reads whole
-    assert peak - kept - file_bytes <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
+    # the records are read a block at a time: at 384 voxels the whole file
+    # (3.3 MB) would alone exceed this bound
+    assert peak - kept <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("voxels", [48, 384])
@@ -322,6 +350,18 @@ def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
 
 
 @pytest.mark.parametrize("voxels", [48, 384])
+def test_eigen_load_keeps_only_the_eigen_form(rng, tmp_path, voxels):
+    path = tmp_path / "field.qpf"
+    save_prior_field(mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8)), path)
+    load_eigen_field(path)  # first-use caches out of the traced call
+    field, peak, kept = traced(lambda: load_eigen_field(path))
+    assert len(field) == voxels and all(p.covariance is None for p in field.priors.values())
+    arrays = sum(getattr(p, name).nbytes for p in field.priors.values() for name in EIGEN_FORM)
+    assert kept - arrays <= voxels * PRIOR_OBJECT_BYTES
+    assert peak - kept <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("voxels", [48, 384])
 def test_region_greedy_temporaries_stay_within_the_block_budget(rng, voxels, basis8):
     field = mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8))
     priors = list(field.priors.values())
@@ -329,9 +369,9 @@ def test_region_greedy_temporaries_stay_within_the_block_budget(rng, voxels, bas
     greedy_design_region(pool, priors[:1], basis8, 2)  # first-use caches
     _, peak, _ = traced(lambda: greedy_design_region(pool, priors, basis8, 5))
     n, j, k = len(pool), basis8.dimension, 8
-    # psi (V, N, K), the (V, J, K) eigenvectors it is built from, one gains
-    # row per voxel and the (V, K, K) covariances and downdate terms
-    held = voxels * (n * k + j * k + n + 4 * k * k) * 8
+    # the (V, J, K) eigenvectors, one gains row per voxel and the (V, K, K)
+    # covariances; psi and the downdate terms are one block's
+    held = voxels * (j * k + n + 4 * k * k) * 8
     assert peak - held <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -129,6 +130,13 @@ class TestRunner:
         assert np.all(np.diff(hist) >= -1e-12)
         assert report["stage_seconds"] == result.stage_seconds
         assert report["elapsed_seconds"] == result.elapsed_seconds
+
+    def test_report_has_prior_rank_and_explained_variance(self, tiny_results):
+        cfg, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["prior_rank"] == result.prior_rank >= 1
+        assert report["prior_explained_variance"] == result.prior_explained_variance
+        assert cfg.rank_rule.value - 1e-12 <= result.prior_explained_variance <= 1.0
 
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
@@ -818,6 +826,39 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
     argv = argv_for(tmp_path)
     monkeypatch.setattr(cli, work, refuse)
     assert main(argv) == 2
+
+
+# (argv builder for a value, the largest value its check accepts, the first
+# line of the refusal, the first step of the command's work as cli calls
+# it). The ESR pair array holds 6 n^2 float64 entries a configuration; a
+# design over the one-voxel J = 6 field holds the (N, J) basis and the (1, N)
+# gains.
+SIZE_LIMITS = [
+    (lambda t, n: ["esr", "--count", str(n), "--out", str(t / "o")],
+     math.isqrt(cli.SIZE_CEILING_BYTES // (6 * 8)), "error: --count must be at most {limit}, got {value}",
+     "esr_design"),
+    (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
+                   "--out", str(t / "o")],
+     cli.SIZE_CEILING_BYTES // (8 * (6 + 1)), "error: --candidates must be at most {limit} for this field, got {value}",
+     "load_eigen_field"),
+]
+
+
+@pytest.mark.parametrize("argv_for,limit,message,work", SIZE_LIMITS, ids=["esr --count", "design --candidates"])
+def test_size_above_its_limit_fails_before_any_work(argv_for, limit, message, work, tmp_path, monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, work, reached)  # so no test allocates what the limit guards
+    for value in (limit + 1, 10**8, 10**20):
+        assert main(argv_for(tmp_path, value)) == 2
+        assert capsys.readouterr().err.splitlines()[0] == message.format(limit=limit, value=value)
+        assert not (tmp_path / "o").exists()
+    with pytest.raises(Reached):  # the limit itself passes the check
+        main(argv_for(tmp_path, limit))
 
 
 def test_degree_without_peaks_fails_before_any_work(tmp_path, monkeypatch, capsys):

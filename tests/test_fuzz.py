@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qsdesign.errors import DegeneracyError, ValidationError
-from qsdesign.prior import PriorField, RankRule, load_prior_field, save_prior_field
+from qsdesign.prior import PriorField, RankRule, load_eigen_field, load_prior_field, save_prior_field
 from qsdesign.sim import GenerativeConfig, cohort_from_csv, cohort_to_csv, generate_cohort
 from qsdesign.sphere import ShBasis
 
@@ -88,7 +88,7 @@ def _field_problem(field, blob, tmp_path):
     return None
 
 
-def test_corrupt_prior_field_loads_or_raises(tmp_path):
+def _seed_field_bytes(tmp_path):
     basis = ShBasis(2)
     rng = np.random.default_rng(7)
     field = PriorField((2, 1, 1), {}, basis.max_degree, RankRule("fraction", 0.9))
@@ -98,12 +98,44 @@ def test_corrupt_prior_field_loads_or_raises(tmp_path):
     save_prior_field(field, seed_path)
     data = seed_path.read_bytes()
     assert len(data) == HEADER.stop + 2 * RECORD
-    blobs = _qpf_mutations(data, np.random.default_rng(20240601))
+    return data
+
+
+def test_corrupt_prior_field_loads_or_raises(tmp_path):
+    blobs = _qpf_mutations(_seed_field_bytes(tmp_path), np.random.default_rng(20240601))
     loaded, rejected = _outcomes(
         tmp_path / "fuzz.qpf", blobs, load_prior_field,
         lambda field, blob: _field_problem(field, blob, tmp_path),
     )
     assert loaded > 0 and rejected > 0
+
+
+def _eigen_problem(field, path):
+    """How the eigen-form load of `path` differs from its full load, or None."""
+    full = load_prior_field(path)
+    if list(field.priors) != list(full.priors):
+        return "it holds other voxels than the full load"
+    for index, prior in field.priors.items():
+        want = full.priors[index]
+        if prior.covariance is not None:
+            return f"voxel {index} keeps its covariance"
+        if any(getattr(prior, name).tobytes() != getattr(want, name).tobytes()
+               for name in ("mean", "eigenvalues", "eigenvectors")) or prior.noise_variance != want.noise_variance:
+            return f"voxel {index} differs from the full load"
+    return None
+
+
+def test_corrupt_prior_field_loads_or_raises_in_eigen_form(tmp_path):
+    """The reader `design` uses: the same verdict on every corrupt file, and
+    the full load's priors, less their covariances, on every clean one."""
+    path, data = tmp_path / "fuzz.qpf", _seed_field_bytes(tmp_path)
+    outcomes = [
+        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_prior_field),
+        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_eigen_field,
+                  lambda field, blob: _eigen_problem(field, path)),
+    ]
+    # a clean eigen-form load is a clean full load, so equal counts are equal verdicts
+    assert outcomes[0] == outcomes[1] and min(outcomes[1]) > 0
 
 
 def _csv_mutations(text, rng):
