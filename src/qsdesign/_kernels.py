@@ -1,9 +1,8 @@
 """Hot numeric inner loops, one numpy implementation each.
 
 The pipeline calls these kernels by name: `sh_matrix`, `row_products`,
-`greedy_gains`, `coulomb_energy_grad` (and its trial form
-`coulomb_energy_grad_below`) and `local_maxima`. tests/test_kernels.py
-checks them against loop references, and
+`greedy_gains`, `coulomb_energy_grad` and `local_maxima`.
+tests/test_kernels.py checks them against loop references, and
 `benchmarks/bench_pipeline.py --workload kernels` times them. Every
 kernel is a pure function of its inputs, so results are bitwise
 deterministic run to run.
@@ -154,15 +153,19 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance) -> np.ndarra
     return num / den
 
 
-def coulomb_energy_grad(points: np.ndarray):
+def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None):
     """Antipodally symmetric Coulomb energy and its Euclidean gradient.
 
     `points` is one configuration (n, 3), giving (float, (n, 3)), or a
     stack (R, n, 3), giving energies (R,) and C-contiguous gradients
-    (R, n, 3). A stack is evaluated in `blocks` of the 6 n^2 entries of a
-    configuration's pair array. Each configuration of a stack gets the same
-    bits as on its own, and the same bits as the (R, n, n, 3) einsum form
-    of the kernel (`_coulomb_terms` and `_coulomb_grad` say why).
+    (R, n, 3). With energies `bound` (R,), a stack gives the gradients
+    (k, n, 3) of only the k configurations whose energy is below their
+    bound, in stack order: electrostatic repulsion keeps a trial only where
+    its energy drops, so it needs no gradient for the others. A stack is
+    evaluated in `blocks` of the 6 n^2 entries of a configuration's pair
+    array. Each configuration of a stack gets the same bits as on its own,
+    and the same bits as the (R, n, n, 3) einsum form of the kernel
+    (`_coulomb_terms` and `_coulomb_grad` say why).
     """
     if points.ndim == 2:
         energy, grad = coulomb_energy_grad(points[None])
@@ -171,28 +174,12 @@ def coulomb_energy_grad(points: np.ndarray):
     for rows in blocks(points.shape[0], 6 * points.shape[1] ** 2):
         energy, pairs, dist = _coulomb_terms(points[rows])
         energies.append(energy)
+        if bound is not None:
+            lower = energy < bound[rows]
+            if not lower.all():
+                pairs, dist = pairs[lower], dist[lower]
         grads.append(_coulomb_grad(pairs, dist))
     return np.concatenate(energies), np.concatenate(grads)
-
-
-def coulomb_energy_grad_below(points: np.ndarray, bound: np.ndarray):
-    """Energies (R,) of a stack (R, n, 3), and the gradients (k, n, 3) of
-    the k configurations whose energy is below `bound` (R,), in stack order.
-
-    Electrostatic repulsion keeps a trial only where its energy drops, so
-    it needs no gradient for the others. Bits as `coulomb_energy_grad`.
-    """
-    energies, grads = [], []
-    for rows in blocks(points.shape[0], 6 * points.shape[1] ** 2):
-        energy, pairs, dist = _coulomb_terms(points[rows])
-        energies.append(energy)
-        lower = energy < bound[rows]
-        if lower.all():
-            grads.append(_coulomb_grad(pairs, dist))
-        elif lower.any():
-            grads.append(_coulomb_grad(pairs[lower], dist[lower]))
-    grad = np.concatenate(grads) if grads else np.empty((0, points.shape[1], 3))
-    return np.concatenate(energies), grad
 
 
 def _coulomb_terms(block: np.ndarray):

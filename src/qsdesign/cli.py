@@ -21,14 +21,16 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
+    ESR_COUNT_LIMIT,
+    SIZE_CEILING_BYTES,
     _require_finite,
+    check_field_size,
     integer_from,
     load_sim_config,
     numbers_from,
@@ -54,18 +56,12 @@ from .prior import (
     empirical_moments,
     field_header,
     interpolate_prior,
-    load_eigen_field,
     load_prior_field,
     save_prior_field,
 )
 from .runner import build_prior_from_cohort, output_names, run_simulation, write_outputs
 from .sim import cohort_from_csv, generate_cohort
 from .sphere import ShBasis
-
-# The most memory, in bytes, that the arrays a size argument sets may take:
-# a larger request fails before any work instead of in an allocation.
-SIZE_CEILING_BYTES = 1 << 30
-
 
 def _add_out(parser):
     parser.add_argument("--out", default="results", help="output directory (default results)")
@@ -179,7 +175,7 @@ def _cmd_design(args) -> int:
     limit = SIZE_CEILING_BYTES // (8 * (dimension + voxels))  # the (N, J) basis and the (V, N) gains
     if args.candidates > limit:
         raise ValidationError(f"--candidates must be at most {limit} for this field, got {args.candidates}")
-    field = load_eigen_field(args.prior)
+    field = load_prior_field(args.prior, covariances=False)
     # single mode is the one-voxel region: the first voxel, or --voxel
     indices = sorted(field.priors) if args.mode == "region" else [min(field.priors)]
     if args.voxel is not None:
@@ -209,9 +205,8 @@ def _cmd_design(args) -> int:
 
 def _cmd_esr(args) -> int:
     check_esr_request(args.count, args.seed)
-    limit = math.isqrt(SIZE_CEILING_BYTES // (6 * 8))  # the 6 n^2 Coulomb pair entries of a configuration
-    if args.count > limit:
-        raise ValidationError(f"--count must be at most {limit}, got {args.count}")
+    if args.count > ESR_COUNT_LIMIT:
+        raise ValidationError(f"--count must be at most {ESR_COUNT_LIMIT}, got {args.count}")
     (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
     points = esr_design(args.count, seed=args.seed)
     with _writing(path):
@@ -258,6 +253,7 @@ def _cmd_prior_build(args) -> int:
     if unused:
         raise ValidationError(f"prior-build {mode} cohort_csv does not use configuration keys {unused}")
     cfg = sim_config_from_dict(raw)
+    check_field_size(grid_shape, cfg.degree)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     basis = ShBasis(cfg.degree)

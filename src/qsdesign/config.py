@@ -8,6 +8,7 @@ that reads no configuration file does not load it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -15,11 +16,32 @@ import numpy as np
 from ._kernels import basis_dimension
 from .design import DEFAULT_CANDIDATE_COUNT
 from .errors import ValidationError
-from .metrics import DEFAULT_PEAK_GRID_SIZE, check_peak_grid_size
+from .metrics import DEFAULT_PEAK_GRID_SIZE, NEIGHBOR_COUNT, check_peak_grid_size
 from .prior import DEFAULT_RANK_RULE, RankRule
-from .sim import GenerativeConfig
+from .sim import PROJECTION_GRID_SIZE, GenerativeConfig
 
 DEFAULT_BUDGETS = (5, 10, 15, 20, 30, 45, 60, 90)
+
+# The most memory, in bytes, that the arrays one size setting sizes may take:
+# a larger request fails before any work instead of in an allocation.
+SIZE_CEILING_BYTES = 1 << 30
+_CEILING_ENTRIES = SIZE_CEILING_BYTES // 8  # float64 entries
+# the most directions of an electrostatic-repulsion design, whose Coulomb
+# pair array holds 6 n^2 entries a configuration
+ESR_COUNT_LIMIT = math.isqrt(_CEILING_ENTRIES // 6)
+
+
+def _at_most(name: str, value: int, limit: int, context: str = "") -> None:
+    if value > limit:
+        raise ValidationError(f"{name} must be at most {limit}{context}, got {value}")
+
+
+def check_field_size(grid_shape, degree: int) -> None:
+    """ValidationError unless a field over `grid_shape` at `degree` fits
+    SIZE_CEILING_BYTES: it holds every voxel's (J, J) covariance and mean."""
+    j = basis_dimension(degree)
+    limit = _CEILING_ENTRIES // (j * (j + 1))
+    _at_most("the voxel count of grid_shape", math.prod(grid_shape), limit, f" at degree {degree}")
 
 
 def _require_finite(name: str, value) -> None:
@@ -107,6 +129,12 @@ class SimConfig:
         _require_finite("noise sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be non-negative")
+        try:
+            self.noise_sigma**2  # the prior noise variance
+        except OverflowError:
+            raise ValidationError(
+                f"noise_sigma {self.noise_sigma!r} is too large: its square, the prior noise variance, overflows"
+            ) from None
         if self.noise_kind not in ("gaussian", "chi"):
             raise ValidationError("noise kind must be 'gaussian' or 'chi'")
         try:
@@ -130,6 +158,28 @@ class SimConfig:
             )
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
+        self._check_sizes(dimension)
+
+    def _check_sizes(self, dimension: int) -> None:
+        """ValidationError naming the first size key whose float64 arrays
+        exceed SIZE_CEILING_BYTES, at the values of the keys checked before it."""
+        # the (PROJECTION_GRID_SIZE^2, J) basis that projects every density:
+        # the largest even degree L whose J = (L + 1)(L + 2) / 2 fits
+        j_limit = _CEILING_ENTRIES // PROJECTION_GRID_SIZE**2
+        _at_most("degree", self.degree, (math.isqrt(8 * j_limit + 1) - 3) // 4 * 2)
+        _at_most("dense_design_size", self.dense_design_size, ESR_COUNT_LIMIT)
+        budget = self.budgets[-1]  # the baseline's largest ESR design
+        _at_most("the largest budget", budget, ESR_COUNT_LIMIT)
+        at = f" at degree {self.degree}"
+        # the (N, J) candidate basis and the N gains
+        _at_most("candidate_count", self.candidate_count, _CEILING_ENTRIES // (dimension + 1), at)
+        # the (G, J) detection basis and the (G, NEIGHBOR_COUNT) neighbour table
+        _at_most("peak_grid_size", self.peak_grid_size, _CEILING_ENTRIES // (dimension + NEIGHBOR_COUNT), at)
+        # a subject's fODF, signal and fitted coefficients, and its observations
+        limit = _CEILING_ENTRIES // (3 * dimension + self.dense_design_size)
+        _at_most("train_subjects", self.train_subjects, limit, f"{at} and dense_design_size {self.dense_design_size}")
+        limit = _CEILING_ENTRIES // (3 * dimension + budget)
+        _at_most("test_subjects", self.test_subjects, limit, f"{at} and largest budget {budget}")
 
 
 def _rank_rule_from(obj) -> RankRule:

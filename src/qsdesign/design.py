@@ -317,10 +317,11 @@ def esr_design(count: int, seed: int = 0) -> np.ndarray:
     leaves once its step size falls below 1e-14, so every restart follows
     the same path as it would alone. The working arrays hold the live
     restarts only (`ids` names them); a restart that leaves is copied out.
-    A step evaluates the energy of every live trial and the gradient of the
-    accepted ones only (`coulomb_energy_grad_below`), whose coordinate-major
-    kernel rounds as the one-configuration einsum kernel does, so the
-    design is bit for bit that of a restart-by-restart descent.
+    A step is one `coulomb_energy_grad` call: the energy of every live trial
+    and, bounded by the current energies, the gradient of the accepted ones
+    only. Its coordinate-major kernel rounds as the one-configuration
+    einsum kernel does, so the design is bit for bit that of a
+    restart-by-restart descent.
     """
     check_esr_request(count, seed)
     rng = np.random.default_rng(seed)
@@ -334,7 +335,7 @@ def esr_design(count: int, seed: int = 0) -> np.ndarray:
     for _ in range(_ESR_STEPS):
         tangent = grad - np.einsum("rij,rij->ri", grad, points)[:, :, None] * points
         trial = normalized(points - alpha[:, None, None] * tangent)
-        trial_energy, trial_grad = _kernels.coulomb_energy_grad_below(trial, energy)
+        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy)
         better = trial_energy < energy
         if better.all():
             points, energy, grad = trial, trial_energy, trial_grad

@@ -8,7 +8,8 @@ Karcher mean under the log-Euclidean metric (which keeps determinants from
 swelling), and the eigen-truncation is recomputed afterwards.
 
 Design reads only a prior's eigen form (mean, eigenpairs, noise, rank rule
-and spectrum total), which is all `load_eigen_field` keeps: no covariance.
+and spectrum total), which is all `load_prior_field(path, covariances=False)`
+keeps: no covariance.
 """
 
 from __future__ import annotations
@@ -207,23 +208,9 @@ class VoxelPrior:
     def from_moments(cls, mean, covariance, noise_variance, rank_rule: RankRule = DEFAULT_RANK_RULE):
         """The prior with this mean and covariance, truncated by `rank_rule`,
         which it records."""
-        covariances = np.asarray(covariance, dtype=float)[None]
-        return cls.from_moments_batch([mean], covariances, [noise_variance], rank_rule)[0]
-
-    @classmethod
-    def from_moments_batch(cls, means, covariances, noise_variances, rank_rule: RankRule = DEFAULT_RANK_RULE):
-        """`from_moments` of every voxel: one mean, one (J, J) covariance of
-        the (N, J, J) stack and one noise variance each. The covariances are
-        checked and decomposed as one stack; each prior then goes through the
-        rank rule and its own checks, with the bits of its own call."""
-        covariances = np.asarray(covariances, dtype=float)
-        pairs = _truncate_ranks(covariances, rank_rule)
-        return [
-            cls(mean, cov, evals, evecs, float(noise_variance), rank_rule, total)
-            for mean, cov, (evals, evecs, total), noise_variance in zip(
-                means, covariances, pairs, noise_variances, strict=True
-            )
-        ]
+        covariance = np.asarray(covariance, dtype=float)
+        evals, evecs, total = _truncate_ranks(covariance[None], rank_rule)[0]
+        return cls(mean, covariance, evals, evecs, float(noise_variance), rank_rule, total)
 
 
 def spd_log(matrix) -> np.ndarray:
@@ -478,11 +465,18 @@ def field_header(path):
     return field_, j, count
 
 
-def _read_field(path: str, make_priors) -> PriorField:
-    """The field of a `.qpf` file, its priors built by `make_priors(means,
-    covariances, noise variances, rank rule)`. Every voxel index is checked
-    before any voxel is decomposed. The records are read in `blocks` of J^2
-    entries a voxel, twice, so they are never held whole."""
+def load_prior_field(path, covariances: bool = True) -> PriorField:
+    """Read a field written by :func:`save_prior_field`.
+
+    Every voxel index is checked before any voxel is decomposed. The
+    records are read in `blocks` of J^2 entries a voxel, twice, so they are
+    never held whole, and each block's covariances are checked and
+    decomposed as one stack. Each prior has the bits of its record's own
+    `VoxelPrior.from_moments`: stacked `eigh` makes one LAPACK call per
+    matrix, whatever the block. With `covariances` False each prior is kept
+    in eigen form (no covariance), which is all design reads.
+    """
+    path = str(path)
     field_, j, count = field_header(path)
     dtype, parts = np.dtype(_record_fields(j)), blocks(count, j * j)
 
@@ -496,30 +490,17 @@ def _read_field(path: str, make_priors) -> PriorField:
             raise ValidationError(f"{path} repeats voxel {index}")
         seen.add(field_._voxel_index(index))
     rows, cols = np.tril_indices(j)
+    rule = field_.rank_rule
     for block in parts:
         records = read(block)
         covs = np.empty((len(records), j, j))
         covs[:, cols, rows] = covs[:, rows, cols] = records["tril"]
         means = np.array(records["mean"], dtype=float)  # copied, so no prior keeps `records` alive
-        field_.priors.update(zip(order[block], make_priors(means, covs, records["noise"].tolist(), field_.rank_rule)))
+        kept = covs if covariances else [None] * len(records)
+        field_.priors.update(
+            (index, VoxelPrior(mean, cov, evals, evecs, noise, rule, total))
+            for index, mean, cov, (evals, evecs, total), noise in zip(
+                order[block], means, kept, _truncate_ranks(covs, rule), records["noise"].tolist(), strict=True
+            )
+        )
     return field_
-
-
-def load_prior_field(path) -> PriorField:
-    """Read a field written by :func:`save_prior_field` (see `_read_field`).
-    Each prior has the bits of its record's own `VoxelPrior.from_moments`:
-    stacked `eigh` makes one LAPACK call per matrix, whatever the block."""
-    return _read_field(str(path), VoxelPrior.from_moments_batch)
-
-
-def load_eigen_field(path) -> PriorField:
-    """Read a field written by :func:`save_prior_field` (see `_read_field`)
-    in eigen form: each prior holds what `load_prior_field` gives it, bit for
-    bit, but no covariance."""
-
-    def eigen_priors(means, covariances, noises, rule):
-        triples = _truncate_ranks(covariances, rule)
-        return [VoxelPrior(mean, None, evals, evecs, noise, rule, total)
-                for mean, (evals, evecs, total), noise in zip(means, triples, noises, strict=True)]
-
-    return _read_field(str(path), eigen_priors)

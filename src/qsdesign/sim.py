@@ -55,6 +55,11 @@ class GenerativeConfig:
             raise ValidationError("generative parameters must be finite")
         if self.lobe_concentration <= 0 or self.direction_concentration <= 0:
             raise ValidationError("concentrations must be positive")
+        if not 1.0 - np.exp(-2.0 * self.lobe_concentration) > 0.0:  # the denominator of `_vmf`
+            raise ValidationError(
+                f"lobe_concentration {self.lobe_concentration!r} is too small: "
+                "the vMF normaliser 1 - exp(-2 lobe_concentration) rounds to 0"
+            )
         if len(self.weights) != 2 or any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ValidationError("need two non-negative mixture weights")
         if len(self.mean_directions) != 2:

@@ -1,8 +1,8 @@
 """Loops in blocks of `_kernels.blocks`: every result has the bits of one
 block whatever the block size. Peak detection keeps its grid phase within
-one block whatever the row count. On the region path, both `.qpf` readers
-(`load_prior_field`, and `load_eigen_field`, which design reads with) and
-the region greedy fail on a bad voxel in the last block as on one block,
+one block whatever the row count. On the region path, both forms of the
+`.qpf` reader (`load_prior_field`, and its eigen form, which design reads
+with) and the region greedy fail on a bad voxel in the last block as on one block,
 and the loads, the save and the greedy keep their temporaries within the
 block budget whatever the voxel count. The loads check every voxel index
 before they decompose any voxel, never hold the file's records whole and
@@ -20,7 +20,7 @@ from qsdesign.cli import main
 from qsdesign.design import default_candidates, esr_design, greedy_design_region
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.metrics import find_peaks, find_peaks_batch
-from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_eigen_field, load_prior_field, save_prior_field
+from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_prior_field, save_prior_field
 from qsdesign.sim import GenerativeConfig, generate_cohort
 from qsdesign.sphere import ShBasis
 
@@ -89,13 +89,13 @@ def save_case(rng, tmp_path):
     return run
 
 
-def load_case(load, names):
+def load_case(covariances, names):
     def case(rng, tmp_path):
         path = tmp_path / "field.qpf"
         save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
 
         def run():
-            loaded = load(path)
+            loaded = load_prior_field(path, covariances)
             parts = [np.array(list(loaded.priors)).tobytes()]
             for p in loaded.priors.values():
                 parts += [getattr(p, name).tobytes() for name in names] + [struct.pack("<d", p.noise_variance)]
@@ -128,7 +128,7 @@ def peaks_case(rng, tmp_path):
 @pytest.mark.parametrize(
     "case",
     [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case,
-     load_case(load_prior_field, ("covariance", *EIGEN_FORM)), load_case(load_eigen_field, EIGEN_FORM), peaks_case],
+     load_case(True, ("covariance", *EIGEN_FORM)), load_case(False, EIGEN_FORM), peaks_case],
     ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load", "eigen load", "peaks"],
 )
 def test_block_size_never_changes_a_result(case, rng, tmp_path, monkeypatch):
@@ -156,7 +156,7 @@ def test_eigen_load_equals_the_full_load_bit_for_bit(field_path, monkeypatch, vo
     full = load_prior_field(field_path)
     assert len({p.rank for p in full.priors.values()}) > 1
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", voxels_a_block * 15 * 15)
-    eigen = load_eigen_field(field_path)
+    eigen = load_prior_field(field_path, covariances=False)
     assert (eigen.shape, eigen.max_degree, eigen.rank_rule) == (full.shape, full.max_degree, full.rank_rule)
     assert list(eigen.priors) == list(full.priors)
     for index, want in full.priors.items():
@@ -272,9 +272,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
     record = (len(data) - HEADER_BYTES) // VOXELS
     struct.pack_into("<3i", data, HEADER_BYTES + (VOXELS - 1) * record, *index)
     field_path.write_bytes(bytes(data))
-    for load in (load_prior_field, load_eigen_field):
+    for covariances in (True, False):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            load(field_path)
+            load_prior_field(field_path, covariances)
 
 
 @pytest.mark.parametrize(
@@ -283,9 +283,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
 def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, value, error, code):
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     corrupt_last_covariance(field_path, value)
-    for load in (load_prior_field, load_eigen_field):
+    for covariances in (True, False):
         with pytest.raises(error):
-            load(field_path)
+            load_prior_field(field_path, covariances)
     argv = ["design", "--prior", str(field_path), "--mode", "region", "--budget", "3",
             "--candidates", "30", "--out", str(tmp_path / "out")]
     assert main(argv) == code
@@ -353,8 +353,8 @@ def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
 def test_eigen_load_keeps_only_the_eigen_form(rng, tmp_path, voxels):
     path = tmp_path / "field.qpf"
     save_prior_field(mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8)), path)
-    load_eigen_field(path)  # first-use caches out of the traced call
-    field, peak, kept = traced(lambda: load_eigen_field(path))
+    load_prior_field(path, covariances=False)  # first-use caches out of the traced call
+    field, peak, kept = traced(lambda: load_prior_field(path, covariances=False))
     assert len(field) == voxels and all(p.covariance is None for p in field.priors.values())
     arrays = sum(getattr(p, name).nbytes for p in field.priors.values() for name in EIGEN_FORM)
     assert kept - arrays <= voxels * PRIOR_OBJECT_BYTES

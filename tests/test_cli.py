@@ -596,6 +596,11 @@ MALFORMED_INPUTS = [
      "error: budgets must be a list of positive integers, got 5"),
     ("nan noise_sigma", lambda t: _write_config(t, noise_sigma=float("nan")),
      "error: noise sigma must be finite, got nan"),
+    ("noise_sigma whose square overflows", lambda t: _write_config(t, noise_sigma=1e200),
+     "error: noise_sigma 1e+200 is too large: its square, the prior noise variance, overflows"),
+    ("lobe_concentration whose vMF normaliser is 0", lambda t: _write_config(
+        t, generative={"lobe_concentration": 1e-300}),
+     "error: lobe_concentration 1e-300 is too small: the vMF normaliser 1 - exp(-2 lobe_concentration) rounds to 0"),
     ("nan direction", lambda t: _write_config(
         t, generative={"mean_directions": [[float("nan"), 0.0, 1.0], [1.0, 0.0, 0.0]]}),
      "error: mean direction must be finite unit vectors (worst squared-norm deviation nan)"),
@@ -832,7 +837,9 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
 # line of the refusal, the first step of the command's work as cli calls
 # it). The ESR pair array holds 6 n^2 float64 entries a configuration; a
 # design over the one-voxel J = 6 field holds the (N, J) basis and the (1, N)
-# gains.
+# gains. The configuration keys are bounded by the float64 arrays they size
+# at TINY_SIM's or TINY_BUILD's other values (J = 15 at degree 4).
+ENTRIES = cli.SIZE_CEILING_BYTES // 8
 SIZE_LIMITS = [
     (lambda t, n: ["esr", "--count", str(n), "--out", str(t / "o")],
      math.isqrt(cli.SIZE_CEILING_BYTES // (6 * 8)), "error: --count must be at most {limit}, got {value}",
@@ -840,11 +847,37 @@ SIZE_LIMITS = [
     (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
                    "--out", str(t / "o")],
      cli.SIZE_CEILING_BYTES // (8 * (6 + 1)), "error: --candidates must be at most {limit} for this field, got {value}",
-     "load_eigen_field"),
+     "load_prior_field"),
+    # a subject's fODF, signal and coefficients (3 J) and its 30 dense observations
+    (lambda t, n: _write_config(t, train_subjects=n), ENTRIES // (3 * 15 + 30),
+     "error: train_subjects must be at most {limit} at degree 4 and dense_design_size 30, got {value}",
+     "run_simulation"),
+    (lambda t, n: _raw_config(t, "prior-build", yaml.safe_dump({**TINY_BUILD, "train_subjects": n})),
+     ENTRIES // (3 * 15 + 20),
+     "error: train_subjects must be at most {limit} at degree 4 and dense_design_size 20, got {value}",
+     "esr_design"),
+    # ... and its observations at the largest budget, 5
+    (lambda t, n: _write_config(t, test_subjects=n), ENTRIES // (3 * 15 + 5),
+     "error: test_subjects must be at most {limit} at degree 4 and largest budget 5, got {value}",
+     "run_simulation"),
+    (lambda t, n: _write_config(t, dense_design_size=n), math.isqrt(ENTRIES // 6),
+     "error: dense_design_size must be at most {limit}, got {value}", "run_simulation"),
+    # the (N, J) candidate basis and the N gains
+    (lambda t, n: _write_config(t, candidate_count=n), ENTRIES // (15 + 1),
+     "error: candidate_count must be at most {limit} at degree 4, got {value}", "run_simulation"),
+    # the (G, J) detection basis and the (G, 8) neighbour table
+    (lambda t, n: _write_config(t, peak_grid_size=n), ENTRIES // (15 + 8),
+     "error: peak_grid_size must be at most {limit} at degree 4, got {value}", "run_simulation"),
+    # each voxel's (J, J) covariance and mean
+    (lambda t, n: _raw_config(t, "prior-build", yaml.safe_dump({**TINY_BUILD, "grid_shape": [n, 1, 1]})),
+     ENTRIES // (15 * 16), "error: the voxel count of grid_shape must be at most {limit} at degree 4, got {value}",
+     "esr_design"),
 ]
 
 
-@pytest.mark.parametrize("argv_for,limit,message,work", SIZE_LIMITS, ids=["esr --count", "design --candidates"])
+@pytest.mark.parametrize("argv_for,limit,message,work", SIZE_LIMITS, ids=[
+    "esr --count", "design --candidates", "simulate train_subjects", "prior-build train_subjects",
+    "test_subjects", "dense_design_size", "candidate_count", "peak_grid_size", "grid_shape"])
 def test_size_above_its_limit_fails_before_any_work(argv_for, limit, message, work, tmp_path, monkeypatch, capsys):
     class Reached(Exception):
         pass
@@ -859,6 +892,23 @@ def test_size_above_its_limit_fails_before_any_work(argv_for, limit, message, wo
         assert not (tmp_path / "o").exists()
     with pytest.raises(Reached):  # the limit itself passes the check
         main(argv_for(tmp_path, limit))
+
+
+def test_degree_above_its_limit_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # the (128^2, J) projection basis: J = 8128 at degree 126, 8385 at 128
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "run_simulation", reached)
+    for degree in (128, 10**6, 10**20):
+        assert main(_write_config(tmp_path, degree=degree)) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: degree must be at most 126, got {degree}"
+        assert not (tmp_path / "o").exists()
+    with pytest.raises(Reached):
+        main(_write_config(tmp_path, degree=126))
 
 
 def test_degree_without_peaks_fails_before_any_work(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from qsdesign import _kernels, design
+from qsdesign import _kernels, design, prior
+from qsdesign.cli import main
 from qsdesign.design import (
     DUPLICATE_ANGLE_TOL,
     CandidateSet,
@@ -23,6 +25,7 @@ from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.sphere import make_grid, normalized
 
 from conftest import random_prior, random_unit_vectors
+from test_cli import _field_file
 from test_estimator import prior_with_eigenfunction_value
 from test_kernels import reference_coulomb_energy_grad
 
@@ -537,6 +540,45 @@ class TestEsrDesign:
     def test_count_too_small(self):
         with pytest.raises(ValidationError):
             esr_design(1)
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """Wrap the function `owner.name` under every name a qsdesign module
+    holds it by, as perfbench's tracer does, and return the list that each
+    call appends its (args, kwargs, result) to."""
+    raw, calls = getattr(owner, name), []
+
+    def recorded(*args, **kwargs):
+        result = raw(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "qsdesign":
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, recorded)
+    return calls
+
+
+class TestTracedEntryPoints:
+    """A tracer that wraps the one Coulomb kernel and the one `.qpf` reader
+    sees every ESR descent step and the load of a region design."""
+
+    def test_esr_calls_the_kernel_at_every_descent_step(self, monkeypatch):
+        steps = record_calls(monkeypatch, design, "normalized")  # the starts, then one trial a step
+        kernel = record_calls(monkeypatch, _kernels, "coulomb_energy_grad")
+        esr_design(20, 122)
+        assert len(steps) > 1 and len(kernel) == len(steps)
+        assert all(len(args) == 2 for args, _, _ in kernel[1:])  # every step's call takes its bound
+
+    def test_region_design_reads_through_load_prior_field(self, monkeypatch, tmp_path):
+        loads = record_calls(monkeypatch, prior, "load_prior_field")
+        argv = ["design", "--prior", str(_field_file(tmp_path)), "--mode", "region", "--budget", "2",
+                "--candidates", "30", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        ((_, _, field),) = loads
+        assert field.priors and all(p.covariance is None for p in field.priors.values())
 
 
 class TestGradientTable:

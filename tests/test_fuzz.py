@@ -1,18 +1,23 @@
-"""Seeded fuzz tests of the two file readers.
+"""Seeded fuzz tests of the two file readers and of the size checks.
 
 A corrupt `.qpf` prior field or cohort CSV must either load cleanly or
 raise ValidationError/DegeneracyError (exit 2 or 3 from the CLI); any other
-exception would reach the user as a traceback.
+exception would reach the user as a traceback. A configuration's sizes must
+be accepted exactly when the arrays they size fit the ceiling.
 """
 
+import functools
 import struct
 
 import numpy as np
 import pytest
 
+from qsdesign._kernels import basis_dimension
+from qsdesign.config import SIZE_CEILING_BYTES, SimConfig, check_field_size
 from qsdesign.errors import DegeneracyError, ValidationError
-from qsdesign.prior import PriorField, RankRule, load_eigen_field, load_prior_field, save_prior_field
-from qsdesign.sim import GenerativeConfig, cohort_from_csv, cohort_to_csv, generate_cohort
+from qsdesign.metrics import NEIGHBOR_COUNT
+from qsdesign.prior import PriorField, RankRule, load_prior_field, save_prior_field
+from qsdesign.sim import PROJECTION_GRID_SIZE, GenerativeConfig, cohort_from_csv, cohort_to_csv, generate_cohort
 from qsdesign.sphere import ShBasis
 
 from conftest import random_prior
@@ -126,12 +131,13 @@ def _eigen_problem(field, path):
 
 
 def test_corrupt_prior_field_loads_or_raises_in_eigen_form(tmp_path):
-    """The reader `design` uses: the same verdict on every corrupt file, and
+    """The eigen-form load that `design` uses: the same verdict on every corrupt file, and
     the full load's priors, less their covariances, on every clean one."""
     path, data = tmp_path / "fuzz.qpf", _seed_field_bytes(tmp_path)
     outcomes = [
         _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_prior_field),
-        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_eigen_field,
+        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)),
+                  functools.partial(load_prior_field, covariances=False),
                   lambda field, blob: _eigen_problem(field, path)),
     ]
     # a clean eigen-form load is a clean full load, so equal counts are equal verdicts
@@ -176,3 +182,60 @@ def test_corrupt_cohort_csv_loads_or_raises(tmp_path):
     blobs = _csv_mutations(seed_path.read_text(), np.random.default_rng(20240602))
     loaded, rejected = _outcomes(tmp_path / "fuzz.csv", blobs, cohort_from_csv)
     assert loaded > 0 and rejected > 0
+
+
+# Each size, by the name its refusal gives it, with the float64 entries of
+# the arrays it sizes at J basis functions: the sizes that the checks of
+# `config` bound, restated in the order they are checked.
+SIZE_ARRAYS = {
+    "degree": lambda c, j: PROJECTION_GRID_SIZE**2 * j,
+    "dense_design_size": lambda c, j: 6 * c["dense_design_size"] ** 2,
+    "the largest budget": lambda c, j: 6 * c["budgets"][-1] ** 2,
+    "candidate_count": lambda c, j: c["candidate_count"] * (j + 1),
+    "peak_grid_size": lambda c, j: c["peak_grid_size"] * (j + NEIGHBOR_COUNT),
+    "train_subjects": lambda c, j: c["train_subjects"] * (3 * j + c["dense_design_size"]),
+    "test_subjects": lambda c, j: c["test_subjects"] * (3 * j + c["budgets"][-1]),
+    "the voxel count of grid_shape": lambda c, j: np.prod(c["grid_shape"], dtype=object) * j * (j + 1),
+}
+
+
+def _size_configs(rng):
+    """Configurations with one to three sizes drawn log-uniformly from 1 to
+    2^40, which spans every limit, the other keys at their defaults."""
+    defaults = {"degree": 8, "dense_design_size": 90, "budgets": [90], "candidate_count": 321,
+                "peak_grid_size": 4096, "train_subjects": 200, "test_subjects": 100, "grid_shape": [1, 1, 1]}
+    keys = ("degree", "dense_design_size", "budgets", "candidate_count", "peak_grid_size",
+            "train_subjects", "test_subjects", "grid_shape")
+    for case in range(CASES):
+        config = dict(defaults)
+        for key in rng.choice(keys, rng.integers(1, 4), replace=False):
+            value = int(2 ** rng.uniform(0.0, 40.0))
+            if key == "degree":
+                value = 2 + 2 * (value // 2)
+            config[key] = {"budgets": [value], "grid_shape": [value, 1, 1]}.get(key, value)
+        # the other checks' floors, so that only the size checks can refuse
+        config["dense_design_size"] = max(config["dense_design_size"], 2)
+        config["peak_grid_size"] = max(config["peak_grid_size"], NEIGHBOR_COUNT + 1)
+        config["train_subjects"] = max(config["train_subjects"], 2)
+        config["candidate_count"] = max(config["candidate_count"], config["budgets"][-1])
+        yield case, config
+
+
+def test_size_checks_accept_exactly_what_fits_the_ceiling():
+    """Only the checks' verdicts: building a SimConfig and checking a field
+    size allocate nothing that the sizes set."""
+    verdicts = {"accepted": 0, "refused": 0}
+    for case, config in _size_configs(np.random.default_rng(20240603)):
+        j = basis_dimension(config["degree"])
+        over = [key for key, entries in SIZE_ARRAYS.items() if 8 * entries(config, j) > SIZE_CEILING_BYTES]
+        try:
+            SimConfig(**{k: v for k, v in config.items() if k != "grid_shape"})
+            check_field_size(config["grid_shape"], config["degree"])
+        except ValidationError as exc:
+            assert over, f"case {case}: {config} fits, but was refused: {exc}"
+            assert str(exc).startswith(f"{over[0]} must be at most "), f"case {case}: {exc} does not name {over[0]}"
+            verdicts["refused"] += 1
+        else:
+            assert not over, f"case {case}: {config} was accepted, but {over} exceed the ceiling"
+            verdicts["accepted"] += 1
+    assert min(verdicts.values()) > CASES // 10, verdicts

@@ -139,6 +139,21 @@ def test_coulomb_stack_equals_per_configuration_reference(count, n, rng):
         assert np.array_equal(grad[r], ref_grad)
 
 
+@pytest.mark.parametrize("entries", [None, 1])  # the default blocks, or one configuration a block
+@pytest.mark.parametrize("below", [(True, True, True, True), (False, True, False, True), (False,) * 4])
+def test_coulomb_bound_gives_the_gradients_below_it(below, entries, rng, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
+    stack = np.stack([random_unit_vectors(rng, 17) for _ in range(4)])
+    energy, grad = _kernels.coulomb_energy_grad(stack)
+    lower = np.array(below)
+    bound = np.where(lower, np.nextafter(energy, np.inf), energy)  # an energy equal to its bound is not below it
+    bounded_energy, bounded_grad = _kernels.coulomb_energy_grad(stack, bound)
+    assert bounded_energy.tobytes() == energy.tobytes()
+    assert bounded_grad.shape == (lower.sum(), 17, 3)
+    assert bounded_grad.tobytes() == grad[lower].tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 30, 90])
 def test_coulomb_single_configuration_returns_float(n, rng):
     pts = random_unit_vectors(rng, n)

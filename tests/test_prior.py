@@ -12,7 +12,6 @@ from qsdesign.prior import (
     VoxelPrior,
     empirical_moments,
     interpolate_prior,
-    load_eigen_field,
     load_prior_field,
     log_euclidean_mean,
     regularize_spd,
@@ -203,8 +202,6 @@ class TestPriorFieldRankRule:
         rule = RankRule("fixed", 3)
         cov = random_spd(rng, 6)
         assert VoxelPrior.from_moments(np.zeros(6), cov, 0.01, rule).rank_rule == rule
-        batch = VoxelPrior.from_moments_batch(np.zeros((2, 6)), np.stack([cov, cov]), [0.01, 0.02], rule)
-        assert [p.rank_rule for p in batch] == [rule, rule]
 
     def test_prior_of_another_rule_rejected(self, rng):
         prior = VoxelPrior.from_moments(rng.standard_normal(6), random_spd(rng, 6), 0.01, RankRule("fixed", 3))
@@ -403,7 +400,7 @@ class TestEigenForm:
     def eigen_field(self, rng, tmp_path):
         path = tmp_path / "field.qpf"
         save_prior_field(make_field({idx: toy_prior(rng) for idx in np.ndindex(2, 2, 2)}), path)
-        return load_eigen_field(path)
+        return load_prior_field(path, covariances=False)
 
     def test_interpolation_refuses_it(self, rng, tmp_path):
         field = self.eigen_field(rng, tmp_path)
