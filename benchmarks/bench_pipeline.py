@@ -45,8 +45,8 @@ Six workloads, all at one BLAS thread:
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
 stages are those `run_simulation` times itself, read from its result's
-`stage_seconds` (CPU seconds: cohort, dense_esr, prior_fit, peaks, greedy,
-baseline_esr, observe, fit); `total` is the CPU time of the whole call,
+`stage_seconds` (CPU seconds: cohort, esr, prior_fit, peaks, greedy,
+observe, fit); `total` is the CPU time of the whole call,
 and the script exits 1 when the stages cover less than COVERAGE of it.
 Field steps are timed by `Field.run_once` itself.
 

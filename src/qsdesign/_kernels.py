@@ -8,9 +8,10 @@ kernel is a pure function of its inputs, so results are bitwise
 deterministic run to run.
 
 Whole-array forms here keep the bits of the loops they replaced: the
-Coulomb kernel runs over coordinate-major (R, 2, 3, n, n) pair arrays but
-rounds every sum as the (R, n, n, 3) einsum form did, and `local_maxima`
-takes a maximum, which is exact, over row blocks.
+Coulomb kernel runs over coordinate-major pair arrays of configurations of
+any sizes but rounds every sum as the one-configuration (n, n, 3) einsum
+form did, and `local_maxima` takes a maximum, which is exact, over row
+blocks.
 
 The peak-detection grid phase is bounded by the same rule: `local_maxima`
 and `metrics.find_peaks_batch` take their rows in `blocks` of G k entries
@@ -20,27 +21,43 @@ whatever its row count; the seeds of all rows are then refined together.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
 INV_SQRT_4PI = 0.28209479177387814
 
+# The most memory, in bytes, that the arrays one size setting sizes may take:
+# a larger request fails before any work instead of in an allocation.
+SIZE_CEILING_BYTES = 1 << 30
+
 # Every bounded-memory loop takes its slices from `blocks`: at most this many
 # float64 entries (512 kB) of its largest per-item temporary a block, so the
 # temporaries stay that size whatever the item count. Block size is a cost
-# even where memory is not short: in a fresh process the allocator hands
-# temporaries of this order back to the operating system when they are
-# freed, so `esr_design` page-faults its Coulomb pair arrays in again at
-# every descent step, more of them the larger the block.
+# even where memory is not short: in a fresh process glibc hands temporaries
+# of this order back to the operating system when they are freed, and the
+# next allocation faults them in again. A loop that runs many short steps
+# over the same sizes keeps its blocks' arrays instead, as the ESR descent
+# keeps its `CoulombWorkspace`.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def blocks(count: int, item_entries: int) -> list:
+def blocks(count: int, item_entries) -> list:
     """Slices that cover `count` items in order, in blocks of at most
     `_BLOCK_ENTRIES` entries at `item_entries` an item, and of one item
-    where an item holds more."""
-    step = max(1, _BLOCK_ENTRIES // max(1, item_entries))
-    return [slice(start, start + step) for start in range(0, count, step)]
+    where an item holds more. `item_entries` is one number for every item,
+    or a sequence of one number an item, whose blocks each take as many of
+    the next items as fit."""
+    if np.ndim(item_entries) == 0:
+        step = max(1, _BLOCK_ENTRIES // max(1, item_entries))
+        return [slice(start, start + step) for start in range(0, count, step)]
+    slices, start, held = [], 0, 0
+    for item, entries in enumerate(item_entries):
+        if item > start and held + entries > _BLOCK_ENTRIES:
+            slices.append(slice(start, item))
+            start, held = item, 0
+        held += entries
+    return slices + [slice(start, count)] if start < count else slices
 
 
 def basis_dimension(max_degree: int) -> int:
@@ -153,7 +170,74 @@ def greedy_gains(psi: np.ndarray, dmat: np.ndarray, noise_variance) -> np.ndarra
     return num / den
 
 
-def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None):
+class CoulombWorkspace:
+    """Layout and buffers of `coulomb_energy_grad` for one set of configurations.
+
+    `sizes` holds each configuration's point count. The points of all of
+    them are coordinate-major, (3, P) with P = sum(sizes), one configuration
+    after the other. The configurations are evaluated in `blocks` of the
+    6 n^2 entries of a configuration's pair array, so small configurations
+    share a group and one of more than half `_BLOCK_ENTRIES` entries takes a
+    group alone. Within a group, each run of configurations of one size is a
+    segment, whose pairs are one (B, n, n) stack a sign and coordinate. The
+    buffers hold the largest group, and every call reuses them through the
+    views each group and segment keeps, so a descent that keeps its
+    workspace allocates nothing of a pair array's size at its steps.
+    """
+
+    def __init__(self, sizes):
+        sizes = [int(n) for n in sizes]
+        ends = [0, *itertools.accumulate(sizes)]  # where each configuration's points start
+        slices = blocks(len(sizes), [6 * n * n for n in sizes])
+        entries = [sum(n * n for n in sizes[rows]) for rows in slices]
+        largest = max(entries, default=0)
+        self.pairs = np.empty((2, 3, largest))
+        self.squares = np.empty((2, 3, largest))
+        self.dist = np.empty((2, largest))
+        self.work = np.empty((2, largest))
+        self.plane_sums = np.empty((2, len(sizes)))
+        self.energy = np.empty(len(sizes))
+        self.sums = np.empty((2, 3, ends[-1]))
+        self.grad = np.empty((3, ends[-1]))
+        self.groups = [_CoulombGroup(self, sizes, ends, rows, size) for rows, size in zip(slices, entries)]
+
+
+class _CoulombGroup:
+    """One group of a `CoulombWorkspace`: its configurations and points,
+    its views of the workspace buffers and its segments."""
+
+    def __init__(self, ws: CoulombWorkspace, sizes: list, ends, rows: slice, entries: int):
+        self.configs, self.cols = rows, slice(ends[rows.start], ends[rows.stop])
+        self.pairs, self.squares = ws.pairs[:, :, :entries], ws.squares[:, :, :entries]
+        self.dist, self.work = ws.dist[:, :entries], ws.work[:, :entries]
+        self.energy, self.plane_sums = ws.energy[rows], ws.plane_sums[:, rows]
+        self.sums, self.grad = ws.sums[:, :, self.cols], ws.grad[:, self.cols]
+        self.entry_starts = [0, *itertools.accumulate(n * n for n in sizes[rows])]  # each configuration's plane
+        self.segments, diagonals, entry = [], [], 0
+        for n, run in itertools.groupby(range(rows.start, rows.stop), key=sizes.__getitem__):
+            first, count = next(run), 1 + sum(1 for _ in run)
+            self.segments.append(_CoulombSegment(ws, self, n, first - rows.start, ends[first], entry, count))
+            diagonals.append(np.arange(entry, entry + count * n * n, n * n)[:, None] + np.arange(0, n * n, n + 1))
+            entry += count * n * n
+        self.diagonal = np.concatenate(diagonals, axis=None)
+
+
+class _CoulombSegment:
+    """A run of `count` configurations of n points in a group, from its
+    `config`-th configuration, `col`-th point and `entry`-th pair entry, as
+    views of the workspace buffers."""
+
+    def __init__(self, ws: CoulombWorkspace, group: _CoulombGroup, n: int, config: int, col: int, entry: int,
+                 count: int):
+        self.n, self.cols = n, slice(col, col + count * n)
+        span = slice(entry, entry + count * n * n)
+        self.stack = group.pairs[:, :, span].reshape(2, 3, count, n, n)
+        self.planes = group.work[:, span].reshape(2, count, n * n)
+        self.plane_sums = group.plane_sums[:, config : config + count]
+        self.sums = ws.sums[:, :, self.cols].reshape(2, 3, count, n)
+
+
+def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, workspace=None):
     """Antipodally symmetric Coulomb energy and its Euclidean gradient.
 
     `points` is one configuration (n, 3), giving (float, (n, 3)), or a
@@ -161,69 +245,72 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None):
     (R, n, 3). With energies `bound` (R,), a stack gives the gradients
     (k, n, 3) of only the k configurations whose energy is below their
     bound, in stack order: electrostatic repulsion keeps a trial only where
-    its energy drops, so it needs no gradient for the others. A stack is
-    evaluated in `blocks` of the 6 n^2 entries of a configuration's pair
-    array. Each configuration of a stack gets the same bits as on its own,
-    and the same bits as the (R, n, n, 3) einsum form of the kernel
-    (`_coulomb_terms` and `_coulomb_grad` say why).
+    its energy drops, so it needs no gradient for the others.
+
+    Both are the one-size case of the workspace form. With a
+    `CoulombWorkspace`, `points` is the coordinate-major (3, P) of its
+    configurations, of any sizes, and the call gives the workspace's
+    energy buffer (R,) and gradient buffer (3, P), which the next call
+    overwrites. The gradient's columns hold the gradients of the
+    configurations below their bound (of all of them without a bound). Each
+    configuration gets the same bits whatever shares the call with it, and
+    the bits of the one-configuration (n, n, 3) einsum form of the kernel:
+
+    - the pair array is coordinate-major: pairs[0, k] holds p_i[k] - p_j[k]
+      and pairs[1, k] holds p_i[k] + p_j[k] over each configuration's n x n
+      plane, so every operation runs once over the planes of a group instead
+      of over inner loops of length 3, and once for both signs;
+    - the distances pair the squares as (x0^2 + x2^2) + x1^2, which is how
+      einsum "ijk,ijk->ij" rounds them (pinned by the reference in
+      tests/test_kernels.py);
+    - each energy sums its contiguous n x n planes, as np.sum does;
+    - grad_i = -sum_j dm_ij^-3 (p_i - p_j) - sum_j dp_ij^-3 (p_i + p_j). The
+      distances are exactly symmetric and p_i - p_j exactly antisymmetric,
+      so each sum over j equals, up to an exact sign, a sum over the first
+      pair axis, which numpy adds plane by plane in j order, as the einsum
+      does. dist^-3 is taken for the configurations below their bound only.
     """
-    if points.ndim == 2:
-        energy, grad = coulomb_energy_grad(points[None])
-        return float(energy[0]), grad[0]
-    energies, grads = [], []
-    for rows in blocks(points.shape[0], 6 * points.shape[1] ** 2):
-        energy, pairs, dist = _coulomb_terms(points[rows])
-        energies.append(energy)
-        if bound is not None:
-            lower = energy < bound[rows]
-            if not lower.all():
-                pairs, dist = pairs[lower], dist[lower]
-        grads.append(_coulomb_grad(pairs, dist))
-    return np.concatenate(energies), np.concatenate(grads)
-
-
-def _coulomb_terms(block: np.ndarray):
-    """Energies (B,) of a block (B, n, 3) and the pair arrays of its gradients.
-
-    The pair array is coordinate-major, (B, 2, 3, n, n): pairs[r, 0, k] is
-    p_i[k] - p_j[k] and pairs[r, 1, k] is p_i[k] + p_j[k], so every
-    operation runs once over n x n planes instead of over inner loops of
-    length 3, and once for both signs. The values are those of the
-    (B, n, n, 3) form. The distances dist (B, 2, n, n) pair the squares as
-    (x0^2 + x2^2) + x1^2, which is how numpy's einsum "rijk,rijk->rij"
-    rounds them (pinned by the reference in tests/test_kernels.py); each
-    energy sums its flattened n x n planes, as np.sum does for one
-    configuration.
-    """
-    count, n = block.shape[0], block.shape[1]
-    comp = np.ascontiguousarray(block.transpose(0, 2, 1))[:, None, :, :, None]
-    pairs = np.empty((count, 2, 3, n, n))
-    np.subtract(comp, comp.swapaxes(3, 4), out=pairs[:, :1])
-    np.add(comp, comp.swapaxes(3, 4), out=pairs[:, 1:])
-    squares = pairs * pairs
-    dist = squares[:, :, 0] + squares[:, :, 2]
-    dist += squares[:, :, 1]
-    np.sqrt(dist, out=dist)
-    planes = dist.reshape(count, 2, n * n)
-    planes[:, :, :: n + 1] = np.inf  # the diagonals
-    inverse = (1.0 / planes).sum(axis=2)
-    return 0.5 * (inverse[:, 0] + inverse[:, 1]), pairs, dist
-
-
-def _coulomb_grad(pairs, dist) -> np.ndarray:
-    """Gradients (B, n, 3) from the arrays of `_coulomb_terms`; overwrites
-    `pairs`.
-
-    grad_i = -sum_j dm_ij^-3 (p_i - p_j) - sum_j dp_ij^-3 (p_i + p_j). The
-    distances are exactly symmetric and p_i - p_j exactly antisymmetric,
-    so each sum over j equals, up to an exact sign, a sum over the first
-    pair axis, which numpy adds plane by plane in j order, as the einsum
-    it replaces did.
-    """
-    pairs *= (dist**-3)[:, :, None]
-    sums = pairs.sum(axis=3)
-    grad = sums[:, 0] - sums[:, 1]
-    return np.ascontiguousarray(grad.transpose(0, 2, 1))
+    if workspace is None:
+        if points.ndim == 2:
+            energy, grad = coulomb_energy_grad(points[None])
+            return float(energy[0]), grad[0]
+        count, n = points.shape[:2]
+        coords = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(3, count * n)
+        energy, grad = coulomb_energy_grad(coords, bound, CoulombWorkspace([n] * count))
+        grad = grad.reshape(3, count, n).transpose(1, 2, 0)
+        return energy, np.ascontiguousarray(grad if bound is None else grad[energy < bound])
+    for group in workspace.groups:
+        for seg in group.segments:
+            comp = points[:, seg.cols].reshape(3, -1, seg.n)
+            np.subtract(comp[:, :, :, None], comp[:, :, None, :], out=seg.stack[0])
+            np.add(comp[:, :, :, None], comp[:, :, None, :], out=seg.stack[1])
+        pairs, squares, dist, work = group.pairs, group.squares, group.dist, group.work
+        np.multiply(pairs, pairs, out=squares)
+        np.add(squares[:, 0], squares[:, 2], out=dist)
+        dist += squares[:, 1]
+        np.sqrt(dist, out=dist)
+        dist[:, group.diagonal] = np.inf
+        np.divide(1.0, dist, out=work)
+        for seg in group.segments:
+            np.add.reduce(seg.planes, axis=2, out=seg.plane_sums)
+        np.add(group.plane_sums[0], group.plane_sums[1], out=group.energy)
+        group.energy *= 0.5
+        lower = None if bound is None else group.energy < bound[group.configs]
+        if lower is None or lower.all():
+            np.power(dist, -3, out=work)
+            pairs *= work[:, None]
+        elif lower.any():
+            edges = np.flatnonzero(np.diff(lower, prepend=False, append=False))
+            for first, last in edges.reshape(-1, 2):  # runs of configurations below their bound
+                span = slice(group.entry_starts[first], group.entry_starts[last])
+                np.power(dist[:, span], -3, out=work[:, span])
+                pairs[:, :, span] *= work[:, None, span]
+        else:
+            continue
+        for seg in group.segments:
+            np.add.reduce(seg.stack, axis=3, out=seg.sums)
+        np.subtract(group.sums[0], group.sums[1], out=group.grad)
+    return workspace.energy, workspace.grad
 
 
 def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ESR_COUNT_LIMIT,
     SIZE_CEILING_BYTES,
     _require_finite,
     check_field_size,
@@ -205,8 +204,6 @@ def _cmd_design(args) -> int:
 
 def _cmd_esr(args) -> int:
     check_esr_request(args.count, args.seed)
-    if args.count > ESR_COUNT_LIMIT:
-        raise ValidationError(f"--count must be at most {ESR_COUNT_LIMIT}, got {args.count}")
     (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
     points = esr_design(args.count, seed=args.seed)
     with _writing(path):

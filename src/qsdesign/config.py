@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._kernels import basis_dimension
-from .design import DEFAULT_CANDIDATE_COUNT
+from ._kernels import SIZE_CEILING_BYTES, basis_dimension
+from .design import DEFAULT_CANDIDATE_COUNT, ESR_COUNT_LIMIT
 from .errors import ValidationError
 from .metrics import DEFAULT_PEAK_GRID_SIZE, NEIGHBOR_COUNT, check_peak_grid_size
 from .prior import DEFAULT_RANK_RULE, RankRule
@@ -22,13 +22,7 @@ from .sim import PROJECTION_GRID_SIZE, GenerativeConfig
 
 DEFAULT_BUDGETS = (5, 10, 15, 20, 30, 45, 60, 90)
 
-# The most memory, in bytes, that the arrays one size setting sizes may take:
-# a larger request fails before any work instead of in an allocation.
-SIZE_CEILING_BYTES = 1 << 30
 _CEILING_ENTRIES = SIZE_CEILING_BYTES // 8  # float64 entries
-# the most directions of an electrostatic-repulsion design, whose Coulomb
-# pair array holds 6 n^2 entries a configuration
-ESR_COUNT_LIMIT = math.isqrt(_CEILING_ENTRIES // 6)
 
 
 def _at_most(name: str, value: int, limit: int, context: str = "") -> None:

@@ -17,6 +17,7 @@ minimized by projected gradient descent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ DEFAULT_CANDIDATE_COUNT = 321
 _ESR_STEPS = 2000
 _ESR_RESTARTS = 3
 _ESR_FIRST_STEP = 0.01
+# the most directions of an electrostatic-repulsion design, whose Coulomb
+# pair array holds 6 n^2 entries a configuration
+ESR_COUNT_LIMIT = math.isqrt(_kernels.SIZE_CEILING_BYTES // 8 // 6)
 
 
 @dataclass(frozen=True)
@@ -296,10 +300,36 @@ def coulomb_energy(points) -> float:
 
 def check_esr_request(count: int, seed: int) -> None:
     """ValidationError unless `esr_design(count, seed)` can run."""
+    for name, value in (("count", count), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, got {value!r}") from None
     if count < 2:
         raise ValidationError("need at least two directions")
+    if count > ESR_COUNT_LIMIT:
+        raise ValidationError(f"count must be at most {ESR_COUNT_LIMIT}, got {count}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
+@dataclass(frozen=True)
+class EsrDesign:
+    """An electrostatic-repulsion design and how its descent went.
+
+    `steps` counts the descent steps until the design's last restart
+    stopped. `accepted`, `stop` and `energy` are those of the restart it
+    returns: its accepted moves, why it stopped ("step floor" or "step
+    cap") and its final energy, which is `coulomb_energy(points)`.
+    """
+
+    points: np.ndarray
+    count: int
+    seed: int
+    steps: int
+    accepted: int
+    stop: str
+    energy: float
 
 
 def esr_design(count: int, seed: int = 0) -> np.ndarray:
@@ -310,46 +340,117 @@ def esr_design(count: int, seed: int = 0) -> np.ndarray:
     energy, with a multiplicative backtracking schedule from a first step of
     `_ESR_FIRST_STEP / count`; only energy-decreasing moves are accepted.
     Deterministic for a fixed seed; the best of `_ESR_RESTARTS` seeded
-    starts is returned (the first one on a tie).
-
-    The restarts descend in lockstep, one stacked energy evaluation per
-    step. Each keeps its own step size and accept/reject decisions and
-    leaves once its step size falls below 1e-14, so every restart follows
-    the same path as it would alone. The working arrays hold the live
-    restarts only (`ids` names them); a restart that leaves is copied out.
-    A step is one `coulomb_energy_grad` call: the energy of every live trial
-    and, bounded by the current energies, the gradient of the accepted ones
-    only. Its coordinate-major kernel rounds as the one-configuration
-    einsum kernel does, so the design is bit for bit that of a
-    restart-by-restart descent.
+    starts is returned (the first one on a tie). This is `esr_designs` for
+    one request.
     """
-    check_esr_request(count, seed)
-    rng = np.random.default_rng(seed)
-    base = hemisphere_spiral(count)
-    starts = [base + 0.05 * rng.standard_normal((count, 3)) for _ in range(_ESR_RESTARTS)]
-    points = normalized(np.stack(starts))
-    energy, grad = _kernels.coulomb_energy_grad(points)
-    alpha = np.full(len(starts), _ESR_FIRST_STEP / count)
+    return esr_designs([(count, seed)])[0].points
+
+
+def esr_designs(requests) -> list:
+    """The `EsrDesign` of each (count, seed) request, in request order, from
+    one lockstep descent of every restart of every request.
+
+    Every request is checked before the first step. Each restart keeps its
+    own step size and accept/reject decisions and leaves once its step size
+    falls below 1e-14, so it follows the same path as it would alone, and
+    each design is bit for bit `esr_design(count, seed)` whatever shares the
+    descent. The state of the live restarts is coordinate-major, (3, P), in
+    buffers the descent owns with the `CoulombWorkspace` of the live set, so
+    a step allocates nothing of the pair arrays' size; a restart that leaves
+    is copied out and the live set is laid out anew. A step is one
+    `coulomb_energy_grad` call: the energy of every live trial and, bounded
+    by the current energies, the gradients of the accepted ones only. The
+    tangent's dot product rounds as (g0 p0 + g2 p2) + g1 p1, as the einsum
+    over (n, 3) rows does, and the norm as (x0^2 + x1^2) + x2^2, as
+    `normalized` does.
+    """
+    requests = [(count, seed) for count, seed in requests]
+    for count, seed in requests:
+        check_esr_request(count, seed)
+    starts = []
+    for count, seed in requests:
+        rng = np.random.default_rng(seed)
+        base = hemisphere_spiral(count)
+        starts += [normalized(base + 0.05 * rng.standard_normal((count, 3))) for _ in range(_ESR_RESTARTS)]
+    if not starts:
+        return []
+    finals = [None] * len(starts)  # (points, energy, steps, accepted, stop) of each restart
     ids = np.arange(len(starts))
-    final_points, final_energy = np.empty_like(points), np.empty(len(starts))
-    for _ in range(_ESR_STEPS):
-        tangent = grad - np.einsum("rij,rij->ri", grad, points)[:, :, None] * points
-        trial = normalized(points - alpha[:, None, None] * tangent)
-        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy)
+    points = np.concatenate(starts).T.copy()
+    alpha = np.array([_ESR_FIRST_STEP / len(start) for start in starts])
+    accepted = np.zeros(len(starts), dtype=int)
+    live = _EsrLiveSet([len(start) for start in starts])
+    energy, grad = (buffer.copy() for buffer in _kernels.coulomb_energy_grad(points, None, live.workspace))
+    for step in range(1, _ESR_STEPS + 1):
+        trial = live.trial(points, grad, alpha)
+        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy, live.workspace)
         better = trial_energy < energy
         if better.all():
-            points, energy, grad = trial, trial_energy, trial_grad
-        else:
-            points[better], energy[better], grad[better] = trial[better], trial_energy[better], trial_grad
+            np.copyto(points, trial)
+            np.copyto(grad, trial_grad)
+            np.copyto(energy, trial_energy)
+            accepted += 1
+            alpha *= 1.2
+            continue
+        moved = better[live.owner]
+        np.copyto(points, trial, where=moved)
+        np.copyto(grad, trial_grad, where=moved)
+        np.copyto(energy, trial_energy, where=better)
+        accepted += better
         alpha *= np.where(better, 1.2, 0.5)
         stay = better | ~(alpha < 1e-14)
         if not stay.all():
-            final_points[ids[~stay]], final_energy[ids[~stay]] = points[~stay], energy[~stay]
-            points, energy, grad, alpha, ids = points[stay], energy[stay], grad[stay], alpha[stay], ids[stay]
+            for r in np.flatnonzero(~stay):
+                finals[ids[r]] = (live.rows(points, r), float(energy[r]), step, int(accepted[r]), "step floor")
+            keep = stay[live.owner]
+            points, grad = points[:, keep], grad[:, keep]
+            ids, alpha, energy, accepted = ids[stay], alpha[stay], energy[stay], accepted[stay]
             if not ids.size:
                 break
-    final_points[ids], final_energy[ids] = points, energy
-    return final_points[int(np.argmin(final_energy))]
+            live = _EsrLiveSet([len(starts[i]) for i in ids])
+    for r, i in enumerate(ids):
+        finals[i] = (live.rows(points, r), float(energy[r]), _ESR_STEPS, int(accepted[r]), "step cap")
+    designs = []
+    for d, (count, seed) in enumerate(requests):
+        runs = finals[d * _ESR_RESTARTS : (d + 1) * _ESR_RESTARTS]
+        best = runs[int(np.argmin([run[1] for run in runs]))]
+        steps = max(run[2] for run in runs)
+        designs.append(EsrDesign(best[0], count, seed, steps, best[3], best[4], best[1]))
+    return designs
+
+
+class _EsrLiveSet:
+    """The layout and step buffers of one live set of ESR restarts, of
+    `sizes` points each, coordinate-major one restart after the other."""
+
+    def __init__(self, sizes):
+        self.workspace = _kernels.CoulombWorkspace(sizes)
+        self.starts = np.cumsum([0, *sizes])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)  # each point's restart
+        self._trial, self._products = np.empty((3, self.starts[-1])), np.empty((3, self.starts[-1]))
+        self._sum = np.empty(self.starts[-1])
+
+    def rows(self, points, r) -> np.ndarray:
+        """Restart r's points as a C-contiguous (n, 3) array."""
+        return points[:, self.starts[r] : self.starts[r + 1]].T.copy()
+
+    def trial(self, points, grad, alpha) -> np.ndarray:
+        """normalized(points - alpha (grad - (grad . points) points)), in a
+        buffer the next call overwrites."""
+        trial, products, total = self._trial, self._products, self._sum
+        np.multiply(grad, points, out=products)
+        np.add(products[0], products[2], out=total)
+        total += products[1]
+        np.multiply(points, total, out=trial)
+        np.subtract(grad, trial, out=trial)  # the tangent
+        trial *= alpha[self.owner]
+        np.subtract(points, trial, out=trial)
+        np.multiply(trial, trial, out=products)
+        np.add(products[0], products[1], out=total)
+        total += products[2]
+        np.sqrt(total, out=total)
+        trial /= total
+        return trial
 
 
 def gradient_table(points) -> str:

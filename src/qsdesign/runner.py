@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig
-from .design import default_candidates, esr_design, gradient_table, greedy_design
+from .design import default_candidates, esr_designs, gradient_table, greedy_design
 from .estimator import conditional_fit_batch, gcv_select_batch, one_blas_thread
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
@@ -42,6 +42,7 @@ class ExperimentResult:
     blas_threads: int | None  # numpy's OpenBLAS threads during the run; None where it cannot be pinned
     prior_rank: int  # eigenpairs the prior kept
     prior_explained_variance: float  # their share of the prior covariance's spectrum total
+    esr_designs: list  # one dict per ESR design (dense first, then each budget's): count, seed, descent telemetry
 
     @property
     def elapsed_seconds(self) -> float:
@@ -90,11 +91,13 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     for the conditional estimator and an electrostatic-repulsion design for
     the penalized baseline, reconstruct an independent test cohort from
     noisy sparse samples, and score MISE, peak-count mismatch, and angular
-    error against the ground truth.
+    error against the ground truth. The dense design and every budget's
+    electrostatic-repulsion design come from one `esr_designs` call up
+    front, one lockstep descent for all of them.
 
     `stage_seconds` charges each CPU and wall second of the run to one stage:
-    cohort, dense_esr, prior_fit, peaks (detection and scoring), greedy,
-    baseline_esr, observe and fit. The run holds numpy's OpenBLAS to one
+    cohort, esr, prior_fit, peaks (detection and scoring), greedy, observe
+    and fit. The run holds numpy's OpenBLAS to one
     thread (`one_blas_thread`), so its bits do not depend on the thread
     count the process started with; `blas_threads` records the count.
     """
@@ -110,9 +113,10 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
     test = generate_cohort(basis, cfg.generative, cfg.test_subjects, np.random.SeedSequence((cfg.seed, 2)))
     clock.lap("cohort")
-    dense_points = esr_design(cfg.dense_design_size, seed=cfg.seed)
-    clock.lap("dense_esr")
-    prior = build_prior_from_cohort(train, dense_points, cfg, "train-noise")
+    requests = [(cfg.dense_design_size, cfg.seed), *((budget, cfg.seed + 1 + budget) for budget in cfg.budgets)]
+    dense, *baselines = esr_designs(requests)
+    clock.lap("esr")
+    prior = build_prior_from_cohort(train, dense.points, cfg, "train-noise")
     clock.lap("prior_fit")
     true_peaks = find_peaks_batch([t.fodf for t in test], basis, cfg.peak_grid_size)
     clock.lap("peaks")
@@ -123,10 +127,11 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     clock.lap("greedy")
     rows = []
     designs = {}
-    for b_idx, budget in enumerate(cfg.budgets):
-        baseline = esr_design(budget, seed=cfg.seed + 1 + budget)
-        clock.lap("baseline_esr")
-        method_points = {METHOD_CONDITIONAL: candidates.points[greedy.selected[:budget]], METHOD_BASELINE: baseline}
+    for b_idx, (budget, baseline) in enumerate(zip(cfg.budgets, baselines)):
+        method_points = {
+            METHOD_CONDITIONAL: candidates.points[greedy.selected[:budget]],
+            METHOD_BASELINE: baseline.points,
+        }
         for m_idx, (method, points) in enumerate(method_points.items()):
             designs[(budget, method)] = points
             rngs = [_derived_rng(cfg.seed, "test-noise", b_idx, m_idx, i) for i in range(len(test))]
@@ -164,6 +169,10 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
         blas_threads=blas_threads,
         prior_rank=prior.rank,
         prior_explained_variance=float(np.sum(prior.eigenvalues) / prior.spectrum_total),
+        esr_designs=[
+            {key: getattr(esr, key) for key in ("count", "seed", "steps", "accepted", "stop", "energy")}
+            for esr in (dense, *baselines)
+        ],
     )
 
 
@@ -202,6 +211,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
         "blas_threads": result.blas_threads,
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
+        "esr_designs": result.esr_designs,
         "greedy_objective_history": result.objective_history,
         "prior_explained_variance": result.prior_explained_variance,
         "prior_rank": result.prior_rank,

@@ -15,6 +15,7 @@ import yaml
 from qsdesign import cli, estimator, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
+from qsdesign.design import coulomb_energy
 from qsdesign.errors import ValidationError
 from qsdesign.prior import load_prior_field
 from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, write_outputs
@@ -138,9 +139,21 @@ class TestRunner:
         assert report["prior_explained_variance"] == result.prior_explained_variance
         assert cfg.rank_rule.value - 1e-12 <= result.prior_explained_variance <= 1.0
 
+    def test_report_has_esr_telemetry(self, tiny_results):
+        cfg, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["esr_designs"] == result.esr_designs
+        requests = [(cfg.dense_design_size, cfg.seed), *((b, cfg.seed + 1 + b) for b in cfg.budgets)]
+        assert [(e["count"], e["seed"]) for e in result.esr_designs] == requests
+        for entry in result.esr_designs:
+            assert 1 <= entry["accepted"] <= entry["steps"] <= 2000
+            assert entry["stop"] in ("step floor", "step cap")
+        for budget, entry in zip(cfg.budgets, result.esr_designs[1:]):
+            assert entry["energy"] == coulomb_energy(result.designs[(budget, "shls-esr")])
+
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
-        stages = ["cohort", "dense_esr", "prior_fit", "peaks", "greedy", "baseline_esr", "observe", "fit"]
+        stages = ["cohort", "esr", "prior_fit", "peaks", "greedy", "observe", "fit"]
         for kind in ("cpu", "wall"):
             assert list(result.stage_seconds[kind]) == stages
             assert all(seconds >= 0.0 for seconds in result.stage_seconds[kind].values())
@@ -842,7 +855,7 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
 ENTRIES = cli.SIZE_CEILING_BYTES // 8
 SIZE_LIMITS = [
     (lambda t, n: ["esr", "--count", str(n), "--out", str(t / "o")],
-     math.isqrt(cli.SIZE_CEILING_BYTES // (6 * 8)), "error: --count must be at most {limit}, got {value}",
+     math.isqrt(cli.SIZE_CEILING_BYTES // (6 * 8)), "error: count must be at most {limit}, got {value}",
      "esr_design"),
     (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
                    "--out", str(t / "o")],
@@ -929,9 +942,9 @@ def test_degree_without_peaks_fails_before_any_work(tmp_path, monkeypatch, capsy
 ], ids=["simulate", "prior-build"])
 def test_fixed_rank_above_dimension_fails_before_any_work(argv_for, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("esr_design ran before the rank rule was checked")
+        raise AssertionError("ESR ran before the rank rule was checked")
 
-    monkeypatch.setattr(runner, "esr_design", refuse)
+    monkeypatch.setattr(runner, "esr_designs", refuse)
     monkeypatch.setattr(cli, "esr_design", refuse)
     assert main(argv_for(tmp_path)) == 2
     assert capsys.readouterr().err.splitlines()[0] == "error: fixed rank 100 exceeds the basis dimension 15 at degree 4"

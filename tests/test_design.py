@@ -1,5 +1,11 @@
+import functools
 import itertools
+import os
+import platform
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +14,14 @@ from qsdesign import _kernels, design, prior
 from qsdesign.cli import main
 from qsdesign.design import (
     DUPLICATE_ANGLE_TOL,
+    ESR_COUNT_LIMIT,
     CandidateSet,
     block_inverse_update,
     coulomb_energy,
     default_candidates,
     design_objective,
     esr_design,
+    esr_designs,
     gradient_table,
     greedy_bound,
     greedy_design,
@@ -541,6 +549,97 @@ class TestEsrDesign:
         with pytest.raises(ValidationError):
             esr_design(1)
 
+    @pytest.mark.parametrize(
+        "count,seed,message",
+        [
+            (1, 0, "need at least two directions"),
+            (5.5, 0, "count must be an integer, got 5.5"),
+            ("5", 0, "count must be an integer, got '5'"),
+            (5, 1.5, "seed must be an integer, got 1.5"),
+            (5, -1, "seed must be non-negative, got -1"),
+            (ESR_COUNT_LIMIT + 1, 0, f"count must be at most {ESR_COUNT_LIMIT}, got {ESR_COUNT_LIMIT + 1}"),
+        ],
+    )
+    def test_bad_request_fails_before_any_step(self, count, seed, message, monkeypatch):
+        kernel = record_calls(monkeypatch, _kernels, "coulomb_energy_grad")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            esr_design(count, seed)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            esr_designs([(5, 107), (count, seed)])  # the good request does not start either
+        assert kernel == []
+
+
+# The request lists of the lockstep tests: the five ESR designs of the
+# perfbench protocol run, the six of the protocol unit, and one count
+# repeated with two seeds next to designs that stop early.
+PROTOCOL_ESR = [(30, 101), (5, 107), (10, 112), (15, 117), (20, 122)]
+UNIT_ESR = [(90, 101), (5, 107), (10, 112), (15, 117), (20, 122), (45, 147)]
+REPEATED_ESR = [(20, 3), (7, 4), (20, 9), (2, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference_esr(count, seed):
+    return reference_esr_design(count, seed)
+
+
+class TestEsrDesigns:
+    @pytest.mark.parametrize("requests", [PROTOCOL_ESR, UNIT_ESR, REPEATED_ESR], ids=["protocol", "unit", "repeated"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_every_design_equals_its_sequential_reference(self, requests, order):
+        requests = requests[::order]
+        results = esr_designs(requests)
+        assert [(r.count, r.seed) for r in results] == requests
+        for result, (count, seed) in zip(results, requests):
+            assert result.points.flags.c_contiguous and result.points.shape == (count, 3)
+            assert np.array_equal(result.points, cached_reference_esr(count, seed))
+
+    def test_small_blocks_split_a_design_and_share_groups(self, monkeypatch):
+        # a restart of n points holds 6 n^2 pair entries: 2400, 150 and 600
+        # for n = 20, 5 and 10. The restarts of 20 and of 10 split across
+        # groups, and the third group holds all three sizes.
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 2400 + 3 * 150 + 600)
+        workspaces = record_calls(monkeypatch, _kernels, "CoulombWorkspace")
+        requests = [(20, 122), (5, 107), (10, 112)]
+        results = esr_designs(requests)
+        first = workspaces[0][2]
+        assert [[seg.n for seg in group.segments] for group in first.groups] == [[20], [20], [20, 5, 10], [10]]
+        assert [group.configs for group in first.groups] == [slice(0, 1), slice(1, 2), slice(2, 7), slice(7, 9)]
+        for result, (count, seed) in zip(results, requests):
+            assert np.array_equal(result.points, cached_reference_esr(count, seed))
+
+    def test_telemetry_describes_the_returned_restart(self):
+        for result in esr_designs(PROTOCOL_ESR + [(45, 147)]):
+            assert result.energy == coulomb_energy(result.points)  # bit for bit
+            assert 1 <= result.accepted <= result.steps <= 2000
+        # counts 5, 10 and 15 stop every restart early; 45 runs into the step cap
+        assert [(r.steps, r.stop) for r in esr_designs([(5, 107), (45, 147)])] == [
+            (236, "step floor"), (2000, "step cap")]
+
+    def test_no_requests(self):
+        assert esr_designs([]) == []
+
+
+# A fresh process's ESR design, its minor page faults printed after it.
+FAULT_CHILD = """
+import resource, sys
+from qsdesign.design import esr_design
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+esr_design(int(sys.argv[1]), int(sys.argv[2]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the fault count is glibc's allocator's")
+@pytest.mark.parametrize("count,seed", [(90, 101), (45, 147)])
+def test_fresh_esr_design_does_not_fault_at_every_step(count, seed):
+    # glibc hands freed temporaries of a pair array's size back to the
+    # operating system, so a descent that allocated them at every step would
+    # fault them in again at every step: about 547,000 and 222,000 faults
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", FAULT_CHILD, str(count), str(seed)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout.split()[-1]) < 20_000
+
 
 def record_calls(monkeypatch, owner, name) -> list:
     """Wrap the function `owner.name` under every name a qsdesign module
@@ -566,11 +665,13 @@ class TestTracedEntryPoints:
     sees every ESR descent step and the load of a region design."""
 
     def test_esr_calls_the_kernel_at_every_descent_step(self, monkeypatch):
-        steps = record_calls(monkeypatch, design, "normalized")  # the starts, then one trial a step
+        # one call for the starts, then one a lockstep step, until the
+        # longest design's last restart stops
         kernel = record_calls(monkeypatch, _kernels, "coulomb_energy_grad")
-        esr_design(20, 122)
-        assert len(steps) > 1 and len(kernel) == len(steps)
-        assert all(len(args) == 2 for args, _, _ in kernel[1:])  # every step's call takes its bound
+        results = esr_designs([(20, 122), (5, 107)])
+        assert [r.steps for r in results] == [2000, 236]
+        assert len(kernel) == 1 + 2000
+        assert kernel[0][0][1] is None and all(args[1] is not None for args, _, _ in kernel[1:])
 
     def test_region_design_reads_through_load_prior_field(self, monkeypatch, tmp_path):
         loads = record_calls(monkeypatch, prior, "load_prior_field")
