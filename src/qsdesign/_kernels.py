@@ -46,9 +46,9 @@ def blocks(count: int, item_entries) -> list:
     """Slices that cover `count` items in order, in blocks of at most
     `_BLOCK_ENTRIES` entries at `item_entries` an item, and of one item
     where an item holds more. `item_entries` is one number for every item,
-    or a sequence of one number an item, whose blocks each take as many of
-    the next items as fit."""
-    if np.ndim(item_entries) == 0:
+    or a list of one number an item, whose blocks each take as many of the
+    next items as fit."""
+    if not isinstance(item_entries, list):
         step = max(1, _BLOCK_ENTRIES // max(1, item_entries))
         return [slice(start, start + step) for start in range(0, count, step)]
     slices, start, held = [], 0, 0
@@ -197,6 +197,7 @@ class CoulombWorkspace:
         self.work = np.empty((2, largest))
         self.plane_sums = np.empty((2, len(sizes)))
         self.energy = np.empty(len(sizes))
+        self.signed = np.empty((2, 3, ends[-1]))  # the points and their negatives
         self.sums = np.empty((2, 3, ends[-1]))
         self.grad = np.empty((3, ends[-1]))
         self.groups = [_CoulombGroup(self, sizes, ends, rows, size) for rows, size in zip(slices, entries)]
@@ -212,29 +213,30 @@ class _CoulombGroup:
         self.dist, self.work = ws.dist[:, :entries], ws.work[:, :entries]
         self.energy, self.plane_sums = ws.energy[rows], ws.plane_sums[:, rows]
         self.sums, self.grad = ws.sums[:, :, self.cols], ws.grad[:, self.cols]
-        self.entry_starts = [0, *itertools.accumulate(n * n for n in sizes[rows])]  # each configuration's plane
-        self.segments, diagonals, entry = [], [], 0
+        # where each configuration's n x n plane starts among the group's entries
+        self.entry_starts = list(itertools.accumulate((n * n for n in sizes[rows]), initial=0))
+        self.segments = []
         for n, run in itertools.groupby(range(rows.start, rows.stop), key=sizes.__getitem__):
             first, count = next(run), 1 + sum(1 for _ in run)
-            self.segments.append(_CoulombSegment(ws, self, n, first - rows.start, ends[first], entry, count))
-            diagonals.append(np.arange(entry, entry + count * n * n, n * n)[:, None] + np.arange(0, n * n, n + 1))
-            entry += count * n * n
-        self.diagonal = np.concatenate(diagonals, axis=None)
+            self.segments.append(_CoulombSegment(ws, self, n, first, ends[first], count))
 
 
 class _CoulombSegment:
-    """A run of `count` configurations of n points in a group, from its
-    `config`-th configuration, `col`-th point and `entry`-th pair entry, as
-    views of the workspace buffers."""
+    """A run of `count` configurations of n points in a group, from the
+    `first` configuration and the `col`-th point, as views of the workspace
+    buffers."""
 
-    def __init__(self, ws: CoulombWorkspace, group: _CoulombGroup, n: int, config: int, col: int, entry: int,
-                 count: int):
-        self.n, self.cols = n, slice(col, col + count * n)
-        span = slice(entry, entry + count * n * n)
+    def __init__(self, ws: CoulombWorkspace, group: _CoulombGroup, n: int, first: int, col: int, count: int):
+        self.n, cols = n, slice(col, col + count * n)
+        config = first - group.configs.start
+        span = slice(group.entry_starts[config], group.entry_starts[config + count])
         self.stack = group.pairs[:, :, span].reshape(2, 3, count, n, n)
+        self.rows = ws.signed[:1, :, cols].reshape(1, 3, count, n, 1)  # p_i
+        self.signed_cols = ws.signed[:, :, cols].reshape(2, 3, count, 1, n)  # p_j and -p_j
         self.planes = group.work[:, span].reshape(2, count, n * n)
+        self.diagonals = group.dist[:, span].reshape(2, count, n * n)[:, :, :: n + 1]
         self.plane_sums = group.plane_sums[:, config : config + count]
-        self.sums = ws.sums[:, :, self.cols].reshape(2, 3, count, n)
+        self.sums = ws.sums[:, :, cols].reshape(2, 3, count, n)
 
 
 def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, workspace=None):
@@ -279,17 +281,18 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
         energy, grad = coulomb_energy_grad(coords, bound, CoulombWorkspace([n] * count))
         grad = grad.reshape(3, count, n).transpose(1, 2, 0)
         return energy, np.ascontiguousarray(grad if bound is None else grad[energy < bound])
+    np.copyto(workspace.signed[0], points)
+    np.negative(points, out=workspace.signed[1])
     for group in workspace.groups:
-        for seg in group.segments:
-            comp = points[:, seg.cols].reshape(3, -1, seg.n)
-            np.subtract(comp[:, :, :, None], comp[:, :, None, :], out=seg.stack[0])
-            np.add(comp[:, :, :, None], comp[:, :, None, :], out=seg.stack[1])
+        for seg in group.segments:  # p_i - (-p_j) is p_i + p_j exactly
+            np.subtract(seg.rows, seg.signed_cols, out=seg.stack)
         pairs, squares, dist, work = group.pairs, group.squares, group.dist, group.work
         np.multiply(pairs, pairs, out=squares)
         np.add(squares[:, 0], squares[:, 2], out=dist)
         dist += squares[:, 1]
         np.sqrt(dist, out=dist)
-        dist[:, group.diagonal] = np.inf
+        for seg in group.segments:
+            seg.diagonals[...] = np.inf
         np.divide(1.0, dist, out=work)
         for seg in group.segments:
             np.add.reduce(seg.planes, axis=2, out=seg.plane_sums)
@@ -300,8 +303,7 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
             np.power(dist, -3, out=work)
             pairs *= work[:, None]
         elif lower.any():
-            edges = np.flatnonzero(np.diff(lower, prepend=False, append=False))
-            for first, last in edges.reshape(-1, 2):  # runs of configurations below their bound
+            for first, last in _runs(lower.tolist()):  # runs of configurations below their bound
                 span = slice(group.entry_starts[first], group.entry_starts[last])
                 np.power(dist[:, span], -3, out=work[:, span])
                 pairs[:, :, span] *= work[:, None, span]
@@ -311,6 +313,17 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
             np.add.reduce(seg.stack, axis=3, out=seg.sums)
         np.subtract(group.sums[0], group.sums[1], out=group.grad)
     return workspace.energy, workspace.grad
+
+
+def _runs(flags: list):
+    """(first, last) of each run of true `flags`, last exclusive."""
+    first = None
+    for k, flag in enumerate([*flags, False]):
+        if flag and first is None:
+            first = k
+        elif not flag and first is not None:
+            yield first, k
+            first = None
 
 
 def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
