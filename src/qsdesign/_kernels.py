@@ -192,7 +192,6 @@ class CoulombWorkspace:
         entries = [sum(n * n for n in sizes[rows]) for rows in slices]
         largest = max(entries, default=0)
         self.pairs = np.empty((2, 3, largest))
-        self.squares = np.empty((2, 3, largest))
         self.dist = np.empty((2, largest))
         self.work = np.empty((2, largest))
         self.plane_sums = np.empty((2, len(sizes)))
@@ -209,16 +208,17 @@ class _CoulombGroup:
 
     def __init__(self, ws: CoulombWorkspace, sizes: list, ends, rows: slice, entries: int):
         self.configs, self.cols = rows, slice(ends[rows.start], ends[rows.stop])
-        self.pairs, self.squares = ws.pairs[:, :, :entries], ws.squares[:, :, :entries]
+        self.pairs = ws.pairs[:, :, :entries]
         self.dist, self.work = ws.dist[:, :entries], ws.work[:, :entries]
         self.energy, self.plane_sums = ws.energy[rows], ws.plane_sums[:, rows]
         self.sums, self.grad = ws.sums[:, :, self.cols], ws.grad[:, self.cols]
         # where each configuration's n x n plane starts among the group's entries
         self.entry_starts = list(itertools.accumulate((n * n for n in sizes[rows]), initial=0))
-        self.segments = []
-        for n, run in itertools.groupby(range(rows.start, rows.stop), key=sizes.__getitem__):
-            first, count = next(run), 1 + sum(1 for _ in run)
-            self.segments.append(_CoulombSegment(ws, self, n, first, ends[first], count))
+        self.segments, first = [], rows.start
+        for k in range(rows.start + 1, rows.stop + 1):
+            if k == rows.stop or sizes[k] != sizes[first]:
+                self.segments.append(_CoulombSegment(ws, self, sizes[first], first, ends[first], k - first))
+                first = k
 
 
 class _CoulombSegment:
@@ -286,10 +286,12 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
     for group in workspace.groups:
         for seg in group.segments:  # p_i - (-p_j) is p_i + p_j exactly
             np.subtract(seg.rows, seg.signed_cols, out=seg.stack)
-        pairs, squares, dist, work = group.pairs, group.squares, group.dist, group.work
-        np.multiply(pairs, pairs, out=squares)
-        np.add(squares[:, 0], squares[:, 2], out=dist)
-        dist += squares[:, 1]
+        pairs, dist, work = group.pairs, group.dist, group.work
+        np.multiply(pairs[:, 0], pairs[:, 0], out=dist)
+        np.multiply(pairs[:, 2], pairs[:, 2], out=work)
+        dist += work
+        np.multiply(pairs[:, 1], pairs[:, 1], out=work)
+        dist += work
         np.sqrt(dist, out=dist)
         for seg in group.segments:
             seg.diagonals[...] = np.inf
