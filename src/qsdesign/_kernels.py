@@ -207,11 +207,11 @@ class _CoulombGroup:
     its views of the workspace buffers and its segments."""
 
     def __init__(self, ws: CoulombWorkspace, sizes: list, ends, rows: slice, entries: int):
-        self.configs, self.cols = rows, slice(ends[rows.start], ends[rows.stop])
+        self.configs, cols = rows, slice(ends[rows.start], ends[rows.stop])
         self.pairs = ws.pairs[:, :, :entries]
         self.dist, self.work = ws.dist[:, :entries], ws.work[:, :entries]
         self.energy, self.plane_sums = ws.energy[rows], ws.plane_sums[:, rows]
-        self.sums, self.grad = ws.sums[:, :, self.cols], ws.grad[:, self.cols]
+        self.sums, self.grad = ws.sums[:, :, cols], ws.grad[:, cols]
         # where each configuration's n x n plane starts among the group's entries
         self.entry_starts = list(itertools.accumulate((n * n for n in sizes[rows]), initial=0))
         self.segments, first = [], rows.start
