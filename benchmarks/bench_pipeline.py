@@ -25,8 +25,9 @@ Six workloads, all at one BLAS thread:
   `load_prior_field` reads from its lattice (mean, covariance, eigenpairs,
   noise variance), loaded once in this process, untimed;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
-  the voxel stack a region design scores per step and the restart stack
-  `esr_design` evaluates per step; 30 calls each, whatever --repeats says;
+  the voxel stack a region design scores per step and the workspace call
+  the ESR descent makes per step over the 15 restarts of the protocol's
+  five designs; 30 calls each, whatever --repeats says;
 - setup: `import qsdesign`, a process's first fit and the two set-up
   caches a `simulate` process fills before any timed work, each in a fresh
   process per repeat, at the perfbench degree and at peak grid sizes 4096
@@ -313,8 +314,11 @@ def time_kernels(kernels):
     dmat = half @ half.T / 20
     pts = rng.standard_normal((90, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    stack = rng.standard_normal((3, 30, 3))
-    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+    # the protocol's ESR live set: three restarts of each design, as the descent lays them out
+    sizes = [n for n in (30, 5, 10, 15, 20) for _ in range(3)]
+    live_set = kernels.CoulombWorkspace(sizes)
+    live_points = rng.standard_normal((3, sum(sizes)))
+    live_points /= np.linalg.norm(live_points, axis=0)
     values = rng.standard_normal(4096)
     neighbors = rng.integers(0, 4096, size=(4096, 8))
     psi_stack = rng.standard_normal((216, 321, 8))
@@ -326,7 +330,8 @@ def time_kernels(kernels):
         ("greedy_gains (321 x K=20)", kernels.greedy_gains, (psi, dmat, 1e-4)),
         ("greedy_gains (216 x 321 x K=8)", kernels.greedy_gains, (psi_stack, dmat_stack, noise_stack)),
         ("coulomb_energy_grad (n=90)", kernels.coulomb_energy_grad, (pts,)),
-        ("coulomb_energy_grad (3 x n=30)", kernels.coulomb_energy_grad, (stack,)),
+        ("coulomb_energy_grad (3 x n=30, 5, 10, 15, 20)", kernels.coulomb_energy_grad,
+         (live_points, None, live_set)),
         ("local_maxima (4096 x 8)", kernels.local_maxima, (values, neighbors)),
     ]
     cpu_us, digests = {}, {}

@@ -187,7 +187,7 @@ class CoulombWorkspace:
 
     def __init__(self, sizes):
         sizes = [int(n) for n in sizes]
-        ends = [0, *itertools.accumulate(sizes)]  # where each configuration's points start
+        self.ends = ends = [0, *itertools.accumulate(sizes)]  # where each configuration's points start
         slices = blocks(len(sizes), [6 * n * n for n in sizes])
         entries = [sum(n * n for n in sizes[rows]) for rows in slices]
         largest = max(entries, default=0)
@@ -242,19 +242,15 @@ class _CoulombSegment:
 def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, workspace=None):
     """Antipodally symmetric Coulomb energy and its Euclidean gradient.
 
-    `points` is one configuration (n, 3), giving (float, (n, 3)), or a
-    stack (R, n, 3), giving energies (R,) and C-contiguous gradients
-    (R, n, 3). With energies `bound` (R,), a stack gives the gradients
-    (k, n, 3) of only the k configurations whose energy is below their
-    bound, in stack order: electrostatic repulsion keeps a trial only where
-    its energy drops, so it needs no gradient for the others.
-
-    Both are the one-size case of the workspace form. With a
-    `CoulombWorkspace`, `points` is the coordinate-major (3, P) of its
-    configurations, of any sizes, and the call gives the workspace's
-    energy buffer (R,) and gradient buffer (3, P), which the next call
-    overwrites. The gradient's columns hold the gradients of the
-    configurations below their bound (of all of them without a bound). Each
+    `points` is one configuration (n, 3), giving (float, (n, 3)): the
+    one-configuration case of the workspace form. With a `CoulombWorkspace`,
+    `points` is the coordinate-major (3, P) of its configurations, of any
+    sizes, and the call gives the workspace's energy buffer (R,) and
+    gradient buffer (3, P), which the next call overwrites. With energies
+    `bound` (R,), the gradient's columns hold the gradients of only the
+    configurations whose energy is below their bound (of all of them
+    without a bound): electrostatic repulsion keeps a trial only where its
+    energy drops, so it needs no gradient for the others. Each
     configuration gets the same bits whatever shares the call with it, and
     the bits of the one-configuration (n, n, 3) einsum form of the kernel:
 
@@ -273,14 +269,8 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
       does. dist^-3 is taken for the configurations below their bound only.
     """
     if workspace is None:
-        if points.ndim == 2:
-            energy, grad = coulomb_energy_grad(points[None])
-            return float(energy[0]), grad[0]
-        count, n = points.shape[:2]
-        coords = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(3, count * n)
-        energy, grad = coulomb_energy_grad(coords, bound, CoulombWorkspace([n] * count))
-        grad = grad.reshape(3, count, n).transpose(1, 2, 0)
-        return energy, np.ascontiguousarray(grad if bound is None else grad[energy < bound])
+        energy, grad = coulomb_energy_grad(np.ascontiguousarray(points.T), None, CoulombWorkspace([len(points)]))
+        return float(energy[0]), np.ascontiguousarray(grad.T)
     np.copyto(workspace.signed[0], points)
     np.negative(points, out=workspace.signed[1])
     for group in workspace.groups:

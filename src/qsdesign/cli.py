@@ -39,9 +39,9 @@ from .config import (
 from .design import (
     DEFAULT_CANDIDATE_COUNT,
     check_esr_request,
-    coulomb_energy,
     default_candidates,
     esr_design,
+    esr_designs,
     gradient_table,
     greedy_design_region,
     region_bound,
@@ -205,10 +205,10 @@ def _cmd_design(args) -> int:
 def _cmd_esr(args) -> int:
     check_esr_request(args.count, args.seed)
     (path,) = _outputs(args.out, f"esr_{args.count:03d}.txt")
-    points = esr_design(args.count, seed=args.seed)
+    esr = esr_designs([(args.count, args.seed)])[0]
     with _writing(path):
-        path.write_text(gradient_table(points))
-    print(f"wrote {path} (final energy {coulomb_energy(points):.6f})")
+        path.write_text(gradient_table(esr.points))
+    print(f"wrote {path} (final energy {esr.energy:.6f})")
     return 0
 
 
@@ -288,7 +288,7 @@ def _cmd_prior_build(args) -> int:
             voxel_seed = int(np.random.SeedSequence((cfg.seed, 3, *index)).generate_state(1)[0])
             truths = generate_cohort(basis, gen, cfg.train_subjects, voxel_seed)
             voxel_cfg = dataclasses.replace(cfg, seed=voxel_seed)
-            field.add(index, build_prior_from_cohort(truths, dense_points, voxel_cfg, "prior-build"))
+            field.add(index, build_prior_from_cohort(truths, dense_points, voxel_cfg, "prior-build")[0])
 
     with _writing(path):
         save_prior_field(field, path)

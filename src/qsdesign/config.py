@@ -124,11 +124,15 @@ class SimConfig:
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be non-negative")
         try:
-            self.noise_sigma**2  # the prior noise variance
+            noise_variance = self.noise_sigma**2  # the prior noise variance
         except OverflowError:
             raise ValidationError(
                 f"noise_sigma {self.noise_sigma!r} is too large: its square, the prior noise variance, overflows"
             ) from None
+        if self.noise_sigma > 0 and noise_variance == 0:
+            raise ValidationError(
+                f"noise_sigma {self.noise_sigma!r} is too small: its square, the prior noise variance, underflows to 0"
+            )
         if self.noise_kind not in ("gaussian", "chi"):
             raise ValidationError("noise kind must be 'gaussian' or 'chi'")
         try:

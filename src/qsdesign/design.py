@@ -354,15 +354,13 @@ def esr_designs(requests) -> list:
     own step size and accept/reject decisions and leaves once its step size
     falls below 1e-14, so it follows the same path as it would alone, and
     each design is bit for bit `esr_design(count, seed)` whatever shares the
-    descent. The state of the live restarts is coordinate-major, (3, P), in
-    buffers the descent owns with the `CoulombWorkspace` of the live set, so
-    a step allocates nothing of the pair arrays' size; a restart that leaves
-    is copied out and the live set is laid out anew. A step is one
+    descent. The state of the live restarts is coordinate-major, (3, P),
+    one restart after the other as the `CoulombWorkspace` of the live set
+    lays them out, and the descent keeps that workspace, so a step allocates
+    nothing of the pair arrays' size; a restart that leaves is copied out
+    and the live set is laid out anew. A step is one `_esr_trial` and one
     `coulomb_energy_grad` call: the energy of every live trial and, bounded
-    by the current energies, the gradients of the accepted ones only. The
-    tangent's dot product rounds as (g0 p0 + g2 p2) + g1 p1, as the einsum
-    over (n, 3) rows does, and the norm as (x0^2 + x1^2) + x2^2, as
-    `normalized` does.
+    by the current energies, the gradients of the accepted ones only.
     """
     requests = [(count, seed) for count, seed in requests]
     for count, seed in requests:
@@ -379,11 +377,12 @@ def esr_designs(requests) -> list:
     points = np.concatenate(starts).T.copy()
     alpha = np.array([_ESR_FIRST_STEP / len(start) for start in starts])
     accepted = np.zeros(len(starts), dtype=int)
-    live = _EsrLiveSet([len(start) for start in starts])
-    energy, grad = (buffer.copy() for buffer in _kernels.coulomb_energy_grad(points, None, live.workspace))
+    sizes = [len(start) for start in starts]  # the live set's layout and each point's restart:
+    workspace, owner = _kernels.CoulombWorkspace(sizes), np.repeat(np.arange(len(sizes)), sizes)
+    energy, grad = (buffer.copy() for buffer in _kernels.coulomb_energy_grad(points, None, workspace))
     for step in range(1, _ESR_STEPS + 1):
-        trial = live.trial(points, grad, alpha)
-        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy, live.workspace)
+        trial = _esr_trial(points, grad, alpha[owner])
+        trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy, workspace)
         better = trial_energy < energy
         if better.all():
             np.copyto(points, trial)
@@ -392,7 +391,7 @@ def esr_designs(requests) -> list:
             accepted += 1
             alpha *= 1.2
             continue
-        moved = better[live.owner]
+        moved = better[owner]
         np.copyto(points, trial, where=moved)
         np.copyto(grad, trial_grad, where=moved)
         np.copyto(energy, trial_energy, where=better)
@@ -401,15 +400,18 @@ def esr_designs(requests) -> list:
         stay = better | ~(alpha < 1e-14)
         if not stay.all():
             for r in np.flatnonzero(~stay):
-                finals[ids[r]] = (live.rows(points, r), float(energy[r]), step, int(accepted[r]), "step floor")
-            keep = stay[live.owner]
+                rows = points[:, workspace.ends[r] : workspace.ends[r + 1]].T.copy()
+                finals[ids[r]] = (rows, float(energy[r]), step, int(accepted[r]), "step floor")
+            keep = stay[owner]
             points, grad = points[:, keep], grad[:, keep]
             ids, alpha, energy, accepted = ids[stay], alpha[stay], energy[stay], accepted[stay]
             if not ids.size:
                 break
-            live = _EsrLiveSet([len(starts[i]) for i in ids])
+            sizes = [len(starts[i]) for i in ids]
+            workspace, owner = _kernels.CoulombWorkspace(sizes), np.repeat(np.arange(len(sizes)), sizes)
     for r, i in enumerate(ids):
-        finals[i] = (live.rows(points, r), float(energy[r]), _ESR_STEPS, int(accepted[r]), "step cap")
+        rows = points[:, workspace.ends[r] : workspace.ends[r + 1]].T.copy()
+        finals[i] = (rows, float(energy[r]), _ESR_STEPS, int(accepted[r]), "step cap")
     designs = []
     for d, (count, seed) in enumerate(requests):
         runs = finals[d * _ESR_RESTARTS : (d + 1) * _ESR_RESTARTS]
@@ -419,38 +421,15 @@ def esr_designs(requests) -> list:
     return designs
 
 
-class _EsrLiveSet:
-    """The layout and step buffers of one live set of ESR restarts, of
-    `sizes` points each, coordinate-major one restart after the other."""
-
-    def __init__(self, sizes):
-        self.workspace = _kernels.CoulombWorkspace(sizes)
-        self.starts = np.cumsum([0, *sizes])
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)  # each point's restart
-        self._trial, self._products = np.empty((3, self.starts[-1])), np.empty((3, self.starts[-1]))
-        self._sum = np.empty(self.starts[-1])
-
-    def rows(self, points, r) -> np.ndarray:
-        """Restart r's points as a C-contiguous (n, 3) array."""
-        return points[:, self.starts[r] : self.starts[r + 1]].T.copy()
-
-    def trial(self, points, grad, alpha) -> np.ndarray:
-        """normalized(points - alpha (grad - (grad . points) points)), in a
-        buffer the next call overwrites."""
-        trial, products, total = self._trial, self._products, self._sum
-        np.multiply(grad, points, out=products)
-        np.add(products[0], products[2], out=total)
-        total += products[1]
-        np.multiply(points, total, out=trial)
-        np.subtract(grad, trial, out=trial)  # the tangent
-        trial *= alpha[self.owner]
-        np.subtract(points, trial, out=trial)
-        np.multiply(trial, trial, out=products)
-        np.add(products[0], products[1], out=total)
-        total += products[2]
-        np.sqrt(total, out=total)
-        trial /= total
-        return trial
+def _esr_trial(points, grad, step) -> np.ndarray:
+    """normalized(points - step (grad - (grad . points) points)) of
+    coordinate-major (3, P) points, at `step` (P,) a point. The dot product
+    rounds as (g0 p0 + g2 p2) + g1 p1, as the einsum over (n, 3) rows does,
+    and the norm as (x0^2 + x1^2) + x2^2, as `normalized` does."""
+    products = grad * points
+    trial = points - (grad - points * ((products[0] + products[2]) + products[1])) * step
+    squares = trial * trial
+    return trial / np.sqrt((squares[0] + squares[1]) + squares[2])
 
 
 def gradient_table(points) -> str:

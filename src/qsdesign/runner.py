@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import SimConfig
 from .design import default_candidates, esr_designs, gradient_table, greedy_design
-from .estimator import conditional_fit_batch, gcv_select_batch, one_blas_thread
+from .estimator import DEFAULT_GCV_GRID, conditional_fit_batch, gcv_select_batch, one_blas_thread
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe_batch
@@ -43,6 +43,7 @@ class ExperimentResult:
     prior_rank: int  # eigenpairs the prior kept
     prior_explained_variance: float  # their share of the prior covariance's spectrum total
     esr_designs: list  # one dict per ESR design (dense first, then each budget's): count, seed, descent telemetry
+    gcv: dict  # the GCV grid, and how many subjects chose each grid value in each GCV fit (see _gcv_fit)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -70,15 +71,24 @@ def _derived_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), 0xD35, *parts)))
 
 
-def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str) -> VoxelPrior:
-    """Dense-observe each subject, fit all with GCV smoothing in one batch, take moments."""
+def build_prior_from_cohort(truths, dense_points, cfg: SimConfig, seed_tag: str):
+    """Dense-observe each subject, fit all with GCV smoothing in one batch,
+    take moments: the `VoxelPrior` and the GCV lambda (N,) of each subject."""
     basis = ShBasis(cfg.degree)
     rngs = [_derived_rng(cfg.seed, seed_tag, i) for i in range(len(truths))]
     values = observe_batch(truths, dense_points, cfg.noise_sigma, rngs, basis, cfg.noise_kind)
-    _, coeffs = gcv_select_batch(dense_points, values, basis)
+    lambdas, coeffs = gcv_select_batch(dense_points, values, basis)
     mean, cov = empirical_moments(coeffs)
     noise_var = cfg.noise_sigma**2 if cfg.noise_sigma > 0 else 1e-8
-    return VoxelPrior.from_moments(mean, cov, noise_var, cfg.rank_rule)
+    return VoxelPrior.from_moments(mean, cov, noise_var, cfg.rank_rule), lambdas
+
+
+def _gcv_fit(label: dict, lambdas) -> dict:
+    """One GCV fit's entry of `report.json`'s `gcv`: its `label`, how many
+    rows chose each `DEFAULT_GCV_GRID` value (`counts`, in grid order) and
+    how many chose either end of the grid (`edge_hits`)."""
+    counts = np.bincount(np.searchsorted(DEFAULT_GCV_GRID, lambdas), minlength=len(DEFAULT_GCV_GRID))
+    return {**label, "counts": counts.tolist(), "edge_hits": int(counts[0] + counts[-1])}
 
 
 def run_simulation(cfg: SimConfig) -> ExperimentResult:
@@ -116,7 +126,8 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     requests = [(cfg.dense_design_size, cfg.seed), *((budget, cfg.seed + 1 + budget) for budget in cfg.budgets)]
     dense, *baselines = esr_designs(requests)
     clock.lap("esr")
-    prior = build_prior_from_cohort(train, dense.points, cfg, "train-noise")
+    prior, lambdas = build_prior_from_cohort(train, dense.points, cfg, "train-noise")
+    gcv_fits = [_gcv_fit({"fit": "prior"}, lambdas)]
     clock.lap("prior_fit")
     true_peaks = find_peaks_batch([t.fodf for t in test], basis, cfg.peak_grid_size)
     clock.lap("peaks")
@@ -141,7 +152,8 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
                 coeffs = conditional_fit_batch(points, values, prior, basis)
             else:
                 # every test subject shares this design: one GCV batch
-                _, coeffs = gcv_select_batch(points, values, basis)
+                lambdas, coeffs = gcv_select_batch(points, values, basis)
+                gcv_fits.append(_gcv_fit({"fit": method, "budget": budget}, lambdas))
             clock.lap("fit")
             ises = [integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test)]
             est_peaks = find_peaks_batch([funk_radon(c, basis) for c in coeffs], basis, cfg.peak_grid_size)
@@ -173,6 +185,7 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
             {key: getattr(esr, key) for key in ("count", "seed", "steps", "accepted", "stop", "energy")}
             for esr in (dense, *baselines)
         ],
+        gcv={"grid": DEFAULT_GCV_GRID.tolist(), "fits": gcv_fits},
     )
 
 
@@ -212,6 +225,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
         "esr_designs": result.esr_designs,
+        "gcv": result.gcv,
         "greedy_objective_history": result.objective_history,
         "prior_explained_variance": result.prior_explained_variance,
         "prior_rank": result.prior_rank,

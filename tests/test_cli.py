@@ -151,6 +151,20 @@ class TestRunner:
         for budget, entry in zip(cfg.budgets, result.esr_designs[1:]):
             assert entry["energy"] == coulomb_energy(result.designs[(budget, "shls-esr")])
 
+    def test_report_has_gcv_lambda_counts(self, tiny_results):
+        # the prior fit over the training cohort, then each shls-esr budget's over the test cohort
+        cfg, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["gcv"] == result.gcv
+        assert result.gcv["grid"] == estimator.DEFAULT_GCV_GRID.tolist()
+        fits = result.gcv["fits"]
+        assert [{key: fit[key] for key in fit if key not in ("counts", "edge_hits")} for fit in fits] == [
+            {"fit": "prior"}, *({"fit": "shls-esr", "budget": b} for b in cfg.budgets)]
+        subjects = [cfg.train_subjects, *[cfg.test_subjects] * len(cfg.budgets)]
+        for fit, count in zip(fits, subjects):
+            assert len(fit["counts"]) == len(estimator.DEFAULT_GCV_GRID) and sum(fit["counts"]) == count
+            assert fit["edge_hits"] == fit["counts"][0] + fit["counts"][-1]
+
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
         stages = ["cohort", "esr", "prior_fit", "peaks", "greedy", "observe", "fit"]
@@ -611,6 +625,8 @@ MALFORMED_INPUTS = [
      "error: noise sigma must be finite, got nan"),
     ("noise_sigma whose square overflows", lambda t: _write_config(t, noise_sigma=1e200),
      "error: noise_sigma 1e+200 is too large: its square, the prior noise variance, overflows"),
+    ("noise_sigma whose square underflows", lambda t: _write_config(t, noise_sigma=1e-200),
+     "error: noise_sigma 1e-200 is too small: its square, the prior noise variance, underflows to 0"),
     ("lobe_concentration whose vMF normaliser is 0", lambda t: _write_config(
         t, generative={"lobe_concentration": 1e-300}),
      "error: lobe_concentration 1e-300 is too small: the vMF normaliser 1 - exp(-2 lobe_concentration) rounds to 0"),
@@ -825,7 +841,7 @@ def test_malformed_input_exits_2(case, argv_for, first_line, tmp_path, capsys):
 TAKEN_OUTPUTS = [
     ("simulate", lambda t: _taken(t / "o" / "report.json", _write_config(t), "directory"), "run_simulation"),
     ("esr", lambda t: _taken(t / "o" / "esr_010.txt", ["esr", "--count", "10", "--out", str(t / "o")], "directory"),
-     "esr_design"),
+     "esr_designs"),
     ("design", lambda t: _taken(t / "o" / "design_single_002.json", _design(t), "directory"),
      "greedy_design_region"),
     ("prior-build", lambda t: _taken(
@@ -856,7 +872,7 @@ ENTRIES = cli.SIZE_CEILING_BYTES // 8
 SIZE_LIMITS = [
     (lambda t, n: ["esr", "--count", str(n), "--out", str(t / "o")],
      math.isqrt(cli.SIZE_CEILING_BYTES // (6 * 8)), "error: count must be at most {limit}, got {value}",
-     "esr_design"),
+     "esr_designs"),
     (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
                    "--out", str(t / "o")],
      cli.SIZE_CEILING_BYTES // (8 * (6 + 1)), "error: --candidates must be at most {limit} for this field, got {value}",

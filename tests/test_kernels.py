@@ -127,31 +127,47 @@ def reference_coulomb_energy_grad(points):
     return energy, grad
 
 
+def workspace_coulomb(configs, bound=None):
+    """`coulomb_energy_grad` of (n, 3) configurations of any sizes in one
+    workspace: a copy of the energies (R,) and the (n, 3) gradient of each."""
+    workspace = _kernels.CoulombWorkspace([len(config) for config in configs])
+    energy, grad = _kernels.coulomb_energy_grad(np.concatenate(configs).T.copy(), bound, workspace)
+    ends = workspace.ends
+    return energy.copy(), [grad[:, ends[r] : ends[r + 1]].T.copy() for r in range(len(configs))]
+
+
+MIXED_SIZES = (2, 17, 17, 5, 30, 90)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 30, 45, 64, 90])
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
-def test_coulomb_stack_equals_per_configuration_reference(count, n, rng):
-    stack = np.stack([random_unit_vectors(rng, n) for _ in range(count)])
-    energy, grad = _kernels.coulomb_energy_grad(stack)
-    assert energy.shape == (count,) and grad.shape == (count, n, 3)
-    for r in range(count):
-        ref_energy, ref_grad = reference_coulomb_energy_grad(stack[r])
-        assert energy[r] == ref_energy
-        assert np.array_equal(grad[r], ref_grad)
+def test_coulomb_stack_equals_per_configuration_reference(count, n, rng, monkeypatch):
+    # `count` configurations of n points among configurations of mixed sizes
+    sizes = (*MIXED_SIZES[:3], *[n] * count, *MIXED_SIZES[3:])
+    configs = [random_unit_vectors(rng, size) for size in sizes]
+    references = [reference_coulomb_energy_grad(config) for config in configs]
+    for entries in (_kernels._BLOCK_ENTRIES, 1):  # the default blocks, or one configuration a block
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
+        energy, grads = workspace_coulomb(configs)
+        assert energy.shape == (len(configs),)
+        for r, (ref_energy, ref_grad) in enumerate(references):
+            assert energy[r] == ref_energy
+            assert np.array_equal(grads[r], ref_grad)
 
 
 @pytest.mark.parametrize("entries", [None, 1])  # the default blocks, or one configuration a block
-@pytest.mark.parametrize("below", [(True, True, True, True), (False, True, False, True), (False,) * 4])
+@pytest.mark.parametrize("below", [(True,) * 6, (False, True, False, True, True, False), (False,) * 6])
 def test_coulomb_bound_gives_the_gradients_below_it(below, entries, rng, monkeypatch):
     if entries is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
-    stack = np.stack([random_unit_vectors(rng, 17) for _ in range(4)])
-    energy, grad = _kernels.coulomb_energy_grad(stack)
+    configs = [random_unit_vectors(rng, n) for n in MIXED_SIZES]
+    energy, grads = workspace_coulomb(configs)
     lower = np.array(below)
     bound = np.where(lower, np.nextafter(energy, np.inf), energy)  # an energy equal to its bound is not below it
-    bounded_energy, bounded_grad = _kernels.coulomb_energy_grad(stack, bound)
+    bounded_energy, bounded_grads = workspace_coulomb(configs, bound)
     assert bounded_energy.tobytes() == energy.tobytes()
-    assert bounded_grad.shape == (lower.sum(), 17, 3)
-    assert bounded_grad.tobytes() == grad[lower].tobytes()
+    for r in np.flatnonzero(lower):
+        assert bounded_grads[r].tobytes() == grads[r].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 30, 90])
