@@ -377,7 +377,7 @@ def esr_designs(requests) -> list:
     points = np.concatenate(starts).T.copy()
     alpha = np.array([_ESR_FIRST_STEP / len(start) for start in starts])
     accepted = np.zeros(len(starts), dtype=int)
-    sizes = [len(start) for start in starts]  # the live set's layout and each point's restart:
+    sizes = [len(start) for start in starts]  # a live set: its layout and each point's restart
     workspace, owner = _kernels.CoulombWorkspace(sizes), np.repeat(np.arange(len(sizes)), sizes)
     energy, grad = (buffer.copy() for buffer in _kernels.coulomb_energy_grad(points, None, workspace))
     for step in range(1, _ESR_STEPS + 1):
