@@ -6,7 +6,6 @@ from .design import (
     BoundCertificate,
     CandidateSet,
     Design,
-    block_inverse_update,
     coulomb_energy,
     default_candidates,
     design_objective,
@@ -42,7 +41,6 @@ from .prior import (
     empirical_moments,
     interpolate_prior,
     load_prior_field,
-    log_euclidean_mean,
     save_prior_field,
     spd_exp,
     spd_log,
@@ -52,7 +50,6 @@ from .runner import ExperimentResult, run_simulation, write_outputs
 from .sim import (
     GenerativeConfig,
     GroundTruth,
-    VmfComponent,
     generate_cohort,
     generate_fodf,
     observe,

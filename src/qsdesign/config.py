@@ -44,10 +44,11 @@ def _require_finite(name: str, value) -> None:
 
 
 def integer_from(name: str, value) -> int:
-    """`value` as an int if it is a whole number (not a string), else a
-    ValidationError naming `name`; nothing is truncated."""
+    """`value` as an int if it is a whole number (not a string or a boolean,
+    which YAML reads from `yes` and `true`), else a ValidationError naming
+    `name`; nothing is truncated."""
     try:
-        whole = not isinstance(value, str) and int(value) == value
+        whole = not isinstance(value, (str, bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -69,6 +70,8 @@ def numbers_from(name: str, value, depth: int = 0):
 
     def convert(v, d):
         if d == 0:
+            if isinstance(v, (bool, np.bool_)):
+                raise TypeError("a boolean is not a number")
             return float(v)
         if isinstance(v, str):
             raise TypeError("a string is not a list")

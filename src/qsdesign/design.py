@@ -154,31 +154,6 @@ def design_objective(points, prior: VoxelPrior, basis: ShBasis) -> float:
     return float(np.trace(w.T @ np.linalg.solve(gram, w)))
 
 
-def block_inverse_update(inv_prev: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
-    """Inverse of [[G, h], [h', q]] given inv_prev = G^-1.
-
-    Uses the block inversion formula with Schur complement a^-1 =
-    q - h' G^-1 h, which must be positive (guaranteed when the appended
-    diagonal carries a positive noise term).
-    """
-    inv_prev = np.asarray(inv_prev, dtype=float)
-    h = np.asarray(h, dtype=float).ravel()
-    m = inv_prev.shape[0]
-    if inv_prev.shape != (m, m) or h.shape != (m,):
-        raise ValidationError("inverse/vector shapes are inconsistent")
-    u = inv_prev @ h
-    schur = float(q - h @ u)
-    if schur <= 0.0:
-        raise DegeneracyError(f"non-positive Schur complement ({schur:.3e}) in inverse update")
-    a = 1.0 / schur
-    out = np.empty((m + 1, m + 1))
-    out[:m, :m] = inv_prev + a * np.outer(u, u)
-    out[:m, m] = -a * u
-    out[m, :m] = -a * u
-    out[m, m] = a
-    return out
-
-
 def greedy_design(
     candidates: CandidateSet, prior: VoxelPrior, basis: ShBasis, budget: int
 ) -> Design:

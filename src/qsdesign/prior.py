@@ -248,24 +248,6 @@ def regularize_spd(matrix) -> np.ndarray:
     return m + (eps - min(evals.min(), 0.0)) * np.eye(m.shape[0])
 
 
-def log_euclidean_mean(matrices, weights) -> np.ndarray:
-    """Weighted Karcher mean of SPD matrices under the log-Euclidean metric.
-
-    Closed form: exp(sum_i w_i log(M_i)). The determinant of the result is
-    the weighted geometric mean of the input determinants, so averaging
-    never inflates the overall variance volume.
-    """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    w = np.asarray(weights, dtype=float)
-    if len(mats) < 1 or w.shape != (len(mats),):
-        raise ValidationError("need one weight per matrix and at least one matrix")
-    if np.any(w <= 0.0):
-        raise ValidationError("weights must be strictly positive")
-    if abs(float(w.sum()) - 1.0) > 1e-10:
-        raise ValidationError("weights must sum to 1")
-    return _blend_logs([spd_log(m) for m in mats], w)
-
-
 def _blend_logs(logs, weights) -> np.ndarray:
     """exp(sum_i w_i L_i) of symmetric matrix logs L_i, accumulated in order."""
     acc = np.zeros_like(logs[0])
@@ -277,8 +259,9 @@ def _blend_logs(logs, weights) -> np.ndarray:
 @dataclass
 class PriorField:
     """Voxel-indexed collection of priors whose dimension is that of the
-    degree-`max_degree` basis, each truncated by the field's `rank_rule` or
-    built by hand (a `VoxelPrior` whose `rank_rule` is None)."""
+    degree-`max_degree` basis, each truncated by the field's own
+    `rank_rule`: a saved field stores covariances, which reload truncated by
+    that rule, so a prior built by hand (`rank_rule` None) is rejected."""
 
     shape: tuple
     priors: dict = field(default_factory=dict)  # (i, j, k) -> VoxelPrior
@@ -313,8 +296,9 @@ class PriorField:
             raise ValidationError(
                 f"prior dimension {prior.dimension} does not match the degree-{self.max_degree} basis (dimension {j})"
             )
-        if prior.rank_rule not in (None, self.rank_rule):
-            raise ValidationError(f"prior truncated by {prior.rank_rule}, not by the field's {self.rank_rule}")
+        if prior.rank_rule != self.rank_rule:
+            made = "built by hand" if prior.rank_rule is None else f"truncated by {prior.rank_rule}"
+            raise ValidationError(f"prior {made}, not by the field's {self.rank_rule}")
         self.priors[index] = prior
 
 

@@ -26,22 +26,6 @@ NU_2 = (1.0 / np.sqrt(3.0), -(3.0 - np.sqrt(3.0)) / 6.0, (3.0 + np.sqrt(3.0)) / 
 
 
 @dataclass(frozen=True)
-class VmfComponent:
-    """One von Mises-Fisher lobe: mean axis, concentration, mixture weight."""
-
-    mean: tuple
-    concentration: float
-    weight: float
-
-    def __post_init__(self):
-        as_unit_vectors(np.asarray(self.mean, dtype=float), "component mean")
-        if self.concentration <= 0.0:
-            raise ValidationError("concentration must be positive")
-        if self.weight < 0.0:
-            raise ValidationError("weight must be non-negative")
-
-
-@dataclass(frozen=True)
 class GenerativeConfig:
     """Parameters of the two-fiber generative model."""
 
@@ -116,15 +100,6 @@ def _vmf_from_uniforms(mu, concentration: float, u, angle) -> np.ndarray:
         + (sin_t * np.sin(angle))[:, None] * e2
     )
     return normalized(out)
-
-
-def mixture_density(points, components) -> np.ndarray:
-    """Weighted symmetrized mixture of von Mises-Fisher lobes."""
-    pts, single = as_unit_vectors(points, "points")
-    total = np.zeros(pts.shape[0])
-    for comp in components:
-        total += _lobe_pair(pts @ np.asarray(comp.mean, dtype=float), comp.concentration, comp.weight)
-    return total[0] if single else total
 
 
 def _vmf(t, concentration: float) -> np.ndarray:
@@ -272,14 +247,9 @@ def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str
     return out
 
 
-def cohort_signal_matrix(truths) -> np.ndarray:
-    """Stack true signal coefficients, one row per subject."""
-    return np.vstack([t.signal for t in truths])
-
-
 def cohort_to_csv(truths, path):
     """One row per subject, J signal-coefficient columns (c0..c{J-1} header)."""
-    mat = cohort_signal_matrix(truths)
+    mat = np.vstack([t.signal for t in truths])
     header = ",".join(f"c{i}" for i in range(mat.shape[1]))
     with open(path, "w") as fh:
         fh.write(header + "\n")

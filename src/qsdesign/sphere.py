@@ -93,13 +93,6 @@ class ShBasis:
     def __hash__(self):
         return hash(("ShBasis", self.max_degree))
 
-    def index_of(self, degree: int, order: int) -> int:
-        """Flat index j of the (degree, order) basis function."""
-        hits = np.nonzero((self.degrees == degree) & (self.orders == order))[0]
-        if hits.size != 1:
-            raise ValidationError(f"(degree={degree}, order={order}) not in basis")
-        return int(hits[0])
-
     @property
     def funk_radon_multipliers(self) -> np.ndarray:
         """Per-index eigenvalues 2*pi*P_l(0) of the great-circle transform."""
@@ -169,9 +162,6 @@ class SphericalGrid:
 
     def __len__(self):
         return self.directions.shape[0]
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
 def _spiral_points(n: int) -> np.ndarray:

@@ -25,6 +25,12 @@ def random_unit_vectors(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def basis_index(basis, degree, order):
+    """Flat index j of the (degree, order) function of `basis`."""
+    (j,) = np.flatnonzero((basis.degrees == degree) & (basis.orders == order))
+    return int(j)
+
+
 def random_prior(basis, rng, rank=None, noise_variance=0.01, scale=1.0):
     """Random full-rank covariance prior for a given basis."""
     j = basis.dimension

@@ -13,7 +13,6 @@ import pytest
 from qsdesign.config import SimConfig
 from qsdesign.design import (
     CandidateSet,
-    block_inverse_update,
     default_candidates,
     design_objective,
     greedy_bound,
@@ -21,11 +20,11 @@ from qsdesign.design import (
     hemisphere_spiral,
 )
 from qsdesign.estimator import conditional_fit, conditional_scores, shls_fit
-from qsdesign.prior import VoxelPrior, log_euclidean_mean
+from qsdesign.prior import PriorField, RankRule, VoxelPrior, corner_weights, interpolate_prior
 from qsdesign.runner import metrics_csv_text, run_simulation
 from qsdesign.sphere import ShBasis, funk_radon, inverse_funk_radon, make_grid
 
-from conftest import random_prior, random_unit_vectors
+from conftest import basis_index, random_prior, random_unit_vectors
 from test_prior import make_field, random_spd, toy_prior
 from test_sphere import legendre_value
 
@@ -98,24 +97,24 @@ def test_criterion_2_angular_metric_ordering(protocol_runs):
 
 
 def test_criterion_3_rank_one_update_oracle():
+    # the greedy's objective after each rank-one downdate against the
+    # trace objective of that prefix solved afresh
+    basis = ShBasis(4)
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(trial)
         k = int(rng.integers(1, 11))
         m = int(rng.integers(2, 61))
-        lam = np.sort(rng.uniform(0.1, 2.0, size=k))[::-1]
-        psi = rng.standard_normal((m, k))
-        sigma2 = float(rng.uniform(0.01, 1.0))
-        gram = (psi * lam) @ psi.T + sigma2 * np.eye(m)
-        inv = np.zeros((0, 0))
-        for step in range(1, m + 1):
-            inv = block_inverse_update(inv, gram[: step - 1, step - 1], gram[step - 1, step - 1])
-        direct = np.linalg.inv(gram)
-        worst = max(worst, float(np.abs(inv - direct).max()))
+        prior = random_prior(basis, rng, rank=k, noise_variance=float(rng.uniform(0.01, 1.0)))
+        pool = CandidateSet(hemisphere_spiral(m))
+        design = greedy_design(pool, prior, basis, m)
+        for step in range(m):
+            direct = design_objective(pool.points[design.selected[: step + 1]], prior, basis)
+            worst = max(worst, abs(design.objective_history[step] - direct) / direct)
     _report(
-        "criterion-3 rank-one inverse oracle",
+        "criterion-3 rank-one downdate oracle",
         worst < 1e-8,
-        f"max entry error {worst:.2e} over 100 trials (K<=10, M<=60)",
+        f"max relative objective error {worst:.2e} over 100 trials (K<=10, M<=60)",
     )
 
 
@@ -160,7 +159,7 @@ def test_criterion_5_funk_radon_analytics(rng):
         mult_ok &= bool(np.all(out == 0.0))
     expected_by_degree = {0: 2 * np.pi, 2: -np.pi, 4: 0.75 * np.pi}
     for degree, value in expected_by_degree.items():
-        j = basis.index_of(degree, 0)
+        j = basis_index(basis, degree, 0)
         e = np.zeros(basis.dimension)
         e[j] = 1.0
         mult_ok &= abs(funk_radon(e, basis)[j] - value) < 1e-12
@@ -213,20 +212,22 @@ def test_criterion_6_estimator_boundaries(rng):
 
 
 def test_criterion_7_log_euclidean_non_swelling(rng):
+    # log det of the interpolated covariance against the weighted log dets of
+    # the corners it blends
     worst = 0.0
+    rule = RankRule("fraction", 0.9)
     for trial in range(100):
         t_rng = np.random.default_rng(trial)
-        n = int(t_rng.integers(2, 9))
-        a, b = random_spd(t_rng, n), random_spd(t_rng, n)
-        w = float(t_rng.uniform(0.1, 0.9))
-        mean = log_euclidean_mean([a, b], [w, 1 - w])
-        logdet = np.linalg.slogdet(mean)[1]
-        target = w * np.linalg.slogdet(a)[1] + (1 - w) * np.linalg.slogdet(b)[1]
+        degree, j = ((2, 6), (4, 15))[trial % 2]
+        pair = PriorField((2, 1, 1), {}, degree, rule)
+        for index in ((0, 0, 0), (1, 0, 0)):
+            pair.add(index, VoxelPrior.from_moments(t_rng.standard_normal(j), random_spd(t_rng, j), 0.01, rule))
+        query = (float(t_rng.uniform(0.1, 0.9)), 0.0, 0.0)
+        logdet = np.linalg.slogdet(interpolate_prior(pair, query).covariance)[1]
+        target = sum(w * np.linalg.slogdet(pair.priors[idx].covariance)[1] for idx, w in corner_weights(pair, query))
         worst = max(worst, abs(logdet - target) / max(1.0, abs(target)))
 
     field = make_field({tuple(i): toy_prior(np.random.default_rng(7)) for i in np.ndindex(2, 2, 2)})
-    from qsdesign.prior import interpolate_prior
-
     grid_exact = all(
         interpolate_prior(field, np.array(idx, dtype=float)) is field.priors[idx]
         for idx in field.priors

@@ -91,6 +91,12 @@ class TestConfig:
         path = Path(__file__).resolve().parents[1] / "configs" / "protocol.yaml"
         assert load_sim_config(path) == SimConfig()
 
+    def test_readme_quickstart_runs(self):
+        # keeps every library call the README documents in the package
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md quickstart", "exec"), {})
+
 
 class TestRunner:
     def test_csv_schema_golden(self, tiny_results):
@@ -688,6 +694,13 @@ MALFORMED_INPUTS = [
      "error: grid_shape entry must be an integer, got 1.7"),
     ("text noise_sigma", lambda t: _write_config(t, noise_sigma="abc"),
      "error: noise_sigma must be a number, got 'abc'"),
+    ("boolean seed", lambda t: _raw_config(
+        t, "simulate", "seed: yes\n" + yaml.safe_dump({k: v for k, v in TINY_SIM.items() if k != "seed"})),
+     "error: seed must be an integer, got True"),
+    ("boolean noise_sigma", lambda t: _write_config(t, noise_sigma=True),
+     "error: noise_sigma must be a number, got True"),
+    ("boolean budget", lambda t: _write_config(t, budgets=[True, 5]),
+     "error: budgets must be a list of positive integers, got [True, 5]"),
     ("numeric out_dir", lambda t: _write_config(t, out_dir=5)[:-2],  # no --out, so out_dir is used
      "error: out_dir must be a string, got 5"),
     ("text query", lambda t: _interp(_field_file(t), "a,b,c"),

@@ -141,7 +141,7 @@ class TestIntegratedSquaredError:
         g = rng.standard_normal(basis8.dimension)
         grid = make_grid("equiangular", 64)
         diff = basis8.evaluate(grid.directions) @ (f - g)
-        oracle = grid.integrate(diff**2)
+        oracle = grid.weights @ diff**2
         assert integrated_squared_error(f, g) == pytest.approx(oracle, abs=1e-6)
 
     def test_symmetric_and_relaxed_triangle(self, rng):

@@ -13,7 +13,6 @@ from qsdesign.prior import (
     empirical_moments,
     interpolate_prior,
     load_prior_field,
-    log_euclidean_mean,
     regularize_spd,
     save_prior_field,
     spd_exp,
@@ -123,39 +122,6 @@ class TestSpdLogExp:
             spd_log(rng.standard_normal((3, 3)))
 
 
-class TestLogEuclideanMean:
-    def test_single_matrix(self, rng):
-        m = random_spd(rng, 5)
-        assert np.abs(log_euclidean_mean([m], [1.0]) - m).max() < 1e-10
-
-    def test_two_copies(self, rng):
-        m = random_spd(rng, 4)
-        out = log_euclidean_mean([m, m], [0.5, 0.5])
-        assert np.abs(out - m).max() < 1e-10
-
-    def test_geometric_interpolation_no_swelling(self):
-        a = np.diag([1.0, 1.0])
-        b = np.diag([np.e**2, np.e**2])
-        out = log_euclidean_mean([a, b], [0.5, 0.5])
-        assert np.allclose(out, np.diag([np.e, np.e]), atol=1e-10)
-        # Euclidean midpoint would have det ((1+e^2)/2)^2 > e^2
-        assert np.linalg.det(out) == pytest.approx(np.e**2, rel=1e-10)
-        assert ((1 + np.e**2) / 2) ** 2 > np.e**2
-
-    def test_determinant_identity(self, rng):
-        mats = [random_spd(rng, 5) for _ in range(3)]
-        w = np.array([0.2, 0.5, 0.3])
-        mean = log_euclidean_mean(mats, w)
-        logdet = np.linalg.slogdet(mean)[1]
-        expected = sum(wi * np.linalg.slogdet(m)[1] for wi, m in zip(w, mats))
-        assert logdet == pytest.approx(expected, abs=1e-8)
-
-    def test_weight_sum_enforced(self, rng):
-        m = random_spd(rng, 3)
-        with pytest.raises(ValidationError):
-            log_euclidean_mean([m, m], [0.6, 0.5])
-
-
 def make_field(priors_by_index, max_degree=2, shape=(2, 2, 2)):
     field = PriorField(shape, {}, max_degree, RankRule("fixed", 2))
     for index, prior in priors_by_index.items():
@@ -219,13 +185,19 @@ class TestPriorFieldRankRule:
         field.add((0, 0, 0), prior)
         assert field.priors[(0, 0, 0)] is prior
 
-    def test_hand_built_prior_accepted_by_any_rule(self, rng):
+    def test_hand_built_prior_rejected_by_any_rule(self, rng):
+        # saved, it would reload truncated by the field's rule, not as built
         made = VoxelPrior.from_moments(rng.standard_normal(6), random_spd(rng, 6), 0.01, RankRule("fixed", 3))
         by_hand = VoxelPrior(made.mean, made.covariance, made.eigenvalues, made.eigenvectors, made.noise_variance)
         assert by_hand.rank_rule is None
         for rule in (RankRule("fixed", 3), RankRule("fraction", 0.9)):
-            field = PriorField((1, 1, 1), {(0, 0, 0): by_hand}, 2, rule)
-            assert field.priors[(0, 0, 0)] is by_hand
+            message = re.escape(f"prior built by hand, not by the field's {rule}")
+            with pytest.raises(ValidationError, match=message):
+                PriorField((1, 1, 1), {(0, 0, 0): by_hand}, 2, rule)
+            field = PriorField((1, 1, 1), {}, 2, rule)
+            with pytest.raises(ValidationError, match=message):
+                field.add((0, 0, 0), by_hand)
+            assert not field.priors
 
     def test_loaded_and_interpolated_priors_carry_the_field_rule(self, rng, tmp_path):
         rule = RankRule("fixed", 2)
@@ -339,11 +311,6 @@ class TestLogCovarianceMemo:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.noise_variance == want.noise_variance
 
-    def test_log_euclidean_mean_matches_loop(self, rng):
-        mats = [random_spd(rng, 5) for _ in range(4)]
-        w = np.array([0.1, 0.2, 0.3, 0.4])
-        assert log_euclidean_mean(mats, w).tobytes() == reference_log_euclidean_mean(mats, w).tobytes()
-
     def test_one_log_per_voxel(self, rng, monkeypatch):
         field = self.field(rng)
         calls = []
@@ -359,14 +326,6 @@ class TestLogCovarianceMemo:
         assert len(calls) == 8
         log = field.priors[(0, 0, 0)].log_covariance
         assert log is field.priors[(0, 0, 0)].log_covariance and not log.flags.writeable
-
-        # log_euclidean_mean still takes its own logs and checks its weights
-        m = random_spd(rng, 6)
-        log_euclidean_mean([m, m], [0.5, 0.5])
-        assert len(calls) == 10
-        for weights in ([0.6, 0.5], [1.5, -0.5], [1.0]):
-            with pytest.raises(ValidationError):
-                log_euclidean_mean([m, m], weights)
 
 
 class TestVoxelPriorInvariants:

@@ -6,13 +6,11 @@ from qsdesign.sim import (
     PROJECTION_GRID_SIZE,
     GenerativeConfig,
     GroundTruth,
-    VmfComponent,
+    _lobe_pair,
     cohort_from_csv,
-    cohort_signal_matrix,
     cohort_to_csv,
     generate_cohort,
     generate_fodf,
-    mixture_density,
     observe,
     observe_batch,
     sample_vmf,
@@ -23,6 +21,15 @@ from conftest import random_unit_vectors
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+
+
+def mixture_density(points, components):
+    """Weighted symmetrized mixture of von Mises-Fisher lobes at unit
+    `points` (n, 3), one (axis, concentration, weight) tuple a lobe."""
+    total = np.zeros(len(points))
+    for axis, concentration, weight in components:
+        total += _lobe_pair(points @ np.asarray(axis, dtype=float), concentration, weight)
+    return total
 
 
 class TestSampleVmf:
@@ -72,7 +79,7 @@ class TestGenerateFodf:
         truth = generate_fodf(basis8, GenerativeConfig(), np.random.default_rng(1))
         grid = make_grid("equiangular", 64)
         vals = basis8.evaluate(grid.directions) @ truth.fodf
-        assert grid.integrate(vals) == pytest.approx(1.0, abs=1e-6)
+        assert grid.weights @ vals == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_angle_matches_analytic_density(self, basis8):
         # oracle: dense-grid argmax of the analytic mixture density, second
@@ -83,10 +90,7 @@ class TestGenerateFodf:
         gen = np.random.default_rng(0)
         m1, m2 = (sample_vmf(mean, cfg.direction_concentration, gen) for mean in cfg.mean_directions)
         truth = generate_fodf(basis8, cfg, None, fixed_directions=(m1, m2))
-        comps = (
-            VmfComponent(tuple(m1), cfg.lobe_concentration, 0.5),
-            VmfComponent(tuple(m2), cfg.lobe_concentration, 0.5),
-        )
+        comps = ((m1, cfg.lobe_concentration, 0.5), (m2, cfg.lobe_concentration, 0.5))
         grid = make_grid("spiral", 20000).directions
         grid = grid[grid[:, 2] > 0]
         dens = mixture_density(grid, comps)
@@ -113,8 +117,8 @@ class TestGenerateFodf:
 
 
 def reference_generate_cohort(basis, config, count, seed):
-    """generate_cohort with each subject's density taken through the public,
-    input-checking mixture_density."""
+    """generate_cohort with each subject's density summed lobe by lobe by
+    mixture_density."""
     grid = make_grid("equiangular", PROJECTION_GRID_SIZE)
     phi = basis.evaluate(grid.directions)
     truths = []
@@ -123,10 +127,7 @@ def reference_generate_cohort(basis, config, count, seed):
         m1 = sample_vmf(config.mean_directions[0], config.direction_concentration, gen)
         m2 = sample_vmf(config.mean_directions[1], config.direction_concentration, gen)
         w1, w2 = config.weights
-        comps = (
-            VmfComponent(tuple(m1), config.lobe_concentration, w1),
-            VmfComponent(tuple(m2), config.lobe_concentration, w2),
-        )
+        comps = ((m1, config.lobe_concentration, w1), (m2, config.lobe_concentration, w2))
         coeffs = phi.T @ (grid.weights * mixture_density(grid.directions, comps))
         coeffs /= coeffs[0] * np.sqrt(4.0 * np.pi)
         truths.append(GroundTruth(fodf=coeffs, signal=inverse_funk_radon(coeffs, basis)))
@@ -180,7 +181,7 @@ class TestGenerateCohort:
     def test_protocol_scale_cohort(self, basis8):
         cohort = generate_cohort(basis8, GenerativeConfig(), 200, seed=0)
         assert len(cohort) == 200
-        mat = cohort_signal_matrix(cohort)
+        mat = np.vstack([t.signal for t in cohort])
         assert np.unique(mat, axis=0).shape[0] == 200  # all distinct
 
     def test_matches_checked_density_reference_bit_for_bit(self, basis8):
@@ -209,8 +210,8 @@ class TestGenerateCohort:
         # population mean, so the 200-draw cohort mean must agree with it
         # coefficient-wise within the combined Monte-Carlo band
         cfg = GenerativeConfig()
-        cohort = cohort_signal_matrix(generate_cohort(basis8, cfg, 200, seed=7))
-        oracle = cohort_signal_matrix(generate_cohort(basis8, cfg, 1000, seed=1234))
+        cohort = np.vstack([t.signal for t in generate_cohort(basis8, cfg, 200, seed=7)])
+        oracle = np.vstack([t.signal for t in generate_cohort(basis8, cfg, 1000, seed=1234)])
         gap = cohort.mean(axis=0) - oracle.mean(axis=0)
         band = 3.0 * np.sqrt(
             cohort.var(axis=0, ddof=1) / 200 + oracle.var(axis=0, ddof=1) / 1000
@@ -282,7 +283,7 @@ class TestCohortCsv:
         path = tmp_path / "cohort.csv"
         cohort_to_csv(cohort, path)
         back = cohort_from_csv(path)
-        assert np.array_equal(back, cohort_signal_matrix(cohort))
+        assert np.array_equal(back, np.vstack([t.signal for t in cohort]))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
