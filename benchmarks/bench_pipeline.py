@@ -20,8 +20,9 @@ Six workloads, all at one BLAS thread:
   per repeat, on lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
   interpolated from the coarse prior of the `field` workload's
   `prior-build`; the lattices are built once per run, untimed. A row holds
-  each size's process CPU seconds and peak RSS (see run_child), the sha256
-  of its design report, and the sha256 of every prior that
+  each size's process CPU seconds, peak RSS and minor page faults (see
+  run_child), the CPU seconds and minor page faults of the design's `.qpf`
+  load, the sha256 of its design report, and the sha256 of every prior that
   `load_prior_field` reads from its lattice (mean, covariance, eigenpairs,
   noise variance), loaded once in this process, untimed;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
@@ -88,7 +89,8 @@ KERNEL_CALLS = 30
 SETUP_GRID_SIZES = (4096, 16384)
 # The fresh-process workloads run one of these bodies through run_child.
 # Each leaves a JSON-able dict in `result`; the tail adds the process's CPU
-# seconds (interpreter start-up and imports included) and its peak RSS in MB.
+# seconds (interpreter start-up and imports included), its peak RSS in MB and
+# its minor page faults (`minflt`).
 # The peak is VmHWM: on Linux, ru_maxrss after a fork and exec starts from
 # the forking process's RSS, here that of this harness.
 CHILD_HEAD = """import json, resource, sys
@@ -97,7 +99,7 @@ def peak_mb():
 """
 CHILD_TAIL = """
 usage = resource.getrusage(resource.RUSAGE_SELF)
-result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_mb())
+result.update(process_cpu_s=usage.ru_utime + usage.ru_stime, maxrss_mb=peak_mb(), minflt=usage.ru_minflt)
 print(json.dumps(result))
 """
 # Imports qsdesign, makes one first fit, then fills both caches; argv:
@@ -134,13 +136,29 @@ result = {}
 REGION_LATTICES = (6, 10, 16, 20)  # points per axis: 216, 1000, 4096 and 8000 voxels
 REGION_BUDGET = 20
 # Runs the `qsdesign` command line; argv: its arguments. A failing command
-# exits with its code, so run_child reports its stderr.
+# exits with its code, so run_child reports its stderr. The `.qpf` reads of
+# the command, the calls of every `qsdesign.prior.load_*` function that `cli`
+# holds, are timed in process CPU seconds and minor page faults.
 REGION_CHILD = """
+import time
 from qsdesign import cli
+load = {"cpu_s": 0.0, "minflt": 0}
+def timed(read):
+    def call(*args, **kwargs):
+        cpu, faults = time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return read(*args, **kwargs)
+        finally:
+            load["cpu_s"] += time.process_time() - cpu
+            load["minflt"] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return call
+for name, value in list(vars(cli).items()):
+    if name.startswith("load_") and getattr(value, "__module__", None) == "qsdesign.prior":
+        setattr(cli, name, timed(value))
 code = cli.main(sys.argv[1:])
 if code:
     sys.exit(code)
-result = {}
+result = {"load_cpu_s": load["cpu_s"], "load_minflt": load["minflt"]}
 """
 
 
@@ -155,6 +173,8 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if not (args.root / "src" / "qsdesign").is_dir():
+        parser.error(f"--root {args.root} is not a qsdesign checkout: it has no src/qsdesign")
     return args
 
 
@@ -279,9 +299,11 @@ def build_lattices(field, workdir: Path) -> dict:
 
 def time_region(src: Path, lattices: dict, repeats: int):
     """Fresh-process region designs on every lattice: the median and min of
-    the process CPU seconds and peak RSS MB, the report's sha256 and that of
-    the loaded priors."""
-    cpu_s, maxrss_mb, reports, loaded = {}, {}, {}, {}
+    the process CPU seconds, peak RSS MB and minor page faults, and of the
+    CPU seconds and minor page faults of the design's `.qpf` load; the
+    report's sha256 and that of the loaded priors."""
+    keys = ("cpu_s", "maxrss_mb", "minflt", "load_cpu_s", "load_minflt")
+    stats, reports, loaded = {key: {} for key in keys}, {}, {}
     for voxels, path in lattices.items():
         size = f"{voxels} voxels"
         out = path.with_suffix("")
@@ -290,15 +312,17 @@ def time_region(src: Path, lattices: dict, repeats: int):
 
         def once(size=size, out=out, argv=argv):
             child = run_child(src, REGION_CHILD, argv, f"region design at {size}")
+            child["cpu_s"] = child["process_cpu_s"]
             report = (out / f"design_region_{REGION_BUDGET:03d}.json").read_bytes()
-            return {size: child["process_cpu_s"], f"maxrss {size}": child["maxrss_mb"]}, {size: report}
+            return {key: child[key] for key in keys}, {size: report}
 
-        stats, digests = measure(f"region at {size}", once, repeats)
-        cpu_s[size], maxrss_mb[size] = stats[size], stats[f"maxrss {size}"]
+        size_stats, digests = measure(f"region at {size}", once, repeats)
+        for key in keys:
+            stats[key][size] = size_stats[key]
         reports.update(digests)
         loaded[size] = loaded_field_sha256(path)
-    return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, "cpu_s": cpu_s,
-            "maxrss_mb": maxrss_mb, "report_sha256": reports, "loaded_priors_sha256": loaded}
+    return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, **stats,
+            "report_sha256": reports, "loaded_priors_sha256": loaded}
 
 
 def time_kernels(kernels):

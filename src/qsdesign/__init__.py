@@ -35,11 +35,13 @@ from .metrics import (
     peak_angle_degrees,
 )
 from .prior import (
+    EigenStack,
     PriorField,
     RankRule,
     VoxelPrior,
     empirical_moments,
     interpolate_prior,
+    load_eigen_stack,
     load_prior_field,
     save_prior_field,
     spd_exp,

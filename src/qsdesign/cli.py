@@ -55,6 +55,7 @@ from .prior import (
     empirical_moments,
     field_header,
     interpolate_prior,
+    load_eigen_stack,
     load_prior_field,
     save_prior_field,
 )
@@ -174,20 +175,25 @@ def _cmd_design(args) -> int:
     limit = SIZE_CEILING_BYTES // (8 * (dimension + voxels))  # the (N, J) basis and the (V, N) gains
     if args.candidates > limit:
         raise ValidationError(f"--candidates must be at most {limit} for this field, got {args.candidates}")
-    field = load_prior_field(args.prior, covariances=False)
+    field, indices, stack = load_eigen_stack(args.prior)  # in sorted index order
     # single mode is the one-voxel region: the first voxel, or --voxel
-    indices = sorted(field.priors) if args.mode == "region" else [min(field.priors)]
-    if args.voxel is not None:
-        indices = [_parse_triplet(args.voxel, int)]
-        if indices[0] not in field.priors:
-            raise ValidationError(f"voxel {indices[0]} not present in the field")
+    if args.mode == "single":
+        voxel = 0
+        if args.voxel is not None:
+            index = _parse_triplet(args.voxel, int)
+            # an index outside the field is in no row, and may not fit the rows' integers
+            inside = all(0 <= i < s for i, s in zip(index, field.shape))
+            hits = np.flatnonzero((indices == index).all(axis=1)) if inside else []
+            if not len(hits):
+                raise ValidationError(f"voxel {index} not present in the field")
+            voxel = int(hits[0])
+        stack = stack.voxel(voxel)
     stem = f"design_{args.mode}_{args.budget:03d}"
     table_path, report_path = _outputs(args.out, f"{stem}.txt", f"{stem}.json")
     basis = ShBasis(field.max_degree)
     candidates = default_candidates(args.candidates)
-    priors = [field.priors[k] for k in indices]
-    result = greedy_design_region(candidates, priors, basis, args.budget)
-    bound = region_bound(priors, candidates, basis, args.budget, args.budget)
+    result = greedy_design_region(candidates, stack, basis, args.budget)
+    bound = region_bound(stack, candidates, basis, args.budget, args.budget)
     report = {
         "mode": args.mode,
         "budget": args.budget,

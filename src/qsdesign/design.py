@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegeneracyError, ValidationError
-from .prior import VoxelPrior
+from .prior import EigenStack, VoxelPrior
 from .sphere import GOLDEN_ANGLE, UNIT_NORM_TOL, ShBasis, as_unit_vectors, normalized
 
 DUPLICATE_ANGLE_TOL = 1e-6  # radians
@@ -164,47 +164,43 @@ def greedy_design(
     and D the posterior score covariance (ties break to the lowest index),
     appends the winner and downdates D <- D - (D v)(D v)' / (sigma^2 + v' D v).
     Greedy prefixes are stable: the design of budget b1 < b2 equals the
-    first b1 picks of the b2 design. This is `greedy_design_region` for one
-    voxel.
+    first b1 picks of the b2 design. This is `greedy_design_region` of the
+    prior's one-voxel `EigenStack`.
     """
-    return greedy_design_region(candidates, [prior], basis, budget)
+    return greedy_design_region(candidates, EigenStack.of(prior), basis, budget)
 
 
-def greedy_design_region(candidates: CandidateSet, priors, basis: ShBasis, budget: int) -> Design:
-    """Greedy selection for a collection of voxels.
+def greedy_design_region(candidates: CandidateSet, stack: EigenStack, basis: ShBasis, budget: int) -> Design:
+    """Greedy selection for the voxels of an `EigenStack`.
 
     Maximizes the mean of the per-voxel trace objectives, which for one
-    voxel is its own objective, from each prior's eigen form only. The
-    eigenvectors (V, J, K) and posterior score covariances (V, K, K) are
-    stacked, zero-padded to the largest rank. Each step is one loop over
-    voxel `blocks`: a block computes its `psi` (B, N, K), applies the last
-    pick's downdate from that pick's row of it and scores its
-    `greedy_gains`. Stacked matmul makes one BLAS call per voxel, so a block
-    has the bits of the whole-stack product; no (V, N, K) `psi` is held.
+    voxel is its own objective. The stack's zero-padded eigenvectors
+    (V, J, K) are read as they are, and the posterior score covariances
+    (V, K, K) are stacked with them. Each step is one loop over voxel
+    `blocks`: a block computes its `psi` (B, N, K), applies the last pick's
+    downdate from that pick's row of it and scores its `greedy_gains`.
+    Stacked matmul makes one BLAS call per voxel, so a block has the bits of
+    the whole-stack product; no (V, N, K) `psi` is held.
     """
-    priors = list(priors)
-    if not priors:
+    if not len(stack):
         raise ValidationError("need at least one prior")
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > len(candidates):
         raise ValidationError(f"budget {budget} exceeds the {len(candidates)} candidates")
-    kmax = max(p.rank for p in priors)
-    evecs = np.zeros((len(priors), basis.dimension, kmax))
-    dmat = np.zeros((len(priors), kmax, kmax))
-    for v, prior in enumerate(priors):
-        evecs[v, :, : prior.rank] = prior.eigenvectors
-        dmat[v, : prior.rank, : prior.rank] = np.diag(prior.eigenvalues)
+    voxels, kmax = stack.eigenvalues.shape
+    evecs, noise = stack.eigenvectors, stack.noise_variances
+    dmat = np.zeros((voxels, kmax, kmax))
+    dmat[:, np.arange(kmax), np.arange(kmax)] = stack.eigenvalues
     phi = basis.evaluate(candidates.points)
-    noise = np.array([[p.noise_variance] for p in priors])
-    weights = np.full(len(priors), 1.0 / len(priors))
+    weights = np.full(voxels, 1.0 / voxels)
     active = np.ones(len(candidates), dtype=bool)
-    voxel_gains = np.empty((len(priors), len(candidates)))
+    voxel_gains = np.empty((voxels, len(candidates)))
     selected: list[int] = []
     history = np.empty(budget)
     objective = 0.0
     for step in range(budget):
-        for block in _kernels.blocks(len(priors), len(candidates) * kmax):
+        for block in _kernels.blocks(voxels, len(candidates) * kmax):
             psi, dblock, nblock = phi @ evecs[block], dmat[block], noise[block]
             if selected:  # D <- D - (D v)(D v)' / (sigma^2 + v' D v), v the previous pick's row
                 dv = np.einsum("vij,vj->vi", dblock, psi[:, selected[-1]])
@@ -237,33 +233,59 @@ def greedy_bound(
                      / (1/rho_min + (steps/sigma^2) * lambda_psi_star))
 
     where lambda_psi_star is the largest squared eigenfunction row norm
-    over the candidates.
+    over the candidates. This is `region_bound` of the prior's one-voxel
+    `EigenStack`.
     """
-    return region_bound([prior], candidates, basis, steps, budget)
+    return region_bound(EigenStack.of(prior), candidates, basis, steps, budget)
 
 
 def region_bound(
-    priors, candidates: CandidateSet, basis: ShBasis, steps: int, budget: int
+    stack: EigenStack, candidates: CandidateSet, basis: ShBasis, steps: int, budget: int
 ) -> BoundCertificate:
     """Conservative certificate of a region design: the `greedy_bound` of the
-    voxel with the smallest factor (the first on a tie), with the candidate
-    basis evaluated once for all the voxels."""
+    voxel of the stack with the smallest factor (the first on a tie), with
+    the candidate basis evaluated once for all the voxels. Each voxel has
+    the bits of its own `greedy_bound`: see `_lambda_psi_star`."""
     if not 1 <= steps <= budget:
         raise ValidationError("need 1 <= steps <= budget")
-    if not priors:
+    if not len(stack):
         raise ValidationError("need at least one prior")
-    phi = basis.evaluate(candidates.points)
-    certificates = []
-    for prior in priors:
-        psi = phi @ prior.eigenvectors
-        lam_star = float(np.max(np.einsum("ij,ij->i", psi, psi)))
-        rho_max, rho_min = float(prior.eigenvalues[0]), float(prior.eigenvalues[-1])
-        sigma2 = prior.noise_variance
-        exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lam_star)
-        factor = float(1.0 - np.exp(exponent))
-        cert = BoundCertificate(int(steps), int(budget), rho_max, rho_min, lam_star, sigma2, factor)
-        certificates.append(cert)
-    return min(certificates, key=lambda cert: cert.factor)
+    lam_star = _lambda_psi_star(basis.evaluate(candidates.points), stack)
+    ranks, evals = stack.ranks, stack.eigenvalues
+    rho_max, rho_min = evals[:, 0], evals[np.arange(len(stack)), ranks - 1]
+    sigma2 = stack.noise_variances[:, 0]
+    exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lam_star)
+    factor = 1.0 - np.exp(exponent)
+    v = int(np.argmin(factor))
+    return BoundCertificate(
+        int(steps), int(budget), float(rho_max[v]), float(rho_min[v]), float(lam_star[v]), float(sigma2[v]),
+        float(factor[v]),
+    )
+
+
+def _lambda_psi_star(phi, stack: EigenStack) -> np.ndarray:
+    """Each voxel's largest squared row norm of its `psi`, the candidate
+    basis `phi` (N, J) times its eigenvectors: (V,).
+
+    The voxels go by groups of equal rank k, in `blocks` of N k entries a
+    voxel, and each group's `psi` comes from its unpadded (B, J, k)
+    eigenvectors by `_rank_groups`, so every voxel has the bits of its
+    one-voxel product and of its one-voxel row norms."""
+    lam_star = np.empty(len(stack))
+    for rows, psi in _rank_groups(phi, stack):
+        lam_star[rows] = np.einsum("vij,vij->vi", psi, psi).max(axis=1)
+    return lam_star
+
+
+def _rank_groups(phi, stack: EigenStack):
+    """Yield (voxel rows, their unpadded `psi` (B, N, k)), for every group of
+    voxels of equal rank k, in `blocks` of N k entries a voxel."""
+    ranks = stack.ranks
+    for k in np.unique(ranks):
+        group = np.flatnonzero(ranks == k)
+        for block in _kernels.blocks(len(group), len(phi) * int(k)):
+            rows = group[block]
+            yield rows, phi @ stack.eigenvectors[rows, :, :k]
 
 
 def coulomb_energy(points) -> float:

@@ -7,9 +7,9 @@ coordinates: means combine linearly, covariances combine as a weighted
 Karcher mean under the log-Euclidean metric (which keeps determinants from
 swelling), and the eigen-truncation is recomputed afterwards.
 
-Design reads only a prior's eigen form (mean, eigenpairs, noise, rank rule
-and spectrum total), which is all `load_prior_field(path, covariances=False)`
-keeps: no covariance.
+Design reads only the eigen form of its priors, stacked: `load_eigen_stack`
+reads a `.qpf` straight into one `EigenStack` of zero-padded eigenpairs and
+noise variances, with no per-voxel prior and no covariance.
 """
 
 from __future__ import annotations
@@ -94,15 +94,19 @@ def truncate_rank(covariance, rule: RankRule):
     -------
     (eigenvalues (K,), eigenvectors (J, K)) with orthonormal columns.
     """
-    return _truncate_ranks(np.asarray(covariance, dtype=float)[None], rule)[0][:2]
+    evals, evecs, ranks, _ = _truncate_ranks(np.asarray(covariance, dtype=float)[None], rule)
+    return evals[0, : ranks[0]].copy(), evecs[0, :, : ranks[0]].copy()
 
 
-def _truncate_ranks(covariances, rule: RankRule) -> list:
-    """`truncate_rank` of every matrix of an (N, J, J) stack.
+def _truncate_ranks(covariances, rule: RankRule):
+    """`truncate_rank` of every matrix of an (N, J, J) stack, as stacks.
 
     The finiteness and symmetry checks run once on the stack, and one
     stacked `eigh` gives each matrix the bits of its own call; the rank
-    rule then runs matrix by matrix, giving (eigenvalues, eigenvectors, total).
+    rule then runs on the whole stack. Returns the leading K eigenvalues of
+    every matrix (N, K), non-increasing, and their eigenvectors (N, J, K),
+    with K the largest rank, then every matrix's rank (N,) and the sum of
+    its non-negative eigenvalues (N,).
     """
     sigma = np.asarray(covariances, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1] != sigma.shape[2]:
@@ -117,26 +121,51 @@ def _truncate_ranks(covariances, rule: RankRule) -> list:
         evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma_t))
     except np.linalg.LinAlgError as exc:  # e.g. entries spanning hundreds of decades
         raise DegeneracyError(f"covariance eigendecomposition failed: {exc}") from exc
-    return [_leading_eigenpairs(*pair, rule) for pair in zip(evals, evecs)]
-
-
-def _leading_eigenpairs(evals, evecs, rule: RankRule):
-    """The rank rule of `truncate_rank` on one matrix's ascending eigenpairs."""
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    if evals[0] <= 0.0:
+    order = np.argsort(evals, axis=1)[:, ::-1]
+    evals = np.take_along_axis(evals, order, 1)
+    j = evals.shape[1]
+    # each matrix's checks in turn: the first one's degeneracy, then the rule's rank, then the others'
+    degenerate, too_many = evals[:, 0] <= 0.0, rule.kind == "fixed" and rule.value > j
+    if degenerate.any() and (degenerate[0] or not too_many):
         raise DegeneracyError("covariance has no positive eigenvalue; rank is degenerate")
-    usable = evals > EIGENVALUE_FLOOR_FACTOR * evals[0]
-    total = float(np.sum(np.maximum(evals, 0.0)))
+    if too_many:
+        raise ValidationError(f"rank must be in [1, {j}]")
+    usable = np.count_nonzero(evals > EIGENVALUE_FLOOR_FACTOR * evals[:, :1], axis=1)
+    spectrum = np.maximum(evals, 0.0)
+    totals = np.sum(spectrum, axis=1)
     if rule.kind == "fixed":
-        k = rule.value
-        if k > evals.shape[0]:
-            raise ValidationError(f"rank must be in [1, {evals.shape[0]}]")
-    else:
-        cum = np.cumsum(np.maximum(evals, 0.0)) / total
-        k = int(np.searchsorted(cum, rule.value - 1e-12) + 1)
-    k = min(k, int(np.count_nonzero(usable)))
-    return evals[:k].copy(), evecs[:, :k].copy(), total
+        ranks = np.full(len(evals), rule.value)
+    else:  # a row is non-decreasing, so its count below the share is the first index at or above it
+        ranks = np.count_nonzero(np.cumsum(spectrum, axis=1) / totals[:, None] < rule.value - 1e-12, axis=1) + 1
+    ranks = np.minimum(ranks, usable)
+    kmax = int(ranks.max(initial=0))
+    return evals[:, :kmax], np.take_along_axis(evecs, order[:, None, :kmax], 2), ranks, totals
+
+
+def _check_eigen_form(means, eigenvalues, eigenvectors, noise_variances, ranks):
+    """The eigen-form checks of B priors, prior by prior in `VoxelPrior`'s
+    order: ValidationError with the message of the first check that the
+    first failing prior fails. Prior b holds the leading `ranks[b]`
+    eigenpairs of its row of `eigenvalues` (B, K) and `eigenvectors`
+    (B, J, K); `noise_variances` is a sequence of B numbers."""
+    kept = np.arange(eigenvalues.shape[1]) < np.asarray(ranks)[:, None]
+    evals, evecs = np.where(kept, eigenvalues, 0.0), np.where(kept[:, None, :], eigenvectors, 0.0)
+    noise = np.asarray(noise_variances, dtype=float)
+    gram = evecs.transpose(0, 2, 1) @ evecs
+    checks = (
+        (np.isfinite(means).all(axis=1) & np.isfinite(evals).all(axis=1) & np.isfinite(evecs).all(axis=(1, 2)),
+         "prior mean, covariance and eigenpairs must be finite"),
+        (~((evals <= 0.0) & kept).any(axis=1), "eigenvalues must be strictly positive"),
+        (~((np.diff(evals, axis=1) > 0.0) & kept[:, 1:]).any(axis=1), "eigenvalues must be non-increasing"),
+        (np.abs(gram - kept[:, :, None] * np.eye(kept.shape[1])).max(axis=(1, 2)) <= ORTHO_TOL,
+         "eigenvector columns must be orthonormal"),
+        (np.isfinite(noise) & (noise > 0.0), "noise variance must be finite and positive, got {!r}"),
+    )
+    passed = np.array([ok for ok, _ in checks])
+    if not passed.all():
+        first = int(np.flatnonzero(~passed.all(axis=0))[0])
+        message = next(message for ok, message in checks if not ok[first])
+        raise ValidationError(message.format(noise_variances[first]))
 
 
 @dataclass(frozen=True)
@@ -145,10 +174,10 @@ class VoxelPrior:
 
     `rank_rule` and `spectrum_total` are the rule that truncated the
     eigenpairs and the sum of the non-negative eigenvalues it truncated, or
-    None for a prior built by hand; `covariance` is None in eigen form."""
+    None for a prior built by hand."""
 
     mean: np.ndarray  # (J,)
-    covariance: np.ndarray | None  # (J, J)
+    covariance: np.ndarray  # (J, J)
     eigenvalues: np.ndarray  # (K,) positive, non-increasing
     eigenvectors: np.ndarray  # (J, K) orthonormal columns
     noise_variance: float
@@ -156,32 +185,25 @@ class VoxelPrior:
     spectrum_total: float | None = None
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = None if self.covariance is None else np.asarray(self.covariance, dtype=float)
-        evals = np.asarray(self.eigenvalues, dtype=float)
-        evecs = np.asarray(self.eigenvectors, dtype=float)
+        mean, cov, evals, evecs = (
+            np.asarray(a, dtype=float) for a in (self.mean, self.covariance, self.eigenvalues, self.eigenvectors)
+        )
         j = mean.shape[0]
-        if cov is not None and cov.shape != (j, j):
+        if cov.shape != (j, j):
             raise ValidationError("covariance shape does not match the mean length")
-        if not all(np.isfinite(a).all() for a in (mean, cov, evals, evecs) if a is not None):
+        if not np.isfinite(cov).all():
             raise ValidationError("prior mean, covariance and eigenpairs must be finite")
-        if cov is not None and np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
+        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, np.abs(cov).max()):
             raise ValidationError("covariance must be symmetric")
-        if evals.ndim != 1 or evals.size < 1 or np.any(evals <= 0.0):
+        if evals.ndim != 1 or evals.size < 1:
             raise ValidationError("eigenvalues must be strictly positive")
-        if np.any(np.diff(evals) > 0.0):
-            raise ValidationError("eigenvalues must be non-increasing")
         if evecs.shape != (j, evals.size):
             raise ValidationError("eigenvector matrix shape mismatch")
-        gram = evecs.T @ evecs
-        if np.abs(gram - np.eye(evals.size)).max() > ORTHO_TOL:
-            raise ValidationError("eigenvector columns must be orthonormal")
-        if not (np.isfinite(self.noise_variance) and self.noise_variance > 0.0):
-            raise ValidationError(f"noise variance must be finite and positive, got {self.noise_variance!r}")
+        _check_eigen_form(mean[None], evals[None], evecs[None], [self.noise_variance], [evals.size])
         object.__setattr__(self, "mean", mean)
         # exact symmetrization (idempotent) so the lower triangle determines
         # the matrix bitwise, which serialization relies on
-        object.__setattr__(self, "covariance", None if cov is None else 0.5 * (cov + cov.T))
+        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", evecs)
 
@@ -198,8 +220,6 @@ class VoxelPrior:
         """Matrix log of the (regularized) covariance, computed on first use
         and kept, read-only, because every interpolation query touching this
         voxel blends the same log."""
-        if self.covariance is None:
-            raise ValidationError("a prior in eigen form holds no covariance to interpolate")
         out = spd_log(regularize_spd(self.covariance))
         out.setflags(write=False)
         return out
@@ -209,8 +229,42 @@ class VoxelPrior:
         """The prior with this mean and covariance, truncated by `rank_rule`,
         which it records."""
         covariance = np.asarray(covariance, dtype=float)
-        evals, evecs, total = _truncate_ranks(covariance[None], rank_rule)[0]
-        return cls(mean, covariance, evals, evecs, float(noise_variance), rank_rule, total)
+        evals, evecs, ranks, totals = _truncate_ranks(covariance[None], rank_rule)
+        k = ranks[0]
+        return cls(mean, covariance, evals[0, :k].copy(), evecs[0, :, :k].copy(), float(noise_variance), rank_rule,
+                   float(totals[0]))
+
+
+@dataclass(frozen=True)
+class EigenStack:
+    """The eigen form of V voxel priors, stacked, which is all design reads.
+
+    Row v holds voxel v's eigenvalues, `eigenvalues` (V, K), and
+    eigenvectors, `eigenvectors` (V, J, K), zero-padded from its rank to the
+    largest rank K, and its noise variance, `noise_variances` (V, 1). A
+    voxel's rank is its count of positive eigenvalues."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    noise_variances: np.ndarray
+
+    @classmethod
+    def of(cls, prior: VoxelPrior) -> EigenStack:
+        """The one-voxel stack of `prior`, which shares its eigenpairs."""
+        return cls(prior.eigenvalues[None], prior.eigenvectors[None], np.array([[prior.noise_variance]]))
+
+    def __len__(self):
+        return len(self.eigenvalues)
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return np.count_nonzero(self.eigenvalues > 0.0, axis=1)
+
+    def voxel(self, v: int) -> EigenStack:
+        """Voxel `v`'s one-voxel stack, unpadded: the stack `of` its prior."""
+        k = self.ranks[v]
+        rows = (self.eigenvalues[v : v + 1, :k], self.eigenvectors[v : v + 1, :, :k], self.noise_variances[v : v + 1])
+        return EigenStack(*(row.copy() for row in rows))
 
 
 def spd_log(matrix) -> np.ndarray:
@@ -378,8 +432,6 @@ def save_prior_field(field_: PriorField, path):
     field stay that size.
     """
     path = str(path)
-    if any(p.covariance is None for p in field_.priors.values()):
-        raise ValidationError("a prior in eigen form holds no covariance to save")
     order = sorted(field_.priors)
     j = basis_dimension(field_.max_degree) if order else 0
     lower = np.tril_indices(j)
@@ -449,16 +501,35 @@ def field_header(path):
     return field_, j, count
 
 
-def load_prior_field(path, covariances: bool = True) -> PriorField:
-    """Read a field written by :func:`save_prior_field`.
+def _sorted_order(path, indices, shape) -> np.ndarray:
+    """The order that sorts the (V, 3) voxel `indices` of `path`, once every
+    index lies inside `shape` and none repeats; ValidationError naming the
+    first index in file order that does not."""
+    outside = ((indices < 0) | (indices >= np.array(shape))).any(axis=1)
+    order = np.lexsort(indices.T[::-1])  # stable: a repeat sorts after its first occurrence
+    repeat = np.zeros(len(indices), dtype=bool)
+    repeat[order[1:]] = (indices[order[1:]] == indices[order[:-1]]).all(axis=1)
+    bad = np.flatnonzero(outside | repeat)
+    if bad.size:  # a repeat's first occurrence lies inside, or it would fail first
+        index = tuple(indices[bad[0]].tolist())
+        if repeat[bad[0]]:
+            raise ValidationError(f"{path} repeats voxel {index}")
+        raise ValidationError(f"voxel index {index} outside field shape {tuple(shape)}")
+    return order
 
-    Every voxel index is checked before any voxel is decomposed. The
-    records are read in `blocks` of J^2 entries a voxel, twice, so they are
-    never held whole, and each block's covariances are checked and
-    decomposed as one stack. Each prior has the bits of its record's own
-    `VoxelPrior.from_moments`: stacked `eigh` makes one LAPACK call per
-    matrix, whatever the block. With `covariances` False each prior is kept
-    in eigen form (no covariance), which is all design reads.
+
+def _field_blocks(path):
+    """What both readers read of a file written by :func:`save_prior_field`:
+    the empty field its header declares, its voxel indices (V, 3) in file
+    order, the order that sorts them, and an iterator over its voxel blocks.
+
+    The records are read in `blocks` of J^2 entries a voxel, so they are
+    never held whole: once for the indices, which are all checked here,
+    before any voxel is decomposed, then a block at each step of the
+    iterator, which yields the block's slice, records, covariances and their
+    `_truncate_ranks`. Stacked `eigh` makes one LAPACK call per matrix, so
+    each voxel has the bits of its own `VoxelPrior.from_moments` whatever
+    the block. A reader drops a block before it takes the next one.
     """
     path = str(path)
     field_, j, count = field_header(path)
@@ -468,23 +539,65 @@ def load_prior_field(path, covariances: bool = True) -> PriorField:
         offset = _RECORDS_OFFSET + block.start * dtype.itemsize
         return np.fromfile(path, dtype, min(block.stop, count) - block.start, offset=offset)
 
-    order, seen = [tuple(index) for block in parts for index in read(block)["index"].tolist()], set()
-    for index in order:
-        if index in seen:
-            raise ValidationError(f"{path} repeats voxel {index}")
-        seen.add(field_._voxel_index(index))
+    indices = np.concatenate([read(block)["index"].copy() for block in parts] or [np.empty((0, 3), dtype=int)])
+    order = _sorted_order(path, indices, field_.shape)
     rows, cols = np.tril_indices(j)
-    rule = field_.rank_rule
-    for block in parts:
+
+    def decomposed(block):
         records = read(block)
         covs = np.empty((len(records), j, j))
         covs[:, cols, rows] = covs[:, rows, cols] = records["tril"]
+        return block, records, covs, _truncate_ranks(covs, field_.rank_rule)
+
+    return field_, indices, order, map(decomposed, parts)
+
+
+def load_prior_field(path) -> PriorField:
+    """Read a field written by :func:`save_prior_field`, in `_field_blocks`:
+    every voxel's prior, with the bits of its record's own
+    `VoxelPrior.from_moments`, in file order."""
+    field_, indices, _, parts = _field_blocks(path)
+    keys = list(map(tuple, indices.tolist()))
+    for block, records, covs, (evals, evecs, ranks, totals) in parts:
         means = np.array(records["mean"], dtype=float)  # copied, so no prior keeps `records` alive
-        kept = covs if covariances else [None] * len(records)
         field_.priors.update(
-            (index, VoxelPrior(mean, cov, evals, evecs, noise, rule, total))
-            for index, mean, cov, (evals, evecs, total), noise in zip(
-                order[block], means, kept, _truncate_ranks(covs, rule), records["noise"].tolist(), strict=True
+            (index, VoxelPrior(mean, cov, values[:k].copy(), vectors[:, :k].copy(), noise, field_.rank_rule, total))
+            for index, mean, cov, values, vectors, k, total, noise in zip(
+                keys[block], means, covs, evals, evecs, ranks.tolist(), totals.tolist(), records["noise"].tolist(),
+                strict=True,
             )
         )
+        del records, covs
     return field_
+
+
+def load_eigen_stack(path):
+    """Read the eigen form of a field written by :func:`save_prior_field`,
+    which is all design reads: the empty field its header declares, its
+    voxel indices (V, 3) in sorted order and their `EigenStack`.
+
+    It reads through `_field_blocks`, as `load_prior_field` does, so each
+    voxel's eigenpairs and noise variance have the bits of its prior there,
+    and a file one reader refuses the other refuses with the same error.
+    Each block gets `VoxelPrior`'s eigen-form checks at once
+    (`_check_eigen_form`) and goes into the stack, which widens when a block
+    holds a rank above its width. No mean, covariance or per-voxel object
+    is kept.
+    """
+    field_, indices, order, parts = _field_blocks(path)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    voxels, j = len(order), basis_dimension(field_.max_degree)
+    evals, evecs, noise = np.zeros((voxels, 0)), np.zeros((voxels, j, 0)), np.empty((voxels, 1))
+    for block, records, _, (values, vectors, ranks, _) in parts:
+        _check_eigen_form(records["mean"], values, vectors, records["noise"].tolist(), ranks)
+        k = values.shape[1]
+        if k > evals.shape[1]:
+            evals = np.pad(evals, [(0, 0), (0, k - evals.shape[1])])
+            evecs = np.pad(evecs, [(0, 0), (0, 0), (0, k - evecs.shape[2])])
+        kept, rows = np.arange(k) < ranks[:, None], position[block]
+        evals[rows, :k] = np.where(kept, values, 0.0)
+        evecs[rows, :, :k] = np.where(kept[:, None, :], vectors, 0.0)
+        noise[rows, 0] = records["noise"]
+        del records
+    return field_, indices[order], EigenStack(evals, evecs, noise)

@@ -106,8 +106,10 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     front, one lockstep descent for all of them.
 
     `stage_seconds` charges each CPU and wall second of the run to one stage:
-    cohort, esr, prior_fit, peaks (detection and scoring), greedy, observe
-    and fit. The run holds numpy's OpenBLAS to one
+    cohort, esr, prior_fit, greedy, observe, fit and peaks (detection and
+    scoring). Every (budget, method) is fitted first; then one
+    `find_peaks_batch` call finds the peaks of the test truths and of every
+    estimate. The run holds numpy's OpenBLAS to one
     thread (`one_blas_thread`), so its bits do not depend on the thread
     count the process started with; `blas_threads` records the count.
     """
@@ -129,14 +131,12 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     prior, lambdas = build_prior_from_cohort(train, dense.points, cfg, "train-noise")
     gcv_fits = [_gcv_fit({"fit": "prior"}, lambdas)]
     clock.lap("prior_fit")
-    true_peaks = find_peaks_batch([t.fodf for t in test], basis, cfg.peak_grid_size)
-    clock.lap("peaks")
 
     # greedy prefixes are stable: every budget is a prefix of the largest
     candidates = default_candidates(cfg.candidate_count)
     greedy = greedy_design(candidates, prior, basis, cfg.budgets[-1])
     clock.lap("greedy")
-    rows = []
+    fits = []  # (budget, method, coefficients of every test subject)
     designs = {}
     for b_idx, (budget, baseline) in enumerate(zip(cfg.budgets, baselines)):
         method_points = {
@@ -155,23 +155,30 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
                 lambdas, coeffs = gcv_select_batch(points, values, basis)
                 gcv_fits.append(_gcv_fit({"fit": method, "budget": budget}, lambdas))
             clock.lap("fit")
-            ises = [integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test)]
-            est_peaks = find_peaks_batch([funk_radon(c, basis) for c in coeffs], basis, cfg.peak_grid_size)
-            eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
-            pfp = false_peak_fraction(est_peaks, true_peaks)
-            rows.append(
-                {
-                    "budget": budget,
-                    "method": method,
-                    "mise": float(np.mean(ises)),
-                    "pfp": pfp,
-                    "peak_match_rate": 1.0 - pfp,
-                    "ea": float(np.mean(eas)),
-                    "n_test": len(test),
-                    "seed": cfg.seed,
-                }
-            )
-            clock.lap("peaks")
+            fits.append((budget, method, coeffs))
+    # the peaks of the test truths and of every estimate, in one batch
+    fodfs = [t.fodf for t in test] + [funk_radon(c, basis) for _, _, coeffs in fits for c in coeffs]
+    peaks, n = find_peaks_batch(fodfs, basis, cfg.peak_grid_size), len(test)
+    true_peaks = peaks[:n]
+    rows = []
+    for f, (budget, method, coeffs) in enumerate(fits, 1):
+        est_peaks = peaks[f * n : (f + 1) * n]
+        ises = [integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test)]
+        eas = [angular_error(e, t) for e, t in zip(est_peaks, true_peaks)]
+        pfp = false_peak_fraction(est_peaks, true_peaks)
+        rows.append(
+            {
+                "budget": budget,
+                "method": method,
+                "mise": float(np.mean(ises)),
+                "pfp": pfp,
+                "peak_match_rate": 1.0 - pfp,
+                "ea": float(np.mean(eas)),
+                "n_test": len(test),
+                "seed": cfg.seed,
+            }
+        )
+    clock.lap("peaks")
     return ExperimentResult(
         rows=rows,
         designs=designs,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdesign.prior import RankRule, VoxelPrior
+from qsdesign.prior import EigenStack, RankRule, VoxelPrior
 from qsdesign.sphere import ShBasis, make_grid
 
 
@@ -39,6 +39,16 @@ def random_prior(basis, rng, rank=None, noise_variance=0.01, scale=1.0):
     mean = rng.standard_normal(j) * 0.1 * scale
     rule = RankRule("fixed", rank) if rank is not None else RankRule("fraction", 0.9)
     return VoxelPrior.from_moments(mean, cov, noise_variance, rule)
+
+
+def stack_of(priors):
+    """The `EigenStack` of `priors`, each zero-padded to their largest rank,
+    as `load_eigen_stack` stacks the voxels of a field."""
+    kmax = max(p.rank for p in priors)
+    evals, evecs = np.zeros((len(priors), kmax)), np.zeros((len(priors), priors[0].dimension, kmax))
+    for v, p in enumerate(priors):
+        evals[v, : p.rank], evecs[v, :, : p.rank] = p.eigenvalues, p.eigenvectors
+    return EigenStack(evals, evecs, np.array([[p.noise_variance] for p in priors]))
 
 
 @pytest.fixture

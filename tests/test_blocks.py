@@ -1,12 +1,13 @@
 """Loops in blocks of `_kernels.blocks`: every result has the bits of one
 block whatever the block size. Peak detection keeps its grid phase within
-one block whatever the row count. On the region path, both forms of the
-`.qpf` reader (`load_prior_field`, and its eigen form, which design reads
-with) and the region greedy fail on a bad voxel in the last block as on one block,
+one block whatever the row count. On the region path, both `.qpf` readers
+(`load_prior_field`, and `load_eigen_stack`, which design reads with) and
+the region greedy fail on a bad voxel in the last block as on one block,
 and the loads, the save and the greedy keep their temporaries within the
 block budget whatever the voxel count. The loads check every voxel index
 before they decompose any voxel, never hold the file's records whole and
-keep nothing but the priors; the eigen-form load keeps no covariance."""
+keep nothing but what they return: the priors, or the stacked eigen form
+with no per-voxel object."""
 
 import re
 import struct
@@ -20,11 +21,11 @@ from qsdesign.cli import main
 from qsdesign.design import default_candidates, esr_design, greedy_design_region
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.metrics import find_peaks, find_peaks_batch
-from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_prior_field, save_prior_field
+from qsdesign.prior import PriorField, RankRule, VoxelPrior, load_eigen_stack, load_prior_field, save_prior_field
 from qsdesign.sim import GenerativeConfig, generate_cohort
 from qsdesign.sphere import ShBasis
 
-from conftest import random_unit_vectors
+from conftest import random_unit_vectors, stack_of
 
 VOXELS = 10  # not a multiple of the 3-voxel blocks below
 HEADER_BYTES = 8 + struct.calcsize("<IIId3II")
@@ -68,11 +69,11 @@ def candidates_case(rng, tmp_path):
 
 
 def region_case(rng, tmp_path):
-    priors = list(mixed_rank_field(rng, VOXELS).priors.values())
+    stack = stack_of(list(mixed_rank_field(rng, VOXELS).priors.values()))
     pool, basis = default_candidates(60), ShBasis(4)
 
     def run():
-        result = greedy_design_region(pool, priors, basis, 12)
+        result = greedy_design_region(pool, stack, basis, 12)
         return np.array(result.selected).tobytes() + result.objective_history.tobytes()
 
     return run
@@ -89,24 +90,34 @@ def save_case(rng, tmp_path):
     return run
 
 
-def load_case(covariances, names):
-    def case(rng, tmp_path):
-        path = tmp_path / "field.qpf"
-        save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
-
-        def run():
-            loaded = load_prior_field(path, covariances)
-            parts = [np.array(list(loaded.priors)).tobytes()]
-            for p in loaded.priors.values():
-                parts += [getattr(p, name).tobytes() for name in names] + [struct.pack("<d", p.noise_variance)]
-            return b"".join(parts)
-
-        return run
-
-    return case
+def saved_field(rng, tmp_path):
+    path = tmp_path / "field.qpf"
+    save_prior_field(mixed_rank_field(rng, 48, degree=8), path)
+    return path
 
 
-EIGEN_FORM = ("mean", "eigenvalues", "eigenvectors")
+def load_case(rng, tmp_path):
+    path = saved_field(rng, tmp_path)
+
+    def run():
+        loaded = load_prior_field(path)
+        parts = [np.array(list(loaded.priors)).tobytes()]
+        for p in loaded.priors.values():
+            parts += [getattr(p, name).tobytes() for name in ("mean", "covariance", "eigenvalues", "eigenvectors")]
+            parts.append(struct.pack("<d", p.noise_variance))
+        return b"".join(parts)
+
+    return run
+
+
+def eigen_load_case(rng, tmp_path):
+    path = saved_field(rng, tmp_path)
+
+    def run():
+        _, indices, stack = load_eigen_stack(path)
+        return b"".join(a.tobytes() for a in (indices, stack.eigenvalues, stack.eigenvectors, stack.noise_variances))
+
+    return run
 
 
 def fodf_rows(count):
@@ -128,7 +139,7 @@ def peaks_case(rng, tmp_path):
 @pytest.mark.parametrize(
     "case",
     [esr_case(20), esr_case(45), sh_matrix_case, candidates_case, region_case, save_case,
-     load_case(True, ("covariance", *EIGEN_FORM)), load_case(False, EIGEN_FORM), peaks_case],
+     load_case, eigen_load_case, peaks_case],
     ids=["esr 20", "esr 45", "sh_matrix", "candidates", "region greedy", "save", "load", "eigen load", "peaks"],
 )
 def test_block_size_never_changes_a_result(case, rng, tmp_path, monkeypatch):
@@ -151,33 +162,64 @@ def test_load_blocks_keep_the_bits(field_path, monkeypatch):
         assert got.noise_variance == want.noise_variance
 
 
+def assert_stack_is_the_full_load(field_path, full):
+    """The `load_eigen_stack` of `field_path` holds the eigenpairs and noise
+    variances of the field `full`, bit for bit, sorted by index and each
+    zero-padded to the largest rank."""
+    header, indices, stack = load_eigen_stack(field_path)
+    assert (header.shape, header.max_degree, header.rank_rule, len(header)) == (
+        full.shape, full.max_degree, full.rank_rule, 0)
+    assert [tuple(index) for index in indices.tolist()] == sorted(full.priors)
+    kmax = max(p.rank for p in full.priors.values())
+    assert stack.eigenvalues.shape == (len(full), kmax) and stack.eigenvectors.shape[2] == kmax
+    assert stack.noise_variances.shape == (len(full), 1)
+    for v, index in enumerate(sorted(full.priors)):
+        want, k = full.priors[index], full.priors[index].rank
+        assert stack.ranks[v] == k
+        assert stack.eigenvalues[v, :k].tobytes() == want.eigenvalues.tobytes()
+        assert stack.eigenvectors[v, :, :k].copy().tobytes() == want.eigenvectors.tobytes()
+        assert not stack.eigenvalues[v, k:].any() and not stack.eigenvectors[v, :, k:].any()
+        assert stack.noise_variances[v, 0] == want.noise_variance
+        one = stack.voxel(v)
+        assert (one.eigenvalues.tobytes(), one.eigenvectors.tobytes(), one.noise_variances.tobytes()) == (
+            want.eigenvalues.tobytes(), want.eigenvectors.tobytes(), np.array([[want.noise_variance]]).tobytes())
+
+
 @pytest.mark.parametrize("voxels_a_block", [1, 3, 4, VOXELS])
 def test_eigen_load_equals_the_full_load_bit_for_bit(field_path, monkeypatch, voxels_a_block):
     full = load_prior_field(field_path)
     assert len({p.rank for p in full.priors.values()}) > 1
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", voxels_a_block * 15 * 15)
-    eigen = load_prior_field(field_path, covariances=False)
-    assert (eigen.shape, eigen.max_degree, eigen.rank_rule) == (full.shape, full.max_degree, full.rank_rule)
-    assert list(eigen.priors) == list(full.priors)
-    for index, want in full.priors.items():
-        got = eigen.priors[index]
-        assert got.covariance is None
-        for name in EIGEN_FORM:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert (got.noise_variance, got.rank_rule, got.spectrum_total) == (
-            want.noise_variance, want.rank_rule, want.spectrum_total)
+    assert_stack_is_the_full_load(field_path, full)
+
+
+def test_eigen_load_sorts_the_voxels_and_widens(rng, tmp_path, monkeypatch):
+    # a file whose voxels are out of index order, and whose largest rank
+    # comes in its last block: the stack sorts the rows and widens to it
+    field = mixed_rank_field(rng, VOXELS)
+    path = tmp_path / "field.qpf"
+    save_prior_field(field, path)
+    data = bytearray(path.read_bytes())
+    record = (len(data) - HEADER_BYTES) // VOXELS
+    records = [data[HEADER_BYTES + v * record : HEADER_BYTES + (v + 1) * record] for v in range(VOXELS)]
+    ranks = [field.priors[(v, 0, 0)].rank for v in range(VOXELS)]
+    order = sorted(range(VOXELS), key=lambda v: (ranks[v], -v))  # the largest rank last
+    path.write_bytes(bytes(data[:HEADER_BYTES]) + b"".join(records[v] for v in order))
+    full = load_prior_field(path)
+    assert list(full.priors) != sorted(full.priors)
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
+    assert_stack_is_the_full_load(path, full)
 
 
 def test_region_greedy_blocks_keep_the_bits(field_path, monkeypatch, basis4):
-    field = load_prior_field(field_path)
-    priors = [field.priors[index] for index in sorted(field.priors)]
-    assert len({p.rank for p in priors}) > 1  # so some voxels are zero-padded
+    _, _, stack = load_eigen_stack(field_path)
+    assert len(set(stack.ranks)) > 1  # so some voxels are zero-padded
     pool = default_candidates(60)
-    whole = greedy_design_region(pool, priors, basis4, 12)
-    kmax = max(p.rank for p in priors)
+    whole = greedy_design_region(pool, stack, basis4, 12)
+    kmax = stack.eigenvalues.shape[1]
     assert _kernels._BLOCK_ENTRIES >= VOXELS * 60 * kmax
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 60 * kmax)
-    blocked = greedy_design_region(pool, priors, basis4, 12)
+    blocked = greedy_design_region(pool, stack, basis4, 12)
     assert blocked.selected == whole.selected
     assert blocked.objective_history.tobytes() == whole.objective_history.tobytes()
 
@@ -272,9 +314,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
     record = (len(data) - HEADER_BYTES) // VOXELS
     struct.pack_into("<3i", data, HEADER_BYTES + (VOXELS - 1) * record, *index)
     field_path.write_bytes(bytes(data))
-    for covariances in (True, False):
+    for load in (load_prior_field, load_eigen_stack):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            load_prior_field(field_path, covariances)
+            load(field_path)
 
 
 @pytest.mark.parametrize(
@@ -283,9 +325,9 @@ def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monk
 def test_bad_covariance_in_last_block_fails(field_path, monkeypatch, tmp_path, value, error, code):
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     corrupt_last_covariance(field_path, value)
-    for covariances in (True, False):
+    for load in (load_prior_field, load_eigen_stack):
         with pytest.raises(error):
-            load_prior_field(field_path, covariances)
+            load(field_path)
     argv = ["design", "--prior", str(field_path), "--mode", "region", "--budget", "3",
             "--candidates", "30", "--out", str(tmp_path / "out")]
     assert main(argv) == code
@@ -353,25 +395,28 @@ def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
 def test_eigen_load_keeps_only_the_eigen_form(rng, tmp_path, voxels):
     path = tmp_path / "field.qpf"
     save_prior_field(mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8)), path)
-    load_prior_field(path, covariances=False)  # first-use caches out of the traced call
-    field, peak, kept = traced(lambda: load_prior_field(path, covariances=False))
-    assert len(field) == voxels and all(p.covariance is None for p in field.priors.values())
-    arrays = sum(getattr(p, name).nbytes for p in field.priors.values() for name in EIGEN_FORM)
-    assert kept - arrays <= voxels * PRIOR_OBJECT_BYTES
+    load_eigen_stack(path)  # first-use caches out of the traced call
+    (field, indices, stack), peak, kept = traced(lambda: load_eigen_stack(path))
+    assert len(field) == 0 and len(stack) == voxels
+    arrays = sum(a.nbytes for a in (indices, stack.eigenvalues, stack.eigenvectors, stack.noise_variances))
+    # no per-voxel object: what is kept beyond the arrays is a few objects'
+    # worth (under 7 kB at 3072 voxels), not one a voxel
+    assert kept - arrays <= 8 * PRIOR_OBJECT_BYTES
     assert peak - kept <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("voxels", [48, 384])
 def test_region_greedy_temporaries_stay_within_the_block_budget(rng, voxels, basis8):
     field = mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8))
-    priors = list(field.priors.values())
+    stack = stack_of(list(field.priors.values()))
     pool = default_candidates()
-    greedy_design_region(pool, priors[:1], basis8, 2)  # first-use caches
-    _, peak, _ = traced(lambda: greedy_design_region(pool, priors, basis8, 5))
-    n, j, k = len(pool), basis8.dimension, 8
-    # the (V, J, K) eigenvectors, one gains row per voxel and the (V, K, K)
-    # covariances; psi and the downdate terms are one block's
-    held = voxels * (j * k + n + 4 * k * k) * 8
+    greedy_design_region(pool, stack_of(list(field.priors.values())[:1]), basis8, 2)  # first-use caches
+    _, peak, _ = traced(lambda: greedy_design_region(pool, stack, basis8, 5))
+    n, k = len(pool), 8
+    # one gains row per voxel and the (V, K, K) covariances; the stack's
+    # eigenvectors are read, not copied, and psi and the downdate terms are
+    # one block's
+    held = voxels * (n + 4 * k * k) * 8
     assert peak - held <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
 
 

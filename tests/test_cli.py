@@ -173,7 +173,7 @@ class TestRunner:
 
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
-        stages = ["cohort", "esr", "prior_fit", "peaks", "greedy", "observe", "fit"]
+        stages = ["cohort", "esr", "prior_fit", "greedy", "observe", "fit", "peaks"]
         for kind in ("cpu", "wall"):
             assert list(result.stage_seconds[kind]) == stages
             assert all(seconds >= 0.0 for seconds in result.stage_seconds[kind].values())
@@ -889,7 +889,7 @@ SIZE_LIMITS = [
     (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
                    "--out", str(t / "o")],
      cli.SIZE_CEILING_BYTES // (8 * (6 + 1)), "error: --candidates must be at most {limit} for this field, got {value}",
-     "load_prior_field"),
+     "load_eigen_stack"),
     # a subject's fODF, signal and coefficients (3 J) and its 30 dense observations
     (lambda t, n: _write_config(t, train_subjects=n), ENTRIES // (3 * 15 + 30),
      "error: train_subjects must be at most {limit} at degree 4 and dense_design_size 30, got {value}",

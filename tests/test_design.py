@@ -29,9 +29,10 @@ from qsdesign.design import (
     region_bound,
 )
 from qsdesign.errors import DegeneracyError, ValidationError
+from qsdesign.prior import EigenStack, PriorField, RankRule, load_eigen_stack, load_prior_field, save_prior_field
 from qsdesign.sphere import make_grid, normalized
 
-from conftest import random_prior, random_unit_vectors
+from conftest import random_prior, random_unit_vectors, stack_of
 from test_cli import _field_file
 from test_estimator import prior_with_eigenfunction_value
 from test_kernels import reference_coulomb_energy_grad
@@ -322,7 +323,7 @@ class TestGreedyMatchesGramInverseReference:
         selected, history = reference_greedy(pool, [prior], basis4, 40)
         for result in (
             greedy_design(pool, prior, basis4, 40),
-            greedy_design_region(pool, [prior], basis4, 40),
+            greedy_design_region(pool, stack_of([prior]), basis4, 40),
         ):
             assert result.selected == selected
             np.testing.assert_allclose(result.objective_history, history, rtol=1e-10, atol=0)
@@ -335,7 +336,7 @@ class TestGreedyMatchesGramInverseReference:
         ]
         pool = default_candidates(80)
         selected, history = reference_greedy(pool, priors, basis4, 40)
-        region = greedy_design_region(pool, priors, basis4, 40)
+        region = greedy_design_region(pool, stack_of(priors), basis4, 40)
         assert region.selected == selected
         np.testing.assert_allclose(region.objective_history, history, rtol=1e-10, atol=0)
 
@@ -345,7 +346,7 @@ class TestGreedyRegion:
         prior = random_prior(basis4, rng, rank=3)
         pool = default_candidates(50)
         single = greedy_design(pool, prior, basis4, 8)
-        region = greedy_design_region(pool, [prior], basis4, 8)
+        region = greedy_design_region(pool, stack_of([prior]), basis4, 8)
         assert single.selected == region.selected
         assert region.objective == pytest.approx(single.objective, rel=1e-12)
 
@@ -353,7 +354,7 @@ class TestGreedyRegion:
         prior = random_prior(basis4, rng, rank=3)
         pool = default_candidates(50)
         single = greedy_design(pool, prior, basis4, 6)
-        region = greedy_design_region(pool, [prior, prior], basis4, 6)
+        region = greedy_design_region(pool, stack_of([prior, prior]), basis4, 6)
         assert single.selected == region.selected
 
     def test_two_orthogonal_modes_both_served(self, basis4):
@@ -365,7 +366,7 @@ class TestGreedyRegion:
         p_pole = prior_with_eigenfunction_value(basis4, pole, 0.9, rho=1.0, noise_variance=0.01)
         p_eq = prior_with_eigenfunction_value(basis4, equator, 0.9, rho=1.0, noise_variance=0.01)
         pool = CandidateSet(hemisphere_spiral(20))
-        region = greedy_design_region(pool, [p_pole, p_eq], basis4, 2)
+        region = greedy_design_region(pool, stack_of([p_pole, p_eq]), basis4, 2)
 
         psi_pole = (basis4.evaluate(pool.points) @ p_pole.eigenvectors)[:, 0]
         psi_eq = (basis4.evaluate(pool.points) @ p_eq.eigenvectors)[:, 0]
@@ -387,7 +388,7 @@ class TestGreedyRegion:
         a = random_prior(basis4, np.random.default_rng(0), rank=3, noise_variance=0.005)
         b = random_prior(basis4, np.random.default_rng(1), rank=4, noise_variance=0.2)
         pool = default_candidates(40)
-        region = greedy_design_region(pool, [a, b], basis4, 7)
+        region = greedy_design_region(pool, stack_of([a, b]), basis4, 7)
         pts = pool.points[region.selected]
         recomputed = 0.5 * design_objective(pts, a, basis4) + 0.5 * design_objective(
             pts, b, basis4
@@ -430,7 +431,7 @@ class TestGreedyBound:
     def test_region_bound_of_one_prior_is_greedy_bound(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=4)
         pool = default_candidates(40)
-        assert region_bound([prior], pool, basis4, 3, 9) == greedy_bound(prior, pool, basis4, 3, 9)
+        assert region_bound(stack_of([prior]), pool, basis4, 3, 9) == greedy_bound(prior, pool, basis4, 3, 9)
 
     def test_region_bound_is_the_worst_voxel(self, basis4, rng):
         priors = [random_prior(basis4, rng, rank=3, noise_variance=s) for s in (0.05, 0.002, 0.01)]
@@ -438,11 +439,12 @@ class TestGreedyBound:
         certificates = [greedy_bound(p, pool, basis4, 6, 6) for p in priors]
         assert min(c.factor for c in certificates) < max(c.factor for c in certificates)
         want = min(certificates, key=lambda cert: cert.factor)
-        assert region_bound(priors, pool, basis4, 6, 6) == want
+        assert region_bound(stack_of(priors), pool, basis4, 6, 6) == want
 
     def test_region_bound_needs_a_prior(self, basis4):
         with pytest.raises(ValidationError, match="at least one prior"):
-            region_bound([], default_candidates(30), basis4, 3, 3)
+            region_bound(EigenStack(np.zeros((0, 0)), np.zeros((0, 15, 0)), np.zeros((0, 1))), default_candidates(30),
+                         basis4, 3, 3)
 
     def test_bad_steps_rejected(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=2)
@@ -451,6 +453,60 @@ class TestGreedyBound:
             greedy_bound(prior, pool, basis4, 0, 3)
         with pytest.raises(ValidationError):
             greedy_bound(prior, pool, basis4, 4, 3)
+
+
+class TestRegionBoundByRankGroup:
+    """`region_bound` takes `psi` rank group by rank group from unpadded
+    eigenvectors, so every voxel keeps the bits of its one-voxel bound."""
+
+    def priors(self, basis4):
+        ranks, noises = (3, 5, 1, 8, 3, 5, 2, 8, 3), (0.01, 0.002, 0.05, 0.01, 0.2, 0.01, 0.003, 0.04, 0.01)
+        return [random_prior(basis4, np.random.default_rng(seed), rank=rank, noise_variance=noise)
+                for seed, (rank, noise) in enumerate(zip(ranks, noises))]
+
+    @pytest.mark.parametrize("voxels_a_block", [None, 1])
+    def test_psi_and_lambda_star_are_the_one_voxel_bits(self, basis4, monkeypatch, voxels_a_block):
+        priors = self.priors(basis4)
+        stack, phi = stack_of(priors), basis4.evaluate(default_candidates(50).points)
+        if voxels_a_block:
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", voxels_a_block)  # one voxel a block
+        seen = []
+        for rows, psi in design._rank_groups(phi, stack):
+            assert len(rows) == 1 or voxels_a_block is None
+            for v, got in zip(rows.tolist(), psi):
+                assert got.tobytes() == (phi @ priors[v].eigenvectors).tobytes()
+                seen.append(v)
+        assert sorted(seen) == list(range(len(priors)))
+        lam_star = design._lambda_psi_star(phi, stack)
+        for v, prior in enumerate(priors):
+            psi = phi @ prior.eigenvectors
+            assert lam_star[v] == np.max(np.einsum("ij,ij->i", psi, psi))
+
+    def test_certificate_is_the_worst_one_voxel_certificate(self, basis4):
+        priors, pool = self.priors(basis4), default_candidates(50)
+        certificates = [greedy_bound(p, pool, basis4, 6, 9) for p in priors]
+        want = min(certificates, key=lambda cert: cert.factor)
+        assert region_bound(stack_of(priors), pool, basis4, 6, 9) == want
+        for v, cert in enumerate(certificates):
+            assert region_bound(stack_of(priors).voxel(v), pool, basis4, 6, 9) == cert
+
+    def test_region_certificate_holds_against_the_exhaustive_optimum(self, basis4, tmp_path):
+        # 3 voxels, 12 candidates, budget 3: the loaded stack's greedy reaches
+        # the certificate's share of the best of all 220 three-point designs
+        field = PriorField((3, 1, 1), {}, 4, RankRule("fraction", 0.9))
+        for v, noise in enumerate((0.01, 0.05, 0.002)):
+            field.add((v, 0, 0), random_prior(basis4, np.random.default_rng(v), noise_variance=noise))
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        _, _, stack = load_eigen_stack(path)
+        pool = CandidateSet(hemisphere_spiral(12))
+        greedy = greedy_design_region(pool, stack, basis4, 3)
+        cert = region_bound(stack, pool, basis4, 3, 3)
+        priors = list(load_prior_field(path).priors.values())
+        combos = list(itertools.combinations(range(12), 3))
+        assert len(combos) == 220 and len(set(stack.ranks)) > 1
+        best = max(np.mean([design_objective(pool.points[list(c)], p, basis4) for p in priors]) for c in combos)
+        assert cert.factor * best <= greedy.objective <= best * (1 + 1e-12)
 
 
 def reference_esr_design(count, seed=0, iterations=2000, restarts=3, first_step=0.01):
@@ -680,8 +736,8 @@ def record_calls(monkeypatch, owner, name) -> list:
 
 
 class TestTracedEntryPoints:
-    """A tracer that wraps the one Coulomb kernel and the one `.qpf` reader
-    sees every ESR descent step and the load of a region design."""
+    """A tracer that wraps the one Coulomb kernel and the `.qpf` reader of
+    `design` sees every ESR descent step and the load of a region design."""
 
     def test_esr_calls_the_kernel_at_every_descent_step(self, monkeypatch):
         # one call for the starts, then one a lockstep step, until the
@@ -692,13 +748,13 @@ class TestTracedEntryPoints:
         assert len(kernel) == 1 + 2000
         assert kernel[0][0][1] is None and all(args[1] is not None for args, _, _ in kernel[1:])
 
-    def test_region_design_reads_through_load_prior_field(self, monkeypatch, tmp_path):
-        loads = record_calls(monkeypatch, prior, "load_prior_field")
+    def test_region_design_reads_through_load_eigen_stack(self, monkeypatch, tmp_path):
+        loads = record_calls(monkeypatch, prior, "load_eigen_stack")
         argv = ["design", "--prior", str(_field_file(tmp_path)), "--mode", "region", "--budget", "2",
                 "--candidates", "30", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
-        ((_, _, field),) = loads
-        assert field.priors and all(p.covariance is None for p in field.priors.values())
+        ((_, _, (_, indices, stack)),) = loads
+        assert indices.tolist() == [[0, 0, 0]] and len(stack) == 1
 
 
 class TestGradientTable:

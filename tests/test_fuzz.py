@@ -6,7 +6,6 @@ exception would reach the user as a traceback. A configuration's sizes must
 be accepted exactly when the arrays they size fit the ceiling.
 """
 
-import functools
 import struct
 
 import numpy as np
@@ -16,7 +15,7 @@ from qsdesign._kernels import basis_dimension
 from qsdesign.config import SIZE_CEILING_BYTES, SimConfig, check_field_size
 from qsdesign.errors import DegeneracyError, ValidationError
 from qsdesign.metrics import NEIGHBOR_COUNT
-from qsdesign.prior import PriorField, RankRule, load_prior_field, save_prior_field
+from qsdesign.prior import PriorField, RankRule, load_eigen_stack, load_prior_field, save_prior_field
 from qsdesign.sim import PROJECTION_GRID_SIZE, GenerativeConfig, cohort_from_csv, cohort_to_csv, generate_cohort
 from qsdesign.sphere import ShBasis
 
@@ -115,30 +114,29 @@ def test_corrupt_prior_field_loads_or_raises(tmp_path):
     assert loaded > 0 and rejected > 0
 
 
-def _eigen_problem(field, path):
-    """How the eigen-form load of `path` differs from its full load, or None."""
+def _eigen_problem(loaded, path):
+    """How the `load_eigen_stack` of `path` differs from its full load, or None."""
+    _, indices, stack = loaded
     full = load_prior_field(path)
-    if list(field.priors) != list(full.priors):
+    if [tuple(index) for index in indices.tolist()] != sorted(full.priors):
         return "it holds other voxels than the full load"
-    for index, prior in field.priors.items():
-        want = full.priors[index]
-        if prior.covariance is not None:
-            return f"voxel {index} keeps its covariance"
-        if any(getattr(prior, name).tobytes() != getattr(want, name).tobytes()
-               for name in ("mean", "eigenvalues", "eigenvectors")) or prior.noise_variance != want.noise_variance:
+    for v, index in enumerate(sorted(full.priors)):
+        want, k = full.priors[index], full.priors[index].rank
+        if (stack.ranks[v] != k or stack.eigenvalues[v, :k].tobytes() != want.eigenvalues.tobytes()
+                or stack.eigenvectors[v, :, :k].copy().tobytes() != want.eigenvectors.tobytes()
+                or stack.noise_variances[v, 0] != want.noise_variance):
             return f"voxel {index} differs from the full load"
     return None
 
 
 def test_corrupt_prior_field_loads_or_raises_in_eigen_form(tmp_path):
-    """The eigen-form load that `design` uses: the same verdict on every corrupt file, and
-    the full load's priors, less their covariances, on every clean one."""
+    """The stacked eigen-form load that `design` uses: the same verdict on every corrupt file, and
+    the full load's eigenpairs and noise variances on every clean one."""
     path, data = tmp_path / "fuzz.qpf", _seed_field_bytes(tmp_path)
     outcomes = [
         _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_prior_field),
-        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)),
-                  functools.partial(load_prior_field, covariances=False),
-                  lambda field, blob: _eigen_problem(field, path)),
+        _outcomes(path, _qpf_mutations(data, np.random.default_rng(20240601)), load_eigen_stack,
+                  lambda loaded, blob: _eigen_problem(loaded, path)),
     ]
     # a clean eigen-form load is a clean full load, so equal counts are equal verdicts
     assert outcomes[0] == outcomes[1] and min(outcomes[1]) > 0

@@ -340,6 +340,12 @@ class TestVoxelPriorInvariants:
         with pytest.raises(ValidationError):
             VoxelPrior(np.zeros(4), np.eye(4), np.array([1.0]), np.ones((4, 2)), 0.01)
 
+    def test_rejects_a_missing_covariance(self, rng):
+        # design reads priors stacked (`EigenStack`), so a prior always holds its covariance
+        full = toy_prior(rng)
+        with pytest.raises(ValidationError, match="covariance shape"):
+            VoxelPrior(full.mean, None, full.eigenvalues, full.eigenvectors, full.noise_variance)
+
     def test_rejects_non_positive_noise(self, rng):
         evals, evecs = truncate_rank(np.eye(3), RankRule("fixed", 1))
         with pytest.raises(ValidationError):
@@ -350,37 +356,6 @@ class TestVoxelPriorInvariants:
         prior = VoxelPrior.from_moments(np.zeros(6), half @ half.T, 0.01, RankRule("fraction", 0.9))
         assert prior.spectrum_total == pytest.approx(np.trace(half @ half.T), rel=1e-12)
         assert 0.9 - 1e-12 <= prior.eigenvalues.sum() / prior.spectrum_total <= 1.0
-
-
-class TestEigenForm:
-    """A prior without its covariance designs as the full prior does, and
-    refuses, with ValidationError, what needs the covariance."""
-
-    def eigen_field(self, rng, tmp_path):
-        path = tmp_path / "field.qpf"
-        save_prior_field(make_field({idx: toy_prior(rng) for idx in np.ndindex(2, 2, 2)}), path)
-        return load_prior_field(path, covariances=False)
-
-    def test_interpolation_refuses_it(self, rng, tmp_path):
-        field = self.eigen_field(rng, tmp_path)
-        assert field.priors[(0, 0, 0)].covariance is None
-        with pytest.raises(ValidationError, match="eigen form"):
-            field.priors[(0, 0, 0)].log_covariance
-        with pytest.raises(ValidationError, match="eigen form"):
-            interpolate_prior(field, (0.5, 0.5, 0.5))
-
-    def test_save_refuses_it_before_writing(self, rng, tmp_path):
-        field = self.eigen_field(rng, tmp_path)
-        with pytest.raises(ValidationError, match="eigen form"):
-            save_prior_field(field, tmp_path / "again.qpf")
-        assert not (tmp_path / "again.qpf").exists()
-
-    def test_by_hand_prior_may_hold_no_covariance(self, rng):
-        full = toy_prior(rng)
-        eigen = VoxelPrior(full.mean, None, full.eigenvalues, full.eigenvectors, full.noise_variance)
-        assert eigen.covariance is None and eigen.rank == full.rank
-        with pytest.raises(ValidationError, match="finite"):
-            VoxelPrior(full.mean * np.nan, None, full.eigenvalues, full.eigenvectors, 0.01)
 
 
 def reference_truncate_rank(covariance, rank):
