@@ -44,7 +44,6 @@ from .prior import (
     load_eigen_stack,
     load_prior_field,
     save_prior_field,
-    spd_exp,
     spd_log,
     truncate_rank,
 )

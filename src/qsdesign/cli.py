@@ -171,8 +171,7 @@ def _cmd_design(args) -> int:
     _, dimension, count = field_header(args.prior)
     if not count:
         raise ValidationError(f"{args.prior} contains no voxel priors")
-    voxels = count if args.mode == "region" else 1
-    limit = SIZE_CEILING_BYTES // (8 * (dimension + voxels))  # the (N, J) basis and the (V, N) gains
+    limit = SIZE_CEILING_BYTES // (8 * dimension)  # the (N, J) candidate basis
     if args.candidates > limit:
         raise ValidationError(f"--candidates must be at most {limit} for this field, got {args.candidates}")
     field, indices, stack = load_eigen_stack(args.prior)  # in sorted index order

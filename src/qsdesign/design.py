@@ -178,9 +178,10 @@ def greedy_design_region(candidates: CandidateSet, stack: EigenStack, basis: ShB
     (V, J, K) are read as they are, and the posterior score covariances
     (V, K, K) are stacked with them. Each step is one loop over voxel
     `blocks`: a block computes its `psi` (B, N, K), applies the last pick's
-    downdate from that pick's row of it and scores its `greedy_gains`.
-    Stacked matmul makes one BLAS call per voxel, so a block has the bits of
-    the whole-stack product; no (V, N, K) `psi` is held.
+    downdate from that pick's row of it and adds its `greedy_gains` to a
+    running sum (N,), voxel by voxel in index order, divided by V once.
+    Stacked matmul makes one BLAS call per voxel, so every block and the
+    sum have the bits of one block; no (V, N, K) `psi` or (V, N) gains.
     """
     if not len(stack):
         raise ValidationError("need at least one prior")
@@ -193,21 +194,22 @@ def greedy_design_region(candidates: CandidateSet, stack: EigenStack, basis: ShB
     dmat = np.zeros((voxels, kmax, kmax))
     dmat[:, np.arange(kmax), np.arange(kmax)] = stack.eigenvalues
     phi = basis.evaluate(candidates.points)
-    weights = np.full(voxels, 1.0 / voxels)
     active = np.ones(len(candidates), dtype=bool)
-    voxel_gains = np.empty((voxels, len(candidates)))
     selected: list[int] = []
     history = np.empty(budget)
     objective = 0.0
     for step in range(budget):
+        total = 0.0
         for block in _kernels.blocks(voxels, len(candidates) * kmax):
             psi, dblock, nblock = phi @ evecs[block], dmat[block], noise[block]
             if selected:  # D <- D - (D v)(D v)' / (sigma^2 + v' D v), v the previous pick's row
                 dv = np.einsum("vij,vj->vi", dblock, psi[:, selected[-1]])
                 den = nblock + np.einsum("vi,vi->v", psi[:, selected[-1]], dv)[:, None]
                 dblock -= dv[:, :, None] * dv[:, None, :] / den[:, :, None]
-            voxel_gains[block] = _kernels.greedy_gains(psi, dblock, nblock)
-        gains = weights @ voxel_gains
+            gains = _kernels.greedy_gains(psi, dblock, nblock)
+            gains[0] += total  # accumulate adds the rows in turn, where reduce may pair a column's rows
+            total = np.add.accumulate(gains, axis=0)[-1]
+        gains = total / voxels
         if not np.isfinite(gains).all():
             raise DegeneracyError(
                 f"greedy gains are not finite at step {step}: prior eigenvalues are too large for float64"

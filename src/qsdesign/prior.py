@@ -121,6 +121,12 @@ def _truncate_ranks(covariances, rule: RankRule):
         evals, evecs = np.linalg.eigh(0.5 * (sigma + sigma_t))
     except np.linalg.LinAlgError as exc:  # e.g. entries spanning hundreds of decades
         raise DegeneracyError(f"covariance eigendecomposition failed: {exc}") from exc
+    return _truncate_eigenpairs(evals, evecs, rule)
+
+
+def _truncate_eigenpairs(evals, evecs, rule: RankRule):
+    """`_truncate_ranks` of N matrices from their `eigh` eigenvalues (N, J)
+    and eigenvectors (N, J, J), in any order."""
     order = np.argsort(evals, axis=1)[:, ::-1]
     evals = np.take_along_axis(evals, order, 1)
     j = evals.shape[1]
@@ -282,14 +288,6 @@ def spd_log(matrix) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def spd_exp(matrix) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via its eigendecomposition."""
-    m = np.asarray(matrix, dtype=float)
-    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
-    out = (evecs * np.exp(evals)) @ evecs.T
-    return 0.5 * (out + out.T)
-
-
 def regularize_spd(matrix) -> np.ndarray:
     """Add eps*I (eps = 1e-10*trace/J) when the smallest eigenvalue is <= 0."""
     m = np.asarray(matrix, dtype=float)
@@ -300,14 +298,6 @@ def regularize_spd(matrix) -> np.ndarray:
     if eps <= 0.0:
         raise DegeneracyError("matrix trace is non-positive; cannot regularize to SPD")
     return m + (eps - min(evals.min(), 0.0)) * np.eye(m.shape[0])
-
-
-def _blend_logs(logs, weights) -> np.ndarray:
-    """exp(sum_i w_i L_i) of symmetric matrix logs L_i, accumulated in order."""
-    acc = np.zeros_like(logs[0])
-    for wi, log in zip(weights, logs):
-        acc += wi * log
-    return spd_exp(acc)
 
 
 @dataclass
@@ -399,18 +389,26 @@ def interpolate_prior(field: PriorField, query) -> VoxelPrior:
 
     Means interpolate trilinearly; covariances combine as a log-Euclidean
     Karcher mean of each corner's cached `log_covariance` with the same
-    trilinear weights (zero-weight corners are dropped); the eigen-truncation
-    is recomputed on the blended covariance with the field's rank rule. A
+    trilinear weights (zero-weight corners are dropped), from one `eigh` of
+    the blended log L = V diag(lam) V': the covariance is V exp(lam) V', and
+    the field's rank rule truncates those eigenpairs of it as they are. A
     query exactly on a grid point returns that voxel's stored prior.
     """
     items = [(field.priors[idx], w) for idx, w in corner_weights(field, query)]
     if len(items) == 1:
         return items[0][0]
-    weights = np.array([w for _, w in items])
     mean = sum(w * p.mean for p, w in items)
-    cov = _blend_logs([p.log_covariance for p, _ in items], weights)
+    log = sum(w * p.log_covariance for p, w in items)
+    evals, evecs = np.linalg.eigh(0.5 * (log + log.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        spectrum = np.exp(evals)
+        cov = (evecs * spectrum) @ evecs.T
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise ValidationError("covariance must be finite")
+    evals, evecs, _, totals = _truncate_eigenpairs(spectrum[None], evecs[None], field.rank_rule)  # K is its rank
     sigma2 = float(sum(w * p.noise_variance for p, w in items))
-    return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
+    return VoxelPrior(mean, cov, evals[0], evecs[0], sigma2, field.rank_rule, float(totals[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ import yaml
 from qsdesign import cli, estimator, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
-from qsdesign.design import coulomb_energy
+from qsdesign.design import coulomb_energy, default_candidates, esr_design, greedy_bound
 from qsdesign.errors import ValidationError
 from qsdesign.prior import load_prior_field
 from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, write_outputs
+from qsdesign.sim import generate_cohort
+from qsdesign.sphere import ShBasis
 
 TINY_SIM = {
     "seed": 7,
@@ -170,6 +172,36 @@ class TestRunner:
         for fit, count in zip(fits, subjects):
             assert len(fit["counts"]) == len(estimator.DEFAULT_GCV_GRID) and sum(fit["counts"]) == count
             assert fit["edge_hits"] == fit["counts"][0] + fit["counts"][-1]
+
+    def test_report_has_a_bound_certificate_per_budget(self, tiny_results):
+        cfg, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["bound_certificates"] == result.bound_certificates
+        # the run's prior, rebuilt as run_simulation builds it
+        basis = ShBasis(cfg.degree)
+        train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
+        prior, _ = runner.build_prior_from_cohort(train, esr_design(cfg.dense_design_size, cfg.seed), cfg, "train-noise")
+        assert prior.rank == result.prior_rank
+        pool = default_candidates(cfg.candidate_count)
+        assert result.bound_certificates == [
+            dataclasses.asdict(greedy_bound(prior, pool, basis, b, b)) for b in cfg.budgets]
+        assert [c["steps"] for c in result.bound_certificates] == list(cfg.budgets)
+
+    def test_report_has_the_host_class(self, tiny_results):
+        _, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["host"] == result.host == estimator.host_class()
+        assert set(result.host) == {"simd", "openblas_core"}
+        simd = result.host["simd"]
+        assert simd is None or (simd == sorted(simd) and all(isinstance(name, str) for name in simd))
+        core = result.host["openblas_core"]
+        assert (core is None) == (not hasattr(estimator._numpy_library(), "scipy_openblas_get_corename64_"))
+        assert core is None or (isinstance(core, str) and core)
+
+    def test_host_class_is_null_where_numpy_does_not_say(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_numpy_library", lambda: None)
+        monkeypatch.delattr("numpy._core._multiarray_umath.__cpu_features__")
+        assert estimator.host_class() == {"simd": None, "openblas_core": None}
 
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
@@ -878,8 +910,7 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
 # (argv builder for a value, the largest value its check accepts, the first
 # line of the refusal, the first step of the command's work as cli calls
 # it). The ESR pair array holds 6 n^2 float64 entries a configuration; a
-# design over the one-voxel J = 6 field holds the (N, J) basis and the (1, N)
-# gains. The configuration keys are bounded by the float64 arrays they size
+# design over the J = 6 field holds the (N, J) basis. The configuration keys are bounded by the float64 arrays they size
 # at TINY_SIM's or TINY_BUILD's other values (J = 15 at degree 4).
 ENTRIES = cli.SIZE_CEILING_BYTES // 8
 SIZE_LIMITS = [
@@ -888,7 +919,7 @@ SIZE_LIMITS = [
      "esr_designs"),
     (lambda t, n: ["design", "--prior", str(_field_file(t)), "--budget", "2", "--candidates", str(n),
                    "--out", str(t / "o")],
-     cli.SIZE_CEILING_BYTES // (8 * (6 + 1)), "error: --candidates must be at most {limit} for this field, got {value}",
+     cli.SIZE_CEILING_BYTES // (8 * 6), "error: --candidates must be at most {limit} for this field, got {value}",
      "load_eigen_stack"),
     # a subject's fODF, signal and coefficients (3 J) and its 30 dense observations
     (lambda t, n: _write_config(t, train_subjects=n), ENTRIES // (3 * 15 + 30),

@@ -341,6 +341,80 @@ class TestGreedyMatchesGramInverseReference:
         np.testing.assert_allclose(region.objective_history, history, rtol=1e-10, atol=0)
 
 
+def summed_in_voxel_order(table):
+    """The mean of the gains table's rows as the region greedy takes it: a
+    running sum from 0, one voxel at a time, divided by V once."""
+    total = 0.0
+    for row in table:
+        total = total + row
+    return total / len(table)
+
+
+def weighted_mean(table):
+    """The mean of the gains table's rows by uniform weights, as the region
+    greedy took it before it kept a running sum."""
+    return np.full(len(table), 1.0 / len(table)) @ table
+
+
+def reference_region_greedy(candidates, stack, basis, budget, mean_of):
+    """greedy_design_region's steps voxel by voxel, each on its own padded
+    row of the stack, with the (V, N) gains table built whole and reduced
+    by `mean_of`: (selected, history)."""
+    phi = basis.evaluate(candidates.points)
+    voxels, kmax = stack.eigenvalues.shape
+    dmat = np.zeros((voxels, kmax, kmax))
+    dmat[:, np.arange(kmax), np.arange(kmax)] = stack.eigenvalues
+    active = np.ones(len(candidates), dtype=bool)
+    selected, history, objective = [], [], 0.0
+    for _ in range(budget):
+        table = np.empty((voxels, len(candidates)))
+        for v in range(voxels):
+            psi, dv_mat, noise = phi @ stack.eigenvectors[v : v + 1], dmat[v : v + 1], stack.noise_variances[v : v + 1]
+            if selected:
+                dv = np.einsum("vij,vj->vi", dv_mat, psi[:, selected[-1]])
+                den = noise + np.einsum("vi,vi->v", psi[:, selected[-1]], dv)[:, None]
+                dv_mat -= dv[:, :, None] * dv[:, None, :] / den[:, :, None]
+            table[v] = _kernels.greedy_gains(psi, dv_mat, noise)[0]
+        gains = mean_of(table)
+        gains[~active] = -np.inf
+        index = int(np.argmax(gains))
+        active[index] = False
+        selected.append(index)
+        objective += float(gains[index])
+        history.append(objective)
+    return selected, np.array(history)
+
+
+def mixed_rank_stack(basis, voxels, seed):
+    """The stack of `voxels` random priors of ranks 1 to 8 and two noise levels."""
+    rng = np.random.default_rng(seed)
+    priors = [random_prior(basis, rng, rank=1 + v % 8, noise_variance=(0.005, 0.2)[v % 2]) for v in range(voxels)]
+    return stack_of(priors)
+
+
+class TestGainsSum:
+    """The region greedy averages the voxels' gains through a running sum,
+    with no (V, N) table."""
+
+    # one candidate: numpy's add.reduce would sum its single column of 16 rows pairwise
+    @pytest.mark.parametrize("voxels,seed,count,budget", [(3, 0, 60, 15), (10, 1, 60, 15), (37, 2, 60, 15),
+                                                          (16, 3, 1, 1)])
+    def test_equals_a_python_sum_in_voxel_order_bit_for_bit(self, basis4, voxels, seed, count, budget):
+        stack, pool = mixed_rank_stack(basis4, voxels, seed), CandidateSet(hemisphere_spiral(count))
+        selected, history = reference_region_greedy(pool, stack, basis4, budget, summed_in_voxel_order)
+        result = greedy_design_region(pool, stack, basis4, budget)
+        assert result.selected == selected
+        assert result.objective_history.tobytes() == history.tobytes()
+
+    @pytest.mark.parametrize("voxels,seed", [(3, 0), (10, 1), (37, 2)])
+    def test_matches_the_weighted_mean(self, basis4, voxels, seed):
+        stack, pool = mixed_rank_stack(basis4, voxels, seed), default_candidates(60)
+        selected, history = reference_region_greedy(pool, stack, basis4, 15, weighted_mean)
+        result = greedy_design_region(pool, stack, basis4, 15)
+        assert result.selected == selected
+        np.testing.assert_allclose(result.objective_history, history, rtol=1e-14, atol=0)
+
+
 class TestGreedyRegion:
     def test_single_voxel_equals_single_design(self, basis4, rng):
         prior = random_prior(basis4, rng, rank=3)

@@ -15,10 +15,17 @@ from qsdesign.prior import (
     load_prior_field,
     regularize_spd,
     save_prior_field,
-    spd_exp,
     spd_log,
     truncate_rank,
 )
+
+
+def spd_exp(matrix) -> np.ndarray:
+    """Matrix exponential of a symmetric matrix via its eigendecomposition."""
+    m = np.asarray(matrix, dtype=float)
+    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
+    out = (evecs * np.exp(evals)) @ evecs.T
+    return 0.5 * (out + out.T)
 
 
 def random_spd(rng, n, spread=2.0):
@@ -271,24 +278,32 @@ class TestInterpolatePrior:
         assert out.noise_variance == pytest.approx(0.01, rel=1e-12)
 
 
-def reference_log_euclidean_mean(matrices, weights):
-    """The blend as one loop, each log taken where it is added."""
+def reference_blended_log(matrices, weights):
+    """The blend's log as one loop, each log taken where it is added."""
     acc = np.zeros_like(np.asarray(matrices[0], dtype=float))
     for wi, m in zip(weights, matrices):
         acc += wi * spd_log(m)
-    return spd_exp(acc)
+    return acc
 
 
 def reference_interpolate_prior(field, query):
-    """interpolate_prior with every corner's log taken again on each query."""
+    """interpolate_prior with every corner's log taken again on each query.
+    The covariance is `spd_exp` of the blended log; the eigenpairs come from
+    one `eigh` of that log, exp of its eigenvalues in descending order, at
+    the rank the field's rule gives `from_moments` of the covariance."""
     items = [(field.priors[idx], w) for idx, w in prior_module._trilinear_weights(query, field.shape)]
     if len(items) == 1:
         return items[0][0]
     weights = np.array([w for _, w in items])
     mean = sum(w * p.mean for p, w in items)
-    cov = reference_log_euclidean_mean([regularize_spd(p.covariance) for p, _ in items], weights)
+    log = reference_blended_log([regularize_spd(p.covariance) for p, _ in items], weights)
+    cov = spd_exp(log)
     sigma2 = float(sum(w * p.noise_variance for p, w in items))
-    return VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule)
+    k = VoxelPrior.from_moments(mean, cov, sigma2, field.rank_rule).rank
+    evals, evecs = np.linalg.eigh(0.5 * (log + log.T))
+    spectrum = np.exp(evals)
+    order = np.argsort(spectrum)[::-1][:k]
+    return VoxelPrior(mean, cov, spectrum[order], evecs[:, order], sigma2, field.rank_rule)
 
 
 class TestLogCovarianceMemo:
@@ -326,6 +341,50 @@ class TestLogCovarianceMemo:
         assert len(calls) == 8
         log = field.priors[(0, 0, 0)].log_covariance
         assert log is field.priors[(0, 0, 0)].log_covariance and not log.flags.writeable
+
+    def test_one_eigendecomposition_per_query(self, rng, monkeypatch):
+        field = self.field(rng)
+        interpolate_prior(field, [0.5, 0.5, 0.5])  # caches every corner's log
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        interpolate_prior(field, [0.3, 0.6, 0.2])
+        assert len(calls) == 1
+
+    def test_overflowing_blend_fails_as_a_non_finite_covariance(self, rng):
+        field = self.field(rng)
+        for p in field.priors.values():
+            p.__dict__["log_covariance"] = np.diag(np.full(6, 800.0))  # exp(800) overflows float64
+        with pytest.raises(ValidationError, match="^covariance must be finite$"):
+            interpolate_prior(field, [0.5, 0.5, 0.5])
+
+
+def test_interpolated_ranks_survive_a_save_and_reload(rng, tmp_path):
+    # the in-memory eigenpairs come from the blended log, the reloaded ones
+    # from the saved covariance; the rank rule must keep the same count
+    rule = RankRule("fraction", 0.9)
+    coarse = PriorField((2, 2, 2), {}, 2, rule)
+    for idx in np.ndindex(2, 2, 2):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        cov = (q * np.exp(-rng.uniform(0.3, 2.0) * np.arange(6))) @ q.T
+        coarse.add(idx, VoxelPrior.from_moments(rng.standard_normal(6), cov, 0.01, rule))
+    n = 6
+    base = np.stack(np.meshgrid(*(np.linspace(0.0, 1.0, n),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    coords = np.clip(base + rng.uniform(-0.4, 0.4, size=base.shape) / (n - 1), 0.0, 1.0)
+    lattice = PriorField((n, n, n), {}, 2, rule)
+    for index, query in zip(np.ndindex(n, n, n), coords):
+        lattice.add(index, interpolate_prior(coarse, query))
+    path = tmp_path / "lattice.qpf"
+    save_prior_field(lattice, path)
+    loaded = load_prior_field(path)
+    ranks = {index: p.rank for index, p in lattice.priors.items()}
+    assert len(set(ranks.values())) > 1
+    assert {index: p.rank for index, p in loaded.priors.items()} == ranks
 
 
 class TestVoxelPriorInvariants:
