@@ -17,11 +17,9 @@ Six workloads, all at one BLAS thread:
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
   a region design; `Field.check` validates every repeat;
 - region: `qsdesign design --mode region --budget 20` in a fresh process
-  per repeat, on lattices of 216, 1000, 4096, 8000 and 32,768 voxels
-  (REGION_LATTICES) interpolated from the coarse prior of the `field`
-  workload's `prior-build`; the lattices are built once per run, untimed.
-  Building and hashing the 32,768-voxel lattice holds about 0.7 GB in this
-  process, whose priors keep their (J, J) covariances. A row holds
+  per repeat, on lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
+  interpolated from the coarse prior of the `field` workload's
+  `prior-build`; the lattices are built once per run, untimed. A row holds
   each size's process CPU seconds, peak RSS and minor page faults (see
   run_child), the CPU seconds and minor page faults of the design's `.qpf`
   load, the sha256 of its design report, and the sha256 of every prior that
@@ -135,7 +133,7 @@ from qsdesign import config, runner
 runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1])))
 result = {}
 """
-REGION_LATTICES = (6, 10, 16, 20, 32)  # points per axis: 216, 1000, 4096, 8000 and 32,768 voxels
+REGION_LATTICES = (6, 10, 16, 20)  # points per axis: 216, 1000, 4096 and 8000 voxels
 REGION_BUDGET = 20
 # Runs the `qsdesign` command line; argv: its arguments. A failing command
 # exits with its code, so run_child reports its stderr. The `.qpf` reads of

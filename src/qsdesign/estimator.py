@@ -80,28 +80,6 @@ def _openblas_threads():
     return get, put
 
 
-def host_class() -> dict:
-    """What on this host decides how the outputs round: numpy's SIMD
-    extensions found at run time (`simd`, sorted, from its private
-    `__cpu_features__`) and the core numpy's OpenBLAS runs on
-    (`openblas_core`, through its `scipy_openblas_get_corename64_`), each
-    None where numpy does not expose it."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as features
-    except ImportError:
-        features = None
-    try:
-        core = _numpy_library().scipy_openblas_get_corename64_
-    except AttributeError:  # no such symbol, or no library
-        core = None
-    else:
-        core.argtypes, core.restype = [], ctypes.c_char_p
-    return {
-        "simd": None if features is None else sorted(name for name, found in features.items() if found),
-        "openblas_core": None if core is None else core().decode(),
-    }
-
-
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread and restore the

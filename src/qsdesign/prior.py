@@ -180,7 +180,8 @@ class VoxelPrior:
 
     `rank_rule` and `spectrum_total` are the rule that truncated the
     eigenpairs and the sum of the non-negative eigenvalues it truncated, or
-    None for a prior built by hand."""
+    None for a prior built by hand. `interpolate_prior`'s eigenpairs come
+    from the blended log, not from `covariance`, so may differ in last bits."""
 
     mean: np.ndarray  # (J,)
     covariance: np.ndarray  # (J, J)
@@ -387,11 +388,10 @@ def corner_weights(field: PriorField, query) -> list:
 def interpolate_prior(field: PriorField, query) -> VoxelPrior:
     """Prior at a continuous coordinate inside the field's bounding box.
 
-    Means interpolate trilinearly; covariances combine as a log-Euclidean
-    Karcher mean of each corner's cached `log_covariance` with the same
-    trilinear weights (zero-weight corners are dropped), from one `eigh` of
-    the blended log L = V diag(lam) V': the covariance is V exp(lam) V', and
-    the field's rank rule truncates those eigenpairs of it as they are. A
+    Means interpolate trilinearly; covariances as a log-Euclidean Karcher
+    mean of the corners' cached `log_covariance` (zero-weight corners
+    dropped). One `eigh` of the blended log L = V diag(lam) V' gives the
+    covariance V exp(lam) V' and the eigenpairs the rank rule truncates. A
     query exactly on a grid point returns that voxel's stored prior.
     """
     items = [(field.priors[idx], w) for idx, w in corner_weights(field, query)]

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig
-from .design import default_candidates, esr_designs, gradient_table, greedy_bound, greedy_design
-from .estimator import DEFAULT_GCV_GRID, conditional_fit_batch, gcv_select_batch, host_class, one_blas_thread
+from .design import default_candidates, esr_designs, gradient_table, greedy_design
+from .estimator import DEFAULT_GCV_GRID, conditional_fit_batch, gcv_select_batch, one_blas_thread
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
 from .prior import VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe_batch
@@ -44,8 +44,6 @@ class ExperimentResult:
     prior_explained_variance: float  # their share of the prior covariance's spectrum total
     esr_designs: list  # one dict per ESR design (dense first, then each budget's): count, seed, descent telemetry
     gcv: dict  # the GCV grid, and how many subjects chose each grid value in each GCV fit (see _gcv_fit)
-    bound_certificates: list  # each budget's greedy_bound(prior, candidates, basis, budget, budget), as a dict
-    host: dict  # estimator.host_class(): the SIMD extensions and OpenBLAS core the bits were made on
 
     @property
     def elapsed_seconds(self) -> float:
@@ -99,8 +97,7 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     Pipeline: generate a training cohort; fit each subject densely at an
     electrostatic-repulsion design with GCV-selected smoothing; summarize
     the fits into a Gaussian-process prior; run the greedy design once, at
-    the largest budget, and certify each budget's prefix (`greedy_bound`);
-    then for every budget take that design's first picks
+    the largest budget; then for every budget take that design's first picks
     for the conditional estimator and an electrostatic-repulsion design for
     the penalized baseline, reconstruct an independent test cohort from
     noisy sparse samples, and score MISE, peak-count mismatch, and angular
@@ -138,7 +135,6 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     # greedy prefixes are stable: every budget is a prefix of the largest
     candidates = default_candidates(cfg.candidate_count)
     greedy = greedy_design(candidates, prior, basis, cfg.budgets[-1])
-    bounds = [asdict(greedy_bound(prior, candidates, basis, budget, budget)) for budget in cfg.budgets]
     clock.lap("greedy")
     fits = []  # (budget, method, coefficients of every test subject)
     designs = {}
@@ -197,8 +193,6 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
             for esr in (dense, *baselines)
         ],
         gcv={"grid": DEFAULT_GCV_GRID.tolist(), "fits": gcv_fits},
-        bound_certificates=bounds,
-        host=host_class(),
     )
 
 
@@ -235,13 +229,11 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
         (out / _design_name(method, budget)).write_text(gradient_table(points))
     report = {
         "blas_threads": result.blas_threads,
-        "bound_certificates": result.bound_certificates,
         "config": result.config,
         "elapsed_seconds": result.elapsed_seconds,
         "esr_designs": result.esr_designs,
         "gcv": result.gcv,
         "greedy_objective_history": result.objective_history,
-        "host": result.host,
         "prior_explained_variance": result.prior_explained_variance,
         "prior_rank": result.prior_rank,
         "stage_seconds": result.stage_seconds,

@@ -15,12 +15,10 @@ import yaml
 from qsdesign import cli, estimator, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
-from qsdesign.design import coulomb_energy, default_candidates, esr_design, greedy_bound
+from qsdesign.design import coulomb_energy
 from qsdesign.errors import ValidationError
 from qsdesign.prior import load_prior_field
 from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, write_outputs
-from qsdesign.sim import generate_cohort
-from qsdesign.sphere import ShBasis
 
 TINY_SIM = {
     "seed": 7,
@@ -172,36 +170,6 @@ class TestRunner:
         for fit, count in zip(fits, subjects):
             assert len(fit["counts"]) == len(estimator.DEFAULT_GCV_GRID) and sum(fit["counts"]) == count
             assert fit["edge_hits"] == fit["counts"][0] + fit["counts"][-1]
-
-    def test_report_has_a_bound_certificate_per_budget(self, tiny_results):
-        cfg, result, out = tiny_results
-        report = json.loads((out / "report.json").read_text())
-        assert report["bound_certificates"] == result.bound_certificates
-        # the run's prior, rebuilt as run_simulation builds it
-        basis = ShBasis(cfg.degree)
-        train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
-        prior, _ = runner.build_prior_from_cohort(train, esr_design(cfg.dense_design_size, cfg.seed), cfg, "train-noise")
-        assert prior.rank == result.prior_rank
-        pool = default_candidates(cfg.candidate_count)
-        assert result.bound_certificates == [
-            dataclasses.asdict(greedy_bound(prior, pool, basis, b, b)) for b in cfg.budgets]
-        assert [c["steps"] for c in result.bound_certificates] == list(cfg.budgets)
-
-    def test_report_has_the_host_class(self, tiny_results):
-        _, result, out = tiny_results
-        report = json.loads((out / "report.json").read_text())
-        assert report["host"] == result.host == estimator.host_class()
-        assert set(result.host) == {"simd", "openblas_core"}
-        simd = result.host["simd"]
-        assert simd is None or (simd == sorted(simd) and all(isinstance(name, str) for name in simd))
-        core = result.host["openblas_core"]
-        assert (core is None) == (not hasattr(estimator._numpy_library(), "scipy_openblas_get_corename64_"))
-        assert core is None or (isinstance(core, str) and core)
-
-    def test_host_class_is_null_where_numpy_does_not_say(self, monkeypatch):
-        monkeypatch.setattr(estimator, "_numpy_library", lambda: None)
-        monkeypatch.delattr("numpy._core._multiarray_umath.__cpu_features__")
-        assert estimator.host_class() == {"simd": None, "openblas_core": None}
 
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
@@ -397,6 +365,31 @@ class TestCliCommands:
             key=lambda cert: cert.factor,
         )
         assert report["bound_certificate"] == dataclasses.asdict(want)
+
+    def test_prior_interp_prints_the_rank_it_saves(self, tmp_path, capsys):
+        # prior-interp prints the eigen form of the blended log; design reads
+        # the one `load_prior_field` truncates from the saved covariance
+        from qsdesign.prior import PriorField, RankRule, VoxelPrior, save_prior_field
+
+        rng, rule = np.random.default_rng(5), RankRule("fraction", 0.9)
+        field = PriorField((2, 2, 2), {}, 2, rule)
+        for index in np.ndindex(2, 2, 2):
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            cov = (q * np.exp(-rng.uniform(0.3, 2.0) * np.arange(6))) @ q.T
+            field.add(index, VoxelPrior.from_moments(rng.standard_normal(6), cov, 0.01, rule))
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        ranks = set()
+        for n, query in enumerate(rng.uniform(0.0, 1.0, size=(12, 3))):
+            out = tmp_path / f"o{n}"
+            assert main(["prior-interp", "--prior", str(path), "--query", ",".join(map(str, query)),
+                         "--out", str(out)]) == 0
+            loaded = load_prior_field(out / "prior_interp.qpf").priors[(0, 0, 0)]
+            printed = capsys.readouterr().out
+            assert f"(rank {loaded.rank}," in printed
+            assert f"top eigenvalue {loaded.eigenvalues[0]:.6g})" in printed
+            ranks.add(loaded.rank)
+        assert len(ranks) > 1
 
     def test_design_missing_prior_exit_2(self, tmp_path):
         assert main(["design", "--prior", str(tmp_path / "no.qpf"), "--budget", "3"]) == 2
@@ -910,8 +903,9 @@ def test_taken_output_fails_before_any_work(command, argv_for, work, tmp_path, m
 # (argv builder for a value, the largest value its check accepts, the first
 # line of the refusal, the first step of the command's work as cli calls
 # it). The ESR pair array holds 6 n^2 float64 entries a configuration; a
-# design over the J = 6 field holds the (N, J) basis. The configuration keys are bounded by the float64 arrays they size
-# at TINY_SIM's or TINY_BUILD's other values (J = 15 at degree 4).
+# design over the J = 6 field holds the (N, J) basis. The configuration keys
+# are bounded by the float64 arrays they size at TINY_SIM's or TINY_BUILD's
+# other values (J = 15 at degree 4).
 ENTRIES = cli.SIZE_CEILING_BYTES // 8
 SIZE_LIMITS = [
     (lambda t, n: ["esr", "--count", str(n), "--out", str(t / "o")],
