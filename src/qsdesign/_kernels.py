@@ -247,12 +247,15 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
     `points` is the coordinate-major (3, P) of its configurations, of any
     sizes, and the call gives the workspace's energy buffer (R,) and
     gradient buffer (3, P), which the next call overwrites. With energies
-    `bound` (R,), the gradient's columns hold the gradients of only the
-    configurations whose energy is below their bound (of all of them
-    without a bound): electrostatic repulsion keeps a trial only where its
-    energy drops, so it needs no gradient for the others. Each
-    configuration gets the same bits whatever shares the call with it, and
-    the bits of the one-configuration (n, n, 3) einsum form of the kernel:
+    `bound` (R,), a workspace group whose configurations all have an energy
+    at or above their bound is skipped after its energies, and its gradient
+    columns keep what the buffer held; every other group, and every group
+    without a bound, takes the gradients of all its configurations.
+    Electrostatic repulsion keeps a trial only where its energy drops, so
+    it needs no gradient for the others, and discards those a group
+    computes. Each configuration gets the same bits whatever shares the
+    call with it, and the bits of the one-configuration (n, n, 3) einsum
+    form of the kernel:
 
     - the pair array is coordinate-major: pairs[0, k] holds p_i[k] - p_j[k]
       and pairs[1, k] holds p_i[k] + p_j[k] over each configuration's n x n
@@ -266,7 +269,8 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
       distances are exactly symmetric and p_i - p_j exactly antisymmetric,
       so each sum over j equals, up to an exact sign, a sum over the first
       pair axis, which numpy adds plane by plane in j order, as the einsum
-      does. dist^-3 is taken for the configurations below their bound only.
+      does. dist^-3 is taken over a whole group, for the groups that hold a
+      configuration below its bound only.
     """
     if workspace is None:
         energy, grad = coulomb_energy_grad(np.ascontiguousarray(points.T), None, CoulombWorkspace([len(points)]))
@@ -290,32 +294,14 @@ def coulomb_energy_grad(points: np.ndarray, bound: np.ndarray | None = None, wor
             np.add.reduce(seg.planes, axis=2, out=seg.plane_sums)
         np.add(group.plane_sums[0], group.plane_sums[1], out=group.energy)
         group.energy *= 0.5
-        lower = None if bound is None else group.energy < bound[group.configs]
-        if lower is None or lower.all():
-            np.power(dist, -3, out=work)
-            pairs *= work[:, None]
-        elif lower.any():
-            for first, last in _runs(lower.tolist()):  # runs of configurations below their bound
-                span = slice(group.entry_starts[first], group.entry_starts[last])
-                np.power(dist[:, span], -3, out=work[:, span])
-                pairs[:, :, span] *= work[:, None, span]
-        else:
+        if bound is not None and not (group.energy < bound[group.configs]).any():
             continue
+        np.power(dist, -3, out=work)
+        pairs *= work[:, None]
         for seg in group.segments:
             np.add.reduce(seg.stack, axis=3, out=seg.sums)
         np.subtract(group.sums[0], group.sums[1], out=group.grad)
     return workspace.energy, workspace.grad
-
-
-def _runs(flags: list):
-    """(first, last) of each run of true `flags`, last exclusive."""
-    first = None
-    for k, flag in enumerate([*flags, False]):
-        if flag and first is None:
-            first = k
-        elif not flag and first is not None:
-            yield first, k
-            first = None
 
 
 def local_maxima(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:

@@ -357,9 +357,11 @@ def esr_designs(requests) -> list:
     one restart after the other as the `CoulombWorkspace` of the live set
     lays them out, and the descent keeps that workspace, so a step allocates
     nothing of the pair arrays' size; a restart that leaves is copied out
-    and the live set is laid out anew. A step is one `_esr_trial` and one
-    `coulomb_energy_grad` call: the energy of every live trial and, bounded
-    by the current energies, the gradients of the accepted ones only.
+    and the live set is laid out anew. A step is one `_esr_trial`, one
+    `coulomb_energy_grad` call and one masked update: the call gives the
+    energy of every live trial and, bounded by the current energies, the
+    gradients of every workspace group that holds an accepted trial; the
+    update takes the accepted trials and their gradients and drops the rest.
     """
     requests = [(count, seed) for count, seed in requests]
     for count, seed in requests:
@@ -383,13 +385,6 @@ def esr_designs(requests) -> list:
         trial = _esr_trial(points, grad, alpha[owner])
         trial_energy, trial_grad = _kernels.coulomb_energy_grad(trial, energy, workspace)
         better = trial_energy < energy
-        if better.all():
-            np.copyto(points, trial)
-            np.copyto(grad, trial_grad)
-            np.copyto(energy, trial_energy)
-            accepted += 1
-            alpha *= 1.2
-            continue
         moved = better[owner]
         np.copyto(points, trial, where=moved)
         np.copyto(grad, trial_grad, where=moved)

@@ -80,6 +80,34 @@ def _openblas_threads():
     return get, put
 
 
+def host_class() -> dict:
+    """What on this host decides how the outputs round, as `report.json`'s
+    `host`: `simd_found`, the SIMD extensions numpy dispatches to, as
+    `np.show_config(mode="dicts")` lists them (numpy's AVX-512 `np.power`
+    loop rounds some ESR `dist**-3` differently from libm's `pow`);
+    `openblas_core`, the core numpy's OpenBLAS runs on, which decides how
+    the batched solves round; each None where numpy does not say; and
+    `cholesky`, where the fits' `dpotrf` and `dpotrs` come from: "numpy
+    lapack" or "scipy.linalg fallback"."""
+    try:
+        simd = list(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
+    except (TypeError, KeyError):  # a numpy without the dicts mode or the section
+        simd = None
+    cholesky = "numpy lapack" if _numpy_lapack() is not None else "scipy.linalg fallback"
+    return {"simd_found": simd, "openblas_core": _openblas_core(), "cholesky": cholesky}
+
+
+def _openblas_core():
+    """The core numpy's OpenBLAS runs its kernels for, such as "SkylakeX",
+    or None where it exports no `scipy_openblas_get_corename64_`."""
+    try:
+        core = _numpy_library().scipy_openblas_get_corename64_
+    except AttributeError:  # no such symbol, or no library
+        return None
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    return core().decode()
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread and restore the
@@ -215,10 +243,13 @@ def gcv_select_batch(points, value_rows, basis: ShBasis):
 
     The rows share the design, so each grid value's Cholesky factor and
     hat-matrix trace are computed once, and one triangular solve takes every
-    row as a column of its right-hand side. Each column gets the bits of its
-    own one-vector solve, and the right-hand sides and residuals come from
-    `row_products`, so every row gets the same bits as a `gcv_select` call
-    of its own.
+    row as a column of its right-hand side. The right-hand sides and
+    residuals come from `row_products`, so every row gets the same bits as
+    a `gcv_select` call of its own where each column of the solve gets the
+    bits of its own one-vector solve: on OpenBLAS cores whose `dpotrs`
+    solves each right-hand side alone (`host_class`), such as
+    "SkylakeX", but not "Haswell" for a basis of J >= 20 functions, where a
+    row's last bits depend on the rows it is solved with.
 
     Returns
     -------
@@ -274,8 +305,12 @@ def _conditional_scores_batch(points, value_rows, prior: VoxelPrior, basis: ShBa
     points, one row of scores each.
 
     The observation Gram matrix is factored once; one triangular solve takes
-    every residual as a column, and the products are `row_products`, so
-    every row has the bits of its own `conditional_scores`.
+    every residual as a column, and the products are `row_products`. Every
+    row has the bits of its own `conditional_scores` where the solve gives
+    each column the bits of its one-vector solve: on OpenBLAS cores whose
+    `dpotrs` solves each right-hand side alone (`host_class`), such as
+    "SkylakeX", but not "Haswell" from 20 points on, where a row's last
+    bits depend on the rows it is solved with.
     """
     pts = _check_points(points)
     m = pts.shape[0]

@@ -43,9 +43,7 @@ def as_unit_vectors(points, name: str = "points"):
 def normalized(points) -> np.ndarray:
     """Project vectors onto the unit sphere (rescale the last axis to unit norm)."""
     arr = np.asarray(points, dtype=float)
-    # np.linalg.norm(arr, axis=-1, keepdims=True) without its dispatch, which
-    # costs more than the arithmetic on the small stacks of the ESR descent
-    norms = np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
     if not norms.all():
         raise ValidationError("cannot normalize a zero vector")
     return arr / norms

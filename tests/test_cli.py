@@ -15,10 +15,12 @@ import yaml
 from qsdesign import cli, estimator, runner
 from qsdesign.cli import main
 from qsdesign.config import SimConfig, load_sim_config, sim_config_from_dict
-from qsdesign.design import coulomb_energy
+from qsdesign.design import coulomb_energy, default_candidates, esr_design, greedy_bound
 from qsdesign.errors import ValidationError
 from qsdesign.prior import load_prior_field
 from qsdesign.runner import CSV_COLUMNS, metrics_csv_text, run_simulation, write_outputs
+from qsdesign.sim import generate_cohort
+from qsdesign.sphere import ShBasis
 
 TINY_SIM = {
     "seed": 7,
@@ -170,6 +172,44 @@ class TestRunner:
         for fit, count in zip(fits, subjects):
             assert len(fit["counts"]) == len(estimator.DEFAULT_GCV_GRID) and sum(fit["counts"]) == count
             assert fit["edge_hits"] == fit["counts"][0] + fit["counts"][-1]
+
+    def test_report_has_a_bound_certificate_per_budget(self, tiny_results):
+        cfg, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["bound_certificates"] == result.bound_certificates
+        # the run's prior, rebuilt as run_simulation builds it
+        basis = ShBasis(cfg.degree)
+        train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
+        prior, _ = runner.build_prior_from_cohort(train, esr_design(cfg.dense_design_size, cfg.seed), cfg, "train-noise")
+        assert prior.rank == result.prior_rank
+        pool = default_candidates(cfg.candidate_count)
+        assert result.bound_certificates == [
+            dataclasses.asdict(greedy_bound(prior, pool, basis, b, b)) for b in cfg.budgets]
+        for budget, certificate in zip(cfg.budgets, result.bound_certificates):
+            assert certificate["steps"] == certificate["budget"] == budget
+            assert 0.0 < certificate["factor"] <= 1.0
+
+    def test_report_has_the_host_class(self, tiny_results):
+        _, result, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        assert report["host"] == result.host == estimator.host_class()
+        assert set(result.host) == {"simd_found", "openblas_core", "cholesky"}
+        simd = result.host["simd_found"]
+        assert simd is None or all(isinstance(name, str) for name in simd)
+        core = result.host["openblas_core"]
+        assert (core is None) == (not hasattr(estimator._numpy_library(), "scipy_openblas_get_corename64_"))
+        assert core is None or (isinstance(core, str) and core)
+        assert result.host["cholesky"] == (
+            "numpy lapack" if estimator._numpy_lapack() is not None else "scipy.linalg fallback")
+
+    def test_host_class_is_null_where_numpy_does_not_say(self, monkeypatch):
+        def no_dicts_mode(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(estimator, "_numpy_library", lambda: None)
+        monkeypatch.setattr(estimator, "_numpy_lapack", lambda: None)
+        monkeypatch.setattr(np, "show_config", no_dicts_mode)
+        assert estimator.host_class() == {"simd_found": None, "openblas_core": None, "cholesky": "scipy.linalg fallback"}
 
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results

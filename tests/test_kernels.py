@@ -158,16 +158,28 @@ def test_coulomb_stack_equals_per_configuration_reference(count, n, rng, monkeyp
 @pytest.mark.parametrize("entries", [None, 1])  # the default blocks, or one configuration a block
 @pytest.mark.parametrize("below", [(True,) * 6, (False, True, False, True, True, False), (False,) * 6])
 def test_coulomb_bound_gives_the_gradients_below_it(below, entries, rng, monkeypatch):
+    # a workspace group that holds a configuration below its bound takes the
+    # gradients of all its configurations; any other group is skipped, and
+    # its gradient columns keep what the buffer held
     if entries is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", entries)
     configs = [random_unit_vectors(rng, n) for n in MIXED_SIZES]
     energy, grads = workspace_coulomb(configs)
     lower = np.array(below)
     bound = np.where(lower, np.nextafter(energy, np.inf), energy)  # an energy equal to its bound is not below it
-    bounded_energy, bounded_grads = workspace_coulomb(configs, bound)
+    workspace = _kernels.CoulombWorkspace(MIXED_SIZES)
+    assert len(workspace.groups) == (1 if entries is None else len(configs))
+    workspace.grad.fill(np.nan)
+    bounded_energy, bounded_grad = _kernels.coulomb_energy_grad(np.concatenate(configs).T.copy(), bound, workspace)
     assert bounded_energy.tobytes() == energy.tobytes()
-    for r in np.flatnonzero(lower):
-        assert bounded_grads[r].tobytes() == grads[r].tobytes()
+    for group in workspace.groups:
+        taken = lower[group.configs].any()
+        for r in range(group.configs.start, group.configs.stop):
+            columns = bounded_grad[:, workspace.ends[r] : workspace.ends[r + 1]].T
+            if taken:
+                assert columns.tobytes() == grads[r].tobytes()
+            else:
+                assert np.isnan(columns).all()
 
 
 @pytest.mark.parametrize("n", [2, 30, 90])
