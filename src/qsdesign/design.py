@@ -283,9 +283,9 @@ def _rank_groups(phi, stack: EigenStack):
     """Yield (voxel rows, their unpadded `psi` (B, N, k)), for every group of
     voxels of equal rank k, in `blocks` of N k entries a voxel."""
     ranks = stack.ranks
-    for k in np.unique(ranks):
+    for k in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma, about 1 MB resident
         group = np.flatnonzero(ranks == k)
-        for block in _kernels.blocks(len(group), len(phi) * int(k)):
+        for block in _kernels.blocks(len(group), len(phi) * k):
             rows = group[block]
             yield rows, phi @ stack.eigenvectors[rows, :, :k]
 

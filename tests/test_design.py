@@ -529,6 +529,28 @@ class TestGreedyBound:
             greedy_bound(prior, pool, basis4, 4, 3)
 
 
+# A fresh process's bound certificate; prints whether it imported numpy.ma.
+MASKED_CHILD = """
+import sys
+import numpy as np
+from qsdesign.design import default_candidates, greedy_bound
+from qsdesign.prior import VoxelPrior
+from qsdesign.sphere import ShBasis
+basis = ShBasis(4)
+half = np.random.default_rng(0).standard_normal((basis.dimension, basis.dimension))
+greedy_bound(VoxelPrior.from_moments(np.zeros(basis.dimension), half @ half.T, 0.01), default_candidates(50), basis, 3, 3)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bound_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 1 MB of resident
+    # memory that every simulate run would carry for its bound certificates
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", MASKED_CHILD], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split()[-1] == "False"
+
+
 class TestRegionBoundByRankGroup:
     """`region_bound` takes `psi` rank group by rank group from unpadded
     eigenvectors, so every voxel keeps the bits of its one-voxel bound."""
