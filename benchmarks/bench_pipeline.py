@@ -12,7 +12,9 @@ Six workloads, all at one BLAS thread:
   workload (`SIZES["full"]["protocol"]` in perfbench/workloads.py);
 - unit: one `run_simulation` of the roadmap's protocol unit (UNIT below);
   a perfbench or unit row also holds the peak RSS (VmHWM, see run_child)
-  of one more run, made once per row in a fresh process, untimed;
+  and the minor page faults of each stage (its report's
+  `stage_minor_faults`) of one more run, made once per row in a fresh
+  process, untimed;
 - field: one repeat of the perfbench `field` workload (`workloads.Field`):
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
   a region design; `Field.check` validates every repeat;
@@ -46,7 +48,7 @@ Six workloads, all at one BLAS thread:
 
 perfbench/workloads.py is read from this checkout, never from `--root`, so
 rows that time two checkouts share their inputs and seed (101). Pipeline
-stages are those `run_simulation` times itself, read from its result's
+stages are those `run_simulation` times itself, read from its report's
 `stage_seconds` (CPU seconds: cohort, esr, prior_fit, peaks, greedy,
 observe, fit); `total` is the CPU time of the whole call,
 and the script exits 1 when the stages cover less than COVERAGE of it.
@@ -130,8 +132,8 @@ result = {"cpu_s": cpu_s, "gcv_maxrss_mb": fit_peak_mb, "tables_sha256": digest.
 # One `run_simulation`; argv: its SimConfig keyword arguments as JSON.
 SIMULATE_CHILD = """
 from qsdesign import config, runner
-runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1])))
-result = {}
+report = runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1]))).report
+result = {"stage_minor_faults": report["stage_minor_faults"]}
 """
 REGION_LATTICES = (6, 10, 16, 20)  # points per axis: 216, 1000, 4096 and 8000 voxels
 REGION_BUDGET = 20
@@ -238,7 +240,7 @@ def simulate_once(runner, cfg):
     t0 = time.process_time()
     result = runner.run_simulation(cfg)
     total = time.process_time() - t0
-    stages = result.stage_seconds["cpu"]
+    stages = result.report["stage_seconds"]["cpu"]
     if sum(stages.values()) < COVERAGE * total:
         sys.exit(f"error: run_simulation's stages cover {sum(stages.values()):.3f} of its {total:.3f} CPU seconds")
     return dict(stages, total=total), {"metrics_csv": runner.metrics_csv_text(result.rows).encode()}
@@ -441,7 +443,8 @@ def main(argv=None) -> int:
             cpu_s, digests = measure(name, lambda: simulate_once(runner, config.SimConfig(**params)), args.repeats)
             child = run_child(src, SIMULATE_CHILD, [json.dumps(params)], f"{name} run_simulation")
             fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s,
-                      "metrics_csv_sha256": digests["metrics_csv"], "maxrss_mb": child["maxrss_mb"]}
+                      "metrics_csv_sha256": digests["metrics_csv"], "maxrss_mb": child["maxrss_mb"],
+                      "stage_minor_faults": child["stage_minor_faults"]}
         row = {"label": args.label, "workload": name, "git_commit": git_commit(args.root), **fields, **environment}
         path = ROOT / ("BENCH_field.json" if name in ("field", "region") else "BENCH_pipeline.json")
         bench = json.loads(path.read_text()) if path.exists() else {"benchmark": path.stem, "rows": []}

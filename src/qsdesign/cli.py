@@ -157,7 +157,7 @@ def _cmd_simulate(args) -> int:
     result = run_simulation(cfg)
     with _writing(out):
         write_outputs(result, out)
-    print(f"wrote {out / 'metrics.csv'} ({len(result.rows)} rows, {result.elapsed_seconds:.1f}s)")
+    print(f"wrote {out / 'metrics.csv'} ({len(result.rows)} rows, {result.report['elapsed_seconds']:.1f}s)")
     return 0
 
 
@@ -232,6 +232,7 @@ _SYNTHETIC_ONLY = frozenset(
         "noise_sigma",
         "noise_kind",
         "generative",
+        "seed",
     )
 )
 
@@ -254,6 +255,8 @@ def _cmd_prior_build(args) -> int:
     unused = sorted(other_mode_keys & keys)
     if unused:
         raise ValidationError(f"prior-build {mode} cohort_csv does not use configuration keys {unused}")
+    if cohort_csv is not None and args.seed is not None:
+        raise ValidationError("prior-build with cohort_csv does not use --seed")
     cfg = sim_config_from_dict(raw)
     check_field_size(grid_shape, cfg.degree)
     if args.seed is not None:

@@ -16,6 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .config import SimConfig
 from .design import default_candidates, esr_designs, gradient_table, greedy_bound, greedy_design
 from .estimator import DEFAULT_GCV_GRID, conditional_fit_batch, gcv_select_batch, host_class, one_blas_thread
@@ -32,38 +37,32 @@ METHOD_BASELINE = "shls-esr"
 
 @dataclass
 class ExperimentResult:
-    """Aggregated metric rows plus the designs that produced them."""
+    """Aggregated metric rows, the designs that produced them, and the
+    mapping `report.json` holds (its keys are set in `_run_experiment`)."""
 
     rows: list  # one dict per (budget, method), CSV_COLUMNS keys
     designs: dict  # (budget, method) -> (n, 3) direction array
-    objective_history: list  # greedy objective after each pick, largest budget; a budget's is its prefix
-    stage_seconds: dict  # "cpu" and "wall" -> stage name -> seconds, in run order
-    config: dict
-    blas_threads: int | None  # numpy's OpenBLAS threads during the run; None where it cannot be pinned
-    prior_rank: int  # eigenpairs the prior kept
-    prior_explained_variance: float  # their share of the prior covariance's spectrum total
-    esr_designs: list  # one dict per ESR design (dense first, then each budget's): count, seed, descent telemetry
-    gcv: dict  # the GCV grid, and how many subjects chose each grid value in each GCV fit (see _gcv_fit)
-    bound_certificates: list  # each budget's greedy_bound(prior, candidates, basis, budget, budget), as a dict
-    host: dict  # estimator.host_class(): the SIMD extensions, OpenBLAS core and Cholesky path the bits were made on
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Wall seconds of the run: the sum of its stages' wall laps."""
-        return sum(self.stage_seconds["wall"].values())
+    report: dict
 
 
 class _LapClock:
-    """Charges the CPU and wall seconds since the previous lap to a named stage."""
+    """Charges the CPU and wall seconds and the minor page faults since the
+    previous lap to a named stage; the faults count 0 without `resource`."""
 
     def __init__(self):
         self.stage_seconds = {"cpu": {}, "wall": {}}
-        self._last = {"cpu": time.process_time(), "wall": time.perf_counter()}
+        self.stage_minor_faults = {}
+        self._last = self._read()
+
+    @staticmethod
+    def _read() -> dict:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+        return {"cpu": time.process_time(), "wall": time.perf_counter(), "faults": faults}
 
     def lap(self, stage: str) -> None:
-        now = {"cpu": time.process_time(), "wall": time.perf_counter()}
-        for kind, seconds in self.stage_seconds.items():
-            seconds[stage] = seconds.get(stage, 0.0) + now[kind] - self._last[kind]
+        now = self._read()
+        for kind, totals in (*self.stage_seconds.items(), ("faults", self.stage_minor_faults)):
+            totals[stage] = totals.get(stage, 0) + now[kind] - self._last[kind]
         self._last = now
 
 
@@ -183,23 +182,29 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
             }
         )
     clock.lap("peaks")
-    return ExperimentResult(
-        rows=rows,
-        designs=designs,
-        objective_history=greedy.objective_history.tolist(),
-        stage_seconds=clock.stage_seconds,
-        config=asdict(cfg),
-        blas_threads=blas_threads,
-        prior_rank=prior.rank,
-        prior_explained_variance=float(np.sum(prior.eigenvalues) / prior.spectrum_total),
-        esr_designs=[
+    report = {
+        "blas_threads": blas_threads,  # numpy's OpenBLAS threads during the run; None where it cannot be pinned
+        "bound_certificates": bounds,  # each budget's greedy_bound(prior, candidates, basis, budget, budget)
+        "config": asdict(cfg),
+        "elapsed_seconds": sum(clock.stage_seconds["wall"].values()),  # wall seconds: the sum of the wall laps
+        "esr_designs": [  # one per ESR design (dense first, then each budget's): count, seed, descent telemetry
             {key: getattr(esr, key) for key in ("count", "seed", "steps", "accepted", "stop", "energy")}
             for esr in (dense, *baselines)
         ],
-        gcv={"grid": DEFAULT_GCV_GRID.tolist(), "fits": gcv_fits},
-        bound_certificates=bounds,
-        host=host_class(),
-    )
+        # the GCV grid, and how many subjects chose each grid value in each GCV fit (see _gcv_fit)
+        "gcv": {"grid": DEFAULT_GCV_GRID.tolist(), "fits": gcv_fits},
+        # greedy objective after each pick, largest budget; a budget's is its prefix
+        "greedy_objective_history": greedy.objective_history.tolist(),
+        "host": host_class(),  # the SIMD extensions, OpenBLAS core and Cholesky path the bits were made on
+        # the process's peak RSS so far, in MB (Linux counts ru_maxrss in kB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 if resource else None,
+        "prior_rank": prior.rank,  # eigenpairs the prior kept
+        # their share of the prior covariance's spectrum total
+        "prior_explained_variance": float(np.sum(prior.eigenvalues) / prior.spectrum_total),
+        "stage_minor_faults": clock.stage_minor_faults if resource else None,  # stage name -> minor page faults
+        "stage_seconds": clock.stage_seconds,  # "cpu" and "wall" -> stage name -> seconds, in run order
+    }
+    return ExperimentResult(rows, designs, report)
 
 
 def metrics_csv_text(rows) -> str:
@@ -233,18 +238,5 @@ def write_outputs(result: ExperimentResult, out_dir) -> Path:
     (out / "designs").mkdir(exist_ok=True)
     for (budget, method), points in sorted(result.designs.items()):
         (out / _design_name(method, budget)).write_text(gradient_table(points))
-    report = {
-        "blas_threads": result.blas_threads,
-        "bound_certificates": result.bound_certificates,
-        "config": result.config,
-        "elapsed_seconds": result.elapsed_seconds,
-        "esr_designs": result.esr_designs,
-        "gcv": result.gcv,
-        "greedy_objective_history": result.objective_history,
-        "host": result.host,
-        "prior_explained_variance": result.prior_explained_variance,
-        "prior_rank": result.prior_rank,
-        "stage_seconds": result.stage_seconds,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
     return out

@@ -226,6 +226,8 @@ def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str
     """
     if sigma < 0.0:
         raise ValidationError("sigma must be non-negative")
+    if noise not in ("gaussian", "chi"):
+        raise ValidationError(f"unknown noise kind {noise!r}")
     pts, _ = as_unit_vectors(np.atleast_2d(np.asarray(points, dtype=float)), "points")
     phi = basis.evaluate(pts)
     m = pts.shape[0]
@@ -233,8 +235,6 @@ def observe_batch(truths, points, sigma: float, rngs, basis: ShBasis, noise: str
     out = row_products(phi, signals)
     if sigma == 0.0:
         return out
-    if noise not in ("gaussian", "chi"):
-        raise ValidationError(f"unknown noise kind {noise!r}")
     scale = sigma / np.sqrt(2.0 - np.pi / 2.0)
     for row, rng in zip(out, rngs, strict=True):
         gen = _rng(rng)

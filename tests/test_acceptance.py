@@ -5,23 +5,40 @@ protocol scale (200 training / 100 test subjects, 90 dense directions,
 noise sigma 0.01); expect a few minutes total.
 """
 
+import contextlib
+import dataclasses
+import io
 import itertools
 
 import numpy as np
 import pytest
+import yaml
 
+from qsdesign.cli import main
 from qsdesign.config import SimConfig
 from qsdesign.design import (
     CandidateSet,
     default_candidates,
     design_objective,
+    esr_design,
     greedy_bound,
     greedy_design,
+    greedy_design_region,
     hemisphere_spiral,
 )
-from qsdesign.estimator import conditional_fit, conditional_scores, shls_fit
-from qsdesign.prior import PriorField, RankRule, VoxelPrior, corner_weights, interpolate_prior
+from qsdesign.estimator import conditional_fit, conditional_fit_batch, conditional_scores, gcv_select_batch, shls_fit
+from qsdesign.metrics import integrated_squared_error
+from qsdesign.prior import (
+    PriorField,
+    RankRule,
+    VoxelPrior,
+    corner_weights,
+    interpolate_prior,
+    load_eigen_stack,
+    load_prior_field,
+)
 from qsdesign.runner import metrics_csv_text, run_simulation
+from qsdesign.sim import GenerativeConfig, generate_cohort, observe_batch
 from qsdesign.sphere import ShBasis, funk_radon, inverse_funk_radon, make_grid
 
 from conftest import basis_index, random_prior, random_unit_vectors
@@ -69,11 +86,11 @@ def test_criterion_1_mise_ordering(protocol_runs):
     )
     adv = lambda b: rows[(b, "shls-esr")]["mise"] - rows[(b, "cond-greedy")]["mise"]
     sparse_gain = adv(5) > adv(45)
-    runtime_ok = result.elapsed_seconds < 600
+    runtime_ok = result.report["elapsed_seconds"] < 600
     detail = (
         f"mise(cond) < mise(shls) at {SPARSE_BUDGETS}: {ordering}; "
         f"advantage 5 vs 45: {adv(5):.5f} > {adv(45):.5f}: {sparse_gain}; "
-        f"runtime {result.elapsed_seconds:.0f}s"
+        f"runtime {result.report['elapsed_seconds']:.0f}s"
     )
     _report("criterion-1 sparse-budget MISE ordering", ordering and sparse_gain and runtime_ok, detail)
 
@@ -279,4 +296,50 @@ def test_criterion_9_non_gaussian_robustness(chi_noise_run):
         "criterion-9 non-Gaussian noise robustness",
         ordering,
         f"MISE ordering persists under centered chi noise at budgets {SPARSE_BUDGETS}",
+    )
+
+
+def test_criterion_10_region_design_reconstructs_every_voxel(tmp_path):
+    # a 3x3x1 field from prior-build (10 degrees of rotation per index
+    # step), a test cohort per voxel drawn from that voxel's generative
+    # model, and the mean MISE over the voxels of one shared region design,
+    # of each voxel's own greedy design (both fitted with the voxel's prior)
+    # and of shls-esr
+    config = {"seed": 11, "degree": 8, "train_subjects": 60, "dense_design_size": 90, "noise_sigma": 0.01,
+              "rank_rule": {"kind": "fraction", "value": 0.9}, "grid_shape": [3, 3, 1],
+              "rotation_per_voxel_degrees": 10.0}
+    (tmp_path / "field.yaml").write_text(yaml.safe_dump(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["prior-build", "--config", str(tmp_path / "field.yaml"), "--out", str(tmp_path)]) == 0
+    basis, pool, budgets = ShBasis(config["degree"]), default_candidates(), (10, 20)
+    priors = load_prior_field(tmp_path / "prior_field.qpf").priors
+    _, indices, stack = load_eigen_stack(tmp_path / "prior_field.qpf")
+    region = pool.points[greedy_design_region(pool, stack, basis, budgets[-1]).selected]
+    esr = {budget: esr_design(budget, budget) for budget in budgets}
+    mise = {method: {b: [] for b in budgets} for method in ("region", "voxel", "shls-esr")}
+    for index in map(tuple, indices.tolist()):
+        prior, angle = priors[index], np.radians(config["rotation_per_voxel_degrees"]) * sum(index)
+        rot = np.array([[np.cos(angle), -np.sin(angle), 0.0], [np.sin(angle), np.cos(angle), 0.0], [0.0, 0.0, 1.0]])
+        means = tuple(tuple(rot @ np.asarray(m)) for m in GenerativeConfig().mean_directions)
+        generative = dataclasses.replace(GenerativeConfig(), mean_directions=means)
+        test = generate_cohort(basis, generative, 30, np.random.SeedSequence((config["seed"], 4, *index)))
+        voxel = pool.points[greedy_design(pool, prior, basis, budgets[-1]).selected]
+        for budget in budgets:
+            designs = {"region": region[:budget], "voxel": voxel[:budget], "shls-esr": esr[budget]}
+            for method, points in designs.items():
+                rngs = [np.random.default_rng((config["seed"], 5, *index, budget, i)) for i in range(len(test))]
+                values = observe_batch(test, points, config["noise_sigma"], rngs, basis)
+                if method == "shls-esr":
+                    coeffs = gcv_select_batch(points, values, basis)[1]
+                else:
+                    coeffs = conditional_fit_batch(points, values, prior, basis)
+                mise[method][budget].extend(integrated_squared_error(c, t.signal) for c, t in zip(coeffs, test))
+    mean = {method: {b: float(np.mean(v)) for b, v in by_budget.items()} for method, by_budget in mise.items()}
+    ratios = {b: mean["region"][b] / mean["voxel"][b] for b in budgets}
+    ok = all(ratios[b] <= 1.1 and mean["region"][b] < mean["shls-esr"][b] for b in budgets)
+    _report(
+        "criterion-10 one region design reconstructs every voxel",
+        ok,
+        "; ".join(f"budget {b}: MISE region {mean['region'][b]:.5f}, per-voxel {mean['voxel'][b]:.5f} "
+                  f"(ratio {ratios[b]:.3f}), shls-esr {mean['shls-esr'][b]:.5f}" for b in budgets),
     )

@@ -107,7 +107,7 @@ class TestRunner:
         header = text.splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         assert header == "budget,method,mise,pfp,peak_match_rate,ea,n_test,seed"
-        assert len(text.splitlines()) == 1 + 2 * len(result.config["budgets"])
+        assert len(text.splitlines()) == 1 + 2 * len(result.report["config"]["budgets"])
 
     def test_one_row_per_budget_method(self, tiny_results):
         _, result, _ = tiny_results
@@ -134,38 +134,32 @@ class TestRunner:
         report = json.loads((out / "report.json").read_text())
         hist = report["greedy_objective_history"]
         assert "greedy_objective_histories" not in report
-        assert hist == result.objective_history
-        assert len(hist) == result.config["budgets"][-1]
+        assert len(hist) == report["config"]["budgets"][-1]
         assert np.all(np.diff(hist) >= -1e-12)
-        assert report["stage_seconds"] == result.stage_seconds
-        assert report["elapsed_seconds"] == result.elapsed_seconds
 
     def test_report_has_prior_rank_and_explained_variance(self, tiny_results):
-        cfg, result, out = tiny_results
+        cfg, _, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["prior_rank"] == result.prior_rank >= 1
-        assert report["prior_explained_variance"] == result.prior_explained_variance
-        assert cfg.rank_rule.value - 1e-12 <= result.prior_explained_variance <= 1.0
+        assert report["prior_rank"] >= 1
+        assert cfg.rank_rule.value - 1e-12 <= report["prior_explained_variance"] <= 1.0
 
     def test_report_has_esr_telemetry(self, tiny_results):
         cfg, result, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["esr_designs"] == result.esr_designs
         requests = [(cfg.dense_design_size, cfg.seed), *((b, cfg.seed + 1 + b) for b in cfg.budgets)]
-        assert [(e["count"], e["seed"]) for e in result.esr_designs] == requests
-        for entry in result.esr_designs:
+        assert [(e["count"], e["seed"]) for e in report["esr_designs"]] == requests
+        for entry in report["esr_designs"]:
             assert 1 <= entry["accepted"] <= entry["steps"] <= 2000
             assert entry["stop"] in ("step floor", "step cap")
-        for budget, entry in zip(cfg.budgets, result.esr_designs[1:]):
+        for budget, entry in zip(cfg.budgets, report["esr_designs"][1:]):
             assert entry["energy"] == coulomb_energy(result.designs[(budget, "shls-esr")])
 
     def test_report_has_gcv_lambda_counts(self, tiny_results):
         # the prior fit over the training cohort, then each shls-esr budget's over the test cohort
-        cfg, result, out = tiny_results
+        cfg, _, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["gcv"] == result.gcv
-        assert result.gcv["grid"] == estimator.DEFAULT_GCV_GRID.tolist()
-        fits = result.gcv["fits"]
+        assert report["gcv"]["grid"] == estimator.DEFAULT_GCV_GRID.tolist()
+        fits = report["gcv"]["fits"]
         assert [{key: fit[key] for key in fit if key not in ("counts", "edge_hits")} for fit in fits] == [
             {"fit": "prior"}, *({"fit": "shls-esr", "budget": b} for b in cfg.budgets)]
         subjects = [cfg.train_subjects, *[cfg.test_subjects] * len(cfg.budgets)]
@@ -174,32 +168,31 @@ class TestRunner:
             assert fit["edge_hits"] == fit["counts"][0] + fit["counts"][-1]
 
     def test_report_has_a_bound_certificate_per_budget(self, tiny_results):
-        cfg, result, out = tiny_results
+        cfg, _, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["bound_certificates"] == result.bound_certificates
         # the run's prior, rebuilt as run_simulation builds it
         basis = ShBasis(cfg.degree)
         train = generate_cohort(basis, cfg.generative, cfg.train_subjects, np.random.SeedSequence((cfg.seed, 1)))
         prior, _ = runner.build_prior_from_cohort(train, esr_design(cfg.dense_design_size, cfg.seed), cfg, "train-noise")
-        assert prior.rank == result.prior_rank
+        assert prior.rank == report["prior_rank"]
         pool = default_candidates(cfg.candidate_count)
-        assert result.bound_certificates == [
+        assert report["bound_certificates"] == [
             dataclasses.asdict(greedy_bound(prior, pool, basis, b, b)) for b in cfg.budgets]
-        for budget, certificate in zip(cfg.budgets, result.bound_certificates):
+        for budget, certificate in zip(cfg.budgets, report["bound_certificates"]):
             assert certificate["steps"] == certificate["budget"] == budget
             assert 0.0 < certificate["factor"] <= 1.0
 
     def test_report_has_the_host_class(self, tiny_results):
-        _, result, out = tiny_results
-        report = json.loads((out / "report.json").read_text())
-        assert report["host"] == result.host == estimator.host_class()
-        assert set(result.host) == {"simd_found", "openblas_core", "cholesky"}
-        simd = result.host["simd_found"]
+        _, _, out = tiny_results
+        host = json.loads((out / "report.json").read_text())["host"]
+        assert host == estimator.host_class()
+        assert set(host) == {"simd_found", "openblas_core", "cholesky"}
+        simd = host["simd_found"]
         assert simd is None or all(isinstance(name, str) for name in simd)
-        core = result.host["openblas_core"]
+        core = host["openblas_core"]
         assert (core is None) == (not hasattr(estimator._numpy_library(), "scipy_openblas_get_corename64_"))
         assert core is None or (isinstance(core, str) and core)
-        assert result.host["cholesky"] == (
+        assert host["cholesky"] == (
             "numpy lapack" if estimator._numpy_lapack() is not None else "scipy.linalg fallback")
 
     def test_host_class_is_null_where_numpy_does_not_say(self, monkeypatch):
@@ -211,12 +204,27 @@ class TestRunner:
         monkeypatch.setattr(np, "show_config", no_dicts_mode)
         assert estimator.host_class() == {"simd_found": None, "openblas_core": None, "cholesky": "scipy.linalg fallback"}
 
+    def test_report_has_stage_faults_and_peak_rss(self, tiny_results):
+        _, _, out = tiny_results
+        report = json.loads((out / "report.json").read_text())
+        faults = report["stage_minor_faults"]
+        assert list(faults) == list(report["stage_seconds"]["cpu"])
+        assert all(isinstance(count, int) and count >= 0 for count in faults.values())
+        assert report["peak_rss_mb"] > 0
+
+    def test_faults_and_peak_rss_are_null_without_resource(self, tiny_results, monkeypatch):
+        cfg, pinned, _ = tiny_results
+        monkeypatch.setattr(runner, "resource", None)
+        result = run_simulation(cfg)
+        assert result.report["stage_minor_faults"] is None and result.report["peak_rss_mb"] is None
+        assert metrics_csv_text(result.rows) == metrics_csv_text(pinned.rows)
+
     def test_every_stage_timed(self, tiny_results):
         _, result, _ = tiny_results
         stages = ["cohort", "esr", "prior_fit", "greedy", "observe", "fit", "peaks"]
         for kind in ("cpu", "wall"):
-            assert list(result.stage_seconds[kind]) == stages
-            assert all(seconds >= 0.0 for seconds in result.stage_seconds[kind].values())
+            assert list(result.report["stage_seconds"][kind]) == stages
+            assert all(seconds >= 0.0 for seconds in result.report["stage_seconds"][kind].values())
 
     def test_laps_cover_the_run(self, tiny_results):
         # the wall laps sum to elapsed_seconds, and the CPU laps leave out
@@ -226,9 +234,10 @@ class TestRunner:
         wall0, cpu0 = time.perf_counter(), time.process_time()
         result = run_simulation(cfg)
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-        assert result.elapsed_seconds == sum(result.stage_seconds["wall"].values())
-        assert 0.0 < result.elapsed_seconds <= wall
-        assert 0.95 * cpu <= sum(result.stage_seconds["cpu"].values()) <= cpu
+        stage_seconds = result.report["stage_seconds"]
+        assert result.report["elapsed_seconds"] == sum(stage_seconds["wall"].values())
+        assert 0.0 < result.report["elapsed_seconds"] <= wall
+        assert 0.95 * cpu <= sum(stage_seconds["cpu"].values()) <= cpu
 
     def test_one_greedy_run_sliced_per_budget(self, tmp_path, monkeypatch):
         # each budget's selection and history equal a greedy run of its own,
@@ -247,11 +256,12 @@ class TestRunner:
         assert [budget for _, _, budget in calls] == [14]
         prior, basis, _ = calls[0]
         pool = default_candidates(cfg.candidate_count)
+        history = result.report["greedy_objective_history"]
         for budget in cfg.budgets:
             alone = greedy_design(pool, prior, basis, budget)
             assert result.designs[(budget, "cond-greedy")].tobytes() == pool.points[alone.selected].tobytes()
-            assert np.array(result.objective_history[:budget]).tobytes() == alone.objective_history.tobytes()
-        assert len(result.objective_history) == cfg.budgets[-1]
+            assert np.array(history[:budget]).tobytes() == alone.objective_history.tobytes()
+        assert len(history) == cfg.budgets[-1]
 
 
 class TestCliCommands:
@@ -514,9 +524,11 @@ class TestDenseRegimeParity:
 
 
 def _without_times(report_bytes):
-    """A report.json without its timings and its output directory."""
+    """A report.json without its timings, its fault counts and peak RSS,
+    and its output directory."""
     report = json.loads(report_bytes)
     del report["stage_seconds"], report["elapsed_seconds"], report["config"]["out_dir"]
+    del report["stage_minor_faults"], report["peak_rss_mb"]
     return report
 
 
@@ -558,15 +570,15 @@ class TestThreading:
             put(start)
 
     def test_report_records_the_pinned_count(self, tiny_results):
-        _, result, out = tiny_results
+        _, _, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["blas_threads"] == result.blas_threads == (1 if estimator._openblas_threads() else None)
+        assert report["blas_threads"] == (1 if estimator._openblas_threads() else None)
 
     def test_run_without_thread_control_records_null(self, tiny_results, monkeypatch):
         cfg, pinned, _ = tiny_results
         monkeypatch.setattr(estimator, "_openblas_threads", lambda: None)
         result = run_simulation(cfg)
-        assert result.blas_threads is None
+        assert result.report["blas_threads"] is None
         assert metrics_csv_text(result.rows) == metrics_csv_text(pinned.rows)
 
 
@@ -891,6 +903,10 @@ MALFORMED_INPUTS = [
         t, ",".join(["0.25"] * 15), grid_shape=[2, 2, 2], train_subjects=3, noise_sigma=0.01),
      "error: prior-build with cohort_csv does not use configuration keys "
      "['grid_shape', 'noise_sigma', 'train_subjects']"),
+    ("seed with cohort_csv", lambda t: _bad_cohort_csv(t, ",".join(["0.25"] * 15), seed=5),
+     "error: prior-build with cohort_csv does not use configuration keys ['seed']"),
+    ("--seed with cohort_csv", lambda t: [*_bad_cohort_csv(t, ",".join(["0.25"] * 15)), "--seed", "9"],
+     "error: prior-build with cohort_csv does not use --seed"),
 ]
 
 

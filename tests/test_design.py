@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdesign import _kernels, design, prior
 from qsdesign.cli import main
@@ -738,6 +740,19 @@ class TestEsrDesign:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             esr_designs([(5, 107), (count, seed)])  # the good request does not start either
         assert kernel == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_coulomb_energy_is_rotation_invariant(seed, n):
+    # the energy depends on the pairwise distances alone, which an
+    # orthogonal map (rotation or reflection) keeps
+    rng = np.random.default_rng(seed)
+    points = random_unit_vectors(rng, n)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rotation = q * np.sign(np.diag(r))  # Haar-distributed orthogonal
+    energy = coulomb_energy(points)
+    assert coulomb_energy(points @ rotation.T) == pytest.approx(energy, rel=1e-12, abs=0)
 
 
 # The request lists of the lockstep tests: the five ESR designs of the

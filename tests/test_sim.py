@@ -175,6 +175,9 @@ class TestObserveBatch:
         rngs = [np.random.default_rng(i) for i in range(2)]
         with pytest.raises(ValidationError, match="noise kind"):
             observe_batch(truths, Z, 0.1, rngs, basis4, "rician")
+        # also where no noise is drawn
+        with pytest.raises(ValidationError, match="noise kind 'bogus'"):
+            observe_batch(truths, Z, 0.0, rngs, basis4, "bogus")
 
 
 class TestGenerateCohort:
