@@ -17,7 +17,9 @@ Six workloads, all at one BLAS thread:
   process, untimed;
 - field: one repeat of the perfbench `field` workload (`workloads.Field`):
   `prior-build`, interpolation to a 216-voxel lattice with `.qpf` I/O, then
-  a region design; `Field.check` validates every repeat;
+  a region design; `Field.check` validates every repeat. A field row also
+  holds the peak RSS (VmHWM, see run_child) of one more repeat, `run_once`
+  and `check`, made once per row in a fresh process, untimed;
 - region: `qsdesign design --mode region --budget 20` in a fresh process
   per repeat, on lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
   interpolated from the coarse prior of the `field` workload's
@@ -134,6 +136,22 @@ SIMULATE_CHILD = """
 from qsdesign import config, runner
 report = runner.run_simulation(config.SimConfig(**json.loads(sys.argv[1]))).report
 result = {"stage_minor_faults": report["stage_minor_faults"]}
+"""
+# One repeat of the perfbench `field` workload, `run_once` then `check`;
+# argv: the perfbench directory, the seed and the work directory.
+FIELD_CHILD = """
+import contextlib
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+class Steps:
+    def step(self, name):
+        return contextlib.nullcontext()
+field = workloads.Field(int(sys.argv[2]), "full", Path(sys.argv[3]))
+problems = field.check(field.run_once(Steps()))
+if problems:
+    sys.exit("field check failed: " + "; ".join(problems))
+result = {}
 """
 REGION_LATTICES = (6, 10, 16, 20)  # points per axis: 216, 1000, 4096 and 8000 voxels
 REGION_BUDGET = 20
@@ -430,9 +448,12 @@ def main(argv=None) -> int:
             fields = time_setup(src, workloads.SIZES["full"]["protocol"]["degree"], args.repeats)
         elif name == "field":
             with tempfile.TemporaryDirectory(prefix="bench_field_") as tmp:
-                field = workloads.Field(seed, "full", Path(tmp))
+                field = workloads.Field(seed, "full", Path(tmp) / "timed")
                 cpu_s, digests = measure(name, lambda: field_once(field), args.repeats)
-            fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s, "outputs_sha256": digests}
+                argv = [str(ROOT / "perfbench"), str(seed), str(Path(tmp) / "peak")]
+                child = run_child(src, FIELD_CHILD, argv, "field repeat")
+            fields = {"seed": seed, "repeats": args.repeats, "cpu_s": cpu_s, "outputs_sha256": digests,
+                      "maxrss_mb": child["maxrss_mb"]}
         elif name == "region":
             with tempfile.TemporaryDirectory(prefix="bench_region_") as tmp:
                 lattices = build_lattices(workloads.Field(seed, "full", Path(tmp)), Path(tmp))

@@ -32,7 +32,8 @@ def _at_most(name: str, value: int, limit: int, context: str = "") -> None:
 
 def check_field_size(grid_shape, degree: int) -> None:
     """ValidationError unless a field over `grid_shape` at `degree` fits
-    SIZE_CEILING_BYTES: it holds every voxel's (J, J) covariance and mean."""
+    SIZE_CEILING_BYTES, counting every voxel's mean and a full (J, J)
+    covariance: an upper bound, since a prior keeps the packed triangle."""
     j = basis_dimension(degree)
     limit = _CEILING_ENTRIES // (j * (j + 1))
     _at_most("the voxel count of grid_shape", math.prod(grid_shape), limit, f" at degree {degree}")

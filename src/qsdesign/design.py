@@ -248,7 +248,15 @@ def region_bound(
     voxel of the stack with the smallest factor (the first on a tie), with
     the candidate basis evaluated once for all the voxels. Each voxel has
     the bits of its own `greedy_bound`: see `_lambda_psi_star`."""
-    if not 1 <= steps <= budget:
+    return region_bounds(stack, candidates, basis, [(steps, budget)])[0]
+
+
+def region_bounds(stack: EigenStack, candidates: CandidateSet, basis: ShBasis, pairs) -> list:
+    """`region_bound` of every (steps, budget) pair of `pairs`, in order, with
+    the candidate basis, `lambda_psi_star` and the spectrum endpoints taken
+    once for all of them; each certificate has the bits of its own call."""
+    pairs = list(pairs)
+    if not all(1 <= steps <= budget for steps, budget in pairs):
         raise ValidationError("need 1 <= steps <= budget")
     if not len(stack):
         raise ValidationError("need at least one prior")
@@ -256,13 +264,16 @@ def region_bound(
     ranks, evals = stack.ranks, stack.eigenvalues
     rho_max, rho_min = evals[:, 0], evals[np.arange(len(stack)), ranks - 1]
     sigma2 = stack.noise_variances[:, 0]
-    exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lam_star)
-    factor = 1.0 - np.exp(exponent)
-    v = int(np.argmin(factor))
-    return BoundCertificate(
-        int(steps), int(budget), float(rho_max[v]), float(rho_min[v]), float(lam_star[v]), float(sigma2[v]),
-        float(factor[v]),
-    )
+    certificates = []
+    for steps, budget in pairs:
+        exponent = -(1.0 / rho_max) * (steps / budget) / (1.0 / rho_min + (steps / sigma2) * lam_star)
+        factor = 1.0 - np.exp(exponent)
+        v = int(np.argmin(factor))
+        certificates.append(BoundCertificate(
+            int(steps), int(budget), float(rho_max[v]), float(rho_min[v]), float(lam_star[v]), float(sigma2[v]),
+            float(factor[v]),
+        ))
+    return certificates
 
 
 def _lambda_psi_star(phi, stack: EigenStack) -> np.ndarray:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -178,22 +178,28 @@ def _check_eigen_form(means, eigenvalues, eigenvectors, noise_variances, ranks):
 class VoxelPrior:
     """Gaussian-process prior on one voxel's coefficient vector.
 
+    The constructor takes the (J, J) covariance and keeps its lower
+    triangle, `covariance_tril`, packed in `np.tril_indices(J)` row order:
+    the `tril` field of a `.qpf` record. `covariance` rebuilds the symmetric
+    matrix, a new array at each read.
+
     `rank_rule` and `spectrum_total` are the rule that truncated the
     eigenpairs and the sum of the non-negative eigenvalues it truncated, or
     None for a prior built by hand. `interpolate_prior`'s eigenpairs come
     from the blended log, not from `covariance`, so may differ in last bits."""
 
     mean: np.ndarray  # (J,)
-    covariance: np.ndarray  # (J, J)
+    covariance: InitVar[np.ndarray]  # (J, J)
     eigenvalues: np.ndarray  # (K,) positive, non-increasing
     eigenvectors: np.ndarray  # (J, K) orthonormal columns
     noise_variance: float
     rank_rule: RankRule | None = None
     spectrum_total: float | None = None
+    covariance_tril: np.ndarray = field(init=False)  # (J (J + 1) / 2,)
 
-    def __post_init__(self):
+    def __post_init__(self, covariance):
         mean, cov, evals, evecs = (
-            np.asarray(a, dtype=float) for a in (self.mean, self.covariance, self.eigenvalues, self.eigenvectors)
+            np.asarray(a, dtype=float) for a in (self.mean, covariance, self.eigenvalues, self.eigenvectors)
         )
         j = mean.shape[0]
         if cov.shape != (j, j):
@@ -208,9 +214,9 @@ class VoxelPrior:
             raise ValidationError("eigenvector matrix shape mismatch")
         _check_eigen_form(mean[None], evals[None], evecs[None], [self.noise_variance], [evals.size])
         object.__setattr__(self, "mean", mean)
-        # exact symmetrization (idempotent) so the lower triangle determines
-        # the matrix bitwise, which serialization relies on
-        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+        # exact symmetrization (idempotent), so the lower triangle determines
+        # the matrix bitwise
+        object.__setattr__(self, "covariance_tril", (0.5 * (cov + cov.T))[_tril_indices(j)])
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", evecs)
 
@@ -240,6 +246,29 @@ class VoxelPrior:
         k = ranks[0]
         return cls(mean, covariance, evals[0, :k].copy(), evecs[0, :, :k].copy(), float(noise_variance), rank_rule,
                    float(totals[0]))
+
+
+def _covariance(prior: VoxelPrior) -> np.ndarray:
+    """The symmetric (J, J) covariance, rebuilt from `covariance_tril`: a new
+    array at each read, bitwise the matrix the constructor symmetrized."""
+    j = prior.dimension
+    rows, cols = _tril_indices(j)
+    cov = np.empty((j, j))
+    cov[cols, rows] = cov[rows, cols] = prior.covariance_tril
+    return cov
+
+
+# set after the class body, where `covariance` names the constructor's InitVar
+VoxelPrior.covariance = property(_covariance, doc=_covariance.__doc__)
+
+
+@functools.cache
+def _tril_indices(j: int):
+    """`np.tril_indices(j)`, the row order of a packed lower triangle, read-only."""
+    rows, cols = np.tril_indices(j)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -432,7 +461,6 @@ def save_prior_field(field_: PriorField, path):
     path = str(path)
     order = sorted(field_.priors)
     j = basis_dimension(field_.max_degree) if order else 0
-    lower = np.tril_indices(j)
     rank_kind_code = 0 if field_.rank_rule.kind == "fraction" else 1
     header = _HEADER.pack(j, field_.max_degree, rank_kind_code, field_.rank_rule.value, *field_.shape, len(order))
     with open(path, "wb") as fh:
@@ -443,7 +471,7 @@ def save_prior_field(field_: PriorField, path):
             records["index"] = order[block]
             records["noise"] = [p.noise_variance for p in priors]
             records["mean"] = [p.mean for p in priors]
-            records["tril"] = [p.covariance[lower] for p in priors]
+            records["tril"] = [p.covariance_tril for p in priors]
             records.tofile(fh)
     sidecar = {
         "format": _MAGIC.decode(),
@@ -539,7 +567,7 @@ def _field_blocks(path):
 
     indices = np.concatenate([read(block)["index"].copy() for block in parts] or [np.empty((0, 3), dtype=int)])
     order = _sorted_order(path, indices, field_.shape)
-    rows, cols = np.tril_indices(j)
+    rows, cols = _tril_indices(j)
 
     def decomposed(block):
         records = read(block)

@@ -22,10 +22,10 @@ except ImportError:  # not on Windows
     resource = None
 
 from .config import SimConfig
-from .design import default_candidates, esr_designs, gradient_table, greedy_bound, greedy_design
+from .design import default_candidates, esr_designs, gradient_table, greedy_design, region_bounds
 from .estimator import DEFAULT_GCV_GRID, conditional_fit_batch, gcv_select_batch, host_class, one_blas_thread
 from .metrics import angular_error, false_peak_fraction, find_peaks_batch, integrated_squared_error
-from .prior import VoxelPrior, empirical_moments
+from .prior import EigenStack, VoxelPrior, empirical_moments
 from .sim import generate_cohort, observe_batch
 from .sphere import ShBasis, funk_radon
 
@@ -98,7 +98,8 @@ def run_simulation(cfg: SimConfig) -> ExperimentResult:
     Pipeline: generate a training cohort; fit each subject densely at an
     electrostatic-repulsion design with GCV-selected smoothing; summarize
     the fits into a Gaussian-process prior; run the greedy design once, at
-    the largest budget, and certify each budget's prefix (`greedy_bound`);
+    the largest budget, and certify each budget's prefix (`greedy_bound`, by
+    one `region_bounds` call);
     then for every budget take that design's first picks
     for the conditional estimator and an electrostatic-repulsion design for
     the penalized baseline, reconstruct an independent test cohort from
@@ -137,7 +138,8 @@ def _run_experiment(cfg: SimConfig, blas_threads) -> ExperimentResult:
     # greedy prefixes are stable: every budget is a prefix of the largest
     candidates = default_candidates(cfg.candidate_count)
     greedy = greedy_design(candidates, prior, basis, cfg.budgets[-1])
-    bounds = [asdict(greedy_bound(prior, candidates, basis, budget, budget)) for budget in cfg.budgets]
+    pairs = [(budget, budget) for budget in cfg.budgets]
+    bounds = [asdict(bound) for bound in region_bounds(EigenStack.of(prior), candidates, basis, pairs)]
     clock.lap("greedy")
     fits = []  # (budget, method, coefficients of every test subject)
     designs = {}

@@ -385,7 +385,7 @@ def test_load_keeps_only_the_priors(rng, tmp_path, voxels):
     save_prior_field(mixed_rank_field(rng, voxels, degree=8, rule=RankRule("fixed", 8)), path)
     load_prior_field(path)  # first-use caches out of the traced call
     field, _, kept = traced(lambda: load_prior_field(path))
-    names = ("mean", "covariance", "eigenvalues", "eigenvectors")
+    names = ("mean", "covariance_tril", "eigenvalues", "eigenvectors")
     arrays = sum(getattr(p, name).nbytes for p in field.priors.values() for name in names)
     # a prior holding a view of the file's records would keep all of them
     assert kept - arrays <= voxels * PRIOR_OBJECT_BYTES < path.stat().st_size
@@ -403,6 +403,30 @@ def test_eigen_load_keeps_only_the_eigen_form(rng, tmp_path, voxels):
     # worth (under 7 kB at 3072 voxels), not one a voxel
     assert kept - arrays <= 8 * PRIOR_OBJECT_BYTES
     assert peak - kept <= BLOCK_COPIES * _kernels._BLOCK_ENTRIES * 8
+
+
+# An interpolated degree-8 voxel of rank 8 keeps its mean, the packed lower
+# triangle of its covariance, its eigenpairs and their objects: about 13 kB.
+# A kept (J, J) covariance would alone take J^2 * 8 = 16,200 bytes.
+def test_interpolated_field_keeps_less_than_a_full_covariance_a_voxel(rng):
+    j, rule = _kernels.basis_dimension(8), RankRule("fixed", 8)
+    coarse = PriorField((2, 2, 2), {}, 8, rule)
+    for index in np.ndindex(2, 2, 2):
+        q, _ = np.linalg.qr(rng.standard_normal((j, j)))
+        cov = (q * np.exp(-rng.uniform(0.2, 2.0) * np.arange(j))) @ q.T
+        coarse.add(index, VoxelPrior.from_moments(rng.standard_normal(j), cov, rng.uniform(0.01, 0.1), rule))
+    prior.interpolate_prior(coarse, [0.5, 0.5, 0.5])  # the corners' cached logs, out of the traced call
+    queries = rng.uniform(0.0, 1.0, size=(216, 3))
+
+    def interpolated():
+        fine = PriorField((6, 6, 6), {}, 8, rule)
+        for index, query in zip(np.ndindex(6, 6, 6), queries):
+            fine.add(index, prior.interpolate_prior(coarse, query))
+        return fine
+
+    fine, _, kept = traced(interpolated)
+    assert len(fine) == 216
+    assert kept / len(fine) < j * j * 8
 
 
 # at 1024 voxels a (V, N) gains table (2.6 MB) would alone exceed the bound

@@ -264,6 +264,29 @@ class TestRunner:
         assert len(history) == cfg.budgets[-1]
 
 
+    def test_greedy_stage_evaluates_the_candidate_basis_twice(self, tmp_path, monkeypatch):
+        # once for the greedy design and once for every budget's certificate
+        from qsdesign import _kernels
+
+        calls, per_stage = [0], {}
+        sh_matrix, lap = _kernels.sh_matrix, runner._LapClock.lap
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return sh_matrix(*args, **kwargs)
+
+        def counting_lap(clock, stage):
+            per_stage[stage] = per_stage.get(stage, 0) + calls[0]
+            calls[0] = 0
+            lap(clock, stage)
+
+        monkeypatch.setattr(_kernels, "sh_matrix", counted)
+        monkeypatch.setattr(runner._LapClock, "lap", counting_lap)
+        cfg = sim_config_from_dict({**TINY_SIM, "budgets": [2, 3, 5, 9, 14], "out_dir": str(tmp_path)})
+        run_simulation(cfg)
+        assert per_stage["greedy"] == 2
+
+
 class TestCliCommands:
     def test_simulate_exit_codes(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

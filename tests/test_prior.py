@@ -312,7 +312,8 @@ class TestLogCovarianceMemo:
         # a rank-deficient corner takes the regularize_spd branch
         half = rng.standard_normal((6, 3))
         low = VoxelPrior.from_moments(rng.standard_normal(6), half @ half.T, 0.01, RankRule("fixed", 2))
-        assert regularize_spd(low.covariance) is not low.covariance
+        cov = low.covariance  # each read is a new array: bound once, `is not` tests the branch
+        assert regularize_spd(cov) is not cov
         priors[(1, 1, 0)] = low
         return make_field(priors)
 
@@ -409,6 +410,28 @@ class TestVoxelPriorInvariants:
         evals, evecs = truncate_rank(np.eye(3), RankRule("fixed", 1))
         with pytest.raises(ValidationError):
             VoxelPrior(np.zeros(3), np.eye(3), evals, evecs, 0.0)
+
+    def test_covariance_reads_are_new_arrays_of_the_symmetrized_matrix(self, rng, tmp_path):
+        # a prior from `from_moments`, one from interpolation and one from a load
+        covariances = {tuple(idx): random_spd(rng, 6) for idx in np.ndindex(2, 2, 2)}
+        rule = RankRule("fixed", 2)
+        field = make_field({
+            idx: VoxelPrior.from_moments(rng.standard_normal(6), cov, 0.01, rule) for idx, cov in covariances.items()})
+        path = tmp_path / "field.qpf"
+        save_prior_field(field, path)
+        made, loaded = field.priors[(1, 0, 1)], load_prior_field(path).priors[(1, 0, 1)]
+        cov = covariances[(1, 0, 1)]
+        assert made.covariance.tobytes() == (0.5 * (cov + cov.T)).tobytes() == loaded.covariance.tobytes()
+        for prior in (made, interpolate_prior(field, [0.3, 0.6, 0.2]), loaded):
+            tril = prior.covariance_tril.copy()
+            first, second = prior.covariance, prior.covariance
+            assert first.tobytes() == second.tobytes()
+            assert np.array_equal(first, first.T)
+            assert first is not second and not np.shares_memory(first, second)
+            assert first.flags.writeable and second.flags.writeable
+            first[...] = 0.0
+            assert prior.covariance.tobytes() == second.tobytes()
+            assert prior.covariance_tril.tobytes() == tril.tobytes()
 
     def test_spectrum_total_is_the_sum_of_the_non_negative_eigenvalues(self, rng):
         half = rng.standard_normal((6, 4))
