@@ -20,15 +20,17 @@ Six workloads, all at one BLAS thread:
   a region design; `Field.check` validates every repeat. A field row also
   holds the peak RSS (VmHWM, see run_child) of one more repeat, `run_once`
   and `check`, made once per row in a fresh process, untimed;
-- region: `qsdesign design --mode region --budget 20` in a fresh process
-  per repeat, on lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
+- region: `qsdesign design --mode region --budget 20`, and `--mode single`
+  for the lattice's centre voxel, each in a fresh process per repeat, on
+  lattices of 216, 1000, 4096 and 8000 voxels (REGION_LATTICES)
   interpolated from the coarse prior of the `field` workload's
   `prior-build`; the lattices are built once per run, untimed. A row holds
   each size's process CPU seconds, peak RSS and minor page faults (see
   run_child), the CPU seconds and minor page faults of the design's `.qpf`
-  load, the sha256 of its design report, and the sha256 of every prior that
-  `load_prior_field` reads from its lattice (mean, covariance, eigenpairs,
-  noise variance), loaded once in this process, untimed;
+  load and the sha256 of its design report, for each mode (single mode's
+  under "single"), and the sha256 of every prior that `load_prior_field`
+  reads from its lattice (mean, covariance, eigenpairs, noise variance),
+  loaded once in this process, untimed;
 - kernels: six cases of `qsdesign._kernels` at pipeline sizes, among them
   the voxel stack a region design scores per step and the workspace call
   the ESR descent makes per step over the 15 restarts of the protocol's
@@ -318,31 +320,35 @@ def build_lattices(field, workdir: Path) -> dict:
 
 
 def time_region(src: Path, lattices: dict, repeats: int):
-    """Fresh-process region designs on every lattice: the median and min of
-    the process CPU seconds, peak RSS MB and minor page faults, and of the
-    CPU seconds and minor page faults of the design's `.qpf` load; the
-    report's sha256 and that of the loaded priors."""
+    """Fresh-process region designs on every lattice, and single-mode designs
+    of its centre voxel (under "single"): the median and min of the process
+    CPU seconds, peak RSS MB and minor page faults, and of the CPU seconds
+    and minor page faults of the design's `.qpf` load; each report's sha256
+    and that of the loaded priors."""
     keys = ("cpu_s", "maxrss_mb", "minflt", "load_cpu_s", "load_minflt")
-    stats, reports, loaded = {key: {} for key in keys}, {}, {}
+    region, single, loaded = {key: {} for key in keys}, {key: {} for key in keys}, {}
+    region["report_sha256"], single["report_sha256"] = {}, {}
     for voxels, path in lattices.items():
         size = f"{voxels} voxels"
-        out = path.with_suffix("")
-        argv = ["design", "--prior", str(path), "--mode", "region", "--budget", str(REGION_BUDGET),
-                "--candidates", "321", "--out", str(out)]
+        centre = ",".join([str(round(voxels ** (1 / 3)) // 2)] * 3)
+        for mode, stats, extra in (("region", region, []), ("single", single, ["--voxel", centre])):
+            out = path.with_suffix("") / mode
+            argv = ["design", "--prior", str(path), "--mode", mode, "--budget", str(REGION_BUDGET),
+                    "--candidates", "321", *extra, "--out", str(out)]
 
-        def once(size=size, out=out, argv=argv):
-            child = run_child(src, REGION_CHILD, argv, f"region design at {size}")
-            child["cpu_s"] = child["process_cpu_s"]
-            report = (out / f"design_region_{REGION_BUDGET:03d}.json").read_bytes()
-            return {key: child[key] for key in keys}, {size: report}
+            def once(mode=mode, size=size, out=out, argv=argv):
+                child = run_child(src, REGION_CHILD, argv, f"{mode} design at {size}")
+                child["cpu_s"] = child["process_cpu_s"]
+                report = (out / f"design_{mode}_{REGION_BUDGET:03d}.json").read_bytes()
+                return {key: child[key] for key in keys}, {size: report}
 
-        size_stats, digests = measure(f"region at {size}", once, repeats)
-        for key in keys:
-            stats[key][size] = size_stats[key]
-        reports.update(digests)
+            size_stats, digests = measure(f"{mode} at {size}", once, repeats)
+            for key in keys:
+                stats[key][size] = size_stats[key]
+            stats["report_sha256"].update(digests)
         loaded[size] = loaded_field_sha256(path)
-    return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, **stats,
-            "report_sha256": reports, "loaded_priors_sha256": loaded}
+    return {"budget": REGION_BUDGET, "candidates": 321, "repeats": repeats, **region,
+            "single": {"voxel": "centre", **single}, "loaded_priors_sha256": loaded}
 
 
 def time_kernels(kernels):

@@ -51,6 +51,7 @@ from .estimator import one_blas_thread
 from .prior import (
     PriorField,
     VoxelPrior,
+    _trilinear_weights,
     corner_weights,
     empirical_moments,
     field_header,
@@ -168,25 +169,16 @@ def _cmd_design(args) -> int:
         raise ValidationError(f"--candidates must be >= 1, got {args.candidates}")
     if args.voxel is not None and args.mode != "single":
         raise ValidationError(f"--voxel applies to --mode single only, not --mode {args.mode}")
+    voxel = None  # single mode is the one-voxel region: the first voxel in index order, or --voxel
+    if args.mode == "single":
+        voxel = 0 if args.voxel is None else _parse_triplet(args.voxel, int)
     _, dimension, count = field_header(args.prior)
     if not count:
         raise ValidationError(f"{args.prior} contains no voxel priors")
     limit = SIZE_CEILING_BYTES // (8 * dimension)  # the (N, J) candidate basis
     if args.candidates > limit:
         raise ValidationError(f"--candidates must be at most {limit} for this field, got {args.candidates}")
-    field, indices, stack = load_eigen_stack(args.prior)  # in sorted index order
-    # single mode is the one-voxel region: the first voxel, or --voxel
-    if args.mode == "single":
-        voxel = 0
-        if args.voxel is not None:
-            index = _parse_triplet(args.voxel, int)
-            # an index outside the field is in no row, and may not fit the rows' integers
-            inside = all(0 <= i < s for i, s in zip(index, field.shape))
-            hits = np.flatnonzero((indices == index).all(axis=1)) if inside else []
-            if not len(hits):
-                raise ValidationError(f"voxel {index} not present in the field")
-            voxel = int(hits[0])
-        stack = stack.voxel(voxel)
+    field, _, stack = load_eigen_stack(args.prior, voxel)
     stem = f"design_{args.mode}_{args.budget:03d}"
     table_path, report_path = _outputs(args.out, f"{stem}.txt", f"{stem}.json")
     basis = ShBasis(field.max_degree)
@@ -305,9 +297,10 @@ def _cmd_prior_build(args) -> int:
 
 
 def _cmd_prior_interp(args) -> int:
-    field = load_prior_field(args.prior)
     query = np.asarray(_parse_triplet(args.query, float))
-    corner_weights(field, query)  # the query's checks, before any output is made
+    _trilinear_weights(query, field_header(args.prior)[0].shape)  # the bounding box, before any voxel is decoded
+    field = load_prior_field(args.prior)
+    corner_weights(field, query)  # the corners, before any output is made
     path, _ = _outputs(args.out, "prior_interp.qpf", "prior_interp.qpf.json")
     prior = interpolate_prior(field, query)
     result = PriorField((1, 1, 1), {(0, 0, 0): prior}, field.max_degree, field.rank_rule)

@@ -9,15 +9,17 @@ given the observed values and maps it back to the full coefficient vector.
 
 Every fit factors one matrix with LAPACK `dpotrf` and solves with `dpotrs`
 (upper triangle, column-major copies, as `scipy.linalg.cho_factor` and
-`cho_solve` call them). Both come from the LAPACK numpy already loads: the
-first factorisation resolves them through `ctypes` from numpy's
-`_umath_linalg` module as the ILP64 symbols `scipy_dpotrf_64_` and
-`scipy_dpotrs_64_` of its OpenBLAS wheel, so a fitting process loads
-neither scipy nor a second OpenBLAS. Where numpy exports no such symbols
-(Accelerate or a system LAPACK), the same two calls go through
-`scipy.linalg`, imported then. `one_blas_thread` pins the same OpenBLAS
-to one thread, through its `scipy_openblas_set_num_threads64_`, around
-every run and command, so their bits do not depend on the thread count.
+`cho_solve` call them). Both come from the LAPACK numpy already loads, so
+a fitting process loads neither scipy nor a second OpenBLAS: one cached
+resolver, `_numpy_function`, binds every symbol this module uses through
+`ctypes` from numpy's `_umath_linalg` module, here the ILP64 symbols
+`scipy_dpotrf_64_` and `scipy_dpotrs_64_` of its OpenBLAS wheel. Where
+numpy exports no such symbols (Accelerate or a system LAPACK), the same
+two calls go through `scipy.linalg`, imported then. `one_blas_thread` pins
+the same OpenBLAS to one thread, through its
+`scipy_openblas_set_num_threads64_`, around every run and command, so
+their bits do not depend on the thread count, and `host_class` reads its
+core name from `scipy_openblas_get_corename64_`.
 """
 
 from __future__ import annotations
@@ -37,47 +39,30 @@ DEFAULT_GCV_GRID = np.logspace(-7.0, -1.0, 20)
 
 
 @functools.lru_cache(maxsize=None)
-def _numpy_library():
-    """numpy's `_umath_linalg` module as a ctypes library, through which the
-    symbols of the LAPACK and BLAS it links resolve, or None."""
+def _numpy_function(name: str, restype, *argtypes):
+    """The symbol `name` of the LAPACK and BLAS numpy links, resolved through
+    its `_umath_linalg` module, as a ctypes function of these types, or None
+    where numpy exports no such symbol."""
     from numpy.linalg import _umath_linalg
 
     try:
-        return ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
+        function = getattr(ctypes.CDLL(_umath_linalg.__file__), name)
+    except (OSError, AttributeError):  # no library, or no such symbol
         return None
+    function.restype, function.argtypes = restype, argtypes
+    return function
 
 
 @functools.lru_cache(maxsize=None)
 def _numpy_lapack():
-    """numpy's own `dpotrf` and `dpotrs` as ctypes functions, or None when its
-    LAPACK does not export them under the names of the OpenBLAS wheels."""
-    lib = _numpy_library()
-    try:
-        potrf, potrs = lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
-    except AttributeError:  # no such symbols, or no library
-        return None
+    """numpy's own `dpotrf` and `dpotrs`, or None when its LAPACK does not
+    export them under the names of the OpenBLAS wheels."""
     # Fortran calling convention: every argument by reference, then the
     # hidden length of each character argument
     ptr = ctypes.c_void_p
-    potrf.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_size_t]
-    potrf.restype = potrs.restype = None
-    return potrf, potrs
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """The thread-count getter and setter of numpy's OpenBLAS as ctypes
-    functions, or None when it exports no such symbols."""
-    lib = _numpy_library()
-    try:
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no such symbols, or no library
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    potrf = _numpy_function("scipy_dpotrf_64_", None, ctypes.c_char_p, *[ptr] * 4, ctypes.c_size_t)
+    potrs = _numpy_function("scipy_dpotrs_64_", None, ctypes.c_char_p, *[ptr] * 7, ctypes.c_size_t)
+    return (potrf, potrs) if potrf and potrs else None
 
 
 def host_class() -> dict:
@@ -85,27 +70,17 @@ def host_class() -> dict:
     `host`: `simd_found`, the SIMD extensions numpy dispatches to, as
     `np.show_config(mode="dicts")` lists them (numpy's AVX-512 `np.power`
     loop rounds some ESR `dist**-3` differently from libm's `pow`);
-    `openblas_core`, the core numpy's OpenBLAS runs on, which decides how
-    the batched solves round; each None where numpy does not say; and
-    `cholesky`, where the fits' `dpotrf` and `dpotrs` come from: "numpy
-    lapack" or "scipy.linalg fallback"."""
+    `openblas_core`, the core numpy's OpenBLAS runs its kernels for, such as
+    "SkylakeX", which decides how the batched solves round; each None where
+    numpy does not say; and `cholesky`, where the fits' `dpotrf` and
+    `dpotrs` come from: "numpy lapack" or "scipy.linalg fallback"."""
     try:
         simd = list(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
     except (TypeError, KeyError):  # a numpy without the dicts mode or the section
         simd = None
+    core = _numpy_function("scipy_openblas_get_corename64_", ctypes.c_char_p)
     cholesky = "numpy lapack" if _numpy_lapack() is not None else "scipy.linalg fallback"
-    return {"simd_found": simd, "openblas_core": _openblas_core(), "cholesky": cholesky}
-
-
-def _openblas_core():
-    """The core numpy's OpenBLAS runs its kernels for, such as "SkylakeX",
-    or None where it exports no `scipy_openblas_get_corename64_`."""
-    try:
-        core = _numpy_library().scipy_openblas_get_corename64_
-    except AttributeError:  # no such symbol, or no library
-        return None
-    core.argtypes, core.restype = [], ctypes.c_char_p
-    return core().decode()
+    return {"simd_found": simd, "openblas_core": core().decode() if core else None, "cholesky": cholesky}
 
 
 @contextlib.contextmanager
@@ -115,11 +90,11 @@ def one_blas_thread():
     other thread counts, and so rounds it differently. Yields the count in
     effect, or None where numpy's BLAS exports no thread control, in which
     case nothing is changed."""
-    control = _openblas_threads()
-    if control is None:
+    get = _numpy_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _numpy_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if get is None or put is None:
         yield None
         return
-    get, put = control
     previous = get()
     put(1)
     try:

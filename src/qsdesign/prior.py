@@ -296,12 +296,6 @@ class EigenStack:
     def ranks(self) -> np.ndarray:
         return np.count_nonzero(self.eigenvalues > 0.0, axis=1)
 
-    def voxel(self, v: int) -> EigenStack:
-        """Voxel `v`'s one-voxel stack, unpadded: the stack `of` its prior."""
-        k = self.ranks[v]
-        rows = (self.eigenvalues[v : v + 1, :k], self.eigenvectors[v : v + 1, :, :k], self.noise_variances[v : v + 1])
-        return EigenStack(*(row.copy() for row in rows))
-
 
 def spd_log(matrix) -> np.ndarray:
     """Matrix logarithm of an SPD matrix via its eigendecomposition."""
@@ -544,18 +538,21 @@ def _sorted_order(path, indices, shape) -> np.ndarray:
     return order
 
 
-def _field_blocks(path):
+def _field_blocks(path, voxel=None):
     """What both readers read of a file written by :func:`save_prior_field`:
     the empty field its header declares, its voxel indices (V, 3) in file
     order, the order that sorts them, and an iterator over its voxel blocks.
 
     The records are read in `blocks` of J^2 entries a voxel, so they are
-    never held whole: once for the indices, which are all checked here,
-    before any voxel is decomposed, then a block at each step of the
-    iterator, which yields the block's slice, records, covariances and their
-    `_truncate_ranks`. Stacked `eigh` makes one LAPACK call per matrix, so
-    each voxel has the bits of its own `VoxelPrior.from_moments` whatever
-    the block. A reader drops a block before it takes the next one.
+    never held whole: once for the indices, which are all checked here with
+    every record's covariance, mean and noise variance, before any voxel is
+    decomposed, then a block at each step of the iterator, which yields the
+    block's slice, records, covariances and their `_truncate_ranks`.
+    Stacked `eigh` makes one LAPACK call per matrix, so each voxel has the
+    bits of its own `VoxelPrior.from_moments` whatever the block. A reader
+    drops a block before it takes the next one. With `voxel`, the position
+    in index order or the index (i, j, k) of one voxel, the order holds that
+    voxel alone and the iterator yields its record alone.
     """
     path = str(path)
     field_, j, count = field_header(path)
@@ -565,8 +562,30 @@ def _field_blocks(path):
         offset = _RECORDS_OFFSET + block.start * dtype.itemsize
         return np.fromfile(path, dtype, min(block.stop, count) - block.start, offset=offset)
 
-    indices = np.concatenate([read(block)["index"].copy() for block in parts] or [np.empty((0, 3), dtype=int)])
+    def checked_indices(block):  # the record checks `VoxelPrior` makes first, with its messages
+        records = read(block)
+        if not np.isfinite(records["tril"]).all():
+            raise ValidationError("covariance must be finite")
+        finite, noise = np.isfinite(records["mean"]).all(axis=1), records["noise"]
+        bad = np.flatnonzero(~finite | ~(np.isfinite(noise) & (noise > 0.0)))
+        if bad.size and not finite[bad[0]]:
+            raise ValidationError("prior mean, covariance and eigenpairs must be finite")
+        if bad.size:
+            raise ValidationError(f"noise variance must be finite and positive, got {float(noise[bad[0]])!r}")
+        return records["index"].copy()
+
+    indices = np.concatenate([checked_indices(block) for block in parts] or [np.empty((0, 3), dtype=int)])
     order = _sorted_order(path, indices, field_.shape)
+    if isinstance(voxel, tuple):
+        # an index outside the field is in no row, and may not fit the rows' integers
+        inside = all(0 <= i < s for i, s in zip(voxel, field_.shape))
+        hits = np.flatnonzero((indices[order] == voxel).all(axis=1)) if inside else []
+        if not len(hits):
+            raise ValidationError(f"voxel {voxel} not present in the field")
+        voxel = int(hits[0])
+    if voxel is not None:
+        order = order[voxel : voxel + 1]
+        parts = [slice(order[0], order[0] + 1)]
     rows, cols = _tril_indices(j)
 
     def decomposed(block):
@@ -597,10 +616,13 @@ def load_prior_field(path) -> PriorField:
     return field_
 
 
-def load_eigen_stack(path):
+def load_eigen_stack(path, voxel=None):
     """Read the eigen form of a field written by :func:`save_prior_field`,
     which is all design reads: the empty field its header declares, its
-    voxel indices (V, 3) in sorted order and their `EigenStack`.
+    voxel indices (V, 3) in sorted order and their `EigenStack`. With
+    `voxel`, the position in index order or the index (i, j, k) of one
+    voxel, only that voxel's record is decoded, and the stack holds it
+    alone, unpadded: the stack `EigenStack.of` its prior.
 
     It reads through `_field_blocks`, as `load_prior_field` does, so each
     voxel's eigenpairs and noise variance have the bits of its prior there,
@@ -610,8 +632,8 @@ def load_eigen_stack(path):
     holds a rank above its width. No mean, covariance or per-voxel object
     is kept.
     """
-    field_, indices, order, parts = _field_blocks(path)
-    position = np.empty_like(order)
+    field_, indices, order, parts = _field_blocks(path, voxel)
+    position = np.empty(len(indices), dtype=int)
     position[order] = np.arange(len(order))
     voxels, j = len(order), basis_dimension(field_.max_degree)
     evals, evecs, noise = np.zeros((voxels, 0)), np.zeros((voxels, j, 0)), np.empty((voxels, 1))

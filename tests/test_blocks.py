@@ -180,9 +180,11 @@ def assert_stack_is_the_full_load(field_path, full):
         assert stack.eigenvectors[v, :, :k].copy().tobytes() == want.eigenvectors.tobytes()
         assert not stack.eigenvalues[v, k:].any() and not stack.eigenvectors[v, :, k:].any()
         assert stack.noise_variances[v, 0] == want.noise_variance
-        one = stack.voxel(v)
-        assert (one.eigenvalues.tobytes(), one.eigenvectors.tobytes(), one.noise_variances.tobytes()) == (
-            want.eigenvalues.tobytes(), want.eigenvectors.tobytes(), np.array([[want.noise_variance]]).tobytes())
+        for voxel in (v, index):  # its position in index order, or its index: its record alone, unpadded
+            _, one_index, one = load_eigen_stack(field_path, voxel)
+            assert one_index.tolist() == [list(index)]
+            assert (one.eigenvalues.tobytes(), one.eigenvectors.tobytes(), one.noise_variances.tobytes()) == (
+                want.eigenvalues.tobytes(), want.eigenvectors.tobytes(), np.array([[want.noise_variance]]).tobytes())
 
 
 @pytest.mark.parametrize("voxels_a_block", [1, 3, 4, VOXELS])
@@ -298,25 +300,61 @@ def corrupt_last_covariance(path, value):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize(
-    "index, message",
-    [((VOXELS, 0, 0), f"voxel index ({VOXELS}, 0, 0) outside field shape ({VOXELS}, 1, 1)"),
-     ((0, 0, 0), "repeats voxel (0, 0, 0)")],
-    ids=["outside", "repeated"],
-)
-def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monkeypatch, index, message):
+def refuse_decomposition(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a voxel was decomposed before every index was checked")
+        raise AssertionError("a voxel was decomposed before every record was checked")
 
-    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
     monkeypatch.setattr(prior, "_truncate_ranks", refuse)
+
+
+# a record: index (3 x <i4), noise variance (<f8), mean (15 x <f8), covariance triangle
+@pytest.mark.parametrize(
+    "offset, fmt, values, message",
+    [(0, "<3i", (VOXELS, 0, 0), f"voxel index ({VOXELS}, 0, 0) outside field shape ({VOXELS}, 1, 1)"),
+     (0, "<3i", (0, 0, 0), "repeats voxel (0, 0, 0)"),
+     (20, "<d", (np.nan,), "prior mean, covariance and eigenpairs must be finite"),
+     (12, "<d", (0.0,), "noise variance must be finite and positive, got 0.0"),
+     (20 + 8 * 15, "<d", (np.nan,), "covariance must be finite")],
+    ids=["outside", "repeated", "nan-mean", "zero-noise", "nan-covariance"],
+)
+def test_bad_index_in_last_block_fails_before_any_decomposition(field_path, monkeypatch, tmp_path, offset, fmt,
+                                                                values, message):
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
+    refuse_decomposition(monkeypatch)
     data = bytearray(field_path.read_bytes())
     record = (len(data) - HEADER_BYTES) // VOXELS
-    struct.pack_into("<3i", data, HEADER_BYTES + (VOXELS - 1) * record, *index)
+    struct.pack_into(fmt, data, HEADER_BYTES + (VOXELS - 1) * record + offset, *values)
     field_path.write_bytes(bytes(data))
     for load in (load_prior_field, load_eigen_stack):
         with pytest.raises(ValidationError, match=re.escape(message)):
             load(field_path)
+    for mode in ("region", "single"):
+        argv = ["design", "--prior", str(field_path), "--mode", mode, "--budget", "3", "--out", str(tmp_path / mode)]
+        assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["prior-interp", "--query", "a,b,c"], "expected three comma-separated numbers, got 'a,b,c'"),
+     (["prior-interp", "--query", f"{VOXELS},0,0"], f"query [{VOXELS}.0, 0.0, 0.0] outside field bounding box"),
+     (["design", "--budget", "3", "--voxel", "a,b,c"], "expected three comma-separated integers, got 'a,b,c'")],
+    ids=["text-query", "query-outside", "text-voxel"],
+)
+def test_bad_argument_fails_before_any_decomposition(field_path, monkeypatch, tmp_path, capsys, argv, message):
+    refuse_decomposition(monkeypatch)
+    assert main([*argv, "--prior", str(field_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_single_mode_decomposes_one_record(field_path, monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 3 * 15 * 15)
+    seen, decompose = [], prior._truncate_ranks
+    monkeypatch.setattr(prior, "_truncate_ranks", lambda covs, rule: seen.append(len(covs)) or decompose(covs, rule))
+    for voxel in ([], ["--voxel", "7,0,0"]):
+        seen.clear()
+        argv = ["design", "--prior", str(field_path), "--budget", "3", "--candidates", "30", *voxel]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [1]
 
 
 @pytest.mark.parametrize(

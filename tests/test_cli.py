@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -190,7 +191,7 @@ class TestRunner:
         simd = host["simd_found"]
         assert simd is None or all(isinstance(name, str) for name in simd)
         core = host["openblas_core"]
-        assert (core is None) == (not hasattr(estimator._numpy_library(), "scipy_openblas_get_corename64_"))
+        assert (core is None) == (estimator._numpy_function("scipy_openblas_get_corename64_", ctypes.c_char_p) is None)
         assert core is None or (isinstance(core, str) and core)
         assert host["cholesky"] == (
             "numpy lapack" if estimator._numpy_lapack() is not None else "scipy.linalg fallback")
@@ -199,7 +200,7 @@ class TestRunner:
         def no_dicts_mode(mode="stdout"):
             raise TypeError("show_config() got an unexpected keyword argument 'mode'")
 
-        monkeypatch.setattr(estimator, "_numpy_library", lambda: None)
+        monkeypatch.setattr(estimator, "_numpy_function", lambda name, *types: None)
         monkeypatch.setattr(estimator, "_numpy_lapack", lambda: None)
         monkeypatch.setattr(np, "show_config", no_dicts_mode)
         assert estimator.host_class() == {"simd_found": None, "openblas_core": None, "cholesky": "scipy.linalg fallback"}
@@ -555,6 +556,13 @@ def _without_times(report_bytes):
     return report
 
 
+def _thread_control():
+    """The thread-count getter and setter of numpy's OpenBLAS, each None
+    where numpy does not export it."""
+    return (estimator._numpy_function("scipy_openblas_get_num_threads64_", ctypes.c_int),
+            estimator._numpy_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int))
+
+
 class TestThreading:
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
         # `simulate` holds numpy's OpenBLAS to one thread, so a process
@@ -577,12 +585,11 @@ class TestThreading:
         assert reports[0] == reports[1]
 
     def test_pin_holds_one_thread_and_restores_the_count(self):
-        control = estimator._openblas_threads()
-        if control is None:  # numpy exports no thread control: the pin changes nothing
+        get, put = _thread_control()
+        if get is None or put is None:  # numpy exports no thread control: the pin changes nothing
             with estimator.one_blas_thread() as threads:
                 assert threads is None
             return
-        get, put = control
         start = get()
         put(2)
         try:
@@ -595,11 +602,13 @@ class TestThreading:
     def test_report_records_the_pinned_count(self, tiny_results):
         _, _, out = tiny_results
         report = json.loads((out / "report.json").read_text())
-        assert report["blas_threads"] == (1 if estimator._openblas_threads() else None)
+        assert report["blas_threads"] == (1 if all(_thread_control()) else None)
 
     def test_run_without_thread_control_records_null(self, tiny_results, monkeypatch):
         cfg, pinned, _ = tiny_results
-        monkeypatch.setattr(estimator, "_openblas_threads", lambda: None)
+        resolve = estimator._numpy_function
+        monkeypatch.setattr(estimator, "_numpy_function",
+                            lambda name, *types: None if "num_threads" in name else resolve(name, *types))
         result = run_simulation(cfg)
         assert result.report["blas_threads"] is None
         assert metrics_csv_text(result.rows) == metrics_csv_text(pinned.rows)

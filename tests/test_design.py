@@ -585,8 +585,8 @@ class TestRegionBoundByRankGroup:
         certificates = [greedy_bound(p, pool, basis4, 6, 9) for p in priors]
         want = min(certificates, key=lambda cert: cert.factor)
         assert region_bound(stack_of(priors), pool, basis4, 6, 9) == want
-        for v, cert in enumerate(certificates):
-            assert region_bound(stack_of(priors).voxel(v), pool, basis4, 6, 9) == cert
+        for p, cert in zip(priors, certificates):
+            assert region_bound(EigenStack.of(p), pool, basis4, 6, 9) == cert
 
     def test_region_certificate_holds_against_the_exhaustive_optimum(self, basis4, tmp_path):
         # 3 voxels, 12 candidates, budget 3: the loaded stack's greedy reaches

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -295,6 +297,28 @@ class TestCholeskyPair:
         resolved = fits()
         monkeypatch.setattr(estimator, "_numpy_lapack", lambda: None)
         assert fits() == resolved
+
+
+class TestNumpyFunction:
+    """`_numpy_function`, through which every LAPACK and OpenBLAS symbol is bound."""
+
+    def test_missing_symbol_resolves_to_none(self):
+        assert estimator._numpy_function("qsdesign_no_such_symbol_", ctypes.c_int) is None
+
+    def test_repeated_call_returns_the_same_object(self):
+        name = "scipy_openblas_get_num_threads64_"
+        first = estimator._numpy_function(name, ctypes.c_int)
+        assert estimator._numpy_function(name, ctypes.c_int) is first
+        if first is not None:  # numpy's OpenBLAS exports it: bound with the types asked for
+            assert first.restype is ctypes.c_int and first.argtypes == ()
+            assert first() >= 1
+
+    def test_lapack_pair_is_resolved_through_it(self):
+        pair = estimator._numpy_lapack()
+        assert pair is None or pair == (estimator._numpy_function("scipy_dpotrf_64_", None, ctypes.c_char_p,
+                                                                  *[ctypes.c_void_p] * 4, ctypes.c_size_t),
+                                        estimator._numpy_function("scipy_dpotrs_64_", None, ctypes.c_char_p,
+                                                                  *[ctypes.c_void_p] * 7, ctypes.c_size_t))
 
 
 def reference_conditional_fit(points, values, prior, basis):
