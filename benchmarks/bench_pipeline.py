@@ -326,8 +326,8 @@ def time_region(src: Path, lattices: dict, repeats: int):
     and minor page faults of the design's `.qpf` load; each report's sha256
     and that of the loaded priors."""
     keys = ("cpu_s", "maxrss_mb", "minflt", "load_cpu_s", "load_minflt")
-    region, single, loaded = {key: {} for key in keys}, {key: {} for key in keys}, {}
-    region["report_sha256"], single["report_sha256"] = {}, {}
+    region = {key: {} for key in (*keys, "report_sha256")}
+    single, loaded = {key: {} for key in region}, {}
     for voxels, path in lattices.items():
         size = f"{voxels} voxels"
         centre = ",".join([str(round(voxels ** (1 / 3)) // 2)] * 3)
